@@ -10,8 +10,8 @@ whose vanishing characterizes biharmonic curves.  Two independent routes
 are computed:
 
 * ``tension2_direct`` nests three covariant derivatives and adds the
-  curvature correction; it needs no Frenet frame and is defined on
-  geodesics.
+  curvature correction, contracted with the manifold's constant curvature
+  table; it needs no Frenet frame and is defined on geodesics.
 * ``tension2_frame`` evaluates the frame expansion
 
     tau2 = (-3 k' k) T
@@ -27,6 +27,11 @@ A non-geodesic unit-speed curve is biharmonic if and only if
     k = const != 0,
     k^2 + tau^2 = l^2/4 - (l^2 - 4m) B3^2,
     tau' = (l^2 - 4m) N3 B3.
+
+Each derived series is computed once per curve: ``frenet_apparatus`` keeps
+nabla_T T on its series, ``bitension_report`` extends it to tau2 and carries
+the series, and ``classify_curve`` accepts that series, so a report and a
+verdict together cost four covariant-derivative passes.
 """
 
 from __future__ import annotations
@@ -75,13 +80,19 @@ def tension2_direct(
     Uses nabla_T T directly in the curvature slot (equal to k N wherever the
     Frenet frame exists), so the result is defined on geodesics as well.
     """
+    return _tension2(samples, tension1(samples, config), config)
+
+
+def _tension2(samples: CurveSamples, t1: np.ndarray, config: NumericsConfig) -> np.ndarray:
+    """tau2 from t1 = nabla_T T: two more covariant passes and the curvature
+    term.  The curvature table is the same at every point, so one (3, 3, 3, 3)
+    table serves all samples; the chart check still covers the whole curve."""
     T = samples.velocity_frame
-    t1 = covariant_derivative_along(samples, T, config)
     t2 = covariant_derivative_along(samples, t1, config)
     t3 = covariant_derivative_along(samples, t2, config)
-    table = mf.curvature_table(samples.manifold, samples.points)
-    curv = np.einsum("na,nb,nc,nabcd->nd", T, t1, T, table)
-    return t3 + curv
+    mf.conformal_factor(samples.manifold, samples.points)
+    table = mf.curvature_table(samples.manifold, samples.points[0])
+    return t3 + np.einsum("na,nb,nc,abcd->nd", T, t1, T, table)
 
 
 def tension2_frame(
@@ -111,7 +122,8 @@ def tension2_frame(
 
 @dataclass
 class BitensionReport:
-    """Both routes to the bitension field plus summary residuals.
+    """Both routes to the bitension field plus summary residuals, and the
+    Frenet series they were computed from.
 
     Residual statistics cover interior samples only (boundary samples are
     computed with one-sided stencils).  ``expansion_agreement`` is the worst
@@ -131,6 +143,7 @@ class BitensionReport:
     mean_residual: float
     expansion_agreement: float | None
     interior: slice
+    frenet: FrenetSeries
 
     def to_json(self) -> str:
         payload = {
@@ -149,13 +162,13 @@ class BitensionReport:
 def bitension_report(
     samples: CurveSamples, config: NumericsConfig = DEFAULT_CONFIG
 ) -> BitensionReport:
-    """Evaluate tau1, tau2 (both routes where defined) and their residuals."""
-    t1 = tension1(samples, config)
-    t2 = tension2_direct(samples, config)
+    """Evaluate tau1, tau2 (both routes where defined) and their residuals,
+    all from one Frenet series."""
+    frenet = frenet_apparatus(samples, config)
+    t2 = _tension2(samples, frenet.t1, config)
     residual = np.linalg.norm(t2, axis=1)
     interior = samples.interior(config.stencil_order, _BITENSION_DEPTH)
 
-    frenet = frenet_apparatus(samples, config)
     cT = cN = cB = None
     agreement = None
     if frenet.defined.all():
@@ -168,7 +181,7 @@ def bitension_report(
     return BitensionReport(
         manifold=samples.manifold,
         s=samples.s,
-        tau1=t1,
+        tau1=frenet.t1,
         tau2=t2,
         residual=residual,
         cT=cT,
@@ -178,6 +191,7 @@ def bitension_report(
         mean_residual=float(residual[interior].mean()),
         expansion_agreement=agreement,
         interior=interior,
+        frenet=frenet,
     )
 
 
@@ -360,9 +374,10 @@ class ClassificationResult:
 
 
 def classify_curve(
-    samples: CurveSamples, config: NumericsConfig = DEFAULT_CONFIG
+    curve: CurveSamples | FrenetSeries, config: NumericsConfig = DEFAULT_CONFIG
 ) -> ClassificationResult:
-    """Classify a unit-speed curve.
+    """Classify a unit-speed curve, given by its samples or by its Frenet
+    series (for instance ``BitensionReport.frenet``).
 
     geodesic                 tension field vanishes (within residual_tol);
     nongeodesic_biharmonic   the full characterization system holds;
@@ -373,9 +388,8 @@ def classify_curve(
                              binormal component forces tau^2 = 1/4 and rules
                              biharmonicity out unconditionally.
     """
-    t1 = tension1(samples, config)
-    interior1 = samples.interior(config.stencil_order, 1)
-    t1_max = float(np.linalg.norm(t1, axis=1)[interior1].max())
+    frenet = curve if isinstance(curve, FrenetSeries) else frenet_apparatus(curve, config)
+    t1_max = float(frenet.k[frenet.interior(1)].max())  # k = |nabla_T T|
     values: dict[str, float] = {"tension1_max": t1_max}
     checks: dict[str, SystemCheck] = {
         "tension1_zero": SystemCheck("tension1_zero", t1_max, config.residual_tol)
@@ -384,7 +398,6 @@ def classify_curve(
     if t1_max <= max(config.k_floor, config.residual_tol):
         return ClassificationResult("geodesic", checks, values)
 
-    frenet = frenet_apparatus(samples, config)
     sys33 = check_system_33(frenet, config)
     helix = check_helix_system(frenet, config)
     checks.update({f"system_{k}": c for k, c in sys33.checks.items()})

@@ -235,14 +235,13 @@ def cmd_generate(args, file_cfg: dict) -> int:
     s_range = (args.s0, args.s1)
     spec = factory.biharmonic_helix(hp, s_range)
     samples = crv.sample_curve(spec, args.samples, config)
-    frenet = crv.frenet_apparatus(samples, config)
     report = analysis.bitension_report(samples, config)
-    result = analysis.classify_curve(samples, config)
+    result = analysis.classify_curve(report.frenet, config)
 
     out = args.out
     crv.write_samples_csv(f"{out}.csv", samples, include_velocity=args.with_velocity)
     with open(f"{out}.frenet.json", "w") as fh:
-        fh.write(crv.frenet_to_json(frenet))
+        fh.write(crv.frenet_to_json(report.frenet))
     with open(f"{out}.report.json", "w") as fh:
         fh.write(report.to_json())
     with open(f"{out}.classification.json", "w") as fh:
@@ -290,8 +289,8 @@ def cmd_verify(args, file_cfg: dict) -> int:
     config = _resolve_numerics(file_cfg, args)
     spec = crv.read_samples_csv(args.input, params)
     samples = crv.sample_curve(spec, None, config)
-    result = analysis.classify_curve(samples, config)
     report = analysis.bitension_report(samples, config)
+    result = analysis.classify_curve(report.frenet, config)
 
     print(f"curve: {args.input} ({samples.n} samples, manifold m={params.m:g} l={params.l:g})")
     print(f"verdict: {result.verdict}")

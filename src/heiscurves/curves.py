@@ -49,7 +49,6 @@ from .numerics import (
 
 __all__ = [
     "CurveSpec",
-    "CurveSample",
     "CurveSamples",
     "FrenetSeries",
     "sample_curve",
@@ -104,15 +103,6 @@ class CurveSpec:
             raise ValueError("sampled curve needs s and point arrays")
 
 
-@dataclass(frozen=True)
-class CurveSample:
-    """One arclength sample: position and unit frame velocity."""
-
-    s: float
-    point: np.ndarray
-    velocity: FrameVector
-
-
 @dataclass
 class CurveSamples:
     """Uniform arclength samples of a curve (struct-of-arrays layout).
@@ -142,13 +132,6 @@ class CurveSamples:
 
     def interior(self, order: int, depth: int = 1) -> slice:
         return interior_slice(self.n, order, depth + self.velocity_depth)
-
-    def __getitem__(self, i: int) -> CurveSample:
-        return CurveSample(
-            float(self.s[i]),
-            self.points[i],
-            FrameVector(self.points[i], self.velocity_frame[i]),
-        )
 
 
 def _uniform_grid(s_range: tuple[float, float], n: int) -> np.ndarray:
@@ -291,7 +274,8 @@ class FrenetSeries:
     manifold: ManifoldParams
     s: np.ndarray
     T: np.ndarray          # (n, 3) frame components
-    k: np.ndarray          # (n,)
+    t1: np.ndarray         # (n, 3) nabla_T T = k N, defined on geodesics too
+    k: np.ndarray          # (n,) |t1|
     N: np.ndarray          # (n, 3), NaN where undefined
     B: np.ndarray          # (n, 3), NaN where undefined
     tau: np.ndarray        # (n,), NaN where undefined
@@ -331,6 +315,7 @@ def frenet_apparatus(
 
     T is the sampled velocity; k = |nabla_T T|; N = nabla_T T / k wherever
     k exceeds the configured floor; B = T x N; tau = -<nabla_T N, B>.
+    The series keeps nabla_T T, so consumers need not differentiate T again.
     """
     T = samples.velocity_frame
     t1 = covariant_derivative_along(samples, T, config)
@@ -347,6 +332,7 @@ def frenet_apparatus(
         manifold=samples.manifold,
         s=samples.s,
         T=np.array(T, copy=True),
+        t1=t1,
         k=k,
         N=N,
         B=B,

@@ -17,11 +17,16 @@ dual to the coframe (dx / F, dy / F, dz + (l/2)(y dx - x dy) / F).
 
 Two routes are provided for the connection and the curvature:
 
-* closed-form tables (exact; derived from the Koszul formula applied to the
-  bracket relations [e1,e2] = -2my e1 + 2mx e2 + l e3, [e2,e3] = [e3,e1] = 0),
+* closed-form tables (exact).  The connection follows from the Koszul
+  formula applied to the bracket relations [e1,e2] = -2my e1 + 2mx e2 + l e3,
+  [e2,e3] = [e3,e1] = 0.  Every metric of the family is homogeneous, so in
+  the adapted frame the curvature has the same components at every point,
+  the Cartan-Vranceanu constants R_1212 = 4m - 3l^2/4 and
+  R_1313 = R_2323 = l^2/4 (all others follow by symmetry or vanish).
 * a numeric route that differentiates the metric with 5-point central
   finite differences and assembles coordinate Christoffel symbols; it is the
-  independent cross-check of the tables and is accurate to ~1e-9.
+  independent cross-check of the tables (for the curvature, the only one)
+  and is accurate to ~1e-9.
 
 Sign convention.  The curvature operator is
 
@@ -59,7 +64,6 @@ __all__ = [
     "metric_derivatives",
     "frame_at",
     "coframe_at",
-    "frame_vectors_at",
     "to_frame_components",
     "to_coord_components",
     "frame_to_coord",
@@ -277,14 +281,6 @@ def coframe_at(params: ManifoldParams, p) -> np.ndarray:
     )
 
 
-def frame_vectors_at(params: ManifoldParams, p) -> tuple[FrameVector, FrameVector, FrameVector]:
-    """The frame (e1, e2, e3) at a single point, as FrameVector objects whose
-    ``components`` are given in the coordinate basis (d/dx, d/dy, d/dz)."""
-    q = as_point(p)
-    rows = frame_at(params, q)
-    return tuple(FrameVector(q, rows[a]) for a in range(3))  # type: ignore[return-value]
-
-
 def to_frame_components(params: ManifoldParams, p, v_coord) -> np.ndarray:
     """Convert coordinate components of tangent vectors to frame components."""
     theta = coframe_at(params, p)
@@ -386,22 +382,6 @@ def connection_table(params: ManifoldParams, p) -> np.ndarray:
     return G
 
 
-def _connection_frame_derivatives(params: ManifoldParams, p) -> np.ndarray:
-    """dG[..., x, a, b, c] = e_x(G[a, b, c]) for the closed-form table.
-
-    Only the conformal entries vary: e1(2mx) = e2(2my) = 2mF.
-    """
-    q = as_point(p)
-    fac = conformal_factor(params, q)
-    two_mF = 2.0 * params.m * fac
-    dG = np.zeros(q.shape[:-1] + (3, 3, 3, 3))
-    dG[..., 1, 0, 0, 1] = two_mF   # e2(Gamma_11^2) with Gamma_11^2 = 2my
-    dG[..., 1, 0, 1, 0] = -two_mF  # e2(Gamma_12^1)
-    dG[..., 0, 1, 0, 1] = -two_mF  # e1(Gamma_21^2) with Gamma_21^2 = -2mx
-    dG[..., 0, 1, 1, 0] = two_mF   # e1(Gamma_22^1)
-    return dG
-
-
 def bracket_table(params: ManifoldParams, p) -> np.ndarray:
     """Structure functions C[..., a, b, c] with [e_a, e_b] = C^c_ab e_c."""
     q = as_point(p)
@@ -418,26 +398,21 @@ def bracket_table(params: ManifoldParams, p) -> np.ndarray:
 def curvature_table(params: ManifoldParams, p) -> np.ndarray:
     """R[..., a, b, c, d]: d-th frame component of R(e_a, e_b) e_c (exact).
 
-    Assembled from the connection table, its frame derivatives and the
-    structure functions:
-
-        R(e_a, e_b) e_c = -nabla_{e_a} nabla_{e_b} e_c
-                          + nabla_{e_b} nabla_{e_a} e_c
-                          + nabla_{[e_a, e_b]} e_c.
+    The metrics are homogeneous and the frame is adapted, so the table is
+    the same at every point: the sectional curvatures of the frame planes
+    are K(e1, e2) = R_1212 = 4m - 3l^2/4 and K(e1, e3) = K(e2, e3) = l^2/4,
+    R_abba = -R_abab, and every component not fixed by these vanishes.  The
+    constant table is broadcast over the leading shape of ``p``; the points
+    are still checked against the chart (DomainError outside it).
     """
-    q = as_point(p)
-    G = connection_table(params, q)
-    dG = _connection_frame_derivatives(params, q)
-    C = bracket_table(params, q)
-    second = np.einsum("...bcd,...ade->...abce", G, G)
-    R = (
-        -np.einsum("...abce->...abce", dG)
-        + np.einsum("...bace->...abce", dG)
-        - second
-        + np.einsum("...bace->...abce", second)
-        + np.einsum("...abd,...dce->...abce", C, G)
-    )
-    return R
+    fac = conformal_factor(params, p)
+    quarter_l2 = 0.25 * params.l * params.l
+    R = np.zeros((3, 3, 3, 3))
+    planes = ((0, 1, 4.0 * params.m - 3.0 * quarter_l2), (0, 2, quarter_l2), (1, 2, quarter_l2))
+    for a, b, K in planes:
+        R[a, b, a, b] = R[b, a, b, a] = K
+        R[a, b, b, a] = R[b, a, a, b] = -K
+    return np.broadcast_to(R, fac.shape + R.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +542,15 @@ def lie_bracket_frame(
     return FrameVector(q, C[..., a - 1, b - 1, :])
 
 
+def _curvature(params: ManifoldParams, p, method: str) -> np.ndarray:
+    """The curvature table at p by the named route."""
+    if method == "closed_form":
+        return curvature_table(params, p)
+    if method == "numeric":
+        return curvature_table_numeric(params, p)
+    raise ValueError(f"unknown method {method!r}")
+
+
 def curvature_op(
     params: ManifoldParams,
     X: FrameVector,
@@ -576,12 +560,7 @@ def curvature_op(
 ) -> FrameVector:
     """R(X, Y)Z for frame vectors at a common base point."""
     base = _check_same_base(X, Y, Z)
-    if method == "closed_form":
-        table = curvature_table(params, base)
-    elif method == "numeric":
-        table = curvature_table_numeric(params, base)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    table = _curvature(params, base, method)
     comps = np.einsum(
         "a,b,c,abcd->d", X.components, Y.components, Z.components, table
     )
@@ -593,11 +572,7 @@ def riemann_component(
 ) -> float:
     """R_abcd = <R(e_a, e_b) e_c, e_d> (1-based indices)."""
     _check_index(a, b, c, d)
-    q = as_point(p)
-    if method == "closed_form":
-        table = curvature_table(params, q)
-    else:
-        table = curvature_table_numeric(params, q)
+    table = _curvature(params, p, method)
     return float(table[..., a - 1, b - 1, c - 1, d - 1])
 
 
@@ -606,11 +581,7 @@ def ricci_component(
 ) -> float:
     """rho_ab = trace(Z -> R(e_a, Z) e_b) (1-based indices)."""
     _check_index(a, b)
-    q = as_point(p)
-    if method == "closed_form":
-        table = curvature_table(params, q)
-    else:
-        table = curvature_table_numeric(params, q)
+    table = _curvature(params, p, method)
     # rho(e_a, e_b) = sum_c <R(e_a, e_c) e_b, e_c>
     return float(np.trace(table[..., a - 1, :, b - 1, :]))
 
@@ -626,7 +597,7 @@ def sectional(params: ManifoldParams, p, X: FrameVector, Y: FrameVector) -> floa
     denom = float(x @ x) * float(y @ y) - float(x @ y) ** 2
     if denom < 1e-12:
         raise DegeneratePlane(f"plane spanned by X, Y is degenerate (denominator {denom:.3e})")
-    table = curvature_table(params, base)
+    table = _curvature(params, base, "closed_form")
     num = float(np.einsum("a,b,c,d,abcd->", x, y, x, y, table))
     return num / denom
 

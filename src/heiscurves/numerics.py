@@ -28,9 +28,7 @@ class NumericsConfig:
     fd_step_nested     outer step for the nested curvature differences
     stencil_order      order of the arclength stencils (2 or 4)
     unit_speed_tol     allowed deviation of |velocity| from 1
-    frame_tol          orthonormality tolerance for measured Frenet frames
     residual_tol       threshold for "vanishes" (geodesic residuals)
-    expansion_tol      direct-vs-frame-expansion agreement for the bitension
     k_floor            geodesic curvature below which the frame is undefined
     constancy_tol      relative max-minus-min threshold for constancy checks
     relation_tol       absolute threshold for the algebraic system residuals
@@ -42,9 +40,7 @@ class NumericsConfig:
     fd_step_nested: float = 1e-3
     stencil_order: int = 4
     unit_speed_tol: float = 1e-8
-    frame_tol: float = 1e-6
     residual_tol: float = 1e-6
-    expansion_tol: float = 1e-4
     k_floor: float = 1e-7
     constancy_tol: float = 1e-5
     relation_tol: float = 1e-5
@@ -60,8 +56,7 @@ class NumericsConfig:
             raise ValueError("finite-difference steps must be positive")
         if self.stencil_order not in (2, 4):
             raise ValueError("stencil_order must be 2 or 4")
-        for name in ("unit_speed_tol", "frame_tol", "residual_tol",
-                     "expansion_tol", "constancy_tol", "relation_tol"):
+        for name in ("unit_speed_tol", "residual_tol", "constancy_tol", "relation_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

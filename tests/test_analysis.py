@@ -279,6 +279,21 @@ class TestClassification:
         assert payload["biharmonic"] is True
         assert payload["checks"]["system_algebraic_relation"]["passed"] is True
 
+    def test_report_series_gives_same_verdict(self, figure1_samples):
+        # the report's Frenet series classifies exactly as the samples do
+        geodesic = hc.geodesic_ivp(H, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 20.0))
+        offroot = hc.helix_family_curve(FIGURE1_ALPHA0, FIGURE1_A + 0.05,
+                                        s_range=(0.0, 6.0 * math.pi))
+        for samples in (
+            figure1_samples, hc.sample_curve(geodesic, 1601), hc.sample_curve(offroot, 1501)
+        ):
+            rep = hc.bitension_report(samples)
+            assert rep.tau1 is rep.frenet.t1
+            assert_allclose(rep.tau2, hc.tension2_direct(samples), rtol=0.0, atol=0.0)
+            assert (
+                hc.classify_curve(rep.frenet).to_json() == hc.classify_curve(samples).to_json()
+            )
+
 
 class TestCone:
     def test_axis_direction(self):
@@ -367,3 +382,13 @@ class TestDepthGuards:
         samples = hc.sample_curve(spec, 12)
         with pytest.raises(hc.TooFewSamples):
             hc.bitension_report(samples)
+
+    def test_bitension_rejects_curve_outside_chart(self):
+        # the curvature table is constant, but every sample must lie in the
+        # chart 1 + m (x^2 + y^2) > 0; here x crosses 1 for m = -1
+        s = np.linspace(0.0, 2.0, 401)
+        points = np.stack([0.5 + s / 2.0, np.zeros_like(s), np.zeros_like(s)], axis=-1)
+        vel = np.tile([1.0, 0.0, 0.0], (len(s), 1))
+        spec = hc.make_sampled_spec(mf.ManifoldParams(-1.0, 1.0), s, points, vel)
+        with pytest.raises(hc.DomainError):
+            hc.bitension_report(hc.sample_curve(spec))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import heiscurves as hc
+from heiscurves import analysis, cli, curves, factory, manifold, numerics
 from heiscurves.cli import main
 
 from conftest import FIGURE1_ALPHA0
@@ -155,6 +156,50 @@ class TestGenerateVerify:
         assert "row" in err
 
 
+class TestOneAnalysisPerCurve:
+    """``generate`` and ``verify`` differentiate each series once: t1 and
+    nabla_T N inside the single Frenet frame, then t2 and t3 for tau2."""
+
+    COUNTED = ("covariant_derivative_along", "frenet_apparatus")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(self.COUNTED, 0)
+        for name in self.COUNTED:
+            original = getattr(curves, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            # wrap the name wherever it is bound, as module-level imports copy it
+            for module in (hc, analysis, cli, curves, factory, manifold, numerics):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        return counts
+
+    def test_generate(self, calls, capsys, tmp_path):
+        code, _, _ = run(
+            capsys,
+            "generate",
+            "--sin-alpha0", repr(1.0 / math.sqrt(10.0)),
+            "--samples", "501",
+            "--s1", repr(2.0 * math.pi),
+            "--out", str(tmp_path / "curve"),
+        )
+        assert code == 0
+        assert calls == {"covariant_derivative_along": 4, "frenet_apparatus": 1}
+
+    def test_verify(self, calls, capsys, tmp_path):
+        spec = hc.biharmonic_helix(hc.HelixParams(alpha0=FIGURE1_ALPHA0), (0.0, 2 * math.pi))
+        path = tmp_path / "h.csv"
+        hc.write_samples_csv(path, hc.sample_curve(spec, 501))
+        code, _, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert calls == {"covariant_derivative_along": 4, "frenet_apparatus": 1}
+
+
 class TestGeodesicCommand:
     def test_writes_and_reports(self, capsys, tmp_path):
         out = tmp_path / "geo"
@@ -276,6 +321,8 @@ class TestNumericsFlag:
         assert code == 0
 
     def test_bad_flag_exit_two(self, capsys):
-        code, _, err = run(capsys, "--numerics", "bogus=1", "tensors")
-        assert code == 2
-        assert "bogus" in err
+        # frame_tol and expansion_tol were never read and are not settings
+        for key in ("bogus", "frame_tol", "expansion_tol"):
+            code, _, err = run(capsys, "--numerics", f"{key}=1", "tensors")
+            assert code == 2
+            assert key in err

@@ -6,6 +6,7 @@ tensor symmetries and the first Bianchi identity are verified at random
 points and parameters.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -83,6 +84,12 @@ class TestMetric:
             mf.metric_at(par, [1.0, 0.5, 0.0])
         with pytest.raises(DomainError):
             mf.frame_at(par, [2.0, 0.0, 0.0])
+        # the curvature table is the same at every point, yet still checks it
+        with pytest.raises(DomainError):
+            mf.curvature_table(par, [[0.1, 0.1, 0.0], [1.0, 0.5, 0.0]])
+        for method in ("closed_form", "numeric"):
+            with pytest.raises(DomainError):
+                mf.riemann_component(par, [1.0, 0.5, 0.0], 1, 2, 1, 2, method=method)
 
 
 class TestFrame:
@@ -236,6 +243,7 @@ class TestCurvature:
         assert_allclose(R[1, 2, 1], [0.0, 0.0, 0.25], atol=1e-15)    # R(e2,e3)e2
         assert_allclose(R[0, 2, 2], [-0.25, 0.0, 0.0], atol=1e-15)   # R(e1,e3)e3
         assert_allclose(R[1, 2, 2], [0.0, -0.25, 0.0], atol=1e-15)   # R(e2,e3)e3
+        assert mf.curvature_table(H, np.zeros((4, 3))).shape == (4, 3, 3, 3, 3)
 
     def test_heisenberg_riemann_components(self):
         assert mf.riemann_component(H, ORIGIN, 1, 2, 1, 2) == pytest.approx(-0.75, abs=1e-12)
@@ -251,10 +259,17 @@ class TestCurvature:
 
     def test_numeric_curvature_general(self):
         # looser than the Heisenberg check: at |m|, |l| near 2 the nested
-        # stencils see much larger connection derivatives
+        # stencils see much larger connection derivatives.  The closed-form
+        # table is written down, not derived, so this finite-difference route
+        # is its independent check: random members, a conformal (l = 0) and
+        # an m < 0 member, and the constant-curvature members.
         rng = np.random.default_rng(13)
-        for _ in range(5):
-            par = _random_params(rng)
+        fixed = [
+            mf.ManifoldParams(m, l)
+            for m, l in ((0.3, 0.0), (-0.2, 0.7), (1.0, 2.0), (0.25, 1.0), (1.0, -2.0))
+        ]
+        # lazy, so each random member is drawn just before its point
+        for par in itertools.chain((_random_params(rng) for _ in range(5)), fixed):
             p = random_domain_point(rng, par.m, scale=1.2)
             dev = np.abs(mf.curvature_table_numeric(par, p) - mf.curvature_table(par, p)).max()
             assert dev < 1e-7
@@ -278,6 +293,22 @@ class TestCurvature:
             R = mf.curvature_table(par, p)
             cyc = R + np.einsum("bcad->abcd", R) + np.einsum("cabd->abcd", R)
             assert np.abs(cyc).max() < 1e-12
+
+    @pytest.mark.parametrize("method", ["closed-form", "fd", "analytic"])
+    @pytest.mark.parametrize("query", ["curvature_op", "riemann_component", "ricci_component"])
+    def test_unknown_method_rejected(self, query, method):
+        e1 = mf.FrameVector(ORIGIN, [1.0, 0.0, 0.0])
+        e2 = mf.FrameVector(ORIGIN, [0.0, 1.0, 0.0])
+        calls = {
+            "curvature_op": lambda m: mf.curvature_op(H, e1, e2, e1, method=m).components,
+            "riemann_component": lambda m: mf.riemann_component(H, ORIGIN, 1, 2, 1, 2, method=m),
+            "ricci_component": lambda m: mf.ricci_component(H, ORIGIN, 1, 1, method=m),
+        }
+        with pytest.raises(ValueError, match="unknown method"):
+            calls[query](method)
+        # both valid routes still answer, and agree
+        closed, numeric = (calls[query](m) for m in ("closed_form", "numeric"))
+        assert np.abs(closed - numeric).max() < 1e-8
 
     def test_operator_multilinear_and_antisymmetric(self):
         rng = np.random.default_rng(16)
