@@ -43,6 +43,7 @@ import numpy as np
 
 from . import manifold as mf
 from .curves import CurveSamples, FrenetSeries, covariant_derivative_along, frenet_apparatus
+from .curves import _write_table
 from .errors import GeodesicFrameUndefined, NonUnitVector, UnsupportedManifold
 from .manifold import FrameVector, ManifoldParams
 from .numerics import DEFAULT_CONFIG, NumericsConfig, derivative_on_grid
@@ -146,6 +147,7 @@ class BitensionReport:
     frenet: FrenetSeries
 
     def to_json(self) -> str:
+        """The summary; the residual series goes to ``residuals_to_csv``."""
         payload = {
             "manifold": {"m": self.manifold.m, "l": self.manifold.l},
             "n": len(self.s),
@@ -153,8 +155,6 @@ class BitensionReport:
             "mean_interior_residual": self.mean_residual,
             "expansion_agreement": self.expansion_agreement,
             "interior": [self.interior.start, self.interior.stop],
-            "s": [float(v) for v in self.s],
-            "residual": [float(v) for v in self.residual],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -457,15 +457,7 @@ def legendre_pairing(samples: CurveSamples) -> np.ndarray:
 
 
 def residuals_to_csv(path, report: BitensionReport) -> None:
-    """Write the residual series as ``s,cT,cN,cB,residual`` rows."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "cT", "cN", "cB", "residual"])
-        for i in range(len(report.s)):
-            row = [f"{report.s[i]:.17g}"]
-            for series in (report.cT, report.cN, report.cB):
-                row.append("" if series is None else f"{series[i]:.17g}")
-            row.append(f"{report.residual[i]:.17g}")
-            writer.writerow(row)
+    """Write the residual series as ``s,cT,cN,cB,residual`` rows; the
+    frame coefficients are empty on geodesics."""
+    series = (report.s, report.cT, report.cN, report.cB, report.residual)
+    _write_table(path, ("s", "cT", "cN", "cB", "residual"), series)

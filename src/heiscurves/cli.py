@@ -30,7 +30,7 @@ import numpy as np
 from . import analysis, factory
 from . import curves as crv
 from . import manifold as mf
-from .errors import HeiscurvesError, InadmissibleAlpha, NonMonotone, NonUnitSpeed
+from .errors import HeiscurvesError, InadmissibleAlpha, MalformedSampleFile, NonMonotone, NonUnitSpeed
 from .manifold import FrameVector, ManifoldParams
 from .numerics import NumericsConfig
 
@@ -215,15 +215,9 @@ def _alpha0_from_args(args) -> float:
 
 
 def _write_surface_csv(path, patch, u_vals, v_vals) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "x", "y", "z"])
-        for u in u_vals:
-            pts = factory.surface_eval(patch, np.full_like(v_vals, u), v_vals)
-            for v, p in zip(v_vals, pts):
-                writer.writerow([_fmt(u), _fmt(v)] + [_fmt(c) for c in p])
+    u, v = np.meshgrid(u_vals, v_vals, indexing="ij")
+    x, y, z = factory.surface_eval(patch, u, v).reshape(-1, 3).T
+    crv._write_table(path, ("u", "v", "x", "y", "z"), (u.ravel(), v.ravel(), x, y, z))
 
 
 def cmd_generate(args, file_cfg: dict) -> int:
@@ -513,7 +507,7 @@ def main(argv=None) -> int:
     try:
         file_cfg = _load_config_file(args.config)
         return args.func(args, file_cfg)
-    except (NonUnitSpeed, NonMonotone) as exc:
+    except (NonUnitSpeed, NonMonotone, MalformedSampleFile) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (HeiscurvesError, ValueError, OSError) as exc:

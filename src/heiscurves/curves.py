@@ -25,16 +25,17 @@ measured torsion does not depend on the orientation choice for N.
 
 from __future__ import annotations
 
-import csv
 import json
+import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 import numpy as np
 
 from . import manifold as mf
 from .errors import (
     BasePointMismatch,
+    MalformedSampleFile,
     NonMonotone,
     NonUnitSpeed,
     TooFewSamples,
@@ -441,76 +442,83 @@ def make_sampled_spec(
     )
 
 
-def write_samples_csv(path, samples: CurveSamples, include_velocity: bool = False) -> None:
-    """Write rows ``s,x,y,z`` (plus frame components ``vx,vy,vz`` on request)
-    with 17 significant digits, enough for a lossless round trip."""
+def _write_table(path, header, columns) -> None:
+    """Write ``header`` and one row per sample of the 1-D ``columns``, each
+    field ``%.17g`` (a lossless round trip), each line ended by ``\\r\\n``;
+    a ``None`` column leaves its field empty."""
+    data = np.column_stack([c for c in columns if c is not None])
+    row = ",".join("" if c is None else "%.17g" for c in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["s", "x", "y", "z"]
-        if include_velocity:
-            header += ["vx", "vy", "vz"]
-        writer.writerow(header)
-        for i in range(samples.n):
-            row = [f"{samples.s[i]:.17g}"] + [f"{c:.17g}" for c in samples.points[i]]
-            if include_velocity:
-                row += [f"{c:.17g}" for c in samples.velocity_frame[i]]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.write((row * len(data)) % tuple(data.ravel().tolist()))
+
+
+def write_samples_csv(path, samples: CurveSamples, include_velocity: bool = False) -> None:
+    """Write rows ``s,x,y,z`` (plus frame components ``vx,vy,vz`` on request)."""
+    width = 7 if include_velocity else 4
+    columns = [samples.s, *samples.points.T, *samples.velocity_frame.T]
+    _write_table(path, ["s", "x", "y", "z", "vx", "vy", "vz"][:width], columns[:width])
+
+
+def _raise_bad_line(path, width: int, cause: str) -> NoReturn:
+    """Name the first data line with an unparseable number or other than
+    ``width`` fields; empty lines are skipped, as the reader skips them."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.rstrip("\n").split(",")
+            if lineno == 1 or fields == [""]:
+                continue
+            try:
+                [float(text) for text in fields]
+            except ValueError as exc:
+                raise MalformedSampleFile(f"unparseable number at line {lineno}: {exc}") from None
+            if len(fields) != width:
+                raise MalformedSampleFile(f"line {lineno} has {len(fields)} fields, header {width}")
+    raise MalformedSampleFile(f"unreadable data rows: {cause}")
 
 
 def read_samples_csv(path, manifold: ManifoldParams) -> CurveSpec:
     """Read a ``s,x,y,z[,vx,vy,vz]`` file back into a sampled CurveSpec.
 
-    Raises NonMonotone (with the offending row) for bad arclength columns.
+    Skips empty lines.  Raises MalformedSampleFile for a bad header, fewer
+    than two data rows, or a row that is unparseable or not as wide as the
+    header (naming its line); NonMonotone for bad arclength columns.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols = [c.strip().lower() for c in header]
+    with open(path) as fh:
+        header = fh.readline()
+        cols = [c.strip().lower() for c in header.split(",")]
         if cols[:4] != ["s", "x", "y", "z"]:
-            raise NonMonotone(f"unexpected header {header!r}; need s,x,y,z[,vx,vy,vz]")
-        has_vel = cols[4:7] == ["vx", "vy", "vz"]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as exc:
-                raise NonMonotone(f"unparseable number at line {lineno}: {exc}") from None
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[0] < 2:
-        raise NonMonotone("need at least two data rows")
-    s = data[:, 0]
-    _check_uniform_s(s)
-    points = data[:, 1:4]
-    vel = data[:, 4:7] if has_vel and data.shape[1] >= 7 else None
-    return make_sampled_spec(manifold, s, points, vel)
+            raise MalformedSampleFile(f"unexpected header {header.strip()!r}; need s,x,y,z[,vx,vy,vz]")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty body is reported below
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError as exc:
+            _raise_bad_line(path, len(cols), str(exc))
+    if data.shape[0] < 2:
+        raise MalformedSampleFile("need at least two data rows")
+    if data.shape[1] != len(cols):
+        _raise_bad_line(path, len(cols), f"rows have {data.shape[1]} fields")
+    _check_uniform_s(data[:, 0])
+    vel = data[:, 4:7] if cols[4:7] == ["vx", "vy", "vz"] else None
+    return make_sampled_spec(manifold, data[:, 0], data[:, 1:4], vel)
 
 
 def frenet_to_json(frenet: FrenetSeries) -> str:
-    """Serialize a Frenet series to JSON records (NaN encoded as null)."""
+    """Serialize a Frenet series to compact JSON records (NaN encoded as null)."""
 
-    def _clean(x):
-        return None if not np.isfinite(x) else float(x)
+    def nullable(a):
+        return np.where(np.isfinite(a), a, None).tolist()
 
-    records = []
-    for i in range(frenet.n):
-        records.append(
-            {
-                "s": float(frenet.s[i]),
-                "point": [float(c) for c in frenet.points[i]],
-                "T": [float(c) for c in frenet.T[i]],
-                "k": _clean(frenet.k[i]),
-                "N": [_clean(c) for c in frenet.N[i]],
-                "B": [_clean(c) for c in frenet.B[i]],
-                "tau": _clean(frenet.tau[i]),
-                "defined": bool(frenet.defined[i]),
-            }
-        )
+    keys = ("s", "point", "T", "k", "N", "B", "tau", "defined")
+    series = (
+        frenet.s.tolist(), frenet.points.tolist(), frenet.T.tolist(), nullable(frenet.k),
+        nullable(frenet.N), nullable(frenet.B), nullable(frenet.tau), frenet.defined.tolist(),
+    )
     payload = {
         "manifold": {"m": frenet.manifold.m, "l": frenet.manifold.l},
         "n": frenet.n,
         "stencil_order": frenet.stencil_order,
-        "records": records,
+        "records": [dict(zip(keys, row)) for row in zip(*series)],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(payload, sort_keys=True)

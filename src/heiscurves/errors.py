@@ -29,6 +29,10 @@ class NonMonotone(HeiscurvesError):
     """Sampled arclength values are not strictly increasing and uniform."""
 
 
+class MalformedSampleFile(HeiscurvesError):
+    """Curve sample file with a bad header, row or number, or too few rows."""
+
+
 class TooFewSamples(HeiscurvesError):
     """Not enough samples for the requested finite-difference stencil depth."""
 

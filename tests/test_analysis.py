@@ -368,6 +368,19 @@ class TestReports:
         row = lines[len(lines) // 2].split(",")
         assert abs(float(row[4])) < 1e-5
 
+    def test_geodesic_residual_csv_rows(self, tmp_path):
+        spec = hc.one_param_subgroup(np.array([0.0, 0.0, 1.0]), (0.0, 2.0))
+        rep = hc.bitension_report(hc.sample_curve(spec, 64))
+        assert rep.cT is None
+        path = tmp_path / "residuals.csv"
+        hc.residuals_to_csv(path, rep)
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[0] == b"s,cT,cN,cB,residual" and lines[-1] == b""
+        rows = [line.decode().split(",") for line in lines[1:-1]]
+        assert [row[1:4] for row in rows] == [["", "", ""]] * rep.s.size
+        assert [float(row[0]) for row in rows] == rep.s.tolist()
+        assert [float(row[4]) for row in rows] == rep.residual.tolist()
+
     def test_geodesic_report_has_no_expansion(self):
         spec = hc.geodesic_ivp(H, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 20.0))
         rep = hc.bitension_report(hc.sample_curve(spec, 1601))

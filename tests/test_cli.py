@@ -86,7 +86,7 @@ class TestGenerateVerify:
         assert hel[0] == "u,v,x,y,z"
 
     def test_determinism(self, capsys, tmp_path):
-        _, _, out_a = self._generate(capsys, tmp_path)
+        _, _, out_a = self._generate(capsys, tmp_path, "--surfaces", "--with-velocity")
         (tmp_path / "second").mkdir()
         out_b = tmp_path / "second" / "curve"
         run(
@@ -96,12 +96,14 @@ class TestGenerateVerify:
             "--a", "1", "--b", "1", "--c", "1",
             "--samples", "501",
             "--s1", repr(2.0 * math.pi),
+            "--surfaces", "--with-velocity",
             "--out", str(out_b),
         )
-        assert (tmp_path / "curve.csv").read_bytes() == (out_b.with_suffix(".csv")).read_bytes()
-        assert (tmp_path / "curve.report.json").read_bytes() == (
-            out_b.parent / "curve.report.json"
-        ).read_bytes()
+        written = sorted(p.name for p in tmp_path.glob("curve.*"))
+        assert len(written) == 8
+        assert sorted(p.name for p in out_b.parent.iterdir()) == written
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (out_b.parent / name).read_bytes(), name
 
     def test_inadmissible_angle_exit_two(self, capsys, tmp_path):
         code, _, err = run(
@@ -154,6 +156,13 @@ class TestGenerateVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2
         assert "row" in err
+
+    def test_verify_malformed_file_input_error(self, capsys, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("s,x,y,z,vx,vy,vz\n0,0,0,0\n0.1,0.1,0,0\n")
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert err.startswith("input error:") and "line 2" in err
 
 
 class TestOneAnalysisPerCurve:

@@ -294,18 +294,64 @@ class TestInterchange:
         interior = back.interior(4, 0)
         assert np.abs(back.velocity_frame - samples.velocity_frame)[interior].max() < 1e-8
 
+    def test_csv_golden_bytes(self, tmp_path):
+        s = np.array([-0.0, 1e-300, 0.1 + 0.2])
+        points = np.array([[1.0, -2.5, 1e22], [np.pi, -1e-5, 123456789.0], [-0.0, 1e-300, 0.1 + 0.2]])
+        vel = np.array([[0.6, 0.0, 0.8], [-0.0, 1.0, 2.0 / 3.0], [0.1, 0.2, 1.0 / 3.0]])
+        path = tmp_path / "golden.csv"
+        hc.write_samples_csv(path, hc.CurveSamples(H, s, points, vel), include_velocity=True)
+        assert path.read_bytes() == (
+            b"s,x,y,z,vx,vy,vz\r\n"
+            b"-0,1,-2.5,1e+22,0.59999999999999998,0,0.80000000000000004\r\n"
+            b"1e-300,3.1415926535897931,-1.0000000000000001e-05,123456789,-0,1,"
+            b"0.66666666666666663\r\n"
+            b"0.30000000000000004,-0,1e-300,0.30000000000000004,0.10000000000000001,"
+            b"0.20000000000000001,0.33333333333333331\r\n"
+        )
+
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(hc.NonMonotone):
+        with pytest.raises(hc.MalformedSampleFile):
             hc.read_samples_csv(path, H)
 
     def test_csv_bad_number_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("s,x,y,z\n0,0,0,0\n0.1,oops,0,0\n")
-        with pytest.raises(hc.NonMonotone) as err:
+        with pytest.raises(hc.MalformedSampleFile) as err:
             hc.read_samples_csv(path, H)
         assert "line 3" in str(err.value)
+
+    def test_csv_short_velocity_rows_rejected(self, tmp_path):
+        # the header names vx,vy,vz but the rows carry positions only
+        path = tmp_path / "short.csv"
+        path.write_text("s,x,y,z,vx,vy,vz\n0,0,0,0\n0.1,0.1,0,0\n0.2,0.2,0,0\n")
+        with pytest.raises(hc.MalformedSampleFile) as err:
+            hc.read_samples_csv(path, H)
+        assert "line 2" in str(err.value)
+
+    def test_csv_ragged_rows_rejected(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("s,x,y,z\n0,0,0,0\n0.1,0.1,0,0\n0.2,0.2,0,0,1\n0.3,0.3,0,0\n")
+        with pytest.raises(hc.MalformedSampleFile) as err:
+            hc.read_samples_csv(path, H)
+        assert "line 4" in str(err.value)
+
+    def test_csv_blank_line_skipped_other_lines_rejected(self, tmp_path):
+        rows = ["s,x,y,z", "0,0,0,0", "0.1,0.1,0,0", "0.2,0.2,0,0"]
+        plain = tmp_path / "plain.csv"
+        plain.write_text("\n".join(rows) + "\n")
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\r\n".join(rows[:2] + [""] + rows[2:]) + "\r\n")
+        a, b = hc.read_samples_csv(plain, H), hc.read_samples_csv(blank, H)
+        assert np.array_equal(a.sampled_s, b.sampled_s)
+        assert np.array_equal(a.sampled_points, b.sampled_points)
+        for filler in ("   ", "# comment"):
+            path = tmp_path / "filler.csv"
+            path.write_text("\n".join(rows[:2] + ["", filler] + rows[2:]) + "\n")
+            with pytest.raises(hc.MalformedSampleFile) as err:
+                hc.read_samples_csv(path, H)
+            assert "line 4" in str(err.value)
 
     def test_csv_nonmonotone_reports_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -330,9 +376,19 @@ class TestInterchange:
         fr = hc.frenet_apparatus(hc.sample_curve(spec, 64))
         import json
 
-        payload = json.loads(hc.frenet_to_json(fr))
+        text = hc.frenet_to_json(fr)
+        assert "\n" not in text
+        payload = json.loads(text)
         rec = payload["records"][10]
         assert rec["tau"] is None and rec["N"][0] is None
+        # k = |nabla_T T| is always a number; N, B and tau are null exactly
+        # where the frame is undefined
+        assert len(payload["records"]) == fr.n
+        for rec, defined in zip(payload["records"], fr.defined):
+            assert rec["defined"] is bool(defined)
+            assert isinstance(rec["k"], float)
+            nulls = [rec["tau"] is None] + [c is None for c in rec["N"] + rec["B"]]
+            assert nulls == [not defined] * 7
 
 
 class TestNumericsConfig:

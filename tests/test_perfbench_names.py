@@ -1,23 +1,29 @@
 """The benchmark's traced mode wraps package functions by name; every name
-it lists must still resolve, or the traced run fails at install time."""
+it lists must still resolve, or the traced run fails at install time.  Its
+``generate`` workload checks that every output file it expects exists, so a
+renamed or dropped output would fail every benchmark invocation."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from heiscurves import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PY)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
 
 
 @pytest.mark.parametrize("module,attr", tracing.TRACED, ids=lambda v: str(v))
@@ -27,3 +33,14 @@ def test_traced_name_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_generate_writes_every_benchmark_output(tmp_path, capsys):
+    workloads = _load("workloads")
+    cases = workloads.build_cases("generate", 0, str(tmp_path), tiny=True)
+    case = next(c for c in cases if c.kind == "generate")
+    assert cli.main(case.argv) == 0
+    capsys.readouterr()
+    assert len(case.outputs) == 8
+    missing = [p for p in case.outputs if not Path(p).exists()]
+    assert not missing
