@@ -93,7 +93,7 @@ def _tension2(samples: CurveSamples, t1: np.ndarray, config: NumericsConfig) -> 
     t3 = covariant_derivative_along(samples, t2, config)
     mf.conformal_factor(samples.manifold, samples.points)
     table = mf.curvature_table(samples.manifold, samples.points[0])
-    return t3 + np.einsum("na,nb,nc,abcd->nd", T, t1, T, table)
+    return t3 + mf.curvature_term(table, T, t1, T)
 
 
 def tension2_frame(

@@ -244,6 +244,11 @@ def covariant_derivative_along(
 
         (nabla_T V)^a = dV^a/ds + Gamma_ij^a T^i V^j.
 
+    For the metric (m, l) at the point (x, y, z) the correction is, in
+    1-based frame components (``manifold.connection_term``),
+
+        Gamma(T, V) = (l/2) T x V + (l T3 + 2m (x T2 - y T1)) (V2, -V1, 0).
+
     On the Heisenberg group this reduces to the familiar component formula
     (V1' + (T2 V3 + T3 V2)/2, V2' - (T1 V3 + T3 V1)/2, V3' + (T1 V2 - T2 V1)/2).
     Boundary samples use one-sided stencils.
@@ -252,8 +257,7 @@ def covariant_derivative_along(
     if V.shape != samples.points.shape:
         raise ValueError("field must provide frame components at every sample")
     dV = derivative_on_grid(V, samples.ds, config.stencil_order)
-    gamma = mf.connection_table(samples.manifold, samples.points)
-    return dV + np.einsum("ni,nj,nija->na", samples.velocity_frame, V, gamma)
+    return dV + mf.connection_term(samples.manifold, samples.points, samples.velocity_frame, V)
 
 
 def frame_cross(X: FrameVector, Y: FrameVector) -> FrameVector:
@@ -460,6 +464,15 @@ def write_samples_csv(path, samples: CurveSamples, include_velocity: bool = Fals
     _write_table(path, ["s", "x", "y", "z", "vx", "vy", "vz"][:width], columns[:width])
 
 
+def _loadtxt_float(text: str) -> float:
+    """``float(text)`` restricted to what ``np.loadtxt`` parses: Python's
+    ``float`` also takes digit underscores (``1_0``) and non-ASCII digits."""
+    core = text.strip()
+    if not core.isascii() or "_" in core:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(core)
+
+
 def _raise_bad_line(path, width: int, cause: str) -> NoReturn:
     """Name the first data line with an unparseable number or other than
     ``width`` fields; empty lines are skipped, as the reader skips them."""
@@ -469,7 +482,7 @@ def _raise_bad_line(path, width: int, cause: str) -> NoReturn:
             if lineno == 1 or fields == [""]:
                 continue
             try:
-                [float(text) for text in fields]
+                [_loadtxt_float(text) for text in fields]
             except ValueError as exc:
                 raise MalformedSampleFile(f"unparseable number at line {lineno}: {exc}") from None
             if len(fields) != width:

@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import manifold as mf
 from .curves import CurveSamples, CurveSpec, sample_curve
@@ -236,6 +235,14 @@ def helix_invariants(hp: HelixParams) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 # Geodesics, subgroups and the vanishing-B3 family
 # ---------------------------------------------------------------------------
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported on first use: only the ODE-backed
+    curves need scipy, so importing the package does not load it."""
+    from scipy.integrate import solve_ivp as _solve_ivp
+
+    return _solve_ivp(*args, **kwargs)
 
 
 def _require_unit(v: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:

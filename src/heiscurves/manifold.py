@@ -70,11 +70,13 @@ __all__ = [
     "coord_to_frame",
     "christoffel_coord",
     "connection_table",
+    "connection_term",
     "connection_table_numeric",
     "connection_frame",
     "bracket_table",
     "lie_bracket_frame",
     "curvature_table",
+    "curvature_term",
     "curvature_table_numeric",
     "curvature_op",
     "riemann_component",
@@ -382,6 +384,25 @@ def connection_table(params: ManifoldParams, p) -> np.ndarray:
     return G
 
 
+def connection_term(params: ManifoldParams, p, X, V) -> np.ndarray:
+    """Frame components of Gamma(X, V) = G[..., a, b, c] X^a V^b, written out
+    from ``connection_table`` (frame indices 1-based):
+
+        Gamma(X, V) = (l/2) X x V + (l X3 + 2m (x X2 - y X1)) (V2, -V1, 0).
+
+    X, V and the points broadcast over their leading shape.
+    """
+    q = as_point(p)
+    X = np.asarray(X, dtype=float)
+    V = np.asarray(V, dtype=float)
+    m, l = params.m, params.l
+    w = l * X[..., 2] + 2.0 * m * (q[..., 0] * X[..., 1] - q[..., 1] * X[..., 0])
+    out = (0.5 * l) * np.cross(X, V)
+    out[..., 0] += w * V[..., 1]
+    out[..., 1] -= w * V[..., 0]
+    return out
+
+
 def bracket_table(params: ManifoldParams, p) -> np.ndarray:
     """Structure functions C[..., a, b, c] with [e_a, e_b] = C^c_ab e_c."""
     q = as_point(p)
@@ -413,6 +434,15 @@ def curvature_table(params: ManifoldParams, p) -> np.ndarray:
         R[a, b, a, b] = R[b, a, b, a] = K
         R[a, b, b, a] = R[b, a, a, b] = -K
     return np.broadcast_to(R, fac.shape + R.shape)
+
+
+def curvature_term(table, X, Y, Z) -> np.ndarray:
+    """Frame components of R(X, Y) Z per row of the (n, 3) series X, Y, Z for
+    one constant (3, 3, 3, 3) ``curvature_table``, as one matrix product:
+    (X (x) Z) [(a, c), (b, d)] R[a, b, c, d], then the contraction with Y."""
+    XZ = np.einsum("na,nc->nac", X, Z).reshape(-1, 9)
+    RY = XZ @ table.transpose(0, 2, 1, 3).reshape(9, 9)
+    return np.einsum("nb,nbd->nd", Y, RY.reshape(-1, 3, 3))
 
 
 # ---------------------------------------------------------------------------

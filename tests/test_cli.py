@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +167,54 @@ class TestGenerateVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2
         assert err.startswith("input error:") and "line 2" in err
+
+    def test_verify_digit_underscore_names_line(self, capsys, tmp_path):
+        path = tmp_path / "underscore.csv"
+        path.write_text("s,x,y,z\n0,0,0,0\n1,1_0,0,0\n2,0,0,0\n")
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert err.startswith("input error:") and "unparseable number at line 3" in err
+
+
+NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+import heiscurves, heiscurves.cli as cli
+from heiscurves import factory
+
+csv_path, out = sys.argv[1:]
+
+def quiet(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+assert quiet("verify", csv_path) == 0
+assert quiet("generate", "--sin-alpha0", "0.31622776601683794", "--samples", "201",
+             "--surfaces", "--with-velocity", "--out", out) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
+assert quiet("geodesic", "--point", "0.1,0.2,0", "--direction", "0.6,0,0.8",
+             "--samples", "201", "--out", out + "_geodesic") == 0
+assert "scipy" in sys.modules
+sol = factory.solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0])
+assert sol.success and sol.nfev > 0
+print("ok")
+"""
+
+
+def test_scipy_loaded_only_for_odes(tmp_path, figure1_samples):
+    """Importing the package, ``verify`` and a closed-form ``generate`` leave
+    scipy unimported; ``geodesic`` imports it on its first ODE solve."""
+    csv_path = tmp_path / "helix.csv"
+    curves.write_samples_csv(csv_path, figure1_samples, include_velocity=True)
+    src = str(Path(hc.__file__).resolve().parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(csv_path), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 class TestOneAnalysisPerCurve:

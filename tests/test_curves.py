@@ -169,6 +169,23 @@ class TestCovariantDerivative:
         out = hc.covariant_derivative_along(figure1_samples, T)
         assert_allclose(out, explicit, atol=1e-14)
 
+    @pytest.mark.parametrize("m,l", [(0.25, 1.2), (-0.2, 0.7), (0.3, 0.0), (1.0, -2.0)])
+    def test_matches_connection_table_off_heisenberg(self, m, l):
+        # the closed-form correction against the table contraction it replaced
+        par = mf.ManifoldParams(m, l)
+        rng = np.random.default_rng(41)
+        n = 64
+        points = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(-3.0, 3.0, n)])
+        T = rng.standard_normal((n, 3))
+        T /= np.linalg.norm(T, axis=1, keepdims=True)
+        V = rng.standard_normal((n, 3))
+        samples = hc.CurveSamples(par, np.linspace(0.0, 1.0, n), points, T)
+        expected = derivative_on_grid(V, samples.ds, 4) + np.einsum(
+            "ni,nj,nija->na", T, V, mf.connection_table(par, points)
+        )
+        out = hc.covariant_derivative_along(samples, V)
+        assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
     def test_field_shape_validated(self, figure1_samples):
         with pytest.raises(ValueError):
             hc.covariant_derivative_along(figure1_samples, np.zeros((5, 3)))
@@ -321,6 +338,25 @@ class TestInterchange:
         with pytest.raises(hc.MalformedSampleFile) as err:
             hc.read_samples_csv(path, H)
         assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize("number", ["1_0", "\u0661", " 1_0 "])
+    def test_csv_number_numpy_rejects_reports_line(self, tmp_path, number):
+        # Python's float accepts digit underscores and non-ASCII digits; the
+        # reader's parser does not, and the rescan must agree with it
+        path = tmp_path / "bad.csv"
+        path.write_text(f"s,x,y,z\n0,0,0,0\n1,{number},0,0\n2,0,0,0\n", encoding="utf-8")
+        with pytest.raises(hc.MalformedSampleFile) as err:
+            hc.read_samples_csv(path, H)
+        assert "unparseable number at line 3" in str(err.value)
+
+    def test_csv_padded_number_not_blamed(self, tmp_path):
+        # whitespace around a number, Unicode spaces included, is valid for
+        # the reader, so the rescan must pass line 3 and name the wide line 4
+        path = tmp_path / "padded.csv"
+        path.write_text("s,x,y,z\n0,0,0,0\n1,\u00a01\t,0,0\n2,0,0,0,5\n", encoding="utf-8")
+        with pytest.raises(hc.MalformedSampleFile) as err:
+            hc.read_samples_csv(path, H)
+        assert "line 4 has 5 fields" in str(err.value)
 
     def test_csv_short_velocity_rows_rejected(self, tmp_path):
         # the header names vx,vy,vz but the rows carry positions only

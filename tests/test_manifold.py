@@ -213,6 +213,55 @@ class TestConnection:
             assert dev < 1e-9
 
 
+# H3, two members off the Heisenberg point, a conformal (l = 0) and an l < 0 member
+CONTRACTION_MEMBERS = [(0.0, 1.0), (0.25, 1.2), (-0.2, 0.7), (0.3, 0.0), (1.0, -2.0)]
+
+
+class TestClosedFormContractions:
+    """``connection_term`` and ``curvature_term`` replace per-sample tensor
+    contractions; they must reproduce the tables they are written from."""
+
+    @staticmethod
+    def _draw(rng, par, n):
+        points = np.stack([random_domain_point(rng, par.m) for _ in range(n)])
+        X, Y, Z = (rng.standard_normal((n, 3)) for _ in range(3))
+        return points, X, Y, Z
+
+    @pytest.mark.parametrize("m,l", CONTRACTION_MEMBERS)
+    def test_connection_term_matches_table(self, m, l):
+        par = mf.ManifoldParams(m, l)
+        rng = np.random.default_rng(31)
+        points, X, V, _ = self._draw(rng, par, 200)
+        expected = np.einsum("ni,nj,nija->na", X, V, mf.connection_table(par, points))
+        got = mf.connection_term(par, points, X, V)
+        assert got.shape == (200, 3)
+        assert np.abs(got - expected).max() <= 1e-13 * (1.0 + np.abs(expected).max())
+        # one point, unbatched
+        assert_allclose(mf.connection_term(par, points[0], X[0], V[0]), expected[0], atol=1e-13)
+
+    @pytest.mark.parametrize("m,l", CONTRACTION_MEMBERS)
+    def test_connection_term_matches_numeric_table(self, m, l):
+        par = mf.ManifoldParams(m, l)
+        rng = np.random.default_rng(32)
+        points, X, V, _ = self._draw(rng, par, 5)
+        for p, x, v in zip(points, X, V):
+            x, v = x / np.linalg.norm(x), v / np.linalg.norm(v)
+            numeric = np.einsum("i,j,ija->a", x, v, mf.connection_table_numeric(par, p))
+            assert np.abs(mf.connection_term(par, p, x, v) - numeric).max() < 1e-7
+
+    @pytest.mark.parametrize("m,l", CONTRACTION_MEMBERS)
+    def test_curvature_term_matches_table(self, m, l):
+        par = mf.ManifoldParams(m, l)
+        rng = np.random.default_rng(33)
+        points, X, Y, Z = self._draw(rng, par, 200)
+        table = mf.curvature_table(par, points[0])
+        for a, b, c in ((X, Y, Z), (X, Y, X)):  # general, and R(T, t1) T as in tau2
+            expected = np.einsum("na,nb,nc,abcd->nd", a, b, c, table)
+            got = mf.curvature_term(table, a, b, c)
+            assert got.shape == (200, 3)
+            assert np.abs(got - expected).max() <= 1e-14 * (1.0 + np.abs(expected).max())
+
+
 class TestBrackets:
     def test_heisenberg_relations(self):
         assert_allclose(mf.lie_bracket_frame(H, ORIGIN, 1, 2).components, [0, 0, 1.0], atol=0.0)

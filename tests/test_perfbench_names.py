@@ -1,7 +1,9 @@
 """The benchmark's traced mode wraps package functions by name; every name
 it lists must still resolve, or the traced run fails at install time.  Its
 ``generate`` workload checks that every output file it expects exists, so a
-renamed or dropped output would fail every benchmark invocation."""
+renamed or dropped output would fail every benchmark invocation, and its
+``verify`` workload parses the printed verdict, residual and means, so a
+changed report line would make every answer an error."""
 
 import importlib
 import importlib.util
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from heiscurves import cli
+from heiscurves import DEFAULT_CONFIG, cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,3 +46,16 @@ def test_generate_writes_every_benchmark_output(tmp_path, capsys):
     assert len(case.outputs) == 8
     missing = [p for p in case.outputs if not Path(p).exists()]
     assert not missing
+
+
+def test_verify_workload_answers_check(tmp_path, capsys):
+    workloads = _load("workloads")
+    cases = workloads.build_cases("verify", 0, str(tmp_path), tiny=True)
+    assert [c.kind for c in cases] == ["verify", "verify"]
+    for case in cases:
+        rc = cli.main(case.argv)
+        out = capsys.readouterr()
+        answer = workloads.check_answer(case, rc, out.out, out.err,
+                                        DEFAULT_CONFIG.residual_tol, DEFAULT_CONFIG.unit_speed_tol)
+        assert answer.error is None, (case.name, answer.error)
+        assert not answer.wrong, (case.name, answer.wrong)
