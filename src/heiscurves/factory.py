@@ -20,10 +20,10 @@ of the group.  The same parametric form with an arbitrary rate is exposed as
 ``helix_family_curve`` and serves as the negative control (off-root rates
 give curves with constant invariants that fail the characterization system).
 
-Also provided: geodesics by ODE shooting, one-parameter subgroups (straight
-lines through the identity), the non-biharmonic family with vanishing third
-binormal component, and the cylinder / helicoid pair whose intersection
-contains the biharmonic helix.
+Also provided: geodesics (closed form on the m = 0 members, ODE shooting
+otherwise), one-parameter subgroups (straight lines through the identity),
+the non-biharmonic family with vanishing third binormal component, and the
+cylinder / helicoid pair whose intersection contains the biharmonic helix.
 """
 
 from __future__ import annotations
@@ -285,22 +285,110 @@ def geodesic_ivp(
     s_range: tuple[float, float],
     config: NumericsConfig = DEFAULT_CONFIG,
 ) -> CurveSpec:
-    """Geodesic through p0 with unit initial velocity (frame components).
+    """Geodesic through p0 = gamma(s_range[0]) with unit initial velocity
+    (frame components).
 
-    The state is (position, frame components of the tangent); the tangent
-    obeys T_a' = -Gamma_ij^a T_i T_j, which preserves |T| exactly at the
-    continuous level because the frame connection coefficients are
-    antisymmetric in their last two slots.
+    The tangent obeys T_a' = -Gamma_ij^a T_i T_j; T3 is a first integral.
+    For m = 0 (any l) the geodesic is closed form: (T1, T2) turns at the
+    constant rate l T3, so no ODE is solved and the ``ode_*`` settings of
+    the sampling config do not apply.  For m != 0 the state (position,
+    frame components of the tangent) is integrated with the config's
+    ``ode_method``; the flow preserves |T| exactly at the continuous level
+    because the frame connection coefficients are antisymmetric in their
+    last two slots.
     """
     p0 = mf.as_point(p0)
     v0 = _require_unit(v0_frame, "initial velocity")
     mf.conformal_factor(params, p0)
+    if params.m == 0.0:
+        return _geodesic_closed_form(params, p0, v0, s_range)
+    return _geodesic_ode(params, p0, v0, s_range)
+
+
+def _geodesic_family(params: ManifoldParams, p0: np.ndarray, v0: np.ndarray) -> dict:
+    return {
+        "family": "geodesic",
+        "point": [float(v) for v in p0],
+        "direction": [float(v) for v in v0],
+        "manifold": {"m": params.m, "l": params.l},
+    }
+
+
+# (q - sin q) / q^3 = sum_k (-1)^k q^(2k) / (2k + 3)!; eight terms reach double
+# precision for |q| < 1, below which the direct quotient starts to cancel.
+_SWEEP_SERIES = tuple((-1.0) ** k / math.factorial(2 * k + 3) for k in range(8))
+
+
+def _sweep(q: np.ndarray) -> np.ndarray:
+    """(q - sin q) / q^3, without cancellation near q = 0 (where it is 1/6)."""
+    small = np.abs(q) < 1.0
+    series = np.zeros_like(q)
+    for coeff in reversed(_SWEEP_SERIES):
+        series = series * (q * q) + coeff
+    safe = np.where(small, 1.0, q)
+    return np.where(small, series, (safe - np.sin(safe)) / safe**3)
+
+
+def _geodesic_closed_form(
+    params: ManifoldParams, p0: np.ndarray, v0: np.ndarray, s_range: tuple[float, float]
+) -> CurveSpec:
+    """The m = 0 geodesic, anchored at p0 = gamma(s0).
+
+    With u = s - s0, S = |(T1, T2)|, phi its angle and w = l T3, the tangent
+    is T = (S cos(phi + w u), S sin(phi + w u), T3).  The horizontal chord
+    is S u sinc(w u / 2) along the angle phi + w u / 2, and z gains T3 u
+    plus l/2 times the area term x0 dy - y0 dx + S^2 (w u - sin w u) / w^2.
+    Written this way every term stays finite and accurate as w -> 0, where
+    the curve becomes the horizontal line through p0.
+    """
+    l = params.l
+    x0, y0, z0 = (float(v) for v in p0)
+    t1, t2, t3 = (float(v) for v in v0)
+    S = math.hypot(t1, t2)
+    phi = math.atan2(t2, t1)
+    w = l * t3
+    s0 = float(s_range[0])
+
+    def point_fn(s):
+        u = np.asarray(s, dtype=float) - s0
+        q = w * u
+        chord = S * u * np.sinc(q / (2.0 * math.pi))
+        dx = chord * np.cos(phi + 0.5 * q)
+        dy = chord * np.sin(phi + 0.5 * q)
+        # S^2 (w u - sin w u) / w^2 = S^2 w u^3 (q - sin q) / q^3
+        area = x0 * dy - y0 * dx + S * S * w * u**3 * _sweep(q)
+        z = z0 + t3 * u + 0.5 * l * area
+        return np.stack([x0 + dx, y0 + dy, z], axis=-1)
+
+    def frame_velocity_fn(s):
+        theta = phi + w * (np.asarray(s, dtype=float) - s0)
+        return np.stack(
+            [S * np.cos(theta), S * np.sin(theta), np.full_like(theta, t3)], axis=-1
+        )
+
+    return CurveSpec(
+        kind="closed_form",
+        manifold=params,
+        s_range=s_range,
+        point_fn=point_fn,
+        frame_velocity_fn=frame_velocity_fn,
+        family=_geodesic_family(params, p0, v0),
+    )
+
+
+def _geodesic_ode(
+    params: ManifoldParams, p0: np.ndarray, v0: np.ndarray, s_range: tuple[float, float]
+) -> CurveSpec:
+    """The geodesic by integration of (position, frame tangent) from
+    p0 = gamma(s0): ``solve_ivp`` with the sampling config's method and
+    tolerances, or fixed-step RK4 when ``ode_method`` is "RK4"."""
     m, l = params.m, params.l
 
     def rhs(_s, y):
         # frame components of the tangent: T_a' = -Gamma_ij^a T_i T_j,
-        # written out from the connection table; T3 is a first integral
-        x, yy, _z, t1, t2, t3 = y
+        # written out from the connection table; T3 is a first integral.
+        # Python floats: numpy scalar arithmetic costs more per call.
+        x, yy, _z, t1, t2, t3 = y.tolist()
         fac = 1.0 + m * (x * x + yy * yy)
         if fac <= 0.0:
             raise DomainExit("geodesic left the chart")
@@ -351,12 +439,7 @@ def geodesic_ivp(
         manifold=params,
         s_range=s_range,
         sampler=sampler,
-        family={
-            "family": "geodesic",
-            "point": [float(v) for v in p0],
-            "direction": [float(v) for v in v0],
-            "manifold": {"m": params.m, "l": params.l},
-        },
+        family=_geodesic_family(params, p0, v0),
     )
 
 

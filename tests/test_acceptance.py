@@ -179,10 +179,11 @@ def test_criterion_06_geodesics():
     """Unit speed preserved to 1e-8 over arclength 100; both tension fields
     vanish to 1e-6; under 5 s per curve.
 
-    Sampling uses the node-exact fixed-step integrator: adaptive dense-output
-    interpolation carries ~1e-12 jitter that the three nested stencils of
-    tau2 would amplify above the tolerance, while solver states at the grid
-    points have a smooth global error that differentiates away.
+    The H3 case is closed form.  The m = 0.25 case is sampled with the
+    node-exact fixed-step integrator: adaptive dense-output interpolation
+    carries ~1e-12 jitter that the three nested stencils of tau2 would
+    amplify above the tolerance, while solver states at the grid points have
+    a smooth global error that differentiates away.
     """
     rng = np.random.default_rng(7)
     cfg = hc.NumericsConfig(ode_method="RK4", ode_fixed_step=6.25e-3)

@@ -190,20 +190,30 @@ def quiet(*argv):
 assert quiet("verify", csv_path) == 0
 assert quiet("generate", "--sin-alpha0", "0.31622776601683794", "--samples", "201",
              "--surfaces", "--with-velocity", "--out", out) == 0
+assert quiet("geodesic", "--point", "0.1,0.2,0", "--direction", "0.6,0,0.8",
+             "--samples", "201", "--out", out + "_h3") == 0
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded[:5]
-assert quiet("geodesic", "--point", "0.1,0.2,0", "--direction", "0.6,0,0.8",
-             "--samples", "201", "--out", out + "_geodesic") == 0
+
+solve_ivp, solves = factory.solve_ivp, []
+def counted(*args, **kwargs):
+    solves.append(1)
+    return solve_ivp(*args, **kwargs)
+factory.solve_ivp = counted
+assert quiet("geodesic", "--m", "0.25", "--l", "1.2", "--point", "0.1,0.2,0",
+             "--direction", "0.6,0,0.8", "--samples", "201", "--out", out + "_ml") == 0
 assert "scipy" in sys.modules
-sol = factory.solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0])
+assert len(solves) == 1, solves
+sol = solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0])
 assert sol.success and sol.nfev > 0
 print("ok")
 """
 
 
 def test_scipy_loaded_only_for_odes(tmp_path, figure1_samples):
-    """Importing the package, ``verify`` and a closed-form ``generate`` leave
-    scipy unimported; ``geodesic`` imports it on its first ODE solve."""
+    """Importing the package, ``verify``, a closed-form ``generate`` and an
+    H3 ``geodesic`` (closed form for m = 0) leave scipy unimported; an
+    m != 0 ``geodesic`` imports it and solves one ODE."""
     csv_path = tmp_path / "helix.csv"
     curves.write_samples_csv(csv_path, figure1_samples, include_velocity=True)
     src = str(Path(hc.__file__).resolve().parents[1])

@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import heiscurves as hc
+from heiscurves import factory
 from heiscurves import manifold as mf
 
 from conftest import (
@@ -196,13 +199,15 @@ class TestGeodesics:
         assert np.abs(samples.points - np.outer(samples.s, [1.0, 0.0, 0.0])).max() < 1e-12
 
     def test_unit_speed_preserved_long_run(self):
+        # H3 is closed form; (0.25, 1.0) runs the ODE route
         rng = np.random.default_rng(21)
         v0 = rng.standard_normal(3)
         v0 /= np.linalg.norm(v0)
-        spec = hc.geodesic_ivp(H, [0.2, -0.4, 1.0], v0, (0.0, 100.0))
-        samples = hc.sample_curve(spec, 4001)
-        drift = np.abs(np.linalg.norm(samples.velocity_frame, axis=1) - 1.0).max()
-        assert drift < 1e-8
+        for params in (H, hc.ManifoldParams(0.25, 1.0)):
+            spec = hc.geodesic_ivp(params, [0.2, -0.4, 1.0], v0, (0.0, 100.0))
+            samples = hc.sample_curve(spec, 4001)
+            drift = np.abs(np.linalg.norm(samples.velocity_frame, axis=1) - 1.0).max()
+            assert drift < 1e-8
 
     def test_tension_residual(self):
         spec = hc.geodesic_ivp(H, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 30.0))
@@ -227,8 +232,11 @@ class TestGeodesics:
         assert (1.0 + par.m * radius2 > 0.0).all()
 
     def test_rk4_reproducible_path(self):
+        # m != 0: the m = 0 geodesics are closed form and never reach RK4
         cfg = hc.NumericsConfig(ode_method="RK4", ode_fixed_step=2e-3)
-        spec = hc.geodesic_ivp(H, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 10.0), cfg)
+        par = hc.ManifoldParams(0.25, 1.0)
+        spec = hc.geodesic_ivp(par, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 10.0), cfg)
+        assert spec.kind == "ode_defined"
         a = hc.sample_curve(spec, 501, cfg)
         b = hc.sample_curve(spec, 501, cfg)
         assert np.array_equal(a.points, b.points)
@@ -252,6 +260,83 @@ class TestGeodesics:
         assert np.abs(hs.velocity_frame[0] - gs.velocity_frame[0]).max() < 1e-12
         separation = np.linalg.norm(hs.points - gs.points, axis=1)
         assert separation[-1] > 1e-2
+
+
+def unit_direction(t3, phi):
+    S = math.sqrt(1.0 - t3 * t3)
+    return np.array([S * math.cos(phi), S * math.sin(phi), t3])
+
+
+class TestClosedFormGeodesics:
+    """For m = 0 ``geodesic_ivp`` evaluates the geodesic in closed form;
+    the ODE route it replaces there is the reference."""
+
+    P0 = np.array([0.3, -0.7, 0.4])
+
+    @pytest.mark.parametrize("l", [1.0, 1.7, -0.8])
+    @pytest.mark.parametrize("t3", [0.8, -0.6, 0.0, 1e-9, 1.0])
+    def test_matches_ode_route(self, l, t3):
+        # t3 = 1e-9 takes the small-w series of the z sweep, t3 = 0 is the
+        # horizontal line; DOP853's global error grows with the length
+        par = hc.ManifoldParams(0.0, l)
+        v0 = unit_direction(t3, 1.1)
+        for length in (100.0, 1000.0):
+            spec = hc.geodesic_ivp(par, self.P0, v0, (0.0, length))
+            assert spec.kind == "closed_form"
+            closed = hc.sample_curve(spec, 1001)
+            ode = hc.sample_curve(factory._geodesic_ode(par, self.P0, v0, (0.0, length)), 1001)
+            assert_allclose(closed.points, ode.points, rtol=0, atol=1e-13 * length**2)
+            assert_allclose(
+                closed.velocity_frame, ode.velocity_frame, rtol=0, atol=1e-14 * length**2
+            )
+
+    def test_matches_rk4_route(self):
+        cfg = hc.NumericsConfig(ode_method="RK4", ode_fixed_step=2e-3)
+        v0 = unit_direction(0.8, 0.4)
+        closed = hc.sample_curve(hc.geodesic_ivp(H, self.P0, v0, (0.0, 10.0), cfg), 501, cfg)
+        rk4 = hc.sample_curve(factory._geodesic_ode(H, self.P0, v0, (0.0, 10.0)), 501, cfg)
+        assert_allclose(closed.points, rk4.points, rtol=0, atol=1e-9)
+        assert_allclose(closed.velocity_frame, rk4.velocity_frame, rtol=0, atol=1e-9)
+
+    def test_series_meets_direct_sweep(self):
+        # the two branches of (q - sin q) / q^3 agree where they switch
+        below = np.nextafter(1.0, 0.0)
+        sweep = factory._sweep(np.array([-1.0, -below, below, 1.0, 0.0]))
+        assert_allclose(sweep[:4], 1.0 - math.sin(1.0), rtol=1e-14)
+        assert sweep[4] == 1.0 / 6.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        p0=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+        g=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+        t3=st.floats(-1.0, 1.0),
+        phi=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_left_translation_invariance(self, p0, g, t3, phi):
+        # on H3 left translations are isometries that fix frame components
+        v0 = unit_direction(t3, phi)
+        base = hc.sample_curve(hc.geodesic_ivp(H, p0, v0, (0.0, 20.0)), 201)
+        moved_start = mf.left_translate(H, g, p0)
+        moved = hc.sample_curve(hc.geodesic_ivp(H, moved_start, v0, (0.0, 20.0)), 201)
+        assert_allclose(moved.points, mf.left_translate(H, g, base.points), rtol=0, atol=1e-10)
+        assert_allclose(moved.velocity_frame, base.velocity_frame, rtol=0, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        l=st.sampled_from([1.0, 1.7, -0.8]),
+        t3=st.floats(-1.0, 1.0),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        shift=st.floats(-100.0, 100.0),
+    )
+    def test_s_shift_invariance(self, l, t3, phi, shift):
+        # the geodesic starts at p0 wherever its s_range starts
+        par = hc.ManifoldParams(0.0, l)
+        v0 = unit_direction(t3, phi)
+        base = hc.sample_curve(hc.geodesic_ivp(par, self.P0, v0, (0.0, 20.0)), 201)
+        shifted = hc.geodesic_ivp(par, self.P0, v0, (shift, shift + 20.0))
+        moved = hc.sample_curve(shifted, 201)
+        assert_allclose(moved.points, base.points, rtol=0, atol=1e-10)
+        assert_allclose(moved.velocity_frame, base.velocity_frame, rtol=0, atol=1e-12)
 
 
 class TestSubgroups:
