@@ -317,7 +317,7 @@ def cmd_geodesic(args, file_cfg: dict) -> int:
     if nrm == 0.0:
         raise ValueError("--direction must be nonzero")
     v0 = v0 / nrm
-    spec = factory.geodesic_ivp(params, p0, v0, (0.0, args.length), config)
+    spec = factory.geodesic_ivp(params, p0, v0, (0.0, args.length))
     samples = crv.sample_curve(spec, args.samples, config)
     t1 = analysis.tension1(samples, config)
     interior = samples.interior(config.stencil_order, 1)
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write the classification to this JSON file")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("geodesic", help="integrate a geodesic from point + direction")
+    p = sub.add_parser("geodesic", help="evaluate a geodesic from point + direction")
     add_manifold(p)
     p.add_argument("--point", required=True, help="start point 'x,y,z'")
     p.add_argument("--direction", required=True, help="initial frame direction 'a,b,c'")

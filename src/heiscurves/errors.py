@@ -46,7 +46,8 @@ class IntegrationFailure(HeiscurvesError):
 
 
 class DomainExit(HeiscurvesError):
-    """ODE trajectory left the chart of an m < 0 metric."""
+    """A curve leaves the chart within its range: it reaches the edge of an
+    m < 0 chart, or passes through the point an m > 0 chart misses."""
 
 
 class InadmissibleAlpha(HeiscurvesError):

@@ -20,8 +20,9 @@ of the group.  The same parametric form with an arbitrary rate is exposed as
 ``helix_family_curve`` and serves as the negative control (off-root rates
 give curves with constant invariants that fail the characterization system).
 
-Also provided: geodesics (closed form on the m = 0 members, ODE shooting
-otherwise), one-parameter subgroups (straight lines through the identity),
+Also provided: geodesics (closed form on every member: a turning tangent
+for m = 0, a Moebius orbit of the (x, y) chart for m != 0), one-parameter
+subgroups (straight lines through the identity),
 the non-biharmonic family with vanishing third binormal component, and the
 cylinder / helicoid pair whose intersection contains the biharmonic helix.
 """
@@ -255,54 +256,31 @@ def _require_unit(v: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
     return v
 
 
-def _rk4_states(rhs, y0, s_grid, step: float, params: ManifoldParams):
-    """Fixed-step classical Runge-Kutta, for bit-reproducible geodesics."""
-    ds = float(s_grid[1] - s_grid[0])
-    n_sub = max(1, int(math.ceil(ds / step)))
-    h = ds / n_sub
-    out = np.empty((len(s_grid), y0.size))
-    out[0] = y0
-    y = np.array(y0, dtype=float)
-    s = float(s_grid[0])
-    for i in range(1, len(s_grid)):
-        for _ in range(n_sub):
-            k1 = rhs(s, y)
-            k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(s + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            s += h
-        if params.m < 0.0 and 1.0 + params.m * (y[0] ** 2 + y[1] ** 2) <= 1e-9:
-            raise DomainExit(f"geodesic left the chart at s = {s:.6f}")
-        out[i] = y
-    return out[:, :3], out[:, 3:]
-
-
 def geodesic_ivp(
     params: ManifoldParams,
     p0,
     v0_frame,
     s_range: tuple[float, float],
-    config: NumericsConfig = DEFAULT_CONFIG,
 ) -> CurveSpec:
     """Geodesic through p0 = gamma(s_range[0]) with unit initial velocity
-    (frame components).
+    (frame components), evaluated in closed form on every member.
 
     The tangent obeys T_a' = -Gamma_ij^a T_i T_j; T3 is a first integral.
-    For m = 0 (any l) the geodesic is closed form: (T1, T2) turns at the
-    constant rate l T3, so no ODE is solved and the ``ode_*`` settings of
-    the sampling config do not apply.  For m != 0 the state (position,
-    frame components of the tangent) is integrated with the config's
-    ``ode_method``; the flow preserves |T| exactly at the continuous level
-    because the frame connection coefficients are antisymmetric in their
-    last two slots.
+    For m = 0 (any l), (T1, T2) turns at the constant rate l T3.  For
+    m != 0 the metrics are naturally reductive, so the geodesic is the
+    orbit of a one-parameter isometry group and its (x, y) projection is a
+    Moebius orbit: a circle or a line of the chart.  No ODE is solved and
+    the sampling config is not read.  DomainExit is raised when the curve
+    leaves the chart within ``s_range``: for m < 0 once the conformal
+    factor falls to 1e-9, for m > 0 when it passes through the point the
+    chart misses.
     """
     p0 = mf.as_point(p0)
     v0 = _require_unit(v0_frame, "initial velocity")
     mf.conformal_factor(params, p0)
     if params.m == 0.0:
         return _geodesic_closed_form(params, p0, v0, s_range)
-    return _geodesic_ode(params, p0, v0, s_range)
+    return _geodesic_orbit(params, p0, v0, s_range)
 
 
 def _geodesic_family(params: ManifoldParams, p0: np.ndarray, v0: np.ndarray) -> dict:
@@ -376,71 +354,177 @@ def _geodesic_closed_form(
     )
 
 
-def _geodesic_ode(
+_CHART_EDGE = 1e-9  # conformal factor at which an m < 0 geodesic leaves the chart
+_EPS = float(np.finfo(float).eps)
+
+
+def _geodesic_orbit(
     params: ManifoldParams, p0: np.ndarray, v0: np.ndarray, s_range: tuple[float, float]
 ) -> CurveSpec:
-    """The geodesic by integration of (position, frame tangent) from
-    p0 = gamma(s0): ``solve_ivp`` with the sampling config's method and
-    tolerances, or fixed-step RK4 when ``ode_method`` is "RK4"."""
-    m, l = params.m, params.l
+    """The m != 0 geodesic, anchored at p0 = gamma(s0), as a Moebius orbit.
 
-    def rhs(_s, y):
-        # frame components of the tangent: T_a' = -Gamma_ij^a T_i T_j,
-        # written out from the connection table; T3 is a first integral.
-        # Python floats: numpy scalar arithmetic costs more per call.
-        x, yy, _z, t1, t2, t3 = y.tolist()
-        fac = 1.0 + m * (x * x + yy * yy)
-        if fac <= 0.0:
-            raise DomainExit("geodesic left the chart")
-        return np.array(
-            [
-                fac * t1,
-                fac * t2,
-                0.5 * l * (x * t2 - yy * t1) + t3,
-                2.0 * m * t2 * (yy * t1 - x * t2) - l * t2 * t3,
-                2.0 * m * t1 * (x * t2 - yy * t1) + l * t1 * t3,
-                0.0,
-            ]
-        )
+    With zeta = x + i y, u = s - s0, v = (T1 + i T2)(s0), k = l T3 / 2 and
+    F = 1 + m |zeta|^2, the projection is zeta(s) = g_u(zeta0) for the flow
+    g_u = exp(u M) of M = [[i a, b], [-m conj(b), -i a]].  M^2 = -Om^2 I with
+    Om^2 = k^2 + m |v|^2, so g_u = C(u) I + Sn(u) M with C = cos(Om u) and
+    Sn = sin(Om u) / Om (cosh and sinh when Om^2 < 0; 1 and u when Om = 0).
+    Matching zeta0, zeta'(s0) = F0 v and the turning rate of (T1, T2) fixes
+    M, and everything reads off D = C - gamma Sn, gamma = i k + m conj(zeta0) v:
 
-    events = []
-    if params.m < 0.0:
-        def chart_edge(_s, y):
-            return 1.0 + params.m * (y[0] ** 2 + y[1] ** 2) - 1e-9
+        zeta = zeta0 + F0 v Sn / D,    T1 + i T2 = v conj(D) / D,
+        F = F0 / |D|^2,    z = z0 + T3 u - (l / 2m) (arg D + k u),
 
-        chart_edge.terminal = True
-        events.append(chart_edge)
+    the last from theta' = l T3 + 2m (x T2 - y T1) and z' = T3 + (l/2)
+    (x T2 - y T1), where theta = theta0 - 2 arg D is the angle of (T1, T2).
+    """
+    orbit = _MoebiusOrbit(params.m, params.l, p0, v0)
+    s0 = float(s_range[0])
+    orbit.check_chart(s0, float(s_range[1]) - s0)
+    zeta0, z0, v, t3 = orbit.zeta0, float(p0[2]), orbit.v, float(v0[2])
+    w0, half_l = orbit.F0 * v, 0.5 * params.l
 
-    def sampler(s_grid, cfg: NumericsConfig):
-        s_grid = np.asarray(s_grid, dtype=float)
-        y0 = np.concatenate([p0, v0])
-        if cfg.ode_method.upper() == "RK4":
-            return _rk4_states(rhs, y0, s_grid, cfg.ode_fixed_step, params)
-        sol = solve_ivp(
-            rhs,
-            (float(s_grid[0]), float(s_grid[-1])),
-            y0,
-            t_eval=s_grid,
-            method=cfg.ode_method,
-            rtol=cfg.ode_rtol,
-            atol=cfg.ode_atol,
-            events=events or None,
-        )
-        if events and sol.t_events and len(sol.t_events[0]) > 0:
-            raise DomainExit(
-                f"geodesic left the chart at s = {sol.t_events[0][0]:.6f}"
-            )
-        if not sol.success:
-            raise IntegrationFailure(f"ODE solver failed: {sol.message}")
-        return sol.y[:3].T, sol.y[3:].T
+    def point_fn(s):
+        u = np.asarray(s, dtype=float) - s0
+        D, sn = orbit.denominator(u)
+        zeta = zeta0 + w0 * sn / D
+        z = z0 + t3 * u - half_l * orbit.phase(u, D)
+        return np.stack([zeta.real, zeta.imag, z], axis=-1)
+
+    def frame_velocity_fn(s):
+        u = np.asarray(s, dtype=float) - s0
+        D, _ = orbit.denominator(u)
+        T = v * (D.conjugate() / D)
+        return np.stack([T.real, T.imag, np.full_like(u, t3)], axis=-1)
 
     return CurveSpec(
-        kind="ode_defined",
+        kind="closed_form",
         manifold=params,
         s_range=s_range,
-        sampler=sampler,
+        point_fn=point_fn,
+        frame_velocity_fn=frame_velocity_fn,
         family=_geodesic_family(params, p0, v0),
     )
+
+
+class _MoebiusOrbit:
+    """The denominator D(u), the phase (arg D + k u) / m and the chart exits
+    of the orbit through zeta0 = x0 + i y0 with initial v = T1 + i T2.
+
+    For Om^2 > 0, 2 Om D = U e^(i Om u) + W e^(-i Om u) with U = Om - k + i mq
+    and W = Om + k - i mq, mq = m conj(zeta0) v, where Om -/+ k = m |v|^2 /
+    (Om +/- k) avoids the cancellation; |U| < |W| exactly when Im gamma > 0.
+    """
+
+    def __init__(self, m: float, l: float, p0: np.ndarray, v0: np.ndarray):
+        x0, y0 = float(p0[0]), float(p0[1])
+        t1, t2, t3 = (float(c) for c in v0)
+        self.m = m
+        self.zeta0 = complex(x0, y0)
+        self.F0 = 1.0 + m * (x0 * x0 + y0 * y0)
+        self.v = complex(t1, t2)
+        self.k = k = 0.5 * l * t3
+        self.mq = mq = m * (self.zeta0.conjugate() * self.v)
+        self.gamma = complex(mq.real, k + mq.imag)
+        sq = t1 * t1 + t2 * t2
+        self.om2 = om2 = k * k + m * sq
+        self.om = om = math.sqrt(abs(om2))
+        self.route = "principal"
+        if om2 > 0.0:
+            om_minus_k = m * sq / (om + k) if k > 0.0 else om - k
+            om_plus_k = m * sq / (om - k) if k < 0.0 else om + k
+            self.U = complex(om_minus_k - mq.imag, mq.real)
+            self.W = complex(om_plus_k + mq.imag, -mq.real)
+            if self.gamma.imag > 0.0:
+                big, small, self.rate, self.turn = self.W, self.U, -om_minus_k, 2.0 * om
+            else:
+                big, small, self.rate, self.turn = self.U, self.W, om_plus_k, -2.0 * om
+            self.ratio = small / big
+            self.offset = math.atan2(big.imag, big.real)
+            if abs(self.ratio) <= 0.5:
+                self.route = "factored"
+            elif self.gamma.imag != 0.0:
+                self.route = "unwound"
+
+    def denominator(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """D(u) and Sn(u)."""
+        om, om2 = self.om, self.om2
+        if om2 > 0.0:
+            c, sn = np.cos(om * u), np.sin(om * u) / om
+        elif om2 < 0.0:
+            c, sn = np.cosh(om * u), np.sinh(om * u) / om
+        else:
+            c, sn = np.ones_like(u), u
+        return c - self.gamma * sn, sn
+
+    def phase(self, u: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """(arg D + k u) / m, continuous in u, with arg D(0) = 0.
+
+        factored: when one of U, W dominates by a factor two, say W,
+
+            arg D + k u = -(Om - k) u + arg W + arg(1 + (U / W) e^(2i Om u)):
+
+        every atan2 stays on its principal branch, and as m -> 0 each term
+        is O(m) and computed from O(m) factors.
+        unwound: D(u + pi / Om) = -D(u), each half-period turning arg D by
+        -pi sign(Im gamma), so arg D is unwound half-period by half-period.
+        principal: for Om^2 <= 0 D never crosses the negative real axis, and
+        for Im gamma = 0 D stays real and positive up to the pole, so the
+        principal value is continuous.
+        """
+        if self.route == "factored":
+            e = self.ratio * np.exp(1j * self.turn * u)
+            return (self.rate * u + self.offset + np.arctan2(e.imag, 1.0 + e.real)) / self.m
+        if self.route == "unwound":
+            om = self.om
+            half_turns = np.rint(om * u / math.pi)
+            r = om * u - half_turns * math.pi
+            reduced = np.cos(r) - self.gamma * (np.sin(r) / om)
+            arg = np.angle(reduced) - math.copysign(math.pi, self.gamma.imag) * half_turns
+            return (arg + self.k * u) / self.m
+        return (np.angle(D) + self.k * u) / self.m
+
+    def check_chart(self, s0: float, length: float) -> None:
+        """Raise DomainExit if the orbit leaves the chart for u in [0, length].
+
+        m > 0: the projection passes through the point the chart misses where
+        D = 0, which needs Im gamma = 0 (|U| = |W|); an Im gamma at the
+        rounding level of k + Im(mq) puts that zero on the path too.
+        m < 0: the conformal factor F0 / |D|^2 falls to _CHART_EDGE.  |D|^2
+        falls and then rises up to the end of the range (Om^2 <= 0) or up to
+        its first crest (Om^2 > 0), so bisection on that stretch finds the
+        first crossing.
+        """
+        om, gamma = self.om, self.gamma
+        if self.m > 0.0:
+            if self.om2 > 0.0 and abs(gamma.imag) <= 4.0 * _EPS * (abs(self.k) + abs(self.mq)):
+                u_pole = math.atan2(om, gamma.real) / om
+                if u_pole <= length:
+                    raise DomainExit(
+                        "geodesic passes through the point the chart misses at "
+                        f"s = {s0 + u_pole:.6f}"
+                    )
+            return
+        limit = self.F0 / _CHART_EDGE
+
+        def excess(u: float) -> float:
+            D, _ = self.denominator(np.array(u))
+            return float(abs(D)) ** 2 - limit
+
+        hi = length
+        if self.om2 > 0.0:
+            # 4 Om^2 |D|^2 = |U|^2 + |W|^2 + 2 Re(U conj(W) e^(2i Om u))
+            cross = self.U * self.W.conjugate()
+            hi = min(hi, (-math.atan2(cross.imag, cross.real)) % (2.0 * math.pi) / (2.0 * om))
+        if excess(hi) < 0.0:
+            return
+        lo = 0.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if excess(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        raise DomainExit(f"geodesic left the chart at s = {s0 + hi:.6f}")
 
 
 def one_param_subgroup(

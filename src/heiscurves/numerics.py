@@ -33,11 +33,10 @@ class NumericsConfig:
     constancy_tol      relative max-minus-min threshold for constancy checks
     relation_tol       absolute threshold for the algebraic system residuals
     b3_zero_tol        |B3| below which a helix falls under the B3 = 0 case
-    ode_method         ``solve_ivp`` method, or "RK4" for fixed steps
+    ode_method         ``solve_ivp`` method
     ode_rtol/ode_atol  adaptive step control for curve integration
-    ode_fixed_step     largest RK4 step
-    The ode_* settings apply to ODE-defined curves only: geodesics of the
-    m = 0 members are closed form and do not read them.
+    The ode_* settings apply to ODE-defined curves only (tangent-driven
+    curves): geodesics are closed form on every member and do not read them.
     """
 
     fd_step: float = 1e-4
@@ -52,7 +51,6 @@ class NumericsConfig:
     ode_method: str = "DOP853"
     ode_rtol: float = 1e-12
     ode_atol: float = 1e-12
-    ode_fixed_step: float = 5e-3
     quad_refine: int = 16
 
     def __post_init__(self):

@@ -179,14 +179,11 @@ def test_criterion_06_geodesics():
     """Unit speed preserved to 1e-8 over arclength 100; both tension fields
     vanish to 1e-6; under 5 s per curve.
 
-    The H3 case is closed form.  The m = 0.25 case is sampled with the
-    node-exact fixed-step integrator: adaptive dense-output interpolation
-    carries ~1e-12 jitter that the three nested stencils of tau2 would
-    amplify above the tolerance, while solver states at the grid points have
-    a smooth global error that differentiates away.
+    Both cases are closed form: the m = 0.25 geodesic is a Moebius orbit of
+    the (x, y) chart, so its samples carry no solver jitter for the three
+    nested stencils of tau2 to amplify.
     """
     rng = np.random.default_rng(7)
-    cfg = hc.NumericsConfig(ode_method="RK4", ode_fixed_step=6.25e-3)
     worst_drift = worst_t1 = worst_t2 = worst_time = 0.0
     cases = [
         (H, np.array([0.2, -0.4, 1.0])),
@@ -196,8 +193,8 @@ def test_criterion_06_geodesics():
         v0 = rng.standard_normal(3)
         v0 /= np.linalg.norm(v0)
         t0 = time.perf_counter()
-        spec = hc.geodesic_ivp(params, p0, v0, (0.0, 100.0), cfg)
-        samples = hc.sample_curve(spec, 16001, cfg)
+        spec = hc.geodesic_ivp(params, p0, v0, (0.0, 100.0))
+        samples = hc.sample_curve(spec, 16001)
         elapsed = time.perf_counter() - t0
         worst_time = max(worst_time, elapsed)
         worst_drift = max(

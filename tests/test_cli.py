@@ -190,30 +190,33 @@ def quiet(*argv):
 assert quiet("verify", csv_path) == 0
 assert quiet("generate", "--sin-alpha0", "0.31622776601683794", "--samples", "201",
              "--surfaces", "--with-velocity", "--out", out) == 0
-assert quiet("geodesic", "--point", "0.1,0.2,0", "--direction", "0.6,0,0.8",
-             "--samples", "201", "--out", out + "_h3") == 0
+for m, l in (("0", "1"), ("0.25", "1.2"), ("-0.2", "0.7"), ("1", "2")):
+    assert quiet("geodesic", "--m", m, "--l", l, "--point", "0.1,0.2,0",
+                 "--direction", "0.6,0,0.8", "--samples", "201",
+                 "--out", f"{out}_{m}_{l}") == 0
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded[:5]
 
-solve_ivp, solves = factory.solve_ivp, []
+solve_ivp, results = factory.solve_ivp, []
 def counted(*args, **kwargs):
-    solves.append(1)
-    return solve_ivp(*args, **kwargs)
+    results.append(solve_ivp(*args, **kwargs))
+    return results[-1]
 factory.solve_ivp = counted
-assert quiet("geodesic", "--m", "0.25", "--l", "1.2", "--point", "0.1,0.2,0",
-             "--direction", "0.6,0,0.8", "--samples", "201", "--out", out + "_ml") == 0
+par = heiscurves.ManifoldParams(0.25, 1.2)
+spec = heiscurves.tangent_driven_curve(par, lambda s: [0.6, 0.0, 0.8], [0.1, 0.2, 0.0], (0.0, 1.0))
+heiscurves.sample_curve(spec, 11)
 assert "scipy" in sys.modules
-assert len(solves) == 1, solves
-sol = solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0])
-assert sol.success and sol.nfev > 0
+assert len(results) == 1, results
+assert results[0].success and results[0].nfev > 0
 print("ok")
 """
 
 
 def test_scipy_loaded_only_for_odes(tmp_path, figure1_samples):
-    """Importing the package, ``verify``, a closed-form ``generate`` and an
-    H3 ``geodesic`` (closed form for m = 0) leave scipy unimported; an
-    m != 0 ``geodesic`` imports it and solves one ODE."""
+    """Importing the package, ``verify``, ``generate`` and ``geodesic`` on
+    m = 0 and m != 0 members (closed form on all of them) leave scipy
+    unimported; sampling a tangent-driven curve imports it and solves one
+    ODE."""
     csv_path = tmp_path / "helix.csv"
     curves.write_samples_csv(csv_path, figure1_samples, include_velocity=True)
     src = str(Path(hc.__file__).resolve().parents[1])
@@ -392,8 +395,9 @@ class TestNumericsFlag:
         assert code == 0
 
     def test_bad_flag_exit_two(self, capsys):
-        # frame_tol and expansion_tol were never read and are not settings
-        for key in ("bogus", "frame_tol", "expansion_tol"):
+        # frame_tol and expansion_tol were never read, and ode_fixed_step
+        # lost its only reader with the closed-form geodesics: not settings
+        for key in ("bogus", "frame_tol", "expansion_tol", "ode_fixed_step"):
             code, _, err = run(capsys, "--numerics", f"{key}=1", "tensors")
             assert code == 2
             assert key in err

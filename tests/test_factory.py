@@ -14,6 +14,7 @@ import heiscurves as hc
 from heiscurves import factory
 from heiscurves import manifold as mf
 
+from geodesic_reference import ode_geodesic, rk4_geodesic
 from conftest import (
     FIGURE1_A,
     FIGURE1_ALPHA0,
@@ -199,7 +200,7 @@ class TestGeodesics:
         assert np.abs(samples.points - np.outer(samples.s, [1.0, 0.0, 0.0])).max() < 1e-12
 
     def test_unit_speed_preserved_long_run(self):
-        # H3 is closed form; (0.25, 1.0) runs the ODE route
+        # H3 turns its tangent; (0.25, 1.0) is a Moebius orbit
         rng = np.random.default_rng(21)
         v0 = rng.standard_normal(3)
         v0 /= np.linalg.norm(v0)
@@ -231,14 +232,13 @@ class TestGeodesics:
         radius2 = samples.points[:, 0] ** 2 + samples.points[:, 1] ** 2
         assert (1.0 + par.m * radius2 > 0.0).all()
 
-    def test_rk4_reproducible_path(self):
-        # m != 0: the m = 0 geodesics are closed form and never reach RK4
-        cfg = hc.NumericsConfig(ode_method="RK4", ode_fixed_step=2e-3)
+    def test_reproducible_path(self):
+        # m != 0 geodesics are closed form too: two samplings are bit-identical
         par = hc.ManifoldParams(0.25, 1.0)
-        spec = hc.geodesic_ivp(par, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 10.0), cfg)
-        assert spec.kind == "ode_defined"
-        a = hc.sample_curve(spec, 501, cfg)
-        b = hc.sample_curve(spec, 501, cfg)
+        spec = hc.geodesic_ivp(par, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 10.0))
+        assert spec.kind == "closed_form"
+        a = hc.sample_curve(spec, 501)
+        b = hc.sample_curve(spec, 501)
         assert np.array_equal(a.points, b.points)
         drift = np.abs(np.linalg.norm(a.velocity_frame, axis=1) - 1.0).max()
         assert drift < 1e-9
@@ -268,8 +268,8 @@ def unit_direction(t3, phi):
 
 
 class TestClosedFormGeodesics:
-    """For m = 0 ``geodesic_ivp`` evaluates the geodesic in closed form;
-    the ODE route it replaces there is the reference."""
+    """``geodesic_ivp`` evaluates the geodesic in closed form on every
+    member; a numerically integrated geodesic is the reference."""
 
     P0 = np.array([0.3, -0.7, 0.4])
 
@@ -284,17 +284,17 @@ class TestClosedFormGeodesics:
             spec = hc.geodesic_ivp(par, self.P0, v0, (0.0, length))
             assert spec.kind == "closed_form"
             closed = hc.sample_curve(spec, 1001)
-            ode = hc.sample_curve(factory._geodesic_ode(par, self.P0, v0, (0.0, length)), 1001)
+            ref = ode_geodesic(par, self.P0, v0, (0.0, length), rtol=1e-12, atol=1e-12)
+            ode = hc.sample_curve(ref, 1001)
             assert_allclose(closed.points, ode.points, rtol=0, atol=1e-13 * length**2)
             assert_allclose(
                 closed.velocity_frame, ode.velocity_frame, rtol=0, atol=1e-14 * length**2
             )
 
     def test_matches_rk4_route(self):
-        cfg = hc.NumericsConfig(ode_method="RK4", ode_fixed_step=2e-3)
         v0 = unit_direction(0.8, 0.4)
-        closed = hc.sample_curve(hc.geodesic_ivp(H, self.P0, v0, (0.0, 10.0), cfg), 501, cfg)
-        rk4 = hc.sample_curve(factory._geodesic_ode(H, self.P0, v0, (0.0, 10.0)), 501, cfg)
+        closed = hc.sample_curve(hc.geodesic_ivp(H, self.P0, v0, (0.0, 10.0)), 501)
+        rk4 = hc.sample_curve(rk4_geodesic(H, self.P0, v0, (0.0, 10.0), step=2e-3), 501)
         assert_allclose(closed.points, rk4.points, rtol=0, atol=1e-9)
         assert_allclose(closed.velocity_frame, rk4.velocity_frame, rtol=0, atol=1e-9)
 
@@ -337,6 +337,232 @@ class TestClosedFormGeodesics:
         moved = hc.sample_curve(shifted, 201)
         assert_allclose(moved.points, base.points, rtol=0, atol=1e-10)
         assert_allclose(moved.velocity_frame, base.velocity_frame, rtol=0, atol=1e-12)
+
+    # m != 0: (member, (t3, phi) of the start, lengths).  The elliptic,
+    # hyperbolic and parabolic orbits have Om^2 = k^2 + m |v|^2 > 0, < 0
+    # and = 0; the hyperbolic ones leave the chart, so they run until just
+    # before their exit.  m = -0.14062499999999997 (-9/64 to rounding) with
+    # l = 1 and T3 = 0.6 makes Om^2 = 0 exactly.
+    ORBIT_P0 = np.array([0.3, -0.1, 0.5])
+    ORBIT_CASES = [
+        ((0.25, 1.2), (0.8, 1.1), (100.0, 1000.0)),
+        ((0.25, 1.2), (-0.3, 2.5), (100.0, 1000.0)),
+        ((0.25, 1.2), (0.0, 0.4), (100.0, 1000.0)),
+        ((0.25, 1.2), (1.0, 0.0), (100.0, 1000.0)),
+        ((-0.2, 0.7), (0.8, 1.1), (100.0, 1000.0)),
+        ((-0.2, 0.7), (0.0, 0.4), (20.0,)),
+        ((-0.2, 0.7), (-1.0, 0.0), (100.0, 1000.0)),
+        ((1.0, 2.0), (0.8, 1.1), (100.0, 1000.0)),
+        ((0.3, 0.0), (0.8, 1.1), (100.0, 1000.0)),
+        ((0.3, 0.0), (0.0, 0.4), (100.0, 1000.0)),
+        ((-0.5, 1.0), (0.9, 1.1), (100.0, 1000.0)),
+        ((-0.5, 1.0), (0.8, 1.1), (70.0,)),
+        ((-0.5, 1.0), (0.0, 0.4), (15.0,)),
+        ((-0.14062499999999997, 1.0), (0.6, 0.0), (100.0, 1000.0)),
+    ]
+
+    @pytest.mark.parametrize("member,start,lengths", ORBIT_CASES, ids=lambda v: str(v))
+    def test_orbit_matches_ode_route(self, member, start, lengths):
+        # one tight DOP853 solve per case; its own error, not the closed
+        # form's, sets the bounds (it shrinks toward the closed form as
+        # rtol is tightened), and grows like the square of the length
+        par = hc.ManifoldParams(*member)
+        v0 = unit_direction(*start)
+        grids = [np.linspace(0.0, length, 1001) for length in lengths]
+        s_all = np.unique(np.concatenate(grids))
+        ref = ode_geodesic(par, self.ORBIT_P0, v0, (0.0, lengths[-1]))
+        ref_points, ref_vel = ref.sampler(s_all, None)
+        for length, grid in zip(lengths, grids):
+            spec = hc.geodesic_ivp(par, self.ORBIT_P0, v0, (0.0, length))
+            assert spec.kind == "closed_form"
+            closed = hc.sample_curve(spec, 1001)
+            at = np.searchsorted(s_all, grid)
+            assert_allclose(closed.points, ref_points[at], rtol=0, atol=2e-13 * length**2)
+            assert_allclose(closed.velocity_frame, ref_vel[at], rtol=0, atol=5e-14 * length**2)
+            speed = np.linalg.norm(closed.velocity_frame, axis=1)
+            assert np.abs(speed - 1.0).max() < 1e-15
+
+    def test_orbit_cases_cover_every_branch(self):
+        # Om^2 > 0, < 0 and exactly 0, and every route of the phase
+        orbits = [factory._MoebiusOrbit(*member, self.ORBIT_P0, unit_direction(*start))
+                  for member, start, _ in self.ORBIT_CASES]
+        assert {np.sign(o.om2) for o in orbits} == {-1.0, 0.0, 1.0}
+        assert {o.route for o in orbits} == {"factored", "unwound", "principal"}
+
+    @pytest.mark.parametrize("m", [1e-12, -1e-12, 1e-8, -1e-8, 1e-4, -1e-4])
+    @pytest.mark.parametrize("start", [(0.8, 1.1), (-0.3, 2.5), (0.0, 0.4), (1e-9, 0.4)])
+    def test_small_m_continuity(self, m, start):
+        # the z formula divides by m: as m -> 0 the geodesic must approach
+        # the m = 0 one at first order in m and keep matching the ODE route
+        length = 100.0
+        v0 = unit_direction(*start)
+        par = hc.ManifoldParams(m, 1.2)
+        closed = hc.sample_curve(hc.geodesic_ivp(par, self.ORBIT_P0, v0, (0.0, length)), 1001)
+        flat = hc.sample_curve(
+            hc.geodesic_ivp(hc.ManifoldParams(0.0, 1.2), self.ORBIT_P0, v0, (0.0, length)), 1001
+        )
+        ref = hc.sample_curve(ode_geodesic(par, self.ORBIT_P0, v0, (0.0, length)), 1001)
+        assert_allclose(closed.points, ref.points, rtol=0, atol=1e-10)
+        assert_allclose(closed.velocity_frame, ref.velocity_frame, rtol=0, atol=1e-12)
+        drift = np.abs(closed.points - flat.points).max()
+        assert drift <= abs(m) * length**3 + 1e-12
+        turn = np.abs(closed.velocity_frame - flat.velocity_frame).max()
+        assert turn <= abs(m) * length**2 + 1e-14
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        member=st.sampled_from([(0.25, 1.2), (-0.2, 0.7), (1.0, 2.0), (0.3, 0.0), (-0.5, 1.0)]),
+        radius=st.floats(0.0, 1.0),
+        azimuth=st.floats(0.0, 2.0 * math.pi),
+        t3=st.floats(-1.0, 1.0),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        turn=st.floats(-math.pi, math.pi),
+        shift=st.floats(-3.0, 3.0),
+    )
+    def test_rotation_and_z_shift_invariance(self, member, radius, azimuth, t3, phi, turn, shift):
+        # rotations about the z axis and z shifts are isometries of every
+        # member; a rotation turns (x, y) and (T1, T2) alike
+        par = hc.ManifoldParams(*member)
+        p0 = np.array([radius * math.cos(azimuth), radius * math.sin(azimuth), 0.4])
+        v0 = unit_direction(t3, phi)
+        rot = np.array([[math.cos(turn), -math.sin(turn), 0.0],
+                        [math.sin(turn), math.cos(turn), 0.0],
+                        [0.0, 0.0, 1.0]])
+        moved_p0 = rot @ p0 + [0.0, 0.0, shift]
+        try:
+            base = hc.sample_curve(hc.geodesic_ivp(par, p0, v0, (0.0, 20.0)), 201)
+        except hc.DomainExit:
+            with pytest.raises(hc.DomainExit):
+                hc.geodesic_ivp(par, moved_p0, rot @ v0, (0.0, 20.0))
+            return
+        moved = hc.sample_curve(hc.geodesic_ivp(par, moved_p0, rot @ v0, (0.0, 20.0)), 201)
+        scale = 1.0 + np.abs(base.points).max()
+        expected = base.points @ rot.T + [0.0, 0.0, shift]
+        assert_allclose(moved.points, expected, rtol=0, atol=1e-12 * scale**2)
+        assert_allclose(moved.velocity_frame, base.velocity_frame @ rot.T, rtol=0,
+                        atol=1e-13 * scale**2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        member=st.sampled_from([(0.25, 1.2), (-0.2, 0.7), (1.0, 2.0), (0.3, 0.0), (-0.5, 1.0)]),
+        t3=st.floats(-1.0, 1.0),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        shift=st.floats(-100.0, 100.0),
+    )
+    def test_orbit_s_shift_invariance(self, member, t3, phi, shift):
+        # the m != 0 geodesic starts at p0 wherever its s_range starts
+        par = hc.ManifoldParams(*member)
+        v0 = unit_direction(t3, phi)
+        try:
+            base = hc.sample_curve(hc.geodesic_ivp(par, self.ORBIT_P0, v0, (0.0, 20.0)), 201)
+        except hc.DomainExit:
+            with pytest.raises(hc.DomainExit):
+                hc.geodesic_ivp(par, self.ORBIT_P0, v0, (shift, shift + 20.0))
+            return
+        shifted = hc.geodesic_ivp(par, self.ORBIT_P0, v0, (shift, shift + 20.0))
+        moved = hc.sample_curve(shifted, 201)
+        scale = 1.0 + np.abs(base.points).max()
+        assert_allclose(moved.points, base.points, rtol=0, atol=1e-12 * scale**2)
+        assert_allclose(moved.velocity_frame, base.velocity_frame, rtol=0, atol=1e-13 * scale**2)
+
+    def test_moebius_form_solves_geodesic_system(self):
+        # exact identities of the elliptic form: with c = cos(Om u),
+        # s = sin(Om u) and Om^2 = k^2 + m |v|^2, D = c - gamma s / Om gives
+        # zeta' = F (T1 + i T2), theta' = l T3 + 2m (x T2 - y T1) and
+        # z' = T3 + (l/2)(x T2 - y T1); conj(p) and conj(v) are free symbols
+        sp = pytest.importorskip("sympy")
+        m, l, t3, c, s, om, p, pc, v, vc = sp.symbols("m l t3 c s Omega p pc v vc")
+        k = l * t3 / 2
+        F0 = 1 + m * p * pc
+        D = c - (sp.I * k + m * pc * v) * s / om
+        Dc = c - (-sp.I * k + m * p * vc) * s / om
+        zeta, zetac = p + F0 * v * s / (om * D), pc + F0 * vc * s / (om * Dc)
+        T, Tc = v * Dc / D, vc * D / Dc
+
+        def d(e):  # d/du, with c' = -Om s and s' = Om c
+            return sp.diff(e, c) * (-om * s) + sp.diff(e, s) * (om * c)
+
+        cross = (zetac * T - zeta * Tc) / (2 * sp.I)  # x T2 - y T1
+        theta_p = sp.I * (d(D) / D - d(Dc) / Dc)  # -2 Im(D'/D)
+        z_p = (1 - l**2 / (4 * m)) * t3 + l / (4 * m) * theta_p
+        circle = [c**2 + s**2 - 1, om**2 - k**2 - m * v * vc]
+
+        def vanishes(e):
+            num, _ = sp.fraction(sp.together(e))
+            _, rem = sp.reduced(sp.expand(num), circle, om, c, s, p, pc, v, vc, m, l, t3)
+            return rem == 0
+
+        assert vanishes(d(zeta) - (1 + m * zeta * zetac) * T)
+        assert vanishes(theta_p - (l * t3 + 2 * m * cross))
+        assert vanishes(z_p - t3 - l * cross / 2)
+        at_start = {c: 1, s: 0}
+        assert sp.simplify(zeta.subs(at_start) - p) == 0
+        assert sp.simplify(T.subs(at_start) - v) == 0
+        # a wrong sign of m in gamma breaks the first identity
+        D_bad = c - (sp.I * k - m * pc * v) * s / om
+        assert not vanishes(d(p + F0 * v * s / (om * D_bad)) - (1 + m * zeta * zetac) * T)
+
+
+class TestChartExits:
+    """``geodesic_ivp`` raises DomainExit when the orbit leaves the chart
+    within s_range, and only then."""
+
+    def test_pole_within_range(self):
+        # m > 0: the great circle through (0.3, 0) along x passes the point
+        # of the sphere that the stereographic chart misses
+        par = hc.ManifoldParams(0.25, 1.2)
+        with pytest.raises(hc.DomainExit, match="s = 2.84"):
+            hc.geodesic_ivp(par, [0.3, 0.0, 0.0], [1.0, 0.0, 0.0], (0.0, 10.0))
+        samples = hc.sample_curve(
+            hc.geodesic_ivp(par, [0.3, 0.0, 0.0], [1.0, 0.0, 0.0], (0.0, 2.8)), 201
+        )
+        assert np.isfinite(samples.points).all()
+        assert np.abs(samples.points[-1, :2]).max() > 10.0  # heading to infinity
+
+    @pytest.mark.parametrize("turn", np.linspace(0.0, 2.0 * math.pi, 13)[:-1])
+    def test_pole_grazed_within_rounding(self, turn):
+        # the rotated copies of that start pass the missing point too; there
+        # Im gamma is zero only up to rounding, which must count as zero
+        c, s = math.cos(turn), math.sin(turn)
+        with pytest.raises(hc.DomainExit, match="s = 2.84"):
+            hc.geodesic_ivp(hc.ManifoldParams(0.25, 1.2), [0.3 * c, 0.3 * s, 0.0], [c, s, 0.0],
+                            (0.0, 10.0))
+
+    def test_pole_after_shifted_start(self):
+        # s_range[0] anchors p0; the pole sits at the same distance from it
+        par = hc.ManifoldParams(0.25, 1.2)
+        with pytest.raises(hc.DomainExit, match="s = 7.84"):
+            hc.geodesic_ivp(par, [0.3, 0.0, 0.0], [1.0, 0.0, 0.0], (5.0, 15.0))
+        hc.geodesic_ivp(par, [0.3, 0.0, 0.0], [1.0, 0.0, 0.0], (5.0, 7.8))
+
+    def test_negative_m_leaves_chart(self):
+        par = hc.ManifoldParams(-0.2, 0.7)
+        p0, v0 = [0.3, -0.1, 0.5], [1.0, 0.0, 0.0]
+        with pytest.raises(hc.DomainExit) as closed:
+            hc.geodesic_ivp(par, p0, v0, (0.0, 100.0))
+        with pytest.raises(hc.DomainExit) as ref:
+            hc.sample_curve(ode_geodesic(par, p0, v0, (0.0, 100.0)), 2001)
+        s_closed, s_ref = (float(str(e.value).rsplit("s = ", 1)[1]) for e in (closed, ref))
+        # the ODE's F = 1 + m r^2 cancels near the edge; the closed form's
+        # F0 / |D|^2 does not, so the reference only bounds the location
+        assert abs(s_closed - s_ref) < 1e-3
+        spec = hc.geodesic_ivp(par, p0, v0, (0.0, s_closed - 1e-6))
+        edge = spec.point_fn(np.array([s_closed]))[0]
+        assert 1.0 + par.m * (edge[0] ** 2 + edge[1] ** 2) == pytest.approx(1e-9, rel=1e-6)
+
+    def test_negative_m_elliptic_orbit_reaches_edge(self):
+        # near Om^2 = 0 the circle of an m < 0 orbit comes close to the
+        # edge; the exit lies before the first crest of |D|^2
+        par = hc.ManifoldParams(-1.0, 1.0)
+        v0 = unit_direction(0.894427195, 0.0)
+        with pytest.raises(hc.DomainExit) as exc:
+            hc.geodesic_ivp(par, [0.99, 0.0, 0.0], v0, (0.0, 1e5))
+        s_exit = float(str(exc.value).rsplit("s = ", 1)[1])
+        spec = hc.geodesic_ivp(par, [0.99, 0.0, 0.0], v0, (0.0, 0.999 * s_exit))
+        pts = spec.point_fn(np.linspace(0.0, 0.999 * s_exit, 20001))
+        assert (1.0 + par.m * (pts[:, 0] ** 2 + pts[:, 1] ** 2)).min() > 1e-9
+        edge = spec.point_fn(np.array([s_exit]))[0]
+        assert 1.0 + par.m * (edge[0] ** 2 + edge[1] ** 2) == pytest.approx(1e-9, rel=1e-6)
 
 
 class TestSubgroups:

@@ -2,8 +2,8 @@
 it lists must still resolve, or the traced run fails at install time.  Its
 ``generate`` workload checks that every output file it expects exists, so a
 renamed or dropped output would fail every benchmark invocation, and its
-``verify`` workload parses the printed verdict, residual and means, so a
-changed report line would make every answer an error."""
+``verify`` and ``generate`` workloads parse the printed verdicts, residuals
+and means, so a changed report line would make every answer an error."""
 
 import importlib
 import importlib.util
@@ -52,6 +52,20 @@ def test_verify_workload_answers_check(tmp_path, capsys):
     workloads = _load("workloads")
     cases = workloads.build_cases("verify", 0, str(tmp_path), tiny=True)
     assert [c.kind for c in cases] == ["verify", "verify"]
+    for case in cases:
+        rc = cli.main(case.argv)
+        out = capsys.readouterr()
+        answer = workloads.check_answer(case, rc, out.out, out.err,
+                                        DEFAULT_CONFIG.residual_tol, DEFAULT_CONFIG.unit_speed_tol)
+        assert answer.error is None, (case.name, answer.error)
+        assert not answer.wrong, (case.name, answer.wrong)
+
+
+def test_generate_workload_answers_check(tmp_path, capsys):
+    # the helix and both geodesics (H3 and (m, l) = (0.25, 1.2))
+    workloads = _load("workloads")
+    cases = workloads.build_cases("generate", 0, str(tmp_path), tiny=True)
+    assert [c.kind for c in cases] == ["generate", "geodesic", "geodesic"]
     for case in cases:
         rc = cli.main(case.argv)
         out = capsys.readouterr()
