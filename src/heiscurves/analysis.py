@@ -45,6 +45,7 @@ from . import manifold as mf
 from .curves import CurveSamples, FrenetSeries, covariant_derivative_along, frenet_apparatus
 from .curves import _write_table
 from .errors import GeodesicFrameUndefined, NonUnitVector, UnsupportedManifold
+from .factory import admissible_cos
 from .manifold import FrameVector, ManifoldParams
 from .numerics import DEFAULT_CONFIG, NumericsConfig, derivative_on_grid
 
@@ -68,37 +69,33 @@ __all__ = [
 _BITENSION_DEPTH = 3  # nested derivative passes inside tension2_direct
 
 
-def tension1(samples: CurveSamples, config: NumericsConfig = DEFAULT_CONFIG) -> np.ndarray:
+def tension1(samples: CurveSamples) -> np.ndarray:
     """tau1 = nabla_T T in frame components, per sample."""
-    return covariant_derivative_along(samples, samples.velocity_frame, config)
+    return covariant_derivative_along(samples, samples.velocity_frame)
 
 
-def tension2_direct(
-    samples: CurveSamples, config: NumericsConfig = DEFAULT_CONFIG
-) -> np.ndarray:
+def tension2_direct(samples: CurveSamples) -> np.ndarray:
     """tau2 = nabla_T^3 T + R(T, nabla_T T) T, per sample.
 
     Uses nabla_T T directly in the curvature slot (equal to k N wherever the
     Frenet frame exists), so the result is defined on geodesics as well.
     """
-    return _tension2(samples, tension1(samples, config), config)
+    return _tension2(samples, tension1(samples))
 
 
-def _tension2(samples: CurveSamples, t1: np.ndarray, config: NumericsConfig) -> np.ndarray:
+def _tension2(samples: CurveSamples, t1: np.ndarray) -> np.ndarray:
     """tau2 from t1 = nabla_T T: two more covariant passes and the curvature
     term.  The curvature table is the same at every point, so one (3, 3, 3, 3)
     table serves all samples; the chart check still covers the whole curve."""
     T = samples.velocity_frame
-    t2 = covariant_derivative_along(samples, t1, config)
-    t3 = covariant_derivative_along(samples, t2, config)
+    t2 = covariant_derivative_along(samples, t1)
+    t3 = covariant_derivative_along(samples, t2)
     mf.conformal_factor(samples.manifold, samples.points)
     table = mf.curvature_table(samples.manifold, samples.points[0])
     return t3 + mf.curvature_term(table, T, t1, T)
 
 
-def tension2_frame(
-    frenet: FrenetSeries, config: NumericsConfig = DEFAULT_CONFIG
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def tension2_frame(frenet: FrenetSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frame-expansion coefficients (cT, cN, cB) of the bitension field.
 
     k', k'' and tau' come from finite differences of the measured Frenet
@@ -111,9 +108,9 @@ def tension2_frame(
     lam = 0.25 * params.l * params.l
     mu = params.flatness
     k, tau = frenet.k, frenet.tau
-    kp = derivative_on_grid(k, frenet.ds, frenet.stencil_order)
-    kpp = derivative_on_grid(kp, frenet.ds, frenet.stencil_order)
-    taup = derivative_on_grid(tau, frenet.ds, frenet.stencil_order)
+    kp = derivative_on_grid(k, frenet.ds)
+    kpp = derivative_on_grid(kp, frenet.ds)
+    taup = derivative_on_grid(tau, frenet.ds)
     B3, N3 = frenet.B3, frenet.N3
     cT = -3.0 * kp * k
     cN = kpp - k**3 - k * tau**2 + k * lam - k * mu * B3**2
@@ -165,14 +162,14 @@ def bitension_report(
     """Evaluate tau1, tau2 (both routes where defined) and their residuals,
     all from one Frenet series."""
     frenet = frenet_apparatus(samples, config)
-    t2 = _tension2(samples, frenet.t1, config)
+    t2 = _tension2(samples, frenet.t1)
     residual = np.linalg.norm(t2, axis=1)
-    interior = samples.interior(config.stencil_order, _BITENSION_DEPTH)
+    interior = samples.interior(_BITENSION_DEPTH)
 
     cT = cN = cB = None
     agreement = None
     if frenet.defined.all():
-        cT, cN, cB = tension2_frame(frenet, config)
+        cT, cN, cB = tension2_frame(frenet)
         recon = (
             cT[:, None] * frenet.T + cN[:, None] * frenet.N + cB[:, None] * frenet.B
         )
@@ -268,7 +265,7 @@ def check_system_33(
 
     k_const = float(k.max() - k.min())
     relation = float(np.abs(k**2 + tau**2 - (lam - mu * B3**2)).max())
-    taup = derivative_on_grid(frenet.tau, frenet.ds, frenet.stencil_order)[interior]
+    taup = derivative_on_grid(frenet.tau, frenet.ds)[interior]
     torsion = float(np.abs(taup - mu * N3 * B3).max())
 
     checks = {
@@ -427,8 +424,9 @@ def cone_membership(params: ManifoldParams, X: FrameVector) -> str:
 
     Frame components are left-invariant, so translating X to the identity
     leaves its components unchanged; with cos(alpha0) = <X, e3> the direction
-    lies in the solid cone iff 5 cos(alpha0)^2 - 4 >= 0 and sin(alpha0) != 0
-    (the boundary, a double root of the rate quadratic, is included).
+    lies in the solid cone iff 5 cos(alpha0)^2 - 4 >= 0 (``admissible_cos``)
+    and sin(alpha0) != 0; the boundary, a double root of the rate quadratic,
+    is included.
     """
     if not params.is_heisenberg:
         raise UnsupportedManifold("the biharmonic cone is implemented for (0, 1) only")
@@ -436,9 +434,7 @@ def cone_membership(params: ManifoldParams, X: FrameVector) -> str:
     if abs(nrm - 1.0) > 1e-9:
         raise NonUnitVector(f"direction must be unit, |X| = {nrm:.12f}")
     cos_a = float(X.components[2])
-    disc = 5.0 * cos_a * cos_a - 4.0
-    sin_sq = 1.0 - cos_a * cos_a
-    if disc >= -1e-12 and sin_sq > 1e-12:
+    if admissible_cos(cos_a) and 1.0 - cos_a * cos_a > 1e-12:
         return "biharmonic_direction"
     return "geodesic_only"
 

@@ -52,33 +52,41 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+def _section(file_cfg: dict, name: str) -> dict:
+    section = file_cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config {name!r} must be a JSON object, got {section!r}")
+    return section
+
+
+def _number(value, what: str) -> float:
+    """A config value as a float: a JSON number (not a boolean) or a numeric string."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
 def _resolve_manifold(args, file_cfg: dict) -> ManifoldParams:
-    man = file_cfg.get("manifold", {})
-    m = args.m if args.m is not None else float(man.get("m", 0.0))
-    l = args.l if args.l is not None else float(man.get("l", 1.0))
+    man = _section(file_cfg, "manifold")
+    m = args.m if args.m is not None else _number(man.get("m", 0.0), "manifold m")
+    l = args.l if args.l is not None else _number(man.get("l", 1.0), "manifold l")
     return ManifoldParams(m, l)
 
 
-def _resolve_numerics(file_cfg: dict, args=None) -> NumericsConfig:
-    overrides = dict(file_cfg.get("numerics", {}))
-    if args is not None:
-        for item in getattr(args, "numerics", None) or []:
-            key, _, raw = item.partition("=")
-            if not raw:
-                raise ValueError(f"--numerics expects KEY=VALUE, got {item!r}")
-            overrides[key] = raw
-    valid = {f.name: f.type for f in dataclass_fields(NumericsConfig)}
-    unknown = set(overrides) - set(valid)
+def _resolve_numerics(file_cfg: dict, args) -> NumericsConfig:
+    overrides = dict(_section(file_cfg, "numerics"))
+    for item in args.numerics or []:
+        key, _, raw = item.partition("=")
+        if not raw:
+            raise ValueError(f"--numerics expects KEY=VALUE, got {item!r}")
+        overrides[key] = raw
+    unknown = set(overrides) - {f.name for f in dataclass_fields(NumericsConfig)}
     if unknown:
         raise ValueError(f"unknown numerics settings: {sorted(unknown)}")
-    defaults = NumericsConfig()
-    coerced = {}
-    for key, value in overrides.items():
-        template = getattr(defaults, key)
-        if isinstance(value, str) and not isinstance(template, str):
-            value = type(template)(float(value)) if isinstance(template, float) else type(template)(value)
-        coerced[key] = value
-    return NumericsConfig(**coerced)
+    return NumericsConfig(**{k: _number(v, f"numerics {k}") for k, v in overrides.items()})
 
 
 def _parse_triple(text: str, what: str) -> np.ndarray:
@@ -102,7 +110,7 @@ def _fmt(x: float) -> str:
 
 def cmd_tensors(args, file_cfg: dict) -> int:
     params = _resolve_manifold(args, file_cfg)
-    config = _resolve_numerics(file_cfg, args)
+    _resolve_numerics(file_cfg, args)  # rejects bad settings; the tables read none
     point = _parse_triple(args.point, "--point") if args.point else np.zeros(3)
 
     G = mf.connection_table(params, point)
@@ -159,10 +167,8 @@ def cmd_tensors(args, file_cfg: dict) -> int:
         eb = FrameVector(point, np.eye(3)[b - 1])
         lines.append(f"  K(e{a}, e{b}) = {_fmt(mf.sectional(params, point, ea, eb))}")
 
-    G_num = mf.connection_table_numeric(params, point, h=config.fd_step)
-    R_num = mf.curvature_table_numeric(
-        params, point, h=config.fd_step, h_outer=config.fd_step_nested
-    )
+    G_num = mf.connection_table_numeric(params, point)
+    R_num = mf.curvature_table_numeric(params, point)
     conn_dev = float(np.abs(G - G_num).max())
     curv_dev = float(np.abs(R - R_num).max())
     ok = conn_dev <= _NUMERIC_TOL and curv_dev <= _NUMERIC_TOL
@@ -319,8 +325,8 @@ def cmd_geodesic(args, file_cfg: dict) -> int:
     v0 = v0 / nrm
     spec = factory.geodesic_ivp(params, p0, v0, (0.0, args.length))
     samples = crv.sample_curve(spec, args.samples, config)
-    t1 = analysis.tension1(samples, config)
-    interior = samples.interior(config.stencil_order, 1)
+    t1 = analysis.tension1(samples)
+    interior = samples.interior(1)
     t1_max = float(np.linalg.norm(t1, axis=1)[interior].max())
     drift = float(np.abs(np.linalg.norm(samples.velocity_frame, axis=1) - 1.0).max())
 
@@ -354,7 +360,7 @@ def cmd_cone(args, file_cfg: dict) -> int:
     grid = np.linspace(0.0, math.pi, n + 2)[1:-1]
     for alpha0 in grid:
         cos_a = math.cos(alpha0)
-        admissible = 5.0 * cos_a * cos_a - 4.0 >= -1e-12
+        admissible = factory.admissible_cos(cos_a)
         print(f"{alpha0:.9f},{cos_a:.9f},{int(admissible)}")
     return 0
 
@@ -430,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--numerics",
         action="append",
         metavar="KEY=VALUE",
-        help="override a numerics setting (repeatable), e.g. --numerics stencil_order=2",
+        help="override a numerics setting (repeatable), e.g. --numerics residual_tol=1e-7",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -43,6 +43,7 @@ from .errors import (
 from .manifold import FrameVector, ManifoldParams
 from .numerics import (
     DEFAULT_CONFIG,
+    STENCIL_ORDER,
     NumericsConfig,
     derivative_on_grid,
     interior_slice,
@@ -72,7 +73,7 @@ class CurveSpec:
     Exactly one payload is populated, matching ``kind``:
 
     closed_form   point_fn (and frame_velocity_fn or velocity_fn),
-    ode_defined   sampler(s_grid, config) -> (points, frame_velocities),
+    ode_defined   sampler(s_grid) -> (points, frame_velocities),
     sampled       s / points (and optionally frame velocities).
 
     ``family`` carries the serializable constructor parameters, when the
@@ -131,8 +132,8 @@ class CurveSamples:
     def velocity_coord(self) -> np.ndarray:
         return mf.to_coord_components(self.manifold, self.points, self.velocity_frame)
 
-    def interior(self, order: int, depth: int = 1) -> slice:
-        return interior_slice(self.n, order, depth + self.velocity_depth)
+    def interior(self, depth: int = 1) -> slice:
+        return interior_slice(self.n, depth + self.velocity_depth)
 
 
 def _uniform_grid(s_range: tuple[float, float], n: int) -> np.ndarray:
@@ -201,9 +202,9 @@ def sample_curve(
             if len(s) < 9:
                 raise TooFewSamples("need at least 9 samples to differentiate positions")
             ds = float(s[1] - s[0])
-            v_coord = derivative_on_grid(points, ds, config.stencil_order)
+            v_coord = derivative_on_grid(points, ds)
             vel = mf.to_frame_components(spec.manifold, points, v_coord)
-            check = interior_slice(len(s), config.stencil_order, 1)
+            check = interior_slice(len(s), 1)
             depth = 1
         samples = CurveSamples(spec.manifold, s, points, vel, velocity_depth=depth)
         _validate_unit_speed(vel, config, check)
@@ -225,7 +226,7 @@ def sample_curve(
         else:
             raise ValueError("closed_form curve carries no velocity rule")
     else:  # ode_defined
-        points, vel = spec.sampler(s, config)
+        points, vel = spec.sampler(s)
         points = np.asarray(points, dtype=float)
         vel = np.asarray(vel, dtype=float)
 
@@ -234,12 +235,10 @@ def sample_curve(
     return samples
 
 
-def covariant_derivative_along(
-    samples: CurveSamples, field: np.ndarray, config: NumericsConfig = DEFAULT_CONFIG
-) -> np.ndarray:
+def covariant_derivative_along(samples: CurveSamples, field: np.ndarray) -> np.ndarray:
     """nabla_T V along the curve for a field V given in frame components.
 
-    Componentwise arclength derivative (stencil order from the config) plus
+    Componentwise arclength derivative (``derivative_on_grid``) plus
     the connection correction contracted with the velocity:
 
         (nabla_T V)^a = dV^a/ds + Gamma_ij^a T^i V^j.
@@ -256,7 +255,7 @@ def covariant_derivative_along(
     V = np.asarray(field, dtype=float)
     if V.shape != samples.points.shape:
         raise ValueError("field must provide frame components at every sample")
-    dV = derivative_on_grid(V, samples.ds, config.stencil_order)
+    dV = derivative_on_grid(V, samples.ds)
     return dV + mf.connection_term(samples.manifold, samples.points, samples.velocity_frame, V)
 
 
@@ -286,7 +285,6 @@ class FrenetSeries:
     tau: np.ndarray        # (n,), NaN where undefined
     defined: np.ndarray    # (n,) bool
     points: np.ndarray     # (n, 3) base points
-    stencil_order: int
     velocity_depth: int = 0
 
     @property
@@ -310,7 +308,7 @@ class FrenetSeries:
         return self.B[:, 2]
 
     def interior(self, depth: int = 1) -> slice:
-        return interior_slice(self.n, self.stencil_order, depth + self.velocity_depth)
+        return interior_slice(self.n, depth + self.velocity_depth)
 
 
 def frenet_apparatus(
@@ -323,14 +321,14 @@ def frenet_apparatus(
     The series keeps nabla_T T, so consumers need not differentiate T again.
     """
     T = samples.velocity_frame
-    t1 = covariant_derivative_along(samples, T, config)
+    t1 = covariant_derivative_along(samples, T)
     k = np.linalg.norm(t1, axis=1)
     defined = k > config.k_floor
 
     N = np.full_like(T, np.nan)
     N[defined] = t1[defined] / k[defined, None]
     B = np.cross(T, N)
-    dN = covariant_derivative_along(samples, N, config) if defined.any() else np.full_like(T, np.nan)
+    dN = covariant_derivative_along(samples, N) if defined.any() else np.full_like(T, np.nan)
     tau = -np.einsum("ni,ni->n", dN, B)
 
     return FrenetSeries(
@@ -344,7 +342,6 @@ def frenet_apparatus(
         tau=tau,
         defined=defined,
         points=np.array(samples.points, copy=True),
-        stencil_order=config.stencil_order,
         velocity_depth=samples.velocity_depth,
     )
 
@@ -409,8 +406,8 @@ def left_translate_curve(g, spec: CurveSpec) -> CurveSpec:
 
     base_sampler = spec.sampler
 
-    def sampler(s_grid, config):
-        pts, vel = base_sampler(s_grid, config)
+    def sampler(s_grid):
+        pts, vel = base_sampler(s_grid)
         return mf.left_translate(params, g_arr, pts), vel
 
     return CurveSpec(
@@ -531,7 +528,7 @@ def frenet_to_json(frenet: FrenetSeries) -> str:
     payload = {
         "manifold": {"m": frenet.manifold.m, "l": frenet.manifold.l},
         "n": frenet.n,
-        "stencil_order": frenet.stencil_order,
+        "stencil_order": STENCIL_ORDER,
         "records": [dict(zip(keys, row)) for row in zip(*series)],
     }
     return json.dumps(payload, sort_keys=True)

@@ -52,6 +52,7 @@ from .numerics import DEFAULT_CONFIG, NumericsConfig, cumulative_simpson
 __all__ = [
     "HelixParams",
     "ADMISSIBLE_BOUNDARY",
+    "admissible_cos",
     "solve_branch_A",
     "helix_family_curve",
     "biharmonic_helix",
@@ -73,6 +74,13 @@ __all__ = [
 ADMISSIBLE_BOUNDARY = math.acos(2.0 / math.sqrt(5.0))
 
 _DISC_SLACK = 1e-12  # tolerance for the double root at the cone boundary
+
+
+def admissible_cos(cos_alpha0: float) -> bool:
+    """The paper's admissibility rule 5 cos(alpha0)^2 - 4 >= 0, which holds
+    exactly when the rate quadratic has a real root; the boundary, a double
+    root, is kept up to _DISC_SLACK.  Says nothing about sin(alpha0) != 0."""
+    return 5.0 * cos_alpha0 * cos_alpha0 - 4.0 >= -_DISC_SLACK
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,7 @@ class HelixParams:
                 f"alpha0 = {self.alpha0} outside (0, pi): sin(alpha0) must not vanish"
             )
         c0 = math.cos(self.alpha0)
-        if 5.0 * c0 * c0 - 4.0 < -_DISC_SLACK:
+        if not admissible_cos(c0):
             raise InadmissibleAlpha(
                 f"alpha0 = {self.alpha0} violates the admissibility condition "
                 f"cos(alpha0)^2 >= 4/5 (got cos^2 = {c0 * c0:.6f})"
@@ -115,7 +123,7 @@ def solve_branch_A(alpha0: float, branch: str = "plus") -> float:
     if s0 == 0.0:
         raise InadmissibleAlpha("sin(alpha0) = 0 degenerates the family")
     disc = 5.0 * c0 * c0 - 4.0
-    if disc < -_DISC_SLACK:
+    if not admissible_cos(c0):
         raise InadmissibleAlpha(
             f"negative discriminant 5 cos(alpha0)^2 - 4 = {disc:.6e}; need "
             "cos(alpha0)^2 >= 4/5"
@@ -269,11 +277,10 @@ def geodesic_ivp(
     For m = 0 (any l), (T1, T2) turns at the constant rate l T3.  For
     m != 0 the metrics are naturally reductive, so the geodesic is the
     orbit of a one-parameter isometry group and its (x, y) projection is a
-    Moebius orbit: a circle or a line of the chart.  No ODE is solved and
-    the sampling config is not read.  DomainExit is raised when the curve
-    leaves the chart within ``s_range``: for m < 0 once the conformal
-    factor falls to 1e-9, for m > 0 when it passes through the point the
-    chart misses.
+    Moebius orbit: a circle or a line of the chart.  No ODE is solved.
+    DomainExit is raised when the curve leaves the chart within
+    ``s_range``: for m < 0 once the conformal factor falls to 1e-9, for
+    m > 0 when it passes through the point the chart misses.
     """
     p0 = mf.as_point(p0)
     v0 = _require_unit(v0_frame, "initial velocity")
@@ -562,6 +569,9 @@ def one_param_subgroup(
     )
 
 
+_QUAD_REFINE = 16  # quadrature nodes per sample interval in b3zero_curve
+
+
 def b3zero_curve(
     alpha: Callable,
     s_range: tuple[float, float],
@@ -577,16 +587,15 @@ def b3zero_curve(
     alpha', and is never biharmonic.
 
     beta and the positions are accumulated with 4th-order quadrature on a
-    grid refined ``quad_refine`` times (from the sampling config) relative to
-    the sample grid; no extra ODE state is introduced.
+    grid refined ``_QUAD_REFINE`` times relative to the sample grid; no
+    extra ODE state is introduced.
     """
     start = mf.as_point(start)
 
-    def sampler(s_grid, cfg: NumericsConfig):
+    def sampler(s_grid):
         s_grid = np.asarray(s_grid, dtype=float)
         n = len(s_grid)
-        refine = max(2, int(cfg.quad_refine))
-        fine = np.linspace(s_grid[0], s_grid[-1], (n - 1) * refine + 1)
+        fine = np.linspace(s_grid[0], s_grid[-1], (n - 1) * _QUAD_REFINE + 1)
         try:
             a_vals = np.asarray(alpha(fine), dtype=float)
             if a_vals.shape != fine.shape:
@@ -605,7 +614,7 @@ def b3zero_curve(
         y = start[1] + cumulative_simpson(T2, dx=delta)
         dz = T3 - 0.5 * y * T1 + 0.5 * x * T2
         z = start[2] + cumulative_simpson(dz, dx=delta)
-        sel = slice(None, None, refine)
+        sel = slice(None, None, _QUAD_REFINE)
         pts = np.stack([x[sel], y[sel], z[sel]], axis=-1)
         vel = np.stack([T1[sel], T2[sel], T3[sel]], axis=-1)
         return pts, vel
@@ -617,6 +626,9 @@ def b3zero_curve(
         sampler=sampler,
         family={"family": "b3zero"},
     )
+
+
+_ODE_SETTINGS = {"method": "DOP853", "rtol": 1e-12, "atol": 1e-12}  # tangent_driven_curve
 
 
 def tangent_driven_curve(
@@ -637,16 +649,10 @@ def tangent_driven_curve(
         E = mf.frame_at(params, p)
         return T @ E
 
-    def sampler(s_grid, cfg: NumericsConfig):
+    def sampler(s_grid):
         s_grid = np.asarray(s_grid, dtype=float)
         sol = solve_ivp(
-            rhs,
-            (float(s_grid[0]), float(s_grid[-1])),
-            p0,
-            t_eval=s_grid,
-            method=cfg.ode_method,
-            rtol=cfg.ode_rtol,
-            atol=cfg.ode_atol,
+            rhs, (float(s_grid[0]), float(s_grid[-1])), p0, t_eval=s_grid, **_ODE_SETTINGS
         )
         if not sol.success:
             raise IntegrationFailure(f"ODE solver failed: {sol.message}")

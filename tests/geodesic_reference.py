@@ -56,7 +56,7 @@ def ode_geodesic(params, p0, v0, s_range, method="DOP853", rtol=1e-13, atol=1e-1
         chart_edge.terminal = True
         events = [chart_edge]
 
-    def sampler(s_grid, _cfg):
+    def sampler(s_grid):
         sol = solve_ivp(rhs, (float(s_grid[0]), float(s_grid[-1])), y0, t_eval=s_grid,
                         method=method, rtol=rtol, atol=atol, events=events)
         if events and len(sol.t_events[0]) > 0:
@@ -72,7 +72,7 @@ def rk4_geodesic(params, p0, v0, s_range, step):
     rhs = geodesic_rhs(params)
     y0 = np.concatenate([np.asarray(p0, dtype=float), np.asarray(v0, dtype=float)])
 
-    def sampler(s_grid, _cfg):
+    def sampler(s_grid):
         n_sub = max(1, int(math.ceil((s_grid[1] - s_grid[0]) / step)))
         h = float(s_grid[1] - s_grid[0]) / n_sub
         out = np.empty((len(s_grid), 6))

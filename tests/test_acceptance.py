@@ -164,7 +164,7 @@ def test_criterion_05_one_parameter_subgroups():
         samples = hc.sample_curve(hc.one_param_subgroup(d, (0.0, 20.0)), 2001)
         t1 = hc.tension1(samples)
         worst_geo = max(
-            worst_geo, float(np.linalg.norm(t1, axis=1)[samples.interior(4, 1)].max())
+            worst_geo, float(np.linalg.norm(t1, axis=1)[samples.interior(1)].max())
         )
     ok = worst_circle <= 1e-6 and min_b3 > 1e-3 and worst_geo <= 1e-6
     report(
@@ -204,10 +204,10 @@ def test_criterion_06_geodesics():
         t1 = hc.tension1(samples)
         t2 = hc.tension2_direct(samples)
         worst_t1 = max(
-            worst_t1, float(np.linalg.norm(t1, axis=1)[samples.interior(4, 1)].max())
+            worst_t1, float(np.linalg.norm(t1, axis=1)[samples.interior(1)].max())
         )
         worst_t2 = max(
-            worst_t2, float(np.linalg.norm(t2, axis=1)[samples.interior(4, 3)].max())
+            worst_t2, float(np.linalg.norm(t2, axis=1)[samples.interior(3)].max())
         )
     ok = (
         worst_drift <= 1e-8
@@ -247,7 +247,7 @@ def test_criterion_07_metric_family():
     relation_h3 = float(np.abs(k**2 + tau**2 - (0.25 - B3**2)).max())
     from heiscurves.numerics import derivative_on_grid
 
-    taup = derivative_on_grid(fr.tau, fr.ds, fr.stencil_order)[interior]
+    taup = derivative_on_grid(fr.tau, fr.ds)[interior]
     torsion_h3 = float(np.abs(taup - N3 * B3).max())
     coincide = max(
         abs(sys_general["algebraic_relation"].residual - relation_h3),

@@ -56,7 +56,7 @@ class TestTension1:
         spec = hc.geodesic_ivp(H, [0.1, 0.2, 0.3], [0.6, 0.0, 0.8], (0.0, 10.0))
         samples = hc.sample_curve(spec, 801)
         t1 = hc.tension1(samples)
-        assert np.linalg.norm(t1, axis=1)[samples.interior(4, 1)].max() < 1e-6
+        assert np.linalg.norm(t1, axis=1)[samples.interior(1)].max() < 1e-6
 
     def test_subgroup_e1_exactly_geodesic(self):
         spec = hc.one_param_subgroup(np.array([1.0, 0.0, 0.0]), (0.0, 5.0))
@@ -66,7 +66,7 @@ class TestTension1:
 
     def test_helix_norm_is_constant_curvature(self, figure1_samples):
         t1 = hc.tension1(figure1_samples)
-        interior = figure1_samples.interior(4, 1)
+        interior = figure1_samples.interior(1)
         k = np.linalg.norm(t1, axis=1)[interior]
         expected = math.sin(FIGURE1_ALPHA0) * (math.cos(FIGURE1_ALPHA0) - FIGURE1_A)
         assert np.abs(k - expected).max() < 1e-6
@@ -78,7 +78,7 @@ class TestTension2:
         spec = hc.geodesic_ivp(H, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 20.0))
         samples = hc.sample_curve(spec, 1601)
         t2 = hc.tension2_direct(samples)
-        assert np.linalg.norm(t2, axis=1)[samples.interior(4, 3)].max() < 1e-6
+        assert np.linalg.norm(t2, axis=1)[samples.interior(3)].max() < 1e-6
 
     def test_helix_bitension_vanishes(self, figure1_samples):
         rep = hc.bitension_report(figure1_samples)
@@ -236,7 +236,7 @@ class TestSystems:
         relation_h3 = float(np.abs(k**2 + tau**2 - (0.25 - B3**2)).max())
         from heiscurves.numerics import derivative_on_grid
 
-        taup = derivative_on_grid(fr.tau, fr.ds, fr.stencil_order)[interior]
+        taup = derivative_on_grid(fr.tau, fr.ds)[interior]
         torsion_h3 = float(np.abs(taup - N3 * B3).max())
         assert abs(report["algebraic_relation"].residual - relation_h3) < 1e-10
         assert abs(report["torsion_derivative"].residual - torsion_h3) < 1e-10

@@ -310,6 +310,20 @@ class TestConeCommand:
         rows = [l for l in out.splitlines() if l and l[0].isdigit()]
         assert len(rows) == 100
 
+    def test_sweep_uses_the_admissibility_rule(self, capsys, monkeypatch):
+        # the sweep's flags come from factory.admissible_cos, one call per row
+        seen = []
+
+        def spy(cos_a):
+            seen.append(cos_a)
+            return len(seen) % 2 == 0
+
+        monkeypatch.setattr(factory, "admissible_cos", spy)
+        code, out, _ = run(capsys, "cone", "--sweep", "10")
+        flags = [int(l.rsplit(",", 1)[1]) for l in out.splitlines() if l and l[0].isdigit()]
+        assert code == 0 and flags == [0, 1] * 5
+        assert seen == [math.cos(a) for a in np.linspace(0.0, math.pi, 12)[1:-1]]
+
     def test_nonunit_direction_exit_two(self, capsys):
         code, _, err = run(capsys, "cone", "--direction", "1,1,1")
         assert code == 2
@@ -346,6 +360,17 @@ class TestScanCommand:
         assert "(m, l) = (0, 1)" in err
 
 
+def _figure_helix_csv(tmp_path, speed=1.0):
+    """The figure helix on one turn at n = 4 001, with frame velocities
+    scaled to ``speed``."""
+    spec = hc.biharmonic_helix(hc.HelixParams(alpha0=FIGURE1_ALPHA0), (0.0, 2 * math.pi))
+    samples = hc.sample_curve(spec, 4001)
+    samples.velocity_frame = speed * samples.velocity_frame
+    path = tmp_path / f"h{speed:g}.csv"
+    hc.write_samples_csv(path, samples, include_velocity=True)
+    return path
+
+
 class TestConfigFile:
     def test_manifold_from_file_and_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -365,39 +390,86 @@ class TestConfigFile:
         assert "not_a_knob" in err
 
     def test_numerics_override_applies(self, capsys, tmp_path):
-        # a 2nd-order stencil needs a finer grid to stay inside the system
-        # tolerances; success shows the override reached the pipeline
+        # the helix passes with the defaults; a constancy tolerance no
+        # measured k can meet flips the verdict, so the file reached verify
+        path = _figure_helix_csv(tmp_path)
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0 and "verdict: nongeodesic_biharmonic" in out
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"numerics": {"stencil_order": 2}}))
-        spec = hc.biharmonic_helix(hc.HelixParams(alpha0=FIGURE1_ALPHA0), (0.0, 2 * math.pi))
-        samples = hc.sample_curve(spec, 4001)
-        path = tmp_path / "h.csv"
-        hc.write_samples_csv(path, samples, include_velocity=True)
-        code, _, _ = run(capsys, "--config", str(cfg), "verify", str(path))
-        assert code == 0
+        cfg.write_text(json.dumps({"numerics": {"constancy_tol": 1e-30}}))
+        code, out, _ = run(capsys, "--config", str(cfg), "verify", str(path))
+        assert code == 1 and "verdict: not_biharmonic" in out
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"numerics": {"residual_tol": [1]}},
+            {"numerics": {"residual_tol": None}},
+            {"numerics": {"residual_tol": True}},
+            {"numerics": {"residual_tol": "tight"}},
+            {"numerics": [1]},
+            {"manifold": [1]},
+            {"manifold": {"m": None}},
+            {"manifold": {"l": False}},
+            {"manifold": {"l": 10**400}},
+        ],
+    )
+    def test_bad_value_exit_two(self, capsys, tmp_path, payload):
+        # exit 1 means "not biharmonic" to verify, so bad input must not reach it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "--config", str(cfg), "verify", str(_figure_helix_csv(tmp_path)))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "must be" in err
 
 
 class TestNumericsFlag:
     def test_flag_override(self, capsys, tmp_path):
-        spec = hc.biharmonic_helix(hc.HelixParams(alpha0=FIGURE1_ALPHA0), (0.0, 2 * math.pi))
-        samples = hc.sample_curve(spec, 4001)
-        path = tmp_path / "h.csv"
-        hc.write_samples_csv(path, samples, include_velocity=True)
-        code, _, _ = run(capsys, "--numerics", "stencil_order=2", "verify", str(path))
-        assert code == 0
+        path = _figure_helix_csv(tmp_path)
+        code, out, _ = run(capsys, "--numerics", "constancy_tol=1e-30", "verify", str(path))
+        assert code == 1 and "verdict: not_biharmonic" in out
 
     def test_flag_wins_over_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"numerics": {"stencil_order": 2}}))
-        code, _, _ = run(
-            capsys, "--config", str(cfg), "--numerics", "stencil_order=4", "tensors"
+        cfg.write_text(json.dumps({"numerics": {"constancy_tol": 1e-30}}))
+        path = _figure_helix_csv(tmp_path)
+        code, out, _ = run(
+            capsys, "--config", str(cfg), "--numerics", "constancy_tol=1e-5", "verify", str(path)
         )
-        assert code == 0
+        assert code == 0 and "verdict: nongeodesic_biharmonic" in out
 
     def test_bad_flag_exit_two(self, capsys):
-        # frame_tol and expansion_tol were never read, and ode_fixed_step
-        # lost its only reader with the closed-form geodesics: not settings
-        for key in ("bogus", "frame_tol", "expansion_tol", "ode_fixed_step"):
+        # frame_tol and expansion_tol were never read; ode_fixed_step lost its
+        # only reader with the closed-form geodesics; the stencil order, the
+        # cross-check steps and the ODE and quadrature settings are constants
+        # at their one reader: none is a setting
+        removed = (
+            "frame_tol", "expansion_tol", "ode_fixed_step", "stencil_order", "fd_step",
+            "fd_step_nested", "ode_method", "ode_rtol", "ode_atol", "quad_refine",
+        )
+        for key in ("bogus",) + removed:
             code, _, err = run(capsys, "--numerics", f"{key}=1", "tensors")
             assert code == 2
             assert key in err
+
+    def test_nan_unit_speed_tol_rejected(self, capsys, tmp_path):
+        # with a NaN tolerance no deviation compares greater, so a frame speed
+        # of 2 would pass the unit-speed check and reach a verdict
+        path = _figure_helix_csv(tmp_path, speed=2.0)
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2 and "input error:" in err
+        code, out, err = run(capsys, "--numerics", "unit_speed_tol=nan", "verify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "unit_speed_tol" in err
+
+    @pytest.mark.parametrize(
+        "setting",
+        [f"{name}={value}" for name in (
+            "unit_speed_tol", "residual_tol", "k_floor", "constancy_tol", "relation_tol",
+            "b3_zero_tol",
+        ) for value in ("nan", "-1e-3", "0", "inf")],
+    )
+    def test_bad_tolerance_exit_two(self, capsys, tmp_path, setting):
+        code, out, err = run(capsys, "--numerics", setting, "verify", str(_figure_helix_csv(tmp_path)))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and setting.split("=")[0] in err

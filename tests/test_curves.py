@@ -1,6 +1,9 @@
 """Curve sampling, covariant differentiation and the Frenet apparatus."""
 
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from numpy.testing import assert_allclose
 import heiscurves as hc
 from heiscurves import manifold as mf
 from heiscurves.curves import _check_uniform_s
-from heiscurves.numerics import derivative_on_grid, stencil_weights
+from heiscurves.numerics import derivative_on_grid, interior_slice, stencil_weights
 
 from conftest import FIGURE1_A, FIGURE1_ALPHA0, FIGURE1_B3, FIGURE1_K, FIGURE1_TAU
 
@@ -56,17 +59,32 @@ class TestStencils:
             assert deriv == pytest.approx(p * 0.0**max(p - 1, 0) if p != 1 else 1.0, abs=1e-10)
 
     def test_grid_derivative_convergence(self):
-        # halving h cuts the error by >= 3x (order 2) and >= 12x (order 4)
+        # halving h cuts the error by >= 12x (order 4)
         f = lambda s: np.sin(1.3 * s) + 0.2 * np.cos(2.1 * s)
         df = lambda s: 1.3 * np.cos(1.3 * s) - 0.42 * np.sin(2.1 * s)
-        for order, factor in ((2, 3.0), (4, 12.0)):
-            errs = []
-            for n in (201, 401):
-                s = np.linspace(0.0, 4.0, n)
-                approx = derivative_on_grid(f(s), s[1] - s[0], order)
-                interior = slice(4, n - 4)
-                errs.append(np.abs(approx - df(s))[interior].max())
-            assert errs[0] / errs[1] >= factor
+        errs = []
+        for n in (201, 401):
+            s = np.linspace(0.0, 4.0, n)
+            approx = derivative_on_grid(f(s), s[1] - s[0])
+            interior = slice(4, n - 4)
+            errs.append(np.abs(approx - df(s))[interior].max())
+        assert errs[0] / errs[1] >= 12.0
+
+    def test_edge_rows_are_the_one_sided_stencils(self):
+        # the cached edge rows give exactly what fresh Vandermonde solves give
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((40, 3))
+        ds = 0.037
+        out = derivative_on_grid(y, ds)
+        for i in range(2):
+            lo = np.tensordot(stencil_weights(np.arange(5) - i), y[:5], axes=(0, 0)) / ds
+            hi = np.tensordot(stencil_weights(np.arange(-4, 1) + i), y[-5:], axes=(0, 0)) / ds
+            assert np.array_equal(out[i], lo) and np.array_equal(out[-1 - i], hi)
+
+    def test_interior_margin_is_two_per_pass(self):
+        assert interior_slice(20, 3) == slice(6, 14)
+        with pytest.raises(hc.TooFewSamples):
+            interior_slice(12, 3)
 
 
 class TestSampleCurve:
@@ -97,7 +115,7 @@ class TestSampleCurve:
         exact = hc.sample_curve(spec, 1001)
         imported = hc.make_sampled_spec(H, exact.s, exact.points)
         samples = hc.sample_curve(imported)
-        interior = samples.interior(4, 0)
+        interior = samples.interior(0)
         dev = np.abs(samples.velocity_frame - exact.velocity_frame)[interior].max()
         assert dev < 1e-8
         assert samples.velocity_depth == 1
@@ -108,7 +126,7 @@ class TestSampleCurve:
             spec = hc.biharmonic_helix(figure1_hp, (0.0, 10.0 * math.pi))
             exact = hc.sample_curve(spec, n)
             samples = hc.sample_curve(hc.make_sampled_spec(H, exact.s, exact.points))
-            interior = samples.interior(4, 0)
+            interior = samples.interior(0)
             errs[n] = np.abs(samples.velocity_frame - exact.velocity_frame)[interior].max()
         assert errs[801] / errs[1601] >= 12.0
 
@@ -143,12 +161,12 @@ class TestCovariantDerivative:
         spec = hc.geodesic_ivp(H, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 10.0))
         samples = hc.sample_curve(spec, 801)
         out = hc.covariant_derivative_along(samples, samples.velocity_frame)
-        interior = samples.interior(4, 1)
+        interior = samples.interior(1)
         assert np.linalg.norm(out, axis=1)[interior].max() < 1e-6
 
     def test_helix_curvature_magnitude(self, figure1_samples):
         out = hc.covariant_derivative_along(figure1_samples, figure1_samples.velocity_frame)
-        interior = figure1_samples.interior(4, 1)
+        interior = figure1_samples.interior(1)
         k = np.linalg.norm(out, axis=1)[interior]
         expected = math.sin(FIGURE1_ALPHA0) * (math.cos(FIGURE1_ALPHA0) - FIGURE1_A)
         assert np.abs(k - expected).max() < 1e-6
@@ -157,7 +175,7 @@ class TestCovariantDerivative:
         # (T1' + T2 T3, T2' - T1 T3, T3') in the frame, checked entrywise
         T = figure1_samples.velocity_frame
         ds = figure1_samples.ds
-        dT = derivative_on_grid(T, ds, 4)
+        dT = derivative_on_grid(T, ds)
         explicit = np.stack(
             [
                 dT[:, 0] + T[:, 1] * T[:, 2],
@@ -180,7 +198,7 @@ class TestCovariantDerivative:
         T /= np.linalg.norm(T, axis=1, keepdims=True)
         V = rng.standard_normal((n, 3))
         samples = hc.CurveSamples(par, np.linspace(0.0, 1.0, n), points, T)
-        expected = derivative_on_grid(V, samples.ds, 4) + np.einsum(
+        expected = derivative_on_grid(V, samples.ds) + np.einsum(
             "ni,nj,nija->na", T, V, mf.connection_table(par, points)
         )
         out = hc.covariant_derivative_along(samples, V)
@@ -235,7 +253,7 @@ class TestFrenet:
         spec = hc.b3zero_curve(lambda s: 0.4 + 0.3 * s + 0.05 * s**2, (0.0, 2.0))
         samples = hc.sample_curve(spec, 1001)
         fr = hc.frenet_apparatus(samples)
-        dN3 = derivative_on_grid(fr.N3, fr.ds, fr.stencil_order)
+        dN3 = derivative_on_grid(fr.N3, fr.ds)
         interior = fr.interior(2)
         lhs = dN3[interior] + 0.5 * fr.B3[interior]
         rhs = -fr.k[interior] * fr.T3[interior] - fr.tau[interior] * fr.B3[interior]
@@ -308,7 +326,7 @@ class TestInterchange:
         hc.write_samples_csv(path, samples)
         back = hc.sample_curve(hc.read_samples_csv(path, H))
         assert back.velocity_depth == 1
-        interior = back.interior(4, 0)
+        interior = back.interior(0)
         assert np.abs(back.velocity_frame - samples.velocity_frame)[interior].max() < 1e-8
 
     def test_csv_golden_bytes(self, tmp_path):
@@ -427,16 +445,31 @@ class TestInterchange:
             assert nulls == [not defined] * 7
 
 
-class TestNumericsConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            hc.NumericsConfig(fd_step=-1e-4)
-        with pytest.raises(ValueError):
-            hc.NumericsConfig(stencil_order=3)
-        with pytest.raises(ValueError):
-            hc.NumericsConfig(unit_speed_tol=0.0)
+TOLERANCES = (
+    "unit_speed_tol", "residual_tol", "k_floor", "constancy_tol", "relation_tol", "b3_zero_tol",
+)
 
-    def test_with_overrides(self):
-        cfg = hc.DEFAULT_CONFIG.with_overrides(stencil_order=2, fd_step=1e-5)
-        assert cfg.stencil_order == 2 and cfg.fd_step == 1e-5
-        assert hc.DEFAULT_CONFIG.stencil_order == 4
+
+class TestNumericsConfig:
+    def test_fields_are_the_verdict_tolerances(self):
+        assert tuple(f.name for f in dataclasses.fields(hc.NumericsConfig)) == TOLERANCES
+
+    def test_validation(self):
+        # every tolerance must be finite and positive
+        for name in TOLERANCES:
+            for bad in (0.0, -1e-3, math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=name):
+                    hc.NumericsConfig(**{name: bad})
+            assert getattr(hc.NumericsConfig(**{name: 1e-9}), name) == 1e-9
+
+    def test_every_field_has_a_reader(self):
+        # a field that no module outside numerics reads is a knob that does nothing
+        src = Path(hc.__file__).parent
+        text = "\n".join(
+            p.read_text() for p in sorted(src.glob("*.py")) if p.name != "numerics.py"
+        )
+        unread = [
+            f.name for f in dataclasses.fields(hc.NumericsConfig)
+            if not re.search(rf"\b(config|cfg)\.{f.name}\b", text)
+        ]
+        assert unread == []

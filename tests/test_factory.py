@@ -69,6 +69,28 @@ class TestBranchRoot:
         with pytest.raises(hc.InadmissibleAlpha):
             hc.HelixParams(alpha0=1.0)  # cos^2 = 0.29 < 4/5
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "delta, admissible", [(1e-13, True), (-1e-13, True), (1e-11, True), (-1e-11, False)]
+    )
+    def test_admissibility_sites_agree(self, sign, delta, admissible):
+        # cos^2 = 4/5 + delta: the discriminant 5 delta is inside the 1e-12
+        # slack at |delta| = 1e-13 and outside it at delta = -1e-11
+        alpha0 = math.acos(sign * math.sqrt(0.8 + delta))
+        cos_a = math.cos(alpha0)
+        assert hc.admissible_cos(cos_a) is admissible
+        X = mf.FrameVector(np.zeros(3), np.array([math.sin(alpha0), 0.0, cos_a]))
+        cone = hc.cone_membership(hc.HEISENBERG, X)
+        assert cone == ("biharmonic_direction" if admissible else "geodesic_only")
+        if admissible:
+            hc.HelixParams(alpha0=alpha0)
+            hc.solve_branch_A(alpha0)
+        else:
+            with pytest.raises(hc.InadmissibleAlpha):
+                hc.HelixParams(alpha0=alpha0)
+            with pytest.raises(hc.InadmissibleAlpha):
+                hc.solve_branch_A(alpha0)
+
     def test_quadratic_residual_on_grid(self):
         for alpha0 in admissible_alpha_grid(50):
             for branch in ("plus", "minus"):
@@ -214,7 +236,7 @@ class TestGeodesics:
         spec = hc.geodesic_ivp(H, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 30.0))
         samples = hc.sample_curve(spec, 2001)
         t1 = hc.tension1(samples)
-        assert np.linalg.norm(t1, axis=1)[samples.interior(4, 1)].max() < 1e-6
+        assert np.linalg.norm(t1, axis=1)[samples.interior(1)].max() < 1e-6
 
     def test_general_member_geodesic(self):
         par = hc.ManifoldParams(0.25, 1.0)
@@ -223,7 +245,7 @@ class TestGeodesics:
         drift = np.abs(np.linalg.norm(samples.velocity_frame, axis=1) - 1.0).max()
         assert drift < 1e-9
         t1 = hc.tension1(samples)
-        assert np.linalg.norm(t1, axis=1)[samples.interior(4, 1)].max() < 1e-6
+        assert np.linalg.norm(t1, axis=1)[samples.interior(1)].max() < 1e-6
 
     def test_negative_m_stays_in_chart(self):
         par = hc.ManifoldParams(-0.5, 1.0)
@@ -371,7 +393,7 @@ class TestClosedFormGeodesics:
         grids = [np.linspace(0.0, length, 1001) for length in lengths]
         s_all = np.unique(np.concatenate(grids))
         ref = ode_geodesic(par, self.ORBIT_P0, v0, (0.0, lengths[-1]))
-        ref_points, ref_vel = ref.sampler(s_all, None)
+        ref_points, ref_vel = ref.sampler(s_all)
         for length, grid in zip(lengths, grids):
             spec = hc.geodesic_ivp(par, self.ORBIT_P0, v0, (0.0, length))
             assert spec.kind == "closed_form"
@@ -575,7 +597,7 @@ class TestSubgroups:
         d = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
         samples = hc.sample_curve(hc.one_param_subgroup(d), 1001)
         t1 = hc.tension1(samples)
-        assert np.linalg.norm(t1, axis=1)[samples.interior(4, 1)].max() < 1e-12
+        assert np.linalg.norm(t1, axis=1)[samples.interior(1)].max() < 1e-12
 
     def test_tilted_subgroup_relation(self):
         d = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
