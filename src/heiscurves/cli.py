@@ -35,6 +35,7 @@ from .manifold import FrameVector, ManifoldParams
 from .numerics import NumericsConfig
 
 _NUMERIC_TOL = 1e-8  # closed-form vs finite-difference agreement in `tensors`
+_WRITE_CHARS = 1 << 20  # characters of a long output text encoded and written at once
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +227,13 @@ def _write_surface_csv(path, patch, u_vals, v_vals) -> None:
     crv._write_table(path, ("u", "v", "x", "y", "z"), (u.ravel(), v.ravel(), x, y, z))
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` in slices, so that no encoded copy of all of it is made."""
+    with open(path, "w") as fh:
+        for start in range(0, len(text), _WRITE_CHARS):
+            fh.write(text[start:start + _WRITE_CHARS])
+
+
 def cmd_generate(args, file_cfg: dict) -> int:
     config = _resolve_numerics(file_cfg, args)
     alpha0 = _alpha0_from_args(args)
@@ -239,16 +247,13 @@ def cmd_generate(args, file_cfg: dict) -> int:
     result = analysis.classify_curve(report.frenet, config)
 
     out = args.out
-    crv.write_samples_csv(f"{out}.csv", samples, include_velocity=args.with_velocity)
-    with open(f"{out}.frenet.json", "w") as fh:
-        fh.write(crv.frenet_to_json(report.frenet))
-    with open(f"{out}.report.json", "w") as fh:
-        fh.write(report.to_json())
-    with open(f"{out}.classification.json", "w") as fh:
-        fh.write(result.to_json())
-    with open(f"{out}.params.json", "w") as fh:
-        fh.write(factory.dump_curve_params(spec, args.samples))
-    analysis.residuals_to_csv(f"{out}.residuals.csv", report)
+    with crv._shared_text():  # s, the points and T are formatted once for three files
+        crv.write_samples_csv(f"{out}.csv", samples, include_velocity=args.with_velocity)
+        _write_text(f"{out}.frenet.json", crv.frenet_to_json(report.frenet))
+        analysis.residuals_to_csv(f"{out}.residuals.csv", report)
+    _write_text(f"{out}.report.json", report.to_json())
+    _write_text(f"{out}.classification.json", result.to_json())
+    _write_text(f"{out}.params.json", factory.dump_curve_params(spec, args.samples))
 
     written = [
         f"{out}.csv",

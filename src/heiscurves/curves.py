@@ -27,11 +27,15 @@ from __future__ import annotations
 
 import json
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Callable, NoReturn, Optional
 
 import numpy as np
 
+from . import __version__
 from . import manifold as mf
 from .errors import (
     BasePointMismatch,
@@ -150,8 +154,8 @@ def _validate_unit_speed(
     region = norms[check] if check is not None else norms
     offset = check.start if (check is not None and check.start) else 0
     dev = np.abs(region - 1.0)
-    worst = int(np.argmax(dev))
-    if dev[worst] > config.unit_speed_tol:
+    worst = int(np.argmax(dev))  # the first NaN, if there is one
+    if not dev[worst] <= config.unit_speed_tol:
         raise NonUnitSpeed(
             f"|velocity| deviates from 1 by {dev[worst]:.3e} at sample "
             f"{worst + offset} (tolerance {config.unit_speed_tol:.1e})"
@@ -272,7 +276,8 @@ class FrenetSeries:
 
     Where the geodesic curvature k falls to the floor the normal direction
     is numerically meaningless; there N, B and tau are NaN and ``defined``
-    is False rather than reporting zeros.
+    is False rather than reporting zeros.  ``s``, ``T`` and ``points`` are
+    the sampled curve's own arrays, not copies.
     """
 
     manifold: ManifoldParams
@@ -334,14 +339,14 @@ def frenet_apparatus(
     return FrenetSeries(
         manifold=samples.manifold,
         s=samples.s,
-        T=np.array(T, copy=True),
+        T=T,
         t1=t1,
         k=k,
         N=N,
         B=B,
         tau=tau,
         defined=defined,
-        points=np.array(samples.points, copy=True),
+        points=samples.points,
         velocity_depth=samples.velocity_depth,
     )
 
@@ -443,15 +448,52 @@ def make_sampled_spec(
     )
 
 
+_SHARED_TEXT: ContextVar[dict | None] = ContextVar("heiscurves_shared_text", default=None)
+
+
+@contextmanager
+def _shared_text():
+    """Inside the block ``_text`` formats each array once and hands the same
+    text to every later writer of that array (``generate`` writes s, the
+    points and the velocities into three files).  The arrays must not change
+    inside the block."""
+    token = _SHARED_TEXT.set({})
+    try:
+        yield
+    finally:
+        _SHARED_TEXT.reset(token)
+
+
+def _text(a) -> str:
+    """The ``%.17g`` text of each entry of the 1-D array ``a`` (a lossless
+    round trip), comma-separated: the one float-to-text route of every
+    per-sample file.  Inside ``_shared_text`` the text is keyed by the memory
+    ``a`` views, and the entry holds ``a`` so that memory is not reused."""
+    a = np.asarray(a, dtype=float)
+    memo = _SHARED_TEXT.get()
+    key = (a.__array_interface__["data"][0], a.shape, a.strides)
+    if memo is not None and key in memo:
+        return memo[key][1]
+    text = ("%.17g," * len(a) % tuple(a.tolist()))[:-1]
+    if memo is not None:
+        memo[key] = (a, text)
+    return text
+
+
+_ROWS_PER_WRITE = 8192  # rows joined into one write, which bounds the text held at once
+
+
 def _write_table(path, header, columns) -> None:
     """Write ``header`` and one row per sample of the 1-D ``columns``, each
-    field ``%.17g`` (a lossless round trip), each line ended by ``\\r\\n``;
-    a ``None`` column leaves its field empty."""
-    data = np.column_stack([c for c in columns if c is not None])
-    row = ",".join("" if c is None else "%.17g" for c in columns) + "\r\n"
+    field ``_text``, each line ended by ``\\r\\n``; a ``None`` column leaves
+    its field empty."""
+    n = len(next(c for c in columns if c is not None))
+    texts = [repeat("", n) if c is None else _text(c).split(",") for c in columns]
+    rows = map(",".join, zip(*texts)) if n else iter(())  # "".split(",") is [""], one field
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.write((row * len(data)) % tuple(data.ravel().tolist()))
+        while block := list(islice(rows, _ROWS_PER_WRITE)):
+            fh.write("\r\n".join(block) + "\r\n")
 
 
 def write_samples_csv(path, samples: CurveSamples, include_velocity: bool = False) -> None:
@@ -514,21 +556,83 @@ def read_samples_csv(path, manifold: ManifoldParams) -> CurveSpec:
     return make_sampled_spec(manifold, data[:, 0], data[:, 1:4], vel)
 
 
+def _json_numbers(a) -> str:
+    """``_text(a)`` as the items of a JSON list: null where an entry is not
+    finite, and ``-0.0`` for negative zero (its text ``-0`` would read back
+    as the integer 0)."""
+    text = _text(a)
+    nulls = np.flatnonzero(~np.isfinite(a)).tolist()
+    negative_zeros = np.flatnonzero((a == 0.0) & np.signbit(a)).tolist()
+    if nulls or negative_zeros:
+        fields = text.split(",")
+        for i in nulls:
+            fields[i] = "null"
+        for i in negative_zeros:
+            fields[i] = "-0.0"
+        text = ",".join(fields)
+    return text
+
+
+def _json_list_parts(a: np.ndarray) -> list[str]:
+    """The JSON text of a per-sample series as parts to join: a list of
+    booleans or numbers, or for an (n, 3) series its three component lists.
+    The number text is not copied until the final join."""
+    if a.dtype == bool:
+        return [json.dumps(a.tolist(), separators=(",", ":"))]
+    if a.ndim == 2:
+        parts = ["["]
+        for component in a.T:
+            parts += [*_json_list_parts(component), ","]
+        parts[-1] = "]"
+        return parts
+    return ["[", _json_numbers(a), "]"]
+
+
+_FRENET_DEPTH = 2  # derivative passes behind tau: nabla_T T, then nabla_T N
+
+
 def frenet_to_json(frenet: FrenetSeries) -> str:
-    """Serialize a Frenet series to compact JSON records (NaN encoded as null)."""
+    """Serialize a Frenet series to one line of columnar JSON.
 
-    def nullable(a):
-        return np.where(np.isfinite(a), a, None).tolist()
-
-    keys = ("s", "point", "T", "k", "N", "B", "tau", "defined")
-    series = (
-        frenet.s.tolist(), frenet.points.tolist(), frenet.T.tolist(), nullable(frenet.k),
-        nullable(frenet.N), nullable(frenet.B), nullable(frenet.tau), frenet.defined.tolist(),
-    )
-    payload = {
-        "manifold": {"m": frenet.manifold.m, "l": frenet.manifold.l},
-        "n": frenet.n,
-        "stencil_order": STENCIL_ORDER,
-        "records": [dict(zip(keys, row)) for row in zip(*series)],
+    ``columns`` holds one list per scalar series and three component lists
+    per vector series (``point``, ``T``, ``N``, ``B``), written as the same
+    ``%.17g`` text as the CSVs, with null where N, B and tau are undefined.
+    ``provenance`` records what produced the series.
+    """
+    columns = {  # in sorted order, as the rest of the payload
+        "B": frenet.B,
+        "N": frenet.N,
+        "T": frenet.T,
+        "defined": frenet.defined,
+        "k": frenet.k,
+        "point": frenet.points,
+        "s": frenet.s,
+        "tau": frenet.tau,
     }
-    return json.dumps(payload, sort_keys=True)
+    try:
+        interior = frenet.interior(_FRENET_DEPTH)
+        interior = [interior.start, interior.stop]
+    except TooFewSamples:
+        interior = None
+    manifold = {"m": frenet.manifold.m, "l": frenet.manifold.l}
+    rest = {
+        "manifold": manifold,
+        "n": frenet.n,
+        "provenance": {
+            "version": __version__,
+            "manifold": manifold,
+            "n": frenet.n,
+            "ds": frenet.ds,
+            "velocity_depth": frenet.velocity_depth,
+            "stencil_order": STENCIL_ORDER,
+            "interior": interior,
+        },
+        "stencil_order": STENCIL_ORDER,
+    }
+    # "columns" sorts before every other key, so it leads the object
+    parts = ['{"columns":{']
+    for name, series in columns.items():
+        parts += [f'"{name}":', *_json_list_parts(series), ","]
+    parts[-1] = "},"
+    parts.append(json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:])
+    return "".join(parts)

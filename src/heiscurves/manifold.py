@@ -42,6 +42,7 @@ match the usual tensor-component notation R_1212, rho_33, ...
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,12 @@ class ManifoldParams:
 
     m: float = 0.0
     l: float = 1.0
+
+    def __post_init__(self):
+        for name in ("m", "l"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"manifold {name} must be finite, got {value!r}")
 
     @classmethod
     def heisenberg(cls) -> "ManifoldParams":

@@ -50,6 +50,21 @@ class TestTensors:
         assert np.abs(np.array(a["connection"]) - np.array(b["connection"])).max() < 1e-15
         assert np.abs(np.array(a["riemann"]) - np.array(b["riemann"])).max() < 1e-15
 
+    @pytest.mark.parametrize("flag,value", [("--m", "nan"), ("--l", "inf"), ("--m", "-inf")])
+    def test_nonfinite_manifold_flag_exit_two(self, capsys, flag, value):
+        # NaN tables would fail the cross-check and exit 1, as a verdict would
+        code, out, err = run(capsys, "tensors", f"{flag}={value}")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "must be finite" in err
+
+    @pytest.mark.parametrize("manifold", [{"m": "nan"}, {"l": "-inf"}, {"m": "1e999"}])
+    def test_nonfinite_manifold_config_exit_two(self, capsys, tmp_path, manifold):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"manifold": manifold}))
+        code, out, err = run(capsys, "--config", str(cfg), "tensors")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "must be finite" in err
+
 
 class TestGenerateVerify:
     def _generate(self, capsys, tmp_path, *extra):
@@ -160,6 +175,30 @@ class TestGenerateVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2
         assert "row" in err
+
+    def test_verify_nan_velocity_input_error(self, capsys, tmp_path):
+        spec = hc.biharmonic_helix(hc.HelixParams(alpha0=FIGURE1_ALPHA0), (0.0, 2 * math.pi))
+        samples = hc.sample_curve(spec, 401)
+        samples.velocity_frame = samples.velocity_frame.copy()
+        samples.velocity_frame[250] = np.nan
+        path = tmp_path / "nan.csv"
+        hc.write_samples_csv(path, samples, include_velocity=True)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("input error:") and "sample 250" in err
+
+    def test_generate_shares_text_across_files(self, capsys, tmp_path):
+        # each file generate writes equals what its writer gives on its own
+        _, _, out = self._generate(capsys, tmp_path, "--with-velocity")
+        hp = hc.HelixParams(alpha0=math.asin(1.0 / math.sqrt(10.0)), a=1.0, b=1.0, c=1.0)
+        samples = hc.sample_curve(hc.biharmonic_helix(hp, (0.0, 2.0 * math.pi)), 501)
+        report = hc.bitension_report(samples)
+        alone = tmp_path / "alone"
+        hc.write_samples_csv(f"{alone}.csv", samples, include_velocity=True)
+        hc.residuals_to_csv(f"{alone}.residuals.csv", report)
+        for suffix in (".csv", ".residuals.csv"):
+            assert Path(f"{out}{suffix}").read_bytes() == Path(f"{alone}{suffix}").read_bytes()
+        assert Path(f"{out}.frenet.json").read_text() == hc.frenet_to_json(report.frenet)
 
     def test_verify_malformed_file_input_error(self, capsys, tmp_path):
         path = tmp_path / "short.csv"
@@ -272,6 +311,67 @@ class TestOneAnalysisPerCurve:
         code, _, _ = run(capsys, "verify", str(path))
         assert code == 0
         assert calls == {"covariant_derivative_along": 4, "frenet_apparatus": 1}
+
+
+class TestWritersPerGenerate:
+    """``generate`` writes each per-sample file through its public writer,
+    once, so the writers' call counts and bytes describe the files."""
+
+    WRITERS = (
+        (curves, "write_samples_csv"), (curves, "frenet_to_json"), (analysis, "residuals_to_csv"),
+    )
+
+    def test_generate(self, capsys, monkeypatch, tmp_path):
+        counts = {name: 0 for _, name in self.WRITERS}
+        for owner, name in self.WRITERS:
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (hc, analysis, cli, curves, factory, manifold, numerics):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        code, _, _ = run(
+            capsys,
+            "generate",
+            "--sin-alpha0", repr(1.0 / math.sqrt(10.0)),
+            "--samples", "501",
+            "--s1", repr(2.0 * math.pi),
+            "--surfaces", "--with-velocity",
+            "--out", str(tmp_path / "curve"),
+        )
+        assert code == 0
+        assert counts == {"write_samples_csv": 1, "frenet_to_json": 1, "residuals_to_csv": 1}
+
+    def test_generate_formats_each_column_once(self, capsys, monkeypatch, tmp_path):
+        # the three files hold 7 + 15 + 5 float columns; s, the points and
+        # the velocities are shared, so 19 are formatted
+        memos = []
+        text = curves._text
+
+        def spied(a):
+            result = text(a)
+            memos.append(curves._SHARED_TEXT.get())
+            return result
+
+        monkeypatch.setattr(curves, "_text", spied)
+        code, _, _ = run(
+            capsys,
+            "generate",
+            "--sin-alpha0", repr(1.0 / math.sqrt(10.0)),
+            "--samples", "501",
+            "--s1", repr(2.0 * math.pi),
+            "--with-velocity",
+            "--out", str(tmp_path / "curve"),
+        )
+        assert code == 0
+        assert len(memos) == 27
+        assert memos[0] is not None and all(memo is memos[0] for memo in memos)
+        assert len(memos[0]) == 19
+        assert curves._SHARED_TEXT.get() is None
 
 
 class TestGeodesicCommand:
@@ -412,6 +512,8 @@ class TestConfigFile:
             {"manifold": {"m": None}},
             {"manifold": {"l": False}},
             {"manifold": {"l": 10**400}},
+            {"manifold": {"m": "nan"}},
+            {"manifold": {"l": "inf"}},
         ],
     )
     def test_bad_value_exit_two(self, capsys, tmp_path, payload):

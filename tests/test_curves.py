@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import heiscurves as hc
-from heiscurves import manifold as mf
+from heiscurves import curves, manifold as mf
 from heiscurves.curves import _check_uniform_s
 from heiscurves.numerics import derivative_on_grid, interior_slice, stencil_weights
 
@@ -148,6 +148,17 @@ class TestSampleCurve:
         spec = hc.make_sampled_spec(H, s, pts)
         with pytest.raises(hc.NonUnitSpeed):
             hc.sample_curve(spec)
+
+    def test_nan_velocity_rejected(self, tmp_path, figure1_hp):
+        # NaN compares false against any tolerance; it must not pass as unit speed
+        spec = hc.biharmonic_helix(figure1_hp, (0.0, 2.0 * math.pi))
+        samples = hc.sample_curve(spec, 401)
+        samples.velocity_frame = samples.velocity_frame.copy()
+        samples.velocity_frame[137, 1] = np.nan
+        path = tmp_path / "nan.csv"
+        hc.write_samples_csv(path, samples, include_velocity=True)
+        with pytest.raises(hc.NonUnitSpeed, match="sample 137"):
+            hc.sample_curve(hc.read_samples_csv(path, H))
 
 
 class TestCovariantDerivative:
@@ -421,9 +432,10 @@ class TestInterchange:
         payload = json.loads(hc.frenet_to_json(fr))
         assert payload["n"] == figure1_samples.n
         assert payload["manifold"] == {"m": 0.0, "l": 1.0}
-        rec = payload["records"][len(payload["records"]) // 2]
-        assert rec["defined"] is True
-        assert rec["k"] == pytest.approx(FIGURE1_K, abs=1e-6)
+        columns = payload["columns"]
+        mid = fr.n // 2
+        assert columns["defined"][mid] is True
+        assert columns["k"][mid] == pytest.approx(FIGURE1_K, abs=1e-6)
 
     def test_frenet_json_geodesic_nulls(self):
         spec = hc.one_param_subgroup(np.array([0.0, 0.0, 1.0]), (0.0, 2.0))
@@ -432,17 +444,150 @@ class TestInterchange:
 
         text = hc.frenet_to_json(fr)
         assert "\n" not in text
-        payload = json.loads(text)
-        rec = payload["records"][10]
-        assert rec["tau"] is None and rec["N"][0] is None
+        columns = json.loads(text)["columns"]
+        assert columns["tau"][10] is None and columns["N"][0][10] is None
         # k = |nabla_T T| is always a number; N, B and tau are null exactly
         # where the frame is undefined
-        assert len(payload["records"]) == fr.n
-        for rec, defined in zip(payload["records"], fr.defined):
-            assert rec["defined"] is bool(defined)
-            assert isinstance(rec["k"], float)
-            nulls = [rec["tau"] is None] + [c is None for c in rec["N"] + rec["B"]]
+        assert len(columns["defined"]) == fr.n
+        for i, defined in enumerate(fr.defined):
+            assert columns["defined"][i] is bool(defined)
+            k = columns["k"][i]
+            assert isinstance(k, (int, float)) and not isinstance(k, bool)
+            nulls = [columns["tau"][i] is None] + [
+                columns[key][c][i] is None for key in ("N", "B") for c in range(3)
+            ]
             assert nulls == [not defined] * 7
+
+    def test_frenet_json_columns_round_trip(self, figure1_samples):
+        import json
+
+        fr = hc.frenet_apparatus(figure1_samples)
+        columns = json.loads(hc.frenet_to_json(fr))["columns"]
+        assert set(columns) == {"s", "point", "T", "k", "N", "B", "tau", "defined"}
+        for key, series in (("point", fr.points), ("T", fr.T), ("N", fr.N), ("B", fr.B)):
+            assert _bits(np.array(columns[key], float).T) == _bits(series), key
+        for key, series in (("s", fr.s), ("k", fr.k), ("tau", fr.tau)):
+            assert _bits(np.array(columns[key], float)) == _bits(series), key
+        assert np.array_equal(np.array(columns["defined"]), fr.defined)
+        # integral values are written as the CSVs write them: s = 0 reads back as 0
+        assert columns["s"][0] == 0 and isinstance(columns["s"][0], int)
+
+    def test_frenet_json_special_values(self):
+        import json
+
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, 2.0, 0.1])
+        n = len(special)
+        vec = np.stack([special, special[::-1], np.arange(n) - 4.0], axis=-1)
+        fr = hc.FrenetSeries(
+            manifold=H, s=np.arange(n) / 8.0, T=vec, t1=vec, k=special, N=vec, B=vec,
+            tau=special, defined=np.isfinite(special), points=vec,
+        )
+        columns = json.loads(hc.frenet_to_json(fr))["columns"]
+        expected = [None, None, None, -0.0, 0, 5e-324, 1e300, 2, 0.1]
+        assert columns["tau"] == expected and columns["k"] == expected
+        assert columns["N"][1] == expected[::-1]
+        # negative zero keeps its sign; the other finite values are bit-equal
+        back = np.array(columns["tau"], float)
+        assert np.signbit(back[3]) and not np.signbit(back[4])
+        finite = np.isfinite(special)
+        assert _bits(back[finite]) == _bits(special[finite])
+
+    def test_frenet_json_provenance(self, figure1_samples, tmp_path):
+        import json
+
+        fr = hc.frenet_apparatus(figure1_samples)
+        prov = json.loads(hc.frenet_to_json(fr))["provenance"]
+        interior = fr.interior(2)
+        assert prov == {
+            "version": hc.__version__,
+            "manifold": {"m": 0.0, "l": 1.0},
+            "n": fr.n,
+            "ds": fr.ds,
+            "velocity_depth": 0,
+            "stencil_order": 4,
+            "interior": [interior.start, interior.stop],
+        }
+        # positions read back carry one more derivative pass
+        path = tmp_path / "pos.csv"
+        hc.write_samples_csv(path, figure1_samples)
+        imported = hc.frenet_apparatus(hc.sample_curve(hc.read_samples_csv(path, H)))
+        prov = json.loads(hc.frenet_to_json(imported))["provenance"]
+        assert prov["velocity_depth"] == 1
+        assert prov["interior"] == [6, fr.n - 6]
+        # a series too short for an interior still serializes
+        short = hc.frenet_apparatus(hc.sample_curve(vertical_line_spec(), 9))
+        assert json.loads(hc.frenet_to_json(short))["provenance"]["interior"] == [4, 5]
+        assert json.loads(hc.frenet_to_json(dataclasses.replace(short, velocity_depth=1)))[
+            "provenance"]["interior"] is None
+
+
+def _bits(a: np.ndarray) -> bytes:
+    """The float64 bytes of ``a`` with every NaN made canonical."""
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+def _one_format_table(header, columns) -> bytes:
+    """The former CSV codec: the whole table in one ``%`` operation."""
+    data = np.column_stack([c for c in columns if c is not None])
+    row = ",".join("" if c is None else "%.17g" for c in columns) + "\r\n"
+    return (",".join(header) + "\r\n" + (row * len(data)) % tuple(data.ravel().tolist())).encode()
+
+
+class TestTextCodec:
+    SPECIAL = np.array([
+        np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072009e-308, -1e-310,
+        1e300, -1e300, 1.0, -3.0, 2.0**53, 123456789.0, 0.1, 1.0 / 3.0,
+    ])
+
+    def test_table_matches_one_format_operation(self, tmp_path):
+        rng = np.random.default_rng(7)
+        a = self.SPECIAL
+        b = rng.permutation(a)
+        c = rng.standard_normal(len(a)) * 10.0 ** rng.integers(-20, 20, len(a))
+        cases = [
+            (("a",), (a,)),
+            (("s", "a", "b", "c"), (np.arange(len(a)) / 4.0, a, b, c)),
+            (("s", "gap", "a", "gap2", "c"), (a, None, b, None, c)),
+            (("s", "a"), (np.arange(len(a)), a)),  # an integer column
+            (("s", "a"), (np.zeros(0), np.zeros(0))),
+        ]
+        for header, columns in cases:
+            path = tmp_path / "t.csv"
+            curves._write_table(path, header, columns)
+            assert path.read_bytes() == _one_format_table(header, columns), header
+
+    def test_text_is_percent_17g(self):
+        a = self.SPECIAL
+        assert curves._text(a) == ",".join("%.17g" % v for v in a)
+        assert curves._text(a[::3]) == ",".join("%.17g" % v for v in a[::3])
+        assert curves._text(np.zeros(0)) == ""
+
+    def test_shared_text_formats_each_array_once(self, figure1_samples):
+        pts = figure1_samples.points
+        assert curves._SHARED_TEXT.get() is None
+        with curves._shared_text():
+            first = curves._text(pts.T[0])
+            # a new view of the same memory gets the same text object
+            assert curves._text(pts.T[0]) is first
+            assert curves._text(pts[:, 0]) is first
+            assert curves._text(pts.T[1]) is not first
+            assert curves._text(np.array(pts.T[0])) is not first
+            # the same start address with another shape or stride is other data
+            assert curves._text(pts[::2, 0]) == ",".join("%.17g" % v for v in pts[::2, 0])
+            assert curves._text(pts[:7, 0]) == ",".join("%.17g" % v for v in pts[:7, 0])
+            # a freed temporary's memory is not reused while its text is kept
+            for k in range(20):
+                assert curves._text(np.full(4, float(k))) == ",".join([str(k)] * 4)
+        assert curves._SHARED_TEXT.get() is None
+        assert curves._text(pts.T[0]) is not curves._text(pts.T[0])
+
+    def test_frenet_series_shares_the_sampled_arrays(self, figure1_samples):
+        fr = hc.frenet_apparatus(figure1_samples)
+        assert fr.T is figure1_samples.velocity_frame
+        assert fr.points is figure1_samples.points
+        assert fr.s is figure1_samples.s
 
 
 TOLERANCES = (

@@ -45,6 +45,11 @@ class TestManifoldParams:
     def test_degenerate_flag_exact(self, m, l, degenerate):
         assert mf.ManifoldParams(m, l).is_degenerate is degenerate
 
+    @pytest.mark.parametrize("m,l", [(math.nan, 1.0), (0.0, math.nan), (math.inf, 1.0), (0.0, -math.inf)])
+    def test_nonfinite_rejected(self, m, l):
+        with pytest.raises(ValueError, match="must be finite"):
+            mf.ManifoldParams(m, l)
+
 
 class TestMetric:
     def test_identity_at_origin(self):
