@@ -84,15 +84,15 @@ def tension2_direct(samples: CurveSamples) -> np.ndarray:
 
 
 def _tension2(samples: CurveSamples, t1: np.ndarray) -> np.ndarray:
-    """tau2 from t1 = nabla_T T: two more covariant passes and the curvature
-    term.  The curvature table is the same at every point, so one (3, 3, 3, 3)
-    table serves all samples; the chart check still covers the whole curve."""
+    """tau2 from t1 = nabla_T T: two more covariant passes (nabla_T^2 T is
+    dropped as soon as nabla_T^3 T exists) and the closed-form curvature
+    term, which does not depend on the point; the chart check still covers
+    the whole curve."""
     T = samples.velocity_frame
-    t2 = covariant_derivative_along(samples, t1)
-    t3 = covariant_derivative_along(samples, t2)
+    t3 = covariant_derivative_along(samples, covariant_derivative_along(samples, t1))
     mf.conformal_factor(samples.manifold, samples.points)
-    table = mf.curvature_table(samples.manifold, samples.points[0])
-    return t3 + mf.curvature_term(table, T, t1, T)
+    t3 += mf.curvature_term(samples.manifold, T, t1, T)
+    return t3
 
 
 def tension2_frame(frenet: FrenetSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,10 +170,11 @@ def bitension_report(
     agreement = None
     if frenet.defined.all():
         cT, cN, cB = tension2_frame(frenet)
-        recon = (
-            cT[:, None] * frenet.T + cN[:, None] * frenet.N + cB[:, None] * frenet.B
-        )
-        agreement = float(np.abs(t2 - recon)[interior].max())
+        gap = cT[interior, None] * frenet.T[interior]  # t2 minus the expansion, in place
+        gap += cN[interior, None] * frenet.N[interior]
+        gap += cB[interior, None] * frenet.B[interior]
+        np.subtract(t2[interior], gap, out=gap)
+        agreement = float(np.abs(gap, out=gap).max())
 
     return BitensionReport(
         manifold=samples.manifold,

@@ -26,11 +26,12 @@ measured torsion does not depend on the orientation choice for N.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Callable, NoReturn, Optional
 
 import numpy as np
@@ -40,6 +41,7 @@ from . import manifold as mf
 from .errors import (
     BasePointMismatch,
     MalformedSampleFile,
+    NonFiniteVelocity,
     NonMonotone,
     NonUnitSpeed,
     TooFewSamples,
@@ -163,6 +165,9 @@ def _validate_unit_speed(
 
 
 def _check_uniform_s(s: np.ndarray) -> float:
+    finite = np.isfinite(s)
+    if not finite.all():  # NaN would pass both comparisons below
+        raise NonMonotone(f"arclength not finite at row {int(np.argmin(finite))}")
     steps = np.diff(s)
     if np.any(steps <= 0.0):
         bad = int(np.argmax(steps <= 0.0))
@@ -260,7 +265,8 @@ def covariant_derivative_along(samples: CurveSamples, field: np.ndarray) -> np.n
     if V.shape != samples.points.shape:
         raise ValueError("field must provide frame components at every sample")
     dV = derivative_on_grid(V, samples.ds)
-    return dV + mf.connection_term(samples.manifold, samples.points, samples.velocity_frame, V)
+    dV += mf.connection_term(samples.manifold, samples.points, samples.velocity_frame, V)
+    return dV
 
 
 def frame_cross(X: FrameVector, Y: FrameVector) -> FrameVector:
@@ -331,7 +337,7 @@ def frenet_apparatus(
     defined = k > config.k_floor
 
     N = np.full_like(T, np.nan)
-    N[defined] = t1[defined] / k[defined, None]
+    np.divide(t1, k[:, None], out=N, where=defined[:, None])
     B = np.cross(T, N)
     dN = covariant_derivative_along(samples, N) if defined.any() else np.full_like(T, np.nan)
     tau = -np.einsum("ni,ni->n", dN, B)
@@ -483,17 +489,29 @@ def _text(a) -> str:
 _ROWS_PER_WRITE = 8192  # rows joined into one write, which bounds the text held at once
 
 
+def _field_blocks(text: str):
+    """The fields of a comma-separated ASCII text, as lists of at most
+    ``_ROWS_PER_WRITE`` strings: only one block of a column is split at a
+    time.  The block ends are every ``_ROWS_PER_WRITE``-th comma, found on
+    the text's bytes."""
+    commas = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord(","))
+    ends = [-1, *commas[_ROWS_PER_WRITE - 1 :: _ROWS_PER_WRITE].tolist(), len(text)]
+    del commas  # n offsets, while the generator holds only the block ends
+    for start, stop in zip(ends, ends[1:]):
+        yield text[start + 1 : stop].split(",")
+
+
 def _write_table(path, header, columns) -> None:
     """Write ``header`` and one row per sample of the 1-D ``columns``, each
     field ``_text``, each line ended by ``\\r\\n``; a ``None`` column leaves
     its field empty."""
     n = len(next(c for c in columns if c is not None))
-    texts = [repeat("", n) if c is None else _text(c).split(",") for c in columns]
-    rows = map(",".join, zip(*texts)) if n else iter(())  # "".split(",") is [""], one field
+    blocks = [repeat(repeat("")) if c is None else _field_blocks(_text(c)) for c in columns]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        while block := list(islice(rows, _ROWS_PER_WRITE)):
-            fh.write("\r\n".join(block) + "\r\n")
+        if n:  # "".split(",") is [""], one field
+            for fields in zip(*blocks):
+                fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def write_samples_csv(path, samples: CurveSamples, include_velocity: bool = False) -> None:
@@ -512,20 +530,33 @@ def _loadtxt_float(text: str) -> float:
     return float(core)
 
 
-def _raise_bad_line(path, width: int, cause: str) -> NoReturn:
-    """Name the first data line with an unparseable number or other than
-    ``width`` fields; empty lines are skipped, as the reader skips them."""
+def _raise_bad_line(path, cols: list[str], cause: str) -> NoReturn:
+    """Name the first data line with an unparseable number, other than
+    ``len(cols)`` fields, or a ``nan`` or ``inf`` (with its sample and
+    column; ``NonFiniteVelocity`` in a velocity column).  Empty lines are
+    skipped, as the reader skips them."""
     with open(path) as fh:
+        sample = -1
         for lineno, line in enumerate(fh, start=1):
             fields = line.rstrip("\n").split(",")
             if lineno == 1 or fields == [""]:
                 continue
+            sample += 1
             try:
-                [_loadtxt_float(text) for text in fields]
+                values = [_loadtxt_float(text) for text in fields]
             except ValueError as exc:
                 raise MalformedSampleFile(f"unparseable number at line {lineno}: {exc}") from None
-            if len(fields) != width:
-                raise MalformedSampleFile(f"line {lineno} has {len(fields)} fields, header {width}")
+            if len(fields) != len(cols):
+                raise MalformedSampleFile(
+                    f"line {lineno} has {len(fields)} fields, header {len(cols)}"
+                )
+            for name, value in zip(cols, values):
+                if not math.isfinite(value):
+                    error = NonFiniteVelocity if name in ("vx", "vy", "vz") else MalformedSampleFile
+                    raise error(
+                        f"non-finite value {value!r} at line {lineno} (sample {sample}), "
+                        f"column {name}"
+                    )
     raise MalformedSampleFile(f"unreadable data rows: {cause}")
 
 
@@ -533,8 +564,9 @@ def read_samples_csv(path, manifold: ManifoldParams) -> CurveSpec:
     """Read a ``s,x,y,z[,vx,vy,vz]`` file back into a sampled CurveSpec.
 
     Skips empty lines.  Raises MalformedSampleFile for a bad header, fewer
-    than two data rows, or a row that is unparseable or not as wide as the
-    header (naming its line); NonMonotone for bad arclength columns.
+    than two data rows, or a row that is unparseable, not as wide as the
+    header or holds a ``nan`` or ``inf`` (naming its line); NonMonotone for
+    bad arclength columns.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -546,11 +578,13 @@ def read_samples_csv(path, manifold: ManifoldParams) -> CurveSpec:
                 warnings.simplefilter("ignore")  # an empty body is reported below
                 data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
         except ValueError as exc:
-            _raise_bad_line(path, len(cols), str(exc))
+            _raise_bad_line(path, cols, str(exc))
     if data.shape[0] < 2:
         raise MalformedSampleFile("need at least two data rows")
     if data.shape[1] != len(cols):
-        _raise_bad_line(path, len(cols), f"rows have {data.shape[1]} fields")
+        _raise_bad_line(path, cols, f"rows have {data.shape[1]} fields")
+    if not np.isfinite(data).all():
+        _raise_bad_line(path, cols, "non-finite values")
     _check_uniform_s(data[:, 0])
     vel = data[:, 4:7] if cols[4:7] == ["vx", "vy", "vz"] else None
     return make_sampled_spec(manifold, data[:, 0], data[:, 1:4], vel)

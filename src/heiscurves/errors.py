@@ -33,6 +33,11 @@ class MalformedSampleFile(HeiscurvesError):
     """Curve sample file with a bad header, row or number, or too few rows."""
 
 
+class NonFiniteVelocity(MalformedSampleFile, NonUnitSpeed):
+    """Curve sample file with a ``nan`` or ``inf`` velocity component: a
+    malformed file, and a velocity that cannot have unit length."""
+
+
 class TooFewSamples(HeiscurvesError):
     """Not enough samples for the requested finite-difference stencil depth."""
 

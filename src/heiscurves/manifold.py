@@ -17,12 +17,17 @@ dual to the coframe (dx / F, dy / F, dz + (l/2)(y dx - x dy) / F).
 
 Two routes are provided for the connection and the curvature:
 
-* closed-form tables (exact).  The connection follows from the Koszul
-  formula applied to the bracket relations [e1,e2] = -2my e1 + 2mx e2 + l e3,
+* closed forms (exact).  The connection follows from the Koszul formula
+  applied to the bracket relations [e1,e2] = -2my e1 + 2mx e2 + l e3,
   [e2,e3] = [e3,e1] = 0.  Every metric of the family is homogeneous, so in
   the adapted frame the curvature has the same components at every point,
   the Cartan-Vranceanu constants R_1212 = 4m - 3l^2/4 and
-  R_1313 = R_2323 = l^2/4 (all others follow by symmetry or vanish).
+  R_1313 = R_2323 = l^2/4 (all others follow by symmetry or vanish).  The
+  kernels the curve analysis runs per sample (``to_frame_components``,
+  ``connection_term``, ``curvature_term``) act on (n, 3) component arrays
+  directly; the tables they are written from (``coframe_at``,
+  ``connection_table``, ``curvature_table``) serve the ``tensors`` command
+  and are the kernels' oracles in the tests.
 * a numeric route that differentiates the metric with 5-point central
   finite differences and assembles coordinate Christoffel symbols; it is the
   independent cross-check of the tables (for the curvature, the only one)
@@ -291,9 +296,19 @@ def coframe_at(params: ManifoldParams, p) -> np.ndarray:
 
 
 def to_frame_components(params: ManifoldParams, p, v_coord) -> np.ndarray:
-    """Convert coordinate components of tangent vectors to frame components."""
-    theta = coframe_at(params, p)
-    return np.einsum("...ak,...k->...a", theta, np.asarray(v_coord, dtype=float))
+    """Convert coordinate components of tangent vectors to frame components:
+    the coframe contraction (v1 / F, v2 / F, v3 + (l/2)(y v1 - x v2) / F).
+
+    The points and the vectors broadcast over their leading shape.
+    """
+    q = as_point(p)
+    v = np.asarray(v_coord, dtype=float)
+    fac = conformal_factor(params, q)
+    out = np.empty(np.broadcast_shapes(q.shape, v.shape))
+    np.divide(v[..., 0], fac, out=out[..., 0])
+    np.divide(v[..., 1], fac, out=out[..., 1])
+    out[..., 2] = v[..., 2] + (0.5 * params.l) * (q[..., 1] * out[..., 0] - q[..., 0] * out[..., 1])
+    return out
 
 
 def to_coord_components(params: ManifoldParams, p, v_frame) -> np.ndarray:
@@ -397,16 +412,22 @@ def connection_term(params: ManifoldParams, p, X, V) -> np.ndarray:
 
         Gamma(X, V) = (l/2) X x V + (l X3 + 2m (x X2 - y X1)) (V2, -V1, 0).
 
-    X, V and the points broadcast over their leading shape.
+    X, V and the points broadcast over their leading shape.  The cross
+    product is written by components in ``np.cross``'s operation order, so
+    the result is the same to the last bit.
     """
     q = as_point(p)
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
     m, l = params.m, params.l
-    w = l * X[..., 2] + 2.0 * m * (q[..., 0] * X[..., 1] - q[..., 1] * X[..., 0])
-    out = (0.5 * l) * np.cross(X, V)
-    out[..., 0] += w * V[..., 1]
-    out[..., 1] -= w * V[..., 0]
+    hl = 0.5 * l
+    x1, x2, x3 = X[..., 0], X[..., 1], X[..., 2]
+    v1, v2, v3 = V[..., 0], V[..., 1], V[..., 2]
+    w = l * x3 + 2.0 * m * (q[..., 0] * x2 - q[..., 1] * x1)
+    out = np.empty(np.broadcast_shapes(q.shape, X.shape, V.shape))
+    out[..., 0] = hl * (x2 * v3 - x3 * v2) + w * v2
+    out[..., 1] = hl * (x3 * v1 - x1 * v3) - w * v1
+    out[..., 2] = hl * (x1 * v2 - x2 * v1)
     return out
 
 
@@ -443,13 +464,31 @@ def curvature_table(params: ManifoldParams, p) -> np.ndarray:
     return np.broadcast_to(R, fac.shape + R.shape)
 
 
-def curvature_term(table, X, Y, Z) -> np.ndarray:
-    """Frame components of R(X, Y) Z per row of the (n, 3) series X, Y, Z for
-    one constant (3, 3, 3, 3) ``curvature_table``, as one matrix product:
-    (X (x) Z) [(a, c), (b, d)] R[a, b, c, d], then the contraction with Y."""
-    XZ = np.einsum("na,nc->nac", X, Z).reshape(-1, 9)
-    RY = XZ @ table.transpose(0, 2, 1, 3).reshape(9, 9)
-    return np.einsum("nb,nbd->nd", Y, RY.reshape(-1, 3, 3))
+def curvature_term(params: ManifoldParams, X, Y, Z) -> np.ndarray:
+    """Frame components of R(X, Y) Z, written out from ``curvature_table``:
+
+        R(X, Y) Z = lam (<X, Z> Y - <Y, Z> X)
+                    - mu (<X_h, Z_h> Y_h - <Y_h, Z_h> X_h),
+
+    with lam = l^2/4, mu = l^2 - 4m and X_h the (e1, e2) part of X: the
+    constant-curvature form of K(e1, e3) = K(e2, e3) = lam, corrected on the
+    (e1, e2) plane to K(e1, e2) = lam - mu.  X, Y and Z broadcast over their
+    leading shape; the curvature does not depend on the point.
+    """
+    X, Y, Z = (np.asarray(a, dtype=float) for a in (X, Y, Z))
+    lam = 0.25 * params.l * params.l
+    mu = params.flatness
+    xz_h = X[..., 0] * Z[..., 0] + X[..., 1] * Z[..., 1]
+    yz_h = Y[..., 0] * Z[..., 0] + Y[..., 1] * Z[..., 1]
+    xz = xz_h + X[..., 2] * Z[..., 2]
+    yz = yz_h + Y[..., 2] * Z[..., 2]
+    out = np.empty(np.broadcast_shapes(X.shape, Y.shape, Z.shape))
+    out[..., 2] = lam * (xz * Y[..., 2] - yz * X[..., 2])
+    xz = lam * xz - mu * xz_h  # the coefficients of Y_h and X_h
+    yz = lam * yz - mu * yz_h
+    out[..., 0] = xz * Y[..., 0] - yz * X[..., 0]
+    out[..., 1] = xz * Y[..., 1] - yz * X[..., 1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,24 @@ class TestGenerateVerify:
         assert code == 2 and out == ""
         assert err.startswith("input error:") and "sample 250" in err
 
+    @pytest.mark.parametrize("column", ["s", "x"])
+    def test_verify_nonfinite_position_input_error(self, capsys, tmp_path, column):
+        # a nan x used to fail in the chart check without a line, and a nan s
+        # passed the spacing check and failed the unit-speed one at sample 7
+        spec = hc.biharmonic_helix(hc.HelixParams(alpha0=FIGURE1_ALPHA0), (0.0, 2 * math.pi))
+        samples = hc.sample_curve(spec, 401)
+        path = tmp_path / "nan.csv"
+        hc.write_samples_csv(path, samples)
+        lines = path.read_text().splitlines()
+        fields = lines[11].split(",")
+        fields["sx".index(column)] = "nan"
+        lines[11] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("input error:")
+        assert f"line 12 (sample 10), column {column}" in err
+
     def test_generate_shares_text_across_files(self, capsys, tmp_path):
         # each file generate writes equals what its writer gives on its own
         _, _, out = self._generate(capsys, tmp_path, "--with-velocity")

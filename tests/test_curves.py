@@ -418,6 +418,28 @@ class TestInterchange:
                 hc.read_samples_csv(path, H)
             assert "line 4" in str(err.value)
 
+    @pytest.mark.parametrize("column,value", [("s", "nan"), ("x", "nan"), ("z", "-inf"),
+                                              ("vy", "inf"), ("vz", "NaN")])
+    def test_csv_nonfinite_value_names_line_and_column(self, tmp_path, column, value):
+        cols = ["s", "x", "y", "z", "vx", "vy", "vz"]
+        rows = [[f"{0.1 * i:.17g}", "0", "0", "0", "1", "0", "0"] for i in range(6)]
+        rows[3][cols.index(column)] = value
+        path = tmp_path / "nonfinite.csv"
+        lines = [",".join(cols)] + [",".join(r) for r in rows]
+        path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")  # sample 3 is on line 6
+        with pytest.raises(hc.MalformedSampleFile) as err:
+            hc.read_samples_csv(path, H)
+        assert f"line 6 (sample 3), column {column}" in str(err.value)
+        # a bad velocity is also a velocity that cannot have unit length
+        assert isinstance(err.value, hc.NonUnitSpeed) is column.startswith("v")
+
+    def test_nonfinite_arclength_rejected_outside_the_reader(self):
+        s = np.linspace(0.0, 1.0, 11)
+        s[7] = np.nan
+        spec = hc.make_sampled_spec(H, s, np.zeros((11, 3)), np.tile([1.0, 0.0, 0.0], (11, 1)))
+        with pytest.raises(hc.NonMonotone, match="not finite at row 7"):
+            hc.sample_curve(spec)
+
     def test_csv_nonmonotone_reports_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         rows = ["s,x,y,z"] + [f"{s},{s},0,0" for s in (0.0, 0.1, 0.05, 0.3)]
@@ -557,6 +579,25 @@ class TestTextCodec:
             path = tmp_path / "t.csv"
             curves._write_table(path, header, columns)
             assert path.read_bytes() == _one_format_table(header, columns), header
+
+    @pytest.mark.parametrize("rows_per_write", [4, None])  # None: the package's own block size
+    def test_table_split_in_blocks_matches_one_format_operation(
+        self, tmp_path, monkeypatch, rows_per_write
+    ):
+        # each column's text is split one block of rows at a time; rows on
+        # either side of every block end must come out as in one operation
+        if rows_per_write is not None:
+            monkeypatch.setattr(curves, "_ROWS_PER_WRITE", rows_per_write)
+        block = curves._ROWS_PER_WRITE
+        rng = np.random.default_rng(8)
+        for n in sorted({1, block - 1, block, block + 1, 2 * block, 2 * block + 1}):
+            a = rng.permutation(np.resize(self.SPECIAL, n))
+            columns = (np.arange(n) / 8.0, a, None, rng.standard_normal(n))
+            path = tmp_path / "blocks.csv"
+            curves._write_table(path, ("s", "a", "gap", "b"), columns)
+            assert path.read_bytes() == _one_format_table(("s", "a", "gap", "b"), columns), n
+            sizes = [len(fields) for fields in curves._field_blocks(curves._text(a))]
+            assert sizes == [block] * (n // block) + [n % block] * (n % block > 0), n
 
     def test_text_is_percent_17g(self):
         a = self.SPECIAL

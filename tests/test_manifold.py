@@ -262,8 +262,83 @@ class TestClosedFormContractions:
         table = mf.curvature_table(par, points[0])
         for a, b, c in ((X, Y, Z), (X, Y, X)):  # general, and R(T, t1) T as in tau2
             expected = np.einsum("na,nb,nc,abcd->nd", a, b, c, table)
-            got = mf.curvature_term(table, a, b, c)
+            got = mf.curvature_term(par, a, b, c)
             assert got.shape == (200, 3)
+            assert np.abs(got - expected).max() <= 1e-14 * (1.0 + np.abs(expected).max())
+
+
+# The contraction members plus a constant-curvature one (l^2 = 4m, so mu = 0)
+KERNEL_MEMBERS = CONTRACTION_MEMBERS + [(0.25, 1.0)]
+# Leading shapes of (points, first vector, second vector): single points,
+# one point or one vector against a series, and a 2-D batch.
+BROADCAST_SHAPES = [((), (), ()), ((7,), (7,), (7,)), ((), (7,), (7,)), ((7,), (), (7,)),
+                    ((7,), (7,), ()), ((4, 5), (4, 5), (5,))]
+
+
+def _cross_form_connection(par, p, X, V):
+    """``connection_term`` as written before the component form: np.cross."""
+    q = np.asarray(p, dtype=float)
+    m, l = par.m, par.l
+    w = l * X[..., 2] + 2.0 * m * (q[..., 0] * X[..., 1] - q[..., 1] * X[..., 0])
+    out = (0.5 * l) * np.cross(X, V)
+    out[..., 0] += w * V[..., 1]
+    out[..., 1] -= w * V[..., 0]
+    return out
+
+
+class TestClosedFormKernels:
+    """The per-sample kernels against the tables (and, for the connection,
+    the former cross-product form) they are written from, on every member
+    and broadcast shape."""
+
+    @staticmethod
+    def _draw(par, seed, shapes):
+        rng = np.random.default_rng(seed)
+        p_shape, a_shape, b_shape = shapes
+        count = int(np.prod(p_shape, dtype=int))
+        points = np.stack([random_domain_point(rng, par.m) for _ in range(count)])
+        return (points.reshape(p_shape + (3,)), rng.standard_normal(a_shape + (3,)),
+                rng.standard_normal(b_shape + (3,)))
+
+    @pytest.mark.parametrize("shapes", BROADCAST_SHAPES)
+    @pytest.mark.parametrize("m,l", KERNEL_MEMBERS)
+    def test_frame_change_matches_coframe(self, m, l, shapes):
+        par = mf.ManifoldParams(m, l)
+        points, v, _ = self._draw(par, 41, shapes)
+        expected = np.einsum("...ak,...k->...a", mf.coframe_at(par, points), v)
+        got = mf.to_frame_components(par, points, v)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+        back = mf.to_coord_components(par, points, got)
+        assert np.abs(back - v).max() <= 1e-15 * np.abs(v).max()
+
+    def test_frame_change_checks_chart(self):
+        with pytest.raises(DomainError):
+            mf.to_frame_components(mf.ManifoldParams(-1.0, 1.0), [1.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("shapes", BROADCAST_SHAPES)
+    @pytest.mark.parametrize("m,l", KERNEL_MEMBERS)
+    def test_connection_term_equals_cross_form(self, m, l, shapes):
+        par = mf.ManifoldParams(m, l)
+        points, X, V = self._draw(par, 42, shapes)
+        got = mf.connection_term(par, points, X, V)
+        expected = _cross_form_connection(par, points, X, V)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)  # bit for bit
+        table = np.einsum("...i,...j,...ija->...a", X, V, mf.connection_table(par, points))
+        assert np.abs(got - table).max() <= 1e-13 * (1.0 + np.abs(table).max())
+
+    @pytest.mark.parametrize("shapes", BROADCAST_SHAPES)
+    @pytest.mark.parametrize("m,l", KERNEL_MEMBERS)
+    def test_curvature_term_broadcasts_like_table(self, m, l, shapes):
+        par = mf.ManifoldParams(m, l)
+        points, X, Y = self._draw(par, 43, shapes)
+        Z = np.random.default_rng(44).standard_normal(shapes[0] + (3,))
+        table = mf.curvature_table(par, points)
+        for a, b, c in ((X, Y, Z), (X, Y, X)):
+            expected = np.einsum("...a,...b,...c,...abcd->...d", a, b, c, table)
+            got = mf.curvature_term(par, a, b, c)
+            assert got.shape == expected.shape
             assert np.abs(got - expected).max() <= 1e-14 * (1.0 + np.abs(expected).max())
 
 
