@@ -25,6 +25,7 @@ measured torsion does not depend on the orientation choice for N.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -32,7 +33,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, NoReturn, Optional
+from typing import Callable, NamedTuple, NoReturn, Optional
 
 import numpy as np
 
@@ -338,7 +339,12 @@ def frenet_apparatus(
 
     N = np.full_like(T, np.nan)
     np.divide(t1, k[:, None], out=N, where=defined[:, None])
-    B = np.cross(T, N)
+    # B = T x N by components in np.cross's operation order (the same bits),
+    # without the copies np.cross makes of T and N
+    B = np.empty_like(T)
+    for i, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # B_i = T_a N_b - T_b N_a
+        np.multiply(T[:, a], N[:, b], out=B[:, i])
+        B[:, i] -= T[:, b] * N[:, a]
     dN = covariant_derivative_along(samples, N) if defined.any() else np.full_like(T, np.nan)
     tau = -np.einsum("ni,ni->n", dN, B)
 
@@ -480,13 +486,193 @@ def _text(a) -> str:
     key = (a.__array_interface__["data"][0], a.shape, a.strides)
     if memo is not None and key in memo:
         return memo[key][1]
-    text = ("%.17g," * len(a) % tuple(a.tolist()))[:-1]
+    text = _percent_17g(a)
     if memo is not None:
         memo[key] = (a, text)
     return text
 
 
 _ROWS_PER_WRITE = 8192  # rows joined into one write, which bounds the text held at once
+
+# ``%.17g`` in numpy.  Each entry of magnitude 1e-280 to 1e280 becomes D * 10**(X - 16),
+# D a 17-digit integer rounded from a double-double product; ±0, subnormals, larger
+# and smaller magnitudes, nan, inf and rounding near-ties go through ``%`` itself.
+# An entry's text is laid out in a row of 48 bytes:
+#
+#   0 sign | 1-5 "0.000" | 6-22 the 17 digits | 23 "." | 24-40 the 17 digits again |
+#   41 "e" | 42 exponent sign | 43-45 three exponent digits | 46 "," | 47 unused
+#
+# The integer part comes from the first copy of the digits and the fraction from the
+# second, so no digit moves to make room for the point.  A keep mask per (layout,
+# sign, significant digits) zeroes the bytes the text does not use, and deleting the
+# zero bytes leaves the text.
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_X_MAX = 282  # |X| on the fast route: 280, one step of correction and a carry
+_POW_MIN, _POW_MAX = 16 - _X_MAX, 16 + _X_MAX  # the 10**k that scale to 17 digits
+_NEAR_TIE = 1e-9  # far above the product's error (about 1e-14 at the 1e17 scale)
+_ROW_BYTES = 48
+_ROW = np.dtype({
+    "names": ["int_lead", "int_rest", "frac_lead", "frac_rest", "exponent"],
+    "formats": ["u1", "V16", "u1", "V16", "u4"],
+    "offsets": [6, 7, 24, 25, 42],
+    "itemsize": _ROW_BYTES,
+})
+_ROW_TEMPLATE = b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"e+000,\0"
+# Layouts: fixed notation for X = -4 .. 16, then scientific with two and three
+# exponent digits.
+_FIXED_LAYOUTS = 21
+_LAYOUTS = _FIXED_LAYOUTS + 2
+
+
+class _TextTables(NamedTuple):
+    pow_hi: np.ndarray       # 10**k rounded, k = _POW_MIN .. _POW_MAX
+    pow_hi_halves: np.ndarray  # (2, k): its Dekker halves
+    pow_lo: np.ndarray       # 10**k - pow_hi, rounded
+    digits4: np.ndarray      # uint32: the four ASCII digits of 0 .. 9999
+    zeros4: np.ndarray       # trailing zeros of those four digits
+    exponent: np.ndarray     # uint32: exponent sign and three digits, for X + _X_MAX
+    keep: np.ndarray         # (keys, 6) uint64 byte masks of a row
+
+
+@functools.cache
+def _text_tables() -> _TextTables:
+    """The kernel's tables, built on first use from exact integer arithmetic."""
+    hi, lo = [], []
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        rounded = num / den  # int / int rounds correctly
+        a, b = rounded.as_integer_ratio()
+        hi.append(rounded)
+        lo.append((num * b - a * den) / (den * b))
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+
+    d = np.arange(10000)
+    digits = (48 + d[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
+    zeros = np.where(d == 0, 4, (d % 10 == 0) * 1 + (d % 100 == 0) + (d % 1000 == 0))
+    x = np.arange(-_X_MAX, _X_MAX + 1)
+    e = np.abs(x)
+    exponent = np.column_stack(
+        [np.where(x < 0, ord("-"), ord("+")), 48 + e // 100, 48 + e // 10 % 10, 48 + e % 10]
+    ).astype(np.uint8)
+
+    # key = (layout * 2 + negative) * 18 + significant digits (1 .. 17)
+    layout, negative, nd = (v[..., None] for v in np.indices((_LAYOUTS, 2, 18)))
+    byte = np.arange(_ROW_BYTES)
+    fixed = layout < _FIXED_LAYOUTS
+    X = layout - 4
+    lead = np.where(fixed, np.maximum(X + 1, 0), 1)  # digits before the point
+    prefix = np.where(fixed & (X < 0), 1 - X, 0)  # "0." and the zeros after it
+    keep = (
+        ((byte == 0) & (negative == 1))
+        | ((1 <= byte) & (byte < 1 + prefix))
+        | ((6 <= byte) & (byte < 6 + lead))
+        | ((byte == 23) & (0 < lead) & (lead < nd))
+        | ((24 + lead <= byte) & (byte < 24 + nd))
+        | (~fixed & (41 <= byte) & (byte < 46) & ((byte != 43) | (layout == _LAYOUTS - 1)))
+        | (byte == 46)
+    )
+    return _TextTables(
+        pow_hi=hi,
+        pow_hi_halves=np.stack([hi_hi, hi - hi_hi]),
+        pow_lo=np.array(lo),
+        digits4=digits.view(np.uint32).ravel(),
+        zeros4=zeros,
+        exponent=exponent.view(np.uint32).ravel(),
+        keep=(keep * np.uint8(255)).reshape(-1, _ROW_BYTES).view(np.uint64),
+    )
+
+
+def _scaled(tables: _TextTables, x: np.ndarray, k: np.ndarray):
+    """x * 10**k as p + r, p the rounded product and r the rest, with an error
+    below 1e-14 for a product near 1e17.  TwoProduct with Dekker's split
+    makes x * pow_hi exact; x * pow_lo adds the rest of 10**k."""
+    i = k - _POW_MIN
+    p = x * np.take(tables.pow_hi, i)
+    c = _SPLIT * x
+    x_hi = c - (c - x)
+    x_lo = x - x_hi
+    h_hi, h_lo = np.take(tables.pow_hi_halves[0], i), np.take(tables.pow_hi_halves[1], i)
+    r = ((x_hi * h_hi - p) + x_hi * h_lo + x_lo * h_hi) + x_lo * h_lo
+    r += x * np.take(tables.pow_lo, i)
+    return p, r
+
+
+def _percent_17g_rows(a: np.ndarray, rows: np.ndarray) -> bytes:
+    """The ``%.17g`` text of each entry of ``a`` followed by a comma; ``rows``
+    is a writable ``_ROW`` array of at least ``len(a)`` rows."""
+    tables = _text_tables()
+    n = len(a)
+    ax = np.abs(a)
+    fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)
+    ax[~fast] = 1.0
+    # X = floor(log10 |a|), corrected where log10 rounds across a power of ten.  A
+    # product within its error of 1e16 or 1e17 may land on either side; both sides
+    # round to the same text.
+    X = np.floor(np.log10(ax)).astype(np.int64)
+    p, r = _scaled(tables, ax, 16 - X)
+    low = (p < 1e16) | ((p == 1e16) & (r < 0.0))
+    high = (p > 1e17) | ((p == 1e17) & (r >= 0.0))
+    fix = np.flatnonzero(low | high)
+    if len(fix):
+        X[fix] += high[fix].astype(np.int64) - low[fix]
+        p[fix], r[fix] = _scaled(tables, ax[fix], 16 - X[fix])
+    # D = round(p + r); p is an integer here, as every double >= 2**53 is
+    whole = np.floor(r)
+    r -= whole
+    D = p.astype(np.int64)
+    D += whole.astype(np.int64)
+    D += r > 0.5
+    fast &= (np.abs(r - 0.5) > _NEAR_TIE) & (D >= 10**16) & (D <= 10**17)
+    carry = D == 10**17
+    D[carry] = 10**16
+    X += carry
+
+    lead, rest = np.divmod(D, 10**16)
+    high8, low8 = np.divmod(rest, 10**8)
+    groups = np.empty((n, 4), dtype=np.int64)
+    np.divmod(high8, 10000, out=(groups[:, 0], groups[:, 1]))
+    np.divmod(low8, 10000, out=(groups[:, 2], groups[:, 3]))
+    nd = 17 - np.take(tables.zeros4, groups[:, 3])
+    for i in 2, 1, 0:  # after a group of four zeros, count on in the group before it
+        more = np.flatnonzero(nd == 17 - 4 * (3 - i))
+        if not len(more):
+            break
+        nd[more] -= np.take(tables.zeros4, groups[more, i])
+
+    layout = np.where(
+        (X < -4) | (X >= 17), _FIXED_LAYOUTS + (np.abs(X) >= 100), X + 4
+    )
+    key = (layout * 2 + np.signbit(a)) * 18 + nd
+    row = rows[:n]
+    digits = np.take(tables.digits4, groups).view("V16").ravel()
+    row["int_lead"] = row["frac_lead"] = lead + 48
+    row["int_rest"] = row["frac_rest"] = digits
+    row["exponent"] = np.take(tables.exponent, X + _X_MAX)
+    words = row.view(np.uint64).reshape(n, -1) & np.take(tables.keep, key, axis=0)
+
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = np.array(["%.17g," % v for v in a[slow].tolist()], dtype=f"S{_ROW_BYTES}")
+        words[slow] = text.view(np.uint64).reshape(len(slow), -1)
+    return words.tobytes().translate(None, b"\0")
+
+
+def _percent_17g(a: np.ndarray) -> str:
+    """``",".join("%.17g" % v for v in a)`` for a 1-D float64 array, computed
+    ``_ROWS_PER_WRITE`` entries at a time."""
+    if not len(a):
+        return ""
+    block = _ROWS_PER_WRITE
+    rows = np.frombuffer(_ROW_TEMPLATE * min(len(a), block), dtype=np.uint8).copy().view(_ROW)
+    parts = [
+        _percent_17g_rows(a[i : i + block], rows).decode("ascii")
+        for i in range(0, len(a), block)
+    ]
+    parts[-1] = parts[-1][:-1]
+    return "".join(parts)
 
 
 def _field_blocks(text: str):

@@ -287,6 +287,23 @@ def test_scipy_loaded_only_for_odes(tmp_path, figure1_samples):
     assert proc.stdout.strip() == "ok"
 
 
+def test_cli_import_loads_no_fractions_decimal_or_scipy():
+    """The text kernel's tables come from integer arithmetic on first use,
+    so importing the CLI pulls in neither exact-arithmetic module, nor scipy."""
+    src = str(Path(hc.__file__).resolve().parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    script = (
+        "import sys, heiscurves.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'fractions', 'decimal', 'scipy'}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestOneAnalysisPerCurve:
     """``generate`` and ``verify`` differentiate each series once: t1 and
     nabla_T N inside the single Frenet frame, then t2 and t3 for tau2."""

@@ -3,10 +3,14 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import heiscurves as hc
@@ -80,6 +84,17 @@ class TestStencils:
             lo = np.tensordot(stencil_weights(np.arange(5) - i), y[:5], axes=(0, 0)) / ds
             hi = np.tensordot(stencil_weights(np.arange(-4, 1) + i), y[-5:], axes=(0, 0)) / ds
             assert np.array_equal(out[i], lo) and np.array_equal(out[-1 - i], hi)
+
+    @pytest.mark.parametrize("shape", [(1001,), (1001, 3)])
+    def test_interior_stencil_is_the_one_expression_to_the_bit(self, shape):
+        # derivative_on_grid works in place; the bits are those of the
+        # expression it replaced
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        ds = 0.0123
+        expected = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * ds)
+        got = derivative_on_grid(y, ds)[2:-2]
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_interior_margin_is_two_per_pass(self):
         assert interior_slice(20, 3) == slice(6, 14)
@@ -237,6 +252,16 @@ class TestFrenet:
         frames = np.stack([fr.T[interior], fr.N[interior], fr.B[interior]], axis=1)
         gram = np.einsum("nai,nbi->nab", frames, frames)
         assert np.abs(gram - np.eye(3)).max() < 1e-6
+
+    def test_binormal_is_np_cross_to_the_bit(self, figure1_samples):
+        # T is the helix's but e3 on a middle stretch, where k = 0 and N is NaN
+        T = figure1_samples.velocity_frame.copy()
+        T[800:1200] = [0.0, 0.0, 1.0]
+        samples = dataclasses.replace(figure1_samples, velocity_frame=T)
+        fr = hc.frenet_apparatus(samples)
+        assert not fr.defined[900:1100].any() and fr.defined[:700].all()
+        expected = np.cross(fr.T, fr.N)
+        assert np.array_equal(fr.B.view(np.uint64), expected.view(np.uint64))
 
     def test_geodesic_frame_undefined(self):
         spec = hc.geodesic_ivp(H, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 10.0))
@@ -604,6 +629,67 @@ class TestTextCodec:
         assert curves._text(a) == ",".join("%.17g" % v for v in a)
         assert curves._text(a[::3]) == ",".join("%.17g" % v for v in a[::3])
         assert curves._text(np.zeros(0)) == ""
+
+    @staticmethod
+    def _oracle(a):
+        return ",".join("%.17g" % v for v in a)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(
+        allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    def test_text_property_any_float64(self, a):
+        assert curves._text(a) == self._oracle(a)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(hnp.arrays(np.uint64, st.integers(0, 40)))
+    def test_text_property_any_bit_pattern(self, bits):
+        a = bits.view(np.float64)
+        assert curves._text(a) == self._oracle(a)
+
+    def test_text_edges(self):
+        p10 = 10.0 ** np.arange(-300, 301)
+        p2 = np.ldexp(1.0, np.arange(-1074, 1024))
+        switch = np.array([1e-5, 1e-4, 1e16, 1e17])
+        # doubles below 10**k whose 17 digits round up to 10**k: a carry
+        carries = np.array([
+            v for k, v in zip(range(-300, 301), p10.tolist())
+            if Fraction(v) < Fraction(10) ** k and ("%.17g" % v)[0] == "1"
+        ])
+        assert len(carries) > 5
+        for a in (p10, p2, switch, carries, np.array([0.0, -0.0])):
+            for b in (a, np.nextafter(a, 0.0), np.nextafter(a, np.inf), -a):
+                assert curves._text(b) == self._oracle(b)
+
+    def test_text_of_views(self):
+        rng = np.random.default_rng(9)
+        pts = rng.standard_normal((1000, 3)) * 10.0 ** rng.integers(-20, 20, (1000, 3))
+        a = pts.ravel()
+        for view in (a[::-1], a[::3], pts[:, 1], pts.T[2][::-2]):
+            assert not view.flags.c_contiguous
+            assert curves._text(view) == self._oracle(view)
+
+    def test_text_across_block_ends(self):
+        rng = np.random.default_rng(10)
+        block = curves._ROWS_PER_WRITE
+        for n in (block - 1, block, block + 1):
+            a = np.resize(np.concatenate([self.SPECIAL, rng.standard_normal(50)]), n)
+            rng.shuffle(a)
+            assert curves._text(a) == self._oracle(a)
+
+    def test_rounding_ties_take_the_percent_route(self, monkeypatch):
+        # m / 2**k is m 5**k / 10**k: for odd m with m 5**k of 18 digits,
+        # %.17g rounds a tie (half to even), so these entries are left to %
+        rng = np.random.default_rng(11)
+        pairs = []
+        for k in range(2, 26):
+            lo, hi = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+            pairs += [(m | 1, k) for m in rng.integers(lo, hi, 8).tolist()]
+        assert all(len(str(m * 5**k)) == 18 for m, k in pairs)
+        ties = np.array([m / 2**k for m, k in pairs])
+        expected = self._oracle(ties)
+        assert curves._text(ties) == expected
+        monkeypatch.setattr(curves, "_NEAR_TIE", -1.0)  # no entry counts as a tie
+        assert curves._text(ties) != expected
 
     def test_shared_text_formats_each_array_once(self, figure1_samples):
         pts = figure1_samples.points

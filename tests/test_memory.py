@@ -1,4 +1,5 @@
-"""Peak memory of the verify pipeline on an imported position-only curve.
+"""Peak memory of the verify pipeline on an imported position-only curve,
+and of the arclength stencil it runs five times.
 
 ``sample_curve``, ``bitension_report`` and ``classify_curve`` hold a few
 (n, 3) series each; the kernels run on (n, 3) component arrays, so no stage
@@ -9,7 +10,10 @@ may build per-sample tensor stacks.  The peak is traced with ``tracemalloc``
 import math
 import tracemalloc
 
+import numpy as np
+
 import heiscurves as hc
+from heiscurves.numerics import derivative_on_grid
 
 N = 20001
 # Traced peak allowed per sample: 33 float64.  The closed-form kernels need
@@ -47,3 +51,10 @@ def test_verify_pipeline_peak_memory(tmp_path, figure1_hp):
     peak, result = _traced_peak(pipeline)
     assert result.verdict in hc.analysis.VERDICTS
     assert peak <= BYTES_PER_SAMPLE * N, f"{peak / N / 8:.1f} float64 per sample"
+
+
+def test_stencil_peak_memory():
+    # the interior stencil works in place in its output, with one temporary
+    y = np.random.default_rng(5).standard_normal((N, 3))
+    peak, out = _traced_peak(lambda: derivative_on_grid(y, 0.01))
+    assert peak <= 2.2 * out.nbytes, f"{peak / out.nbytes:.2f} outputs"
