@@ -248,7 +248,8 @@ def helix_invariants(hp: HelixParams) -> tuple[float, float, float]:
 
 def solve_ivp(*args, **kwargs):
     """scipy's ``solve_ivp``, imported on first use: only the ODE-backed
-    curves need scipy, so importing the package does not load it."""
+    curves need scipy (the optional ``ode`` extra), so importing the package
+    does not load it."""
     from scipy.integrate import solve_ivp as _solve_ivp
 
     return _solve_ivp(*args, **kwargs)
@@ -640,7 +641,7 @@ def tangent_driven_curve(
     """Integrate a curve from prescribed unit frame components of its tangent.
 
     Works on any member of the metric family; used to produce non-geodesic
-    test curves away from the Heisenberg parameters.
+    test curves away from the Heisenberg parameters.  Sampling needs scipy.
     """
     p0 = mf.as_point(p0)
 

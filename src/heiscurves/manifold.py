@@ -28,10 +28,11 @@ Two routes are provided for the connection and the curvature:
   directly; the tables they are written from (``coframe_at``,
   ``connection_table``, ``curvature_table``) serve the ``tensors`` command
   and are the kernels' oracles in the tests.
-* a numeric route that differentiates the metric with 5-point central
-  finite differences and assembles coordinate Christoffel symbols; it is the
-  independent cross-check of the tables (for the curvature, the only one)
-  and is accurate to ~1e-9.
+* a numeric route that follows the same Koszul formula from numbers only:
+  5-point central differences of the frame coefficients give the brackets,
+  the Koszul formula the connection, and differences of that table along
+  the frame the curvature.  It is the tables' independent cross-check in
+  the ``tensors`` command (connection to ~1e-11, curvature to ~1e-9).
 
 Sign convention.  The curvature operator is
 
@@ -67,14 +68,12 @@ __all__ = [
     "as_point",
     "conformal_factor",
     "metric_at",
-    "metric_derivatives",
     "frame_at",
     "coframe_at",
     "to_frame_components",
     "to_coord_components",
     "frame_to_coord",
     "coord_to_frame",
-    "christoffel_coord",
     "connection_table",
     "connection_term",
     "connection_table_numeric",
@@ -220,37 +219,6 @@ def metric_at(params: ManifoldParams, p) -> np.ndarray:
     return g
 
 
-def metric_derivatives(params: ManifoldParams, p) -> np.ndarray:
-    """Analytic partials dg[..., i, j, k] = d g_jk / d x^i (x^1..x^3 = x, y, z)."""
-    q = as_point(p)
-    m, l = params.m, params.l
-    x, y = q[..., 0], q[..., 1]
-    fac, u, v = _twist_coefficients(params, q)
-    one = np.ones_like(fac)
-    zero = np.zeros_like(fac)
-
-    dfac = np.stack([2.0 * m * x, 2.0 * m * y, zero], axis=-1)
-    # u = (l/2) y / F, v = -(l/2) x / F
-    du = np.stack(
-        [-l * m * x * y / fac**2, 0.5 * l * (fac - 2.0 * m * y * y) / fac**2, zero],
-        axis=-1,
-    )
-    dv = np.stack(
-        [-0.5 * l * (fac - 2.0 * m * x * x) / fac**2, l * m * x * y / fac**2, zero],
-        axis=-1,
-    )
-    w = np.stack([u, v, one], axis=-1)
-    dw = np.stack([du, dv, np.zeros_like(du)], axis=-1)  # (..., i, form index)
-
-    dg = np.einsum("...ij,...k->...ijk", dw, w) + np.einsum(
-        "...j,...ik->...ijk", w, dw
-    )
-    dinv2 = -2.0 * fac ** -3 * dfac
-    dg[..., 0, 0] += dinv2
-    dg[..., 1, 1] += dinv2
-    return dg
-
-
 def frame_at(params: ManifoldParams, p, validate: bool = False) -> np.ndarray:
     """Coordinate components of the orthonormal frame, shape (..., 3, 3).
 
@@ -323,51 +291,6 @@ def coord_to_frame(params: ManifoldParams, tv: TangentVector) -> FrameVector:
 
 def frame_to_coord(params: ManifoldParams, fv: FrameVector) -> TangentVector:
     return TangentVector(fv.base, to_coord_components(params, fv.base, fv.components))
-
-
-# ---------------------------------------------------------------------------
-# Christoffel symbols in the coordinate basis
-# ---------------------------------------------------------------------------
-
-# 5-point central first-derivative stencil (offsets +-1, +-2), 4th order.
-_FD5_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
-_FD5_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-
-
-def _fd_metric_derivatives(params: ManifoldParams, p, h: float) -> np.ndarray:
-    """dg[i, j, k] = d g_jk / d x^i by 5-point central differences."""
-    q = as_point(p)
-    dg = np.empty(q.shape[:-1] + (3, 3, 3))
-    for i in range(3):
-        shift = np.zeros(3)
-        shift[i] = h
-        pts = np.stack([q + o * shift for o in _FD5_OFFSETS], axis=0)
-        vals = metric_at(params, pts)
-        dg[..., i, :, :] = np.einsum("s,s...jk->...jk", _FD5_WEIGHTS, vals) / h
-    return dg
-
-
-def christoffel_coord(
-    params: ManifoldParams, p, method: str = "analytic", h: float = 1e-4
-) -> np.ndarray:
-    """Coordinate Christoffel symbols Gamma[..., k, i, j] = Gamma^k_ij.
-
-    ``method="analytic"`` uses the exact metric derivatives; ``method="fd"``
-    differentiates the metric numerically with step ``h`` (the Koszul-formula
-    cross-check path).
-    """
-    q = as_point(p)
-    g = metric_at(params, q)
-    if method == "analytic":
-        dg = metric_derivatives(params, q)
-    elif method == "fd":
-        dg = _fd_metric_derivatives(params, q, h)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    ginv = np.linalg.inv(g)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    bracket = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
-    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -492,89 +415,80 @@ def curvature_term(params: ManifoldParams, X, Y, Z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Numeric cross-check route (finite differences through the metric)
+# Numeric cross-check route (finite differences through the frame brackets)
 # ---------------------------------------------------------------------------
 
-
-def _fd_frame_coefficient_derivatives(params: ManifoldParams, p, h: float) -> np.ndarray:
-    """dE[i, a, k] = d (e_a)^k / d x^i by 5-point central differences."""
-    q = as_point(p)
-    dE = np.empty(q.shape[:-1] + (3, 3, 3))
-    for i in range(3):
-        shift = np.zeros(3)
-        shift[i] = h
-        pts = np.stack([q + o * shift for o in _FD5_OFFSETS], axis=0)
-        vals = frame_at(params, pts)
-        dE[..., i, :, :] = np.einsum("s,s...ak->...ak", _FD5_WEIGHTS, vals) / h
-    return dE
+# 5-point central first-derivative stencil (offsets +-1, +-2), 4th order.
+_FD5_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
+_FD5_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+_FRAME_STEP = 1e-4  # inner step, per unit of the largest frame coefficient
+_TABLE_STEP = 1e-2  # outer step along the frame vectors
 
 
-def connection_table_numeric(params: ManifoldParams, p, h: float = 1e-4) -> np.ndarray:
-    """Frame connection coefficients via finite differences of the metric.
+def _fd5(f, q, directions, step) -> np.ndarray:
+    """Derivatives of the table ``f`` at the points q along the rows of
+    ``directions``, one step per point: out[..., i, *] = d/dt f(q + t d_i)."""
+    step = np.asarray(step, dtype=float)
+    scaled = step[..., None, None] * directions
+    pts = np.stack([q[..., None, :] + o * scaled for o in _FD5_OFFSETS])
+    out = np.einsum("s,s...->...", _FD5_WEIGHTS, f(pts))
+    return out / step.reshape(step.shape + (1,) * (out.ndim - step.ndim))
 
-    nabla_{e_a} e_b = e_a^i (d_i e_b^k + Gamma^k_ij e_b^j) d/dx^k, converted
-    to frame components with the coframe.  Independent of the closed-form
-    table; agreement is ~1e-9 with the default step.
+
+def bracket_table_numeric(params: ManifoldParams, p) -> np.ndarray:
+    """Structure functions C[..., a, b, c] from finite differences of the
+    frame coefficients: [e_a, e_b]^k = e_a^i d_i e_b^k - e_b^i d_i e_a^k.
+
+    The coefficients are polynomials of degree <= 2 in x and y, so the
+    stencil has no truncation error on them and only roundoff, of size
+    eps |E| / h, remains; the step h is 1e-4 times the largest frame
+    coefficient at the point.
     """
     q = as_point(p)
     E = frame_at(params, q)
-    theta = coframe_at(params, q)
-    Gam = christoffel_coord(params, q, method="fd", h=h)
-    dE = _fd_frame_coefficient_derivatives(params, q, h)
-    cov = np.einsum("...ai,...ibk->...abk", E, dE) + np.einsum(
-        "...ai,...kij,...bj->...abk", E, Gam, E
-    )
-    return np.einsum("...abk,...ck->...abc", cov, theta)
+    h = _FRAME_STEP * np.abs(E).max(axis=(-2, -1))
+    dE = _fd5(lambda pts: frame_at(params, pts), q, np.eye(3), h)  # dE[..., i, a, k]
+    brk = np.einsum("...ai,...ibk->...abk", E, dE)
+    return np.einsum("...abk,...ck->...abc", brk - brk.swapaxes(-3, -2), coframe_at(params, q))
 
 
-def bracket_table_numeric(params: ManifoldParams, p, h: float = 1e-4) -> np.ndarray:
-    """Structure functions via finite differences of the frame coefficients."""
-    q = as_point(p)
-    E = frame_at(params, q)
-    theta = coframe_at(params, q)
-    dE = _fd_frame_coefficient_derivatives(params, q, h)
-    brk = np.einsum("...ai,...ibk->...abk", E, dE) - np.einsum(
-        "...bi,...iak->...abk", E, dE
-    )
-    return np.einsum("...abk,...ck->...abc", brk, theta)
+def _koszul(C: np.ndarray) -> np.ndarray:
+    """G_abc = (C_abc - C_bca + C_cab) / 2, the Koszul formula for an
+    orthonormal frame with structure functions C."""
+    return 0.5 * (C - np.einsum("...bca->...abc", C) + np.einsum("...cab->...abc", C))
 
 
-def curvature_table_numeric(
-    params: ManifoldParams, p, h: float = 1e-4, h_outer: float = 1e-3
-) -> np.ndarray:
-    """Frame curvature components via nested finite differences.
+def connection_table_numeric(params: ManifoldParams, p) -> np.ndarray:
+    """Frame connection coefficients by the Koszul formula on the numeric
+    brackets; independent of the closed-form tables."""
+    return _koszul(bracket_table_numeric(params, p))
 
-    Coordinate curvature (in the convention above) from numerically
-    differentiated Christoffel symbols, contracted with the frame.  The outer
-    step ``h_outer`` is larger than ``h`` to keep the roundoff of the nested
-    first-derivative stencils below ~5e-9.
+
+def curvature_table_numeric(params: ManifoldParams, p) -> np.ndarray:
+    """Frame curvature components from the numeric connection table,
+    differenced along the frame (package sign convention):
+
+        R(e_a, e_b) e_c = -e_a(G_bc.) + e_b(G_ac.) - G_bce G_ae. + G_ace G_be.
+                          + C_abf G_fc.
+
+    The table is linear in x and y, so this stencil too sees only roundoff.
+    A step t along e_a moves (x, y) by t F, a small fraction of the distance
+    to the chart's edge (about F / (2 sqrt(-m)) for m < 0).
     """
     q = as_point(p)
     if q.ndim != 1:
         raise ValueError("numeric curvature path expects a single point")
-    Gam = christoffel_coord(params, q, method="fd", h=h)
-    dGam = np.empty((3, 3, 3, 3))
-    for i in range(3):
-        shift = np.zeros(3)
-        shift[i] = h_outer
-        vals = np.stack(
-            [christoffel_coord(params, q + o * shift, method="fd", h=h) for o in _FD5_OFFSETS],
-            axis=0,
-        )
-        dGam[i] = np.einsum("s,skab->kab", _FD5_WEIGHTS, vals) / h_outer
-    # Standard convention first: Rstd^l_kij = d_i G^l_jk - d_j G^l_ik
-    #                                        + G^l_im G^m_jk - G^l_jm G^m_ik
-    Rstd = (
-        np.einsum("iljk->lkij", dGam)
-        - np.einsum("jlik->lkij", dGam)
-        + np.einsum("lim,mjk->lkij", Gam, Gam)
-        - np.einsum("ljm,mik->lkij", Gam, Gam)
-    )
+    C = bracket_table_numeric(params, q)
+    G = _koszul(C)
     E = frame_at(params, q)
-    theta = coframe_at(params, q)
-    # Curvature is tensorial, so frame components follow by pure contraction;
-    # the leading minus converts to the package sign convention.
-    return -np.einsum("ai,bj,ck,lkij,dl->abcd", E, E, E, Rstd, theta)
+    dG = _fd5(lambda pts: connection_table_numeric(params, pts), q, E, _TABLE_STEP)
+    return (
+        dG.swapaxes(0, 1)
+        - dG
+        - np.einsum("bce,aed->abcd", G, G)
+        + np.einsum("ace,bed->abcd", G, G)
+        + np.einsum("abf,fcd->abcd", C, G)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -588,43 +502,33 @@ def _check_index(*indices: int) -> None:
             raise IndexError(f"frame index must be in {{1, 2, 3}}, got {a}")
 
 
+def _by_route(closed, numeric, params: ManifoldParams, p, method: str) -> np.ndarray:
+    """The table at p from ``closed`` or ``numeric``, by the named route."""
+    if method == "closed_form":
+        return closed(params, p)
+    if method == "numeric":
+        return numeric(params, p)
+    raise ValueError(f"unknown method {method!r}")
+
+
 def connection_frame(
-    params: ManifoldParams, p, a: int, b: int, method: str = "closed_form", h: float = 1e-4
+    params: ManifoldParams, p, a: int, b: int, method: str = "closed_form"
 ) -> FrameVector:
     """nabla_{e_a} e_b at p, in frame components (1-based indices)."""
     _check_index(a, b)
     q = as_point(p)
-    if method == "closed_form":
-        G = connection_table(params, q)
-    elif method == "numeric":
-        G = connection_table_numeric(params, q, h=h)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    G = _by_route(connection_table, connection_table_numeric, params, q, method)
     return FrameVector(q, G[..., a - 1, b - 1, :])
 
 
 def lie_bracket_frame(
-    params: ManifoldParams, p, a: int, b: int, method: str = "closed_form", h: float = 1e-4
+    params: ManifoldParams, p, a: int, b: int, method: str = "closed_form"
 ) -> FrameVector:
     """[e_a, e_b] at p, in frame components (1-based indices)."""
     _check_index(a, b)
     q = as_point(p)
-    if method == "closed_form":
-        C = bracket_table(params, q)
-    elif method == "numeric":
-        C = bracket_table_numeric(params, q, h=h)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    C = _by_route(bracket_table, bracket_table_numeric, params, q, method)
     return FrameVector(q, C[..., a - 1, b - 1, :])
-
-
-def _curvature(params: ManifoldParams, p, method: str) -> np.ndarray:
-    """The curvature table at p by the named route."""
-    if method == "closed_form":
-        return curvature_table(params, p)
-    if method == "numeric":
-        return curvature_table_numeric(params, p)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def curvature_op(
@@ -636,7 +540,7 @@ def curvature_op(
 ) -> FrameVector:
     """R(X, Y)Z for frame vectors at a common base point."""
     base = _check_same_base(X, Y, Z)
-    table = _curvature(params, base, method)
+    table = _by_route(curvature_table, curvature_table_numeric, params, base, method)
     comps = np.einsum(
         "a,b,c,abcd->d", X.components, Y.components, Z.components, table
     )
@@ -648,7 +552,7 @@ def riemann_component(
 ) -> float:
     """R_abcd = <R(e_a, e_b) e_c, e_d> (1-based indices)."""
     _check_index(a, b, c, d)
-    table = _curvature(params, p, method)
+    table = _by_route(curvature_table, curvature_table_numeric, params, p, method)
     return float(table[..., a - 1, b - 1, c - 1, d - 1])
 
 
@@ -657,7 +561,7 @@ def ricci_component(
 ) -> float:
     """rho_ab = trace(Z -> R(e_a, Z) e_b) (1-based indices)."""
     _check_index(a, b)
-    table = _curvature(params, p, method)
+    table = _by_route(curvature_table, curvature_table_numeric, params, p, method)
     # rho(e_a, e_b) = sum_c <R(e_a, e_c) e_b, e_c>
     return float(np.trace(table[..., a - 1, :, b - 1, :]))
 
@@ -673,7 +577,7 @@ def sectional(params: ManifoldParams, p, X: FrameVector, Y: FrameVector) -> floa
     denom = float(x @ x) * float(y @ y) - float(x @ y) ** 2
     if denom < 1e-12:
         raise DegeneratePlane(f"plane spanned by X, Y is degenerate (denominator {denom:.3e})")
-    table = _curvature(params, base, "closed_form")
+    table = curvature_table(params, base)
     num = float(np.einsum("a,b,c,d,abcd->", x, y, x, y, table))
     return num / denom
 

@@ -50,6 +50,15 @@ class TestTensors:
         assert np.abs(np.array(a["connection"]) - np.array(b["connection"])).max() < 1e-15
         assert np.abs(np.array(a["riemann"]) - np.array(b["riemann"])).max() < 1e-15
 
+    @pytest.mark.parametrize("m,l,point", [("0", "1", "10,10,0"), ("0", "1", "100,-50,3"),
+                                           ("0.25", "1.2", "1.5,1.5,0"), ("1", "2", "3,0,0")])
+    def test_cross_check_passes_away_from_origin(self, capsys, m, l, point):
+        # the frame coefficients grow with the point, and so does the
+        # stencil step, so the roundoff of the exact tables stays below 1e-8
+        code, out, _ = run(capsys, "tensors", "--m", m, "--l", l, "--point", point)
+        assert code == 0
+        assert out.splitlines()[-1].endswith("(tol 1e-08) PASS")
+
     @pytest.mark.parametrize("flag,value", [("--m", "nan"), ("--l", "inf"), ("--m", "-inf")])
     def test_nonfinite_manifold_flag_exit_two(self, capsys, flag, value):
         # NaN tables would fail the cross-check and exit 1, as a verdict would
@@ -269,20 +278,72 @@ print("ok")
 """
 
 
+def _run_on_helix_csv(script, tmp_path, samples):
+    """Run ``script`` in a fresh interpreter on this package, with a CSV of
+    ``samples`` (velocities included) and an output prefix as arguments."""
+    csv_path = tmp_path / "helix.csv"
+    curves.write_samples_csv(csv_path, samples, include_velocity=True)
+    src = str(Path(hc.__file__).resolve().parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-c", script, str(csv_path), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_scipy_loaded_only_for_odes(tmp_path, figure1_samples):
     """Importing the package, ``verify``, ``generate`` and ``geodesic`` on
     m = 0 and m != 0 members (closed form on all of them) leave scipy
     unimported; sampling a tangent-driven curve imports it and solves one
     ODE."""
-    csv_path = tmp_path / "helix.csv"
-    curves.write_samples_csv(csv_path, figure1_samples, include_velocity=True)
-    src = str(Path(hc.__file__).resolve().parents[1])
-    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(csv_path), str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_on_helix_csv(NO_SCIPY_SCRIPT, tmp_path, figure1_samples)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+WITHOUT_SCIPY_SCRIPT = r"""
+import sys
+sys.modules["scipy"] = None  # every import of scipy now fails
+
+import contextlib, io
+import numpy as np
+import heiscurves
+from heiscurves import cli
+
+csv_path, out = sys.argv[1:]
+
+def quiet(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+assert quiet("tensors", "--m", "0.25", "--l", "1.2", "--point", "0.3,-0.4,1") == 0
+assert quiet("verify", csv_path) == 0
+assert quiet("generate", "--sin-alpha0", "0.31622776601683794", "--samples", "201",
+             "--surfaces", "--with-velocity", "--out", out) == 0
+assert quiet("geodesic", "--m", "0.25", "--l", "1.2", "--point", "0.1,0.2,0",
+             "--direction", "0.6,0,0.8", "--samples", "201", "--out", out + "_geo") == 0
+assert quiet("cone", "--sweep", "10") == 0
+assert quiet("scan", "--count", "10") == 0
+bz = heiscurves.sample_curve(heiscurves.b3zero_curve(lambda s: 0.5 + 0.3 * s, (0.0, 2.0)), 101)
+assert np.isfinite(bz.points).all() and np.isfinite(bz.velocity_frame).all()
+spec = heiscurves.tangent_driven_curve(heiscurves.HEISENBERG, lambda s: [0.6, 0.0, 0.8],
+                                       [0.0, 0.0, 0.0], (0.0, 1.0))
+try:
+    heiscurves.sample_curve(spec, 11)
+except ModuleNotFoundError as exc:
+    assert exc.name.split(".")[0] == "scipy", exc
+else:
+    raise AssertionError("a tangent-driven curve sampled without scipy")
+print("ok")
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path, figure1_samples):
+    """scipy is an optional dependency: with it unimportable, every CLI
+    command and the vanishing-B3 family still work, and only sampling a
+    tangent-driven curve (an ODE) fails, naming scipy."""
+    proc = _run_on_helix_csv(WITHOUT_SCIPY_SCRIPT, tmp_path, figure1_samples)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
 

@@ -16,7 +16,12 @@ from numpy.testing import assert_allclose
 import heiscurves as hc
 from heiscurves import curves, manifold as mf
 from heiscurves.curves import _check_uniform_s
-from heiscurves.numerics import derivative_on_grid, interior_slice, stencil_weights
+from heiscurves.numerics import (
+    cumulative_simpson,
+    derivative_on_grid,
+    interior_slice,
+    stencil_weights,
+)
 
 from conftest import FIGURE1_A, FIGURE1_ALPHA0, FIGURE1_B3, FIGURE1_K, FIGURE1_TAU
 
@@ -95,6 +100,26 @@ class TestStencils:
         expected = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * ds)
         got = derivative_on_grid(y, ds)[2:-2]
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(3,), (4,), (39,), (1000,), (1001,), (16001,),
+                                       (3, 3), (4, 3), (1000, 3), (1001, 3)])
+    def test_cumulative_simpson_is_scipys_to_the_bit(self, shape):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        dx = 0.0123
+        expected = scipy_integrate.cumulative_simpson(y, dx=dx, initial=0.0, axis=0)
+        got = cumulative_simpson(y, dx)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [3, 4, 101, 102])
+    def test_cumulative_simpson_exact_on_quadratics(self, n):
+        s = np.linspace(0.0, 2.0, n)
+        got = cumulative_simpson(np.stack([1.0 + 0 * s, s, s * s], axis=-1), s[1] - s[0])
+        assert_allclose(got, np.stack([s, s * s / 2, s**3 / 3], axis=-1), rtol=0.0, atol=1e-14)
+        with pytest.raises(hc.TooFewSamples):
+            cumulative_simpson(s[:2], 1.0)
 
     def test_interior_margin_is_two_per_pass(self):
         assert interior_slice(20, 3) == slice(6, 14)

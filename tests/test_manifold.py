@@ -1,9 +1,12 @@
 """Metric, frame, connection and curvature of the metric family.
 
-The Heisenberg tables are checked exactly against the closed forms; the
-finite-difference route is checked against the closed forms at 1e-8; the
-tensor symmetries and the first Bianchi identity are verified at random
-points and parameters.
+The Heisenberg tables are checked exactly against the closed forms.  Two
+oracles check the closed forms on the rest of the family: a sympy
+derivation from the metric (Christoffel symbols, then the curvature of that
+connection), and the numeric route (finite differences of the frame, the
+Koszul formula on the brackets, differences of that table along the frame)
+at 1e-8, which must not read the closed forms.  The tensor symmetries and
+the first Bianchi identity are verified at random points and parameters.
 """
 
 import itertools
@@ -206,17 +209,6 @@ class TestConnection:
             Cn = mf.bracket_table_numeric(par, p)
             assert np.abs(Gn - Gn.swapaxes(0, 1) - Cn).max() < 1e-8
 
-    def test_christoffel_coord_analytic_vs_fd(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            par = _random_params(rng)
-            p = random_domain_point(rng, par.m, scale=1.5)
-            dev = np.abs(
-                mf.christoffel_coord(par, p, method="analytic")
-                - mf.christoffel_coord(par, p, method="fd")
-            ).max()
-            assert dev < 1e-9
-
 
 # H3, two members off the Heisenberg point, a conformal (l = 0) and an l < 0 member
 CONTRACTION_MEMBERS = [(0.0, 1.0), (0.25, 1.2), (-0.2, 0.7), (0.3, 0.0), (1.0, -2.0)]
@@ -388,10 +380,11 @@ class TestCurvature:
 
     def test_numeric_curvature_general(self):
         # looser than the Heisenberg check: at |m|, |l| near 2 the nested
-        # stencils see much larger connection derivatives.  The closed-form
-        # table is written down, not derived, so this finite-difference route
-        # is its independent check: random members, a conformal (l = 0) and
-        # an m < 0 member, and the constant-curvature members.
+        # stencils see larger connection tables.  The closed-form table is
+        # written down; TestSymbolicOracle derives it from the metric, and
+        # this finite-difference route checks it numerically on random
+        # members, a conformal (l = 0) and an m < 0 member, and the
+        # constant-curvature members.
         rng = np.random.default_rng(13)
         fixed = [
             mf.ManifoldParams(m, l)
@@ -468,6 +461,95 @@ class TestCurvature:
                 4.0 * par.m - par.l**2 / 2.0, abs=1e-12
             )
             assert mf.ricci_component(par, p, 3, 3) == pytest.approx(par.l**2 / 2.0, abs=1e-12)
+
+    def test_numeric_route_reads_no_closed_form(self, monkeypatch):
+        # the numeric tables are the closed forms' cross-check, so they must
+        # come out, within the same tolerances, with the closed forms gone
+        rng = np.random.default_rng(18)
+        members = [mf.ManifoldParams(m, l) for m, l in KERNEL_MEMBERS]
+        points = [random_domain_point(rng, par.m, scale=1.5) for par in members]
+        expected = [
+            (mf.connection_table(par, p), mf.bracket_table(par, p), mf.curvature_table(par, p))
+            for par, p in zip(members, points)
+        ]
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the numeric route read a closed-form table")
+
+        for name in ("connection_table", "bracket_table", "curvature_table"):
+            monkeypatch.setattr(mf, name, unavailable)
+        for par, p, (G, C, R) in zip(members, points, expected):
+            assert np.abs(mf.connection_table_numeric(par, p) - G).max() < 1e-8
+            assert np.abs(mf.bracket_table_numeric(par, p) - C).max() < 1e-8
+            assert np.abs(mf.curvature_table_numeric(par, p) - R).max() < 1e-8
+
+
+# The members the symbolic derivation covers, as exact rationals
+SYMBOLIC_MEMBERS = [("0", "1"), ("1/4", "6/5"), ("-1/5", "7/10"), ("3/10", "0"), ("1/4", "1")]
+
+
+class TestSymbolicOracle:
+    """The closed-form tables derived from the metric by computer algebra.
+    Christoffel symbols of the first kind, contracted with the frame, give
+
+        G_abc = <nabla_{e_a} e_b, e_c> = e_a(e_b^k) g_kr e_c^r
+                                         + Gamma_ij,k e_a^i e_b^j e_c^k,
+
+    and the curvature follows from that connection by
+
+        R(e_a, e_b) e_c = -e_a(G_bc.) + e_b(G_ac.) - G_bce G_ae. + G_ace G_be.
+                          + C_abf G_fc.,   C_abf = G_abf - G_baf.
+
+    The right side is antisymmetric in (a, b), so a < b suffices."""
+
+    @staticmethod
+    def _derive(m, l):
+        sp = pytest.importorskip("sympy")
+        x, y, z = coords = sp.symbols("x y z", real=True)
+        F = 1 + m * (x**2 + y**2)
+        # ds2 = (dx^2 + dy^2) / F^2 + (dz + (l/2)(y dx - x dy) / F)^2
+        w = sp.Matrix([l * y / (2 * F), -l * x / (2 * F), 1])
+        g = sp.diag(1 / F**2, 1 / F**2, 0) + w * w.T
+        E = sp.Matrix([[F, 0, -l * y / 2], [0, F, l * x / 2], [0, 0, 1]])  # rows e_a
+        dg = [sp.diff(g, c) for c in coords]
+        first_kind = [[[(dg[i][j, k] + dg[j][i, k] - dg[k][i, j]) / 2 for k in range(3)]
+                       for j in range(3)] for i in range(3)]
+        lowered = (E * g).applyfunc(sp.cancel)  # row c: g_kr e_c^r
+
+        def along(a, f):  # e_a(f)
+            return sum(E[a, i] * sp.diff(f, coords[i]) for i in range(3))
+
+        triples = list(itertools.product(range(3), repeat=3))
+        G = np.empty((3, 3, 3), dtype=object)
+        for a, b, c in triples:
+            G[a, b, c] = sp.cancel(
+                sum(along(a, E[b, k]) * lowered[c, k] for k in range(3))
+                + sum(E[a, i] * E[b, j] * E[c, k] * first_kind[i][j][k] for i, j, k in triples)
+            )
+        R = np.zeros((3, 3, 3, 3), dtype=object)
+        for (a, b), (c, d) in itertools.product(itertools.combinations(range(3), 2),
+                                                itertools.product(range(3), repeat=2)):
+            R[a, b, c, d] = sp.cancel(
+                -along(a, G[b, c, d]) + along(b, G[a, c, d])
+                + sum(-G[b, c, e] * G[a, e, d] + G[a, c, e] * G[b, e, d]
+                      + (G[a, b, e] - G[b, a, e]) * G[e, c, d] for e in range(3))
+            )
+            R[b, a, c, d] = -R[a, b, c, d]
+        return sp.lambdify((x, y), G.tolist(), "numpy"), R
+
+    @pytest.mark.parametrize("m,l", SYMBOLIC_MEMBERS)
+    def test_tables_derived_from_the_metric(self, m, l):
+        sp = pytest.importorskip("sympy")
+        m, l = sp.Rational(m), sp.Rational(l)
+        G, R = self._derive(m, l)
+        par = mf.ManifoldParams(float(m), float(l))
+        rng = np.random.default_rng(19)
+        for p in [ORIGIN] + [random_domain_point(rng, par.m, scale=2.0) for _ in range(5)]:
+            expected = np.array(G(p[0], p[1]), dtype=float)
+            assert np.abs(mf.connection_table(par, p) - expected).max() <= 1e-14
+        # the curvature comes out constant, as the closed form states
+        assert all(sp.sympify(entry).is_number for entry in R.flat)
+        assert np.abs(mf.curvature_table(par, ORIGIN) - R.astype(float)).max() <= 1e-14
 
 
 class TestSectional:

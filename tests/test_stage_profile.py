@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import heiscurves as hc
@@ -49,3 +52,21 @@ def test_stage_profile_writes_stages_and_answers(tmp_path, capsys):
     # the package functions are unwrapped again
     assert hc.curves.sample_curve is hc.sample_curve
     assert hc.cli._write_text.__module__ == "heiscurves.cli"
+
+
+def test_script_caps_blas_threads_before_numpy(tmp_path):
+    """Run as a script, the tool sets the BLAS thread caps itself and
+    records them; imported, it leaves the environment alone."""
+    before = dict(os.environ)
+    module = _load_tool()
+    assert dict(os.environ) == before
+    env = {k: v for k, v in os.environ.items() if k not in module.THREAD_CAPS}
+    src = str(Path(hc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--out", str(out), "--sizes", "17", "--repeats", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["environment"]["thread_caps"] == module.THREAD_CAPS

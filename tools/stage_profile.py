@@ -37,10 +37,22 @@ import tempfile
 import time
 import tracemalloc
 
-import numpy as np
+# One BLAS thread, as in perfbench/run.py.  Run as a script, the caps are set
+# before numpy loads; imported, this module leaves the environment alone.
+THREAD_CAPS = {
+    "OMP_NUM_THREADS": "1",
+    "OPENBLAS_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+    "NUMEXPR_NUM_THREADS": "1",
+    "VECLIB_MAXIMUM_THREADS": "1",
+}
+if __name__ == "__main__":
+    os.environ.update(THREAD_CAPS)
 
-import heiscurves
-from heiscurves import analysis, cli, curves, factory
+import numpy as np  # noqa: E402
+
+import heiscurves  # noqa: E402
+from heiscurves import analysis, cli, curves, factory  # noqa: E402
 
 SIN_ALPHA0 = 1.0 / math.sqrt(10.0)
 HELIX = {"a": 1.0, "b": 1.0, "c": 1.0}
@@ -218,7 +230,7 @@ def _environment() -> dict:
         "machine": platform.machine(),
         "processor": platform.processor(),
         "cpu_count": os.cpu_count(),
-        "thread_caps": {k: os.environ.get(k) for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")},
+        "thread_caps": {k: os.environ.get(k) for k in THREAD_CAPS},
     }
 
 
