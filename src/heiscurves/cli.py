@@ -247,9 +247,13 @@ def cmd_generate(args, file_cfg: dict) -> int:
     result = analysis.classify_curve(report.frenet, config)
 
     out = args.out
-    with crv._shared_text():  # s, the points and T are formatted once for three files
+    # the text of what two or three files read is formatted once and kept
+    shared = [samples.s, *samples.points.T]
+    if args.with_velocity:
+        shared += [*samples.velocity_frame.T]
+    with crv._shared_text(*shared):
         crv.write_samples_csv(f"{out}.csv", samples, include_velocity=args.with_velocity)
-        _write_text(f"{out}.frenet.json", crv.frenet_to_json(report.frenet))
+        crv.write_frenet_json(f"{out}.frenet.json", report.frenet)
         analysis.residuals_to_csv(f"{out}.residuals.csv", report)
     _write_text(f"{out}.report.json", report.to_json())
     _write_text(f"{out}.classification.json", result.to_json())

@@ -32,7 +32,6 @@ import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, NamedTuple, NoReturn, Optional
 
 import numpy as np
@@ -70,6 +69,7 @@ __all__ = [
     "write_samples_csv",
     "read_samples_csv",
     "frenet_to_json",
+    "write_frenet_json",
 ]
 
 
@@ -260,13 +260,18 @@ def covariant_derivative_along(samples: CurveSamples, field: np.ndarray) -> np.n
 
     On the Heisenberg group this reduces to the familiar component formula
     (V1' + (T2 V3 + T3 V2)/2, V2' - (T1 V3 + T3 V1)/2, V3' + (T1 V2 - T2 V1)/2).
-    Boundary samples use one-sided stencils.
+    Boundary samples use one-sided stencils.  The correction is added into
+    the derivative one component at a time, with the bits of adding
+    ``connection_term``.
     """
     V = np.asarray(field, dtype=float)
     if V.shape != samples.points.shape:
         raise ValueError("field must provide frame components at every sample")
     dV = derivative_on_grid(V, samples.ds)
-    dV += mf.connection_term(samples.manifold, samples.points, samples.velocity_frame, V)
+    q = mf.as_point(samples.points)
+    T = np.asarray(samples.velocity_frame, dtype=float)
+    for a, component in enumerate(mf._connection_components(samples.manifold, q, T, V)):
+        dV[:, a] += component
     return dV
 
 
@@ -460,39 +465,7 @@ def make_sampled_spec(
     )
 
 
-_SHARED_TEXT: ContextVar[dict | None] = ContextVar("heiscurves_shared_text", default=None)
-
-
-@contextmanager
-def _shared_text():
-    """Inside the block ``_text`` formats each array once and hands the same
-    text to every later writer of that array (``generate`` writes s, the
-    points and the velocities into three files).  The arrays must not change
-    inside the block."""
-    token = _SHARED_TEXT.set({})
-    try:
-        yield
-    finally:
-        _SHARED_TEXT.reset(token)
-
-
-def _text(a) -> str:
-    """The ``%.17g`` text of each entry of the 1-D array ``a`` (a lossless
-    round trip), comma-separated: the one float-to-text route of every
-    per-sample file.  Inside ``_shared_text`` the text is keyed by the memory
-    ``a`` views, and the entry holds ``a`` so that memory is not reused."""
-    a = np.asarray(a, dtype=float)
-    memo = _SHARED_TEXT.get()
-    key = (a.__array_interface__["data"][0], a.shape, a.strides)
-    if memo is not None and key in memo:
-        return memo[key][1]
-    text = _percent_17g(a)
-    if memo is not None:
-        memo[key] = (a, text)
-    return text
-
-
-_ROWS_PER_WRITE = 8192  # rows joined into one write, which bounds the text held at once
+_ROWS_PER_WRITE = 8192  # rows of a per-sample file laid out and written at once
 
 # ``%.17g`` in numpy.  Each entry of magnitude 1e-280 to 1e280 becomes D * 10**(X - 16),
 # D a 17-digit integer rounded from a double-double product; ±0, subnormals, larger
@@ -600,9 +573,10 @@ def _scaled(tables: _TextTables, x: np.ndarray, k: np.ndarray):
     return p, r
 
 
-def _percent_17g_rows(a: np.ndarray, rows: np.ndarray) -> bytes:
-    """The ``%.17g`` text of each entry of ``a`` followed by a comma; ``rows``
-    is a writable ``_ROW`` array of at least ``len(a)`` rows."""
+def _percent_17g_rows(a: np.ndarray, out: np.ndarray) -> None:
+    """Lay out the ``%.17g`` text of each entry of ``a``, followed by a comma,
+    in one row of the (len(a), 48) uint8 array ``out``, whose rows may be
+    strided; the bytes the text does not use are zero."""
     tables = _text_tables()
     n = len(a)
     ax = np.abs(a)
@@ -646,58 +620,154 @@ def _percent_17g_rows(a: np.ndarray, rows: np.ndarray) -> bytes:
         (X < -4) | (X >= 17), _FIXED_LAYOUTS + (np.abs(X) >= 100), X + 4
     )
     key = (layout * 2 + np.signbit(a)) * 18 + nd
-    row = rows[:n]
+    out[...] = _row_of(_ROW_TEMPLATE)
+    row = out.view(_ROW)[:, 0]
     digits = np.take(tables.digits4, groups).view("V16").ravel()
     row["int_lead"] = row["frac_lead"] = lead + 48
     row["int_rest"] = row["frac_rest"] = digits
     row["exponent"] = np.take(tables.exponent, X + _X_MAX)
-    words = row.view(np.uint64).reshape(n, -1) & np.take(tables.keep, key, axis=0)
+    words = out.view(np.uint64)
+    words &= np.take(tables.keep, key, axis=0)
 
     slow = np.flatnonzero(~fast)
     if len(slow):
         text = np.array(["%.17g," % v for v in a[slow].tolist()], dtype=f"S{_ROW_BYTES}")
         words[slow] = text.view(np.uint64).reshape(len(slow), -1)
-    return words.tobytes().translate(None, b"\0")
 
 
-def _percent_17g(a: np.ndarray) -> str:
-    """``",".join("%.17g" % v for v in a)`` for a 1-D float64 array, computed
-    ``_ROWS_PER_WRITE`` entries at a time."""
-    if not len(a):
-        return ""
-    block = _ROWS_PER_WRITE
-    rows = np.frombuffer(_ROW_TEMPLATE * min(len(a), block), dtype=np.uint8).copy().view(_ROW)
-    parts = [
-        _percent_17g_rows(a[i : i + block], rows).decode("ascii")
-        for i in range(0, len(a), block)
-    ]
-    parts[-1] = parts[-1][:-1]
-    return "".join(parts)
+def _row_of(text: bytes) -> np.ndarray:
+    """``text`` as one 48-byte row, padded with zero bytes."""
+    return np.frombuffer(text.ljust(_ROW_BYTES, b"\0"), dtype=np.uint8)
 
 
-def _field_blocks(text: str):
-    """The fields of a comma-separated ASCII text, as lists of at most
-    ``_ROWS_PER_WRITE`` strings: only one block of a column is split at a
-    time.  The block ends are every ``_ROWS_PER_WRITE``-th comma, found on
-    the text's bytes."""
-    commas = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord(","))
-    ends = [-1, *commas[_ROWS_PER_WRITE - 1 :: _ROWS_PER_WRITE].tolist(), len(text)]
-    del commas  # n offsets, while the generator holds only the block ends
-    for start, stop in zip(ends, ends[1:]):
-        yield text[start + 1 : stop].split(",")
+def _pack(rows: np.ndarray) -> bytes:
+    """The text laid out in ``rows``: their bytes without the zero bytes."""
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _unpack(text: bytes, out: np.ndarray) -> None:
+    """Lay out the comma-ended fields of ``text`` in the rows of ``out``, one
+    field at the start of each row, so that ``_pack(out) == text``."""
+    b = np.frombuffer(text, dtype=np.uint8)
+    ends = np.flatnonzero(b == ord(","))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    row = np.repeat(np.arange(len(ends)), ends + 1 - starts)
+    out[...] = 0
+    out[row, np.arange(len(b)) - starts[row]] = b
+
+
+class _Kept:
+    """The text of one array kept inside ``_shared_text``."""
+
+    def __init__(self, array: np.ndarray):
+        self.array = array  # held, so that its memory is not reused inside the block
+        self.blocks: list[bytes] = []  # the packed text of each block of rows, so far
+        self.text: Optional[str] = None  # what ``_text`` returned for it
+
+
+_SHARED_TEXT: ContextVar[tuple[dict, bool] | None] = ContextVar(
+    "heiscurves_shared_text", default=None
+)
+
+
+def _memory_key(a: np.ndarray) -> tuple:
+    return (a.__array_interface__["data"][0], a.shape, a.strides)
+
+
+@contextmanager
+def _shared_text(*arrays):
+    """Inside the block the text of each of ``arrays`` (of every array, when
+    none is named) is formatted once, by the first writer that reads it, and
+    kept as packed bytes for every later one.  ``generate`` names s, the
+    points and the velocities, which two or three of its files read.  An
+    array is keyed by the memory it views; the arrays must not change inside
+    the block."""
+    kept = {}
+    for a in arrays:
+        a = np.asarray(a, dtype=float)
+        kept[_memory_key(a)] = _Kept(a)
+    token = _SHARED_TEXT.set((kept, not arrays))
+    try:
+        yield
+    finally:
+        _SHARED_TEXT.reset(token)
+
+
+def _kept(a: np.ndarray) -> Optional[_Kept]:
+    """Where ``_shared_text`` keeps the text of ``a``; None where it does not."""
+    shared = _SHARED_TEXT.get()
+    if shared is None:
+        return None
+    kept, keep_all = shared
+    key = _memory_key(a)
+    if keep_all and key not in kept:
+        kept[key] = _Kept(a)
+    return kept.get(key)
+
+
+def _rows(a: np.ndarray, start: int, out: np.ndarray) -> None:
+    """Lay out the text of the block ``a[start : start + len(out)]`` in
+    ``out`` as ``_percent_17g_rows`` does (blocks are ``_ROWS_PER_WRITE``
+    rows, read in order): from the kept text where there is one, else from
+    the kernel, keeping it where ``a`` is kept."""
+    entry = _kept(a)
+    block = start // _ROWS_PER_WRITE
+    if entry is not None and block < len(entry.blocks):
+        _unpack(entry.blocks[block], out)
+        return
+    _percent_17g_rows(a[start : start + len(out)], out)
+    if entry is not None:
+        entry.blocks.append(_pack(out))
+
+
+def _packed(a: np.ndarray, start: int, out: np.ndarray) -> bytes:
+    """``_pack`` of the rows ``_rows`` lays out; for a kept array the kept
+    bytes themselves, and ``out`` is written only if they are new."""
+    entry = _kept(a)
+    block = start // _ROWS_PER_WRITE
+    if entry is None or block == len(entry.blocks):
+        _rows(a, start, out)
+    return _pack(out) if entry is None else entry.blocks[block]
+
+
+def _text(a) -> str:
+    """The ``%.17g`` text of each entry of the 1-D array ``a`` (a lossless
+    round trip), comma-separated: the str form of the one float-to-text route
+    of every per-sample file.  Inside ``_shared_text`` a kept array's text is
+    the same str at every call."""
+    a = np.asarray(a, dtype=float)
+    entry = _kept(a)
+    if entry is not None and entry.text is not None:
+        return entry.text
+    rows = np.empty((min(len(a), _ROWS_PER_WRITE), _ROW_BYTES), dtype=np.uint8)
+    parts = [_packed(a, i, rows[: len(a) - i]) for i in range(0, len(a), _ROWS_PER_WRITE)]
+    text = b"".join(parts)[:-1].decode("ascii")
+    if entry is not None:
+        entry.text = text
+    return text
 
 
 def _write_table(path, header, columns) -> None:
     """Write ``header`` and one row per sample of the 1-D ``columns``, each
     field ``_text``, each line ended by ``\\r\\n``; a ``None`` column leaves
-    its field empty."""
+    its field empty.  The columns' rows are laid out side by side and written
+    ``_ROWS_PER_WRITE`` lines at a time."""
+    columns = [None if c is None else np.asarray(c, dtype=float) for c in columns]
     n = len(next(c for c in columns if c is not None))
-    blocks = [repeat(repeat("")) if c is None else _field_blocks(_text(c)) for c in columns]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        if n:  # "".split(",") is [""], one field
-            for fields in zip(*blocks):
-                fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+    layout = np.empty((min(n, _ROWS_PER_WRITE), len(columns), _ROW_BYTES), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode("ascii"))
+        for start in range(0, n, _ROWS_PER_WRITE):
+            rows = layout[: n - start]
+            for j, column in enumerate(columns):
+                if column is None:
+                    rows[:, j] = _row_of(b",")
+                else:
+                    _rows(column, start, rows[:, j])
+            last = rows[:, -1]
+            last[last == ord(",")] = ord("\r")  # a field from ``%`` ends before byte 46
+            last[:, -1] = ord("\n")
+            fh.write(_pack(rows))
 
 
 def write_samples_csv(path, samples: CurveSamples, include_velocity: bool = False) -> None:
@@ -776,49 +846,50 @@ def read_samples_csv(path, manifold: ManifoldParams) -> CurveSpec:
     return make_sampled_spec(manifold, data[:, 0], data[:, 1:4], vel)
 
 
-def _json_numbers(a) -> str:
-    """``_text(a)`` as the items of a JSON list: null where an entry is not
-    finite, and ``-0.0`` for negative zero (its text ``-0`` would read back
-    as the integer 0)."""
-    text = _text(a)
-    nulls = np.flatnonzero(~np.isfinite(a)).tolist()
-    negative_zeros = np.flatnonzero((a == 0.0) & np.signbit(a)).tolist()
-    if nulls or negative_zeros:
-        fields = text.split(",")
-        for i in nulls:
-            fields[i] = "null"
-        for i in negative_zeros:
-            fields[i] = "-0.0"
-        text = ",".join(fields)
-    return text
+def _json_items(a: np.ndarray, rows: np.ndarray):
+    """The items of the JSON list of the 1-D series ``a``, each followed by a
+    comma, as one bytes object per block of ``_ROWS_PER_WRITE``: ``true`` or
+    ``false``, or the ``_text`` of a number, with null where it is not
+    finite and ``-0.0`` for negative zero (its text ``-0`` would read back as
+    the integer 0)."""
+    for start in range(0, len(a), _ROWS_PER_WRITE):
+        v = a[start : start + _ROWS_PER_WRITE]
+        if a.dtype == bool:
+            yield _pack(np.where(v, b"true,", b"false,"))
+            continue
+        out = rows[: len(v)]
+        nulls = ~np.isfinite(v)
+        negative_zeros = (v == 0.0) & np.signbit(v)
+        if nulls.any() or negative_zeros.any():
+            _rows(a, start, out)
+            out[nulls] = _row_of(b"null,")
+            out[negative_zeros] = _row_of(b"-0.0,")
+            yield _pack(out)
+        else:
+            yield _packed(a, start, out)
 
 
-def _json_list_parts(a: np.ndarray) -> list[str]:
-    """The JSON text of a per-sample series as parts to join: a list of
-    booleans or numbers, or for an (n, 3) series its three component lists.
-    The number text is not copied until the final join."""
-    if a.dtype == bool:
-        return [json.dumps(a.tolist(), separators=(",", ":"))]
+def _json_list_parts(a: np.ndarray, rows: np.ndarray):
+    """The JSON text of a per-sample series, in parts: a list of booleans or
+    numbers, or for an (n, 3) series its three component lists."""
     if a.ndim == 2:
-        parts = ["["]
-        for component in a.T:
-            parts += [*_json_list_parts(component), ","]
-        parts[-1] = "]"
-        return parts
-    return ["[", _json_numbers(a), "]"]
+        for opening, component in zip((b"[", b",", b","), a.T):
+            yield opening
+            yield from _json_list_parts(component, rows)
+        yield b"]"
+        return
+    yield b"["
+    last = (len(a) - 1) // _ROWS_PER_WRITE
+    for block, items in enumerate(_json_items(a, rows)):
+        yield items if block < last else memoryview(items)[:-1]
+    yield b"]"
 
 
 _FRENET_DEPTH = 2  # derivative passes behind tau: nabla_T T, then nabla_T N
 
 
-def frenet_to_json(frenet: FrenetSeries) -> str:
-    """Serialize a Frenet series to one line of columnar JSON.
-
-    ``columns`` holds one list per scalar series and three component lists
-    per vector series (``point``, ``T``, ``N``, ``B``), written as the same
-    ``%.17g`` text as the CSVs, with null where N, B and tau are undefined.
-    ``provenance`` records what produced the series.
-    """
+def _frenet_json_parts(frenet: FrenetSeries):
+    """The ASCII bytes of ``frenet_to_json``'s text, in order."""
     columns = {  # in sorted order, as the rest of the payload
         "B": frenet.B,
         "N": frenet.N,
@@ -849,10 +920,31 @@ def frenet_to_json(frenet: FrenetSeries) -> str:
         },
         "stencil_order": STENCIL_ORDER,
     }
+    rows = np.empty((min(frenet.n, _ROWS_PER_WRITE), _ROW_BYTES), dtype=np.uint8)
     # "columns" sorts before every other key, so it leads the object
-    parts = ['{"columns":{']
+    opening = b'{"columns":{'
     for name, series in columns.items():
-        parts += [f'"{name}":', *_json_list_parts(series), ","]
-    parts[-1] = "},"
-    parts.append(json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:])
-    return "".join(parts)
+        yield opening + f'"{name}":'.encode("ascii")
+        yield from _json_list_parts(series, rows)
+        opening = b","
+    yield b"}," + json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:].encode("ascii")
+
+
+def frenet_to_json(frenet: FrenetSeries) -> str:
+    """Serialize a Frenet series to one line of columnar JSON.
+
+    ``columns`` holds one list per scalar series and three component lists
+    per vector series (``point``, ``T``, ``N``, ``B``), written as the same
+    ``%.17g`` text as the CSVs, with null where N, B and tau are undefined.
+    ``provenance`` records what produced the series.  ``write_frenet_json``
+    writes the same text to a file without holding all of it.
+    """
+    return b"".join(_frenet_json_parts(frenet)).decode("ascii")
+
+
+def write_frenet_json(path, frenet: FrenetSeries) -> None:
+    """Write ``frenet_to_json(frenet)`` to ``path`` part by part, so that
+    the number text of one block of ``_ROWS_PER_WRITE`` samples of one
+    series is held at a time (besides what ``_shared_text`` keeps)."""
+    with open(path, "wb") as fh:
+        fh.writelines(_frenet_json_parts(frenet))

@@ -342,16 +342,33 @@ def connection_term(params: ManifoldParams, p, X, V) -> np.ndarray:
     q = as_point(p)
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
-    m, l = params.m, params.l
-    hl = 0.5 * l
-    x1, x2, x3 = X[..., 0], X[..., 1], X[..., 2]
-    v1, v2, v3 = V[..., 0], V[..., 1], V[..., 2]
-    w = l * x3 + 2.0 * m * (q[..., 0] * x2 - q[..., 1] * x1)
     out = np.empty(np.broadcast_shapes(q.shape, X.shape, V.shape))
-    out[..., 0] = hl * (x2 * v3 - x3 * v2) + w * v2
-    out[..., 1] = hl * (x3 * v1 - x1 * v3) - w * v1
-    out[..., 2] = hl * (x1 * v2 - x2 * v1)
+    for a, component in enumerate(_connection_components(params, q, X, V)):
+        out[..., a] = component
     return out
+
+
+def _connection_components(params: ManifoldParams, q: np.ndarray, X: np.ndarray, V: np.ndarray):
+    """Yield the frame components a = 1, 2, 3 of ``connection_term`` (float
+    arrays, points already checked), each in the same buffer, which the next
+    one overwrites.  The operations are done in place but in the formula's
+    order, so a caller may add each component into its own array with the
+    bits of adding ``connection_term``, holding three (n,) temporaries."""
+    m, l = params.m, params.l
+    w = q[..., 0] * X[..., 1]
+    w -= q[..., 1] * X[..., 0]
+    w *= 2.0 * m
+    w += l * X[..., 2]  # w = l X3 + 2m (x X2 - y X1)
+    component = np.empty(np.broadcast_shapes(q.shape, X.shape, V.shape)[:-1])
+    for i, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # (X x V)_i = X_a V_b - X_b V_a
+        np.multiply(X[..., a], V[..., b], out=component)
+        component -= X[..., b] * V[..., a]
+        component *= 0.5 * l
+        if i == 0:
+            component += w * V[..., 1]
+        elif i == 1:
+            component -= w * V[..., 0]
+        yield component
 
 
 def bracket_table(params: ManifoldParams, p) -> np.ndarray:

@@ -414,7 +414,7 @@ class TestWritersPerGenerate:
     once, so the writers' call counts and bytes describe the files."""
 
     WRITERS = (
-        (curves, "write_samples_csv"), (curves, "frenet_to_json"), (analysis, "residuals_to_csv"),
+        (curves, "write_samples_csv"), (curves, "write_frenet_json"), (analysis, "residuals_to_csv"),
     )
 
     def test_generate(self, capsys, monkeypatch, tmp_path):
@@ -440,33 +440,38 @@ class TestWritersPerGenerate:
             "--out", str(tmp_path / "curve"),
         )
         assert code == 0
-        assert counts == {"write_samples_csv": 1, "frenet_to_json": 1, "residuals_to_csv": 1}
+        assert counts == {"write_samples_csv": 1, "write_frenet_json": 1, "residuals_to_csv": 1}
 
     def test_generate_formats_each_column_once(self, capsys, monkeypatch, tmp_path):
-        # the three files hold 7 + 15 + 5 float columns; s, the points and
-        # the velocities are shared, so 19 are formatted
-        memos = []
-        text = curves._text
+        # the three files hold 7 + 15 + 5 float columns; the 7 of the first
+        # file are read again (s by both later files, the points and the
+        # velocities by .frenet.json) and kept, so the kernel formats 19
+        # columns, each once
+        n = 501
+        formatted, memos = [], []
+        kernel = curves._percent_17g_rows
 
-        def spied(a):
-            result = text(a)
+        def spied(a, out):
+            formatted.append(len(a))
             memos.append(curves._SHARED_TEXT.get())
-            return result
+            return kernel(a, out)
 
-        monkeypatch.setattr(curves, "_text", spied)
+        monkeypatch.setattr(curves, "_percent_17g_rows", spied)
         code, _, _ = run(
             capsys,
             "generate",
             "--sin-alpha0", repr(1.0 / math.sqrt(10.0)),
-            "--samples", "501",
+            "--samples", str(n),
             "--s1", repr(2.0 * math.pi),
             "--with-velocity",
             "--out", str(tmp_path / "curve"),
         )
         assert code == 0
-        assert len(memos) == 27
+        assert sum(formatted) == 19 * n
         assert memos[0] is not None and all(memo is memos[0] for memo in memos)
-        assert len(memos[0]) == 19
+        kept, keep_all = memos[0]
+        assert not keep_all and len(kept) == 7
+        assert all(len(entry.blocks) == 1 for entry in kept.values())
         assert curves._SHARED_TEXT.get() is None
 
 

@@ -1,6 +1,7 @@
 """Curve sampling, covariant differentiation and the Frenet apparatus."""
 
 import dataclasses
+import json
 import math
 import re
 from fractions import Fraction
@@ -254,6 +255,22 @@ class TestCovariantDerivative:
         )
         out = hc.covariant_derivative_along(samples, V)
         assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("m,l", [(0.0, 1.0), (0.25, 1.2)])
+    def test_connection_added_in_place_bit_for_bit(self, m, l):
+        # the in-place sum has the bits of the derivative plus connection_term
+        par = mf.ManifoldParams(m, l)
+        rng = np.random.default_rng(43)
+        n = 257
+        points = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(-3.0, 3.0, n)])
+        T = rng.standard_normal((n, 3))
+        T /= np.linalg.norm(T, axis=1, keepdims=True)
+        V = rng.standard_normal((n, 3))
+        V[::7] = -0.0
+        samples = hc.CurveSamples(par, np.linspace(0.0, 1.0, n), points, T)
+        expected = derivative_on_grid(V, samples.ds) + mf.connection_term(par, points, T, V)
+        out = hc.covariant_derivative_along(samples, V)
+        assert out.tobytes() == expected.tobytes()
 
     def test_field_shape_validated(self, figure1_samples):
         with pytest.raises(ValueError):
@@ -634,20 +651,90 @@ class TestTextCodec:
     def test_table_split_in_blocks_matches_one_format_operation(
         self, tmp_path, monkeypatch, rows_per_write
     ):
-        # each column's text is split one block of rows at a time; rows on
-        # either side of every block end must come out as in one operation
+        # the columns' rows are laid out side by side one block at a time;
+        # rows on either side of every block end must come out as in one
+        # operation.  SPECIAL's fields come from ``%`` and end their comma
+        # before byte 46, so its column goes first and last on the line too,
+        # and an empty column goes in the middle
         if rows_per_write is not None:
             monkeypatch.setattr(curves, "_ROWS_PER_WRITE", rows_per_write)
         block = curves._ROWS_PER_WRITE
         rng = np.random.default_rng(8)
+        path = tmp_path / "blocks.csv"
         for n in sorted({1, block - 1, block, block + 1, 2 * block, 2 * block + 1}):
             a = rng.permutation(np.resize(self.SPECIAL, n))
-            columns = (np.arange(n) / 8.0, a, None, rng.standard_normal(n))
-            path = tmp_path / "blocks.csv"
-            curves._write_table(path, ("s", "a", "gap", "b"), columns)
-            assert path.read_bytes() == _one_format_table(("s", "a", "gap", "b"), columns), n
-            sizes = [len(fields) for fields in curves._field_blocks(curves._text(a))]
-            assert sizes == [block] * (n // block) + [n % block] * (n % block > 0), n
+            b = rng.standard_normal(n)
+            s = np.arange(n) / 8.0
+            tables = [
+                (("s", "a", "gap", "b"), (s, a, None, b)),
+                (("a", "gap", "b"), (a, None, b)),
+                (("b", "s", "a"), (b, s, a)),
+            ]
+            for header, columns in tables:
+                curves._write_table(path, header, columns)
+                assert path.read_bytes() == _one_format_table(header, columns), (header, n)
+            # kept text: formatted by the first table, unpacked by the later ones
+            with curves._shared_text(a, s):
+                for header, columns in tables:
+                    curves._write_table(path, header, columns)
+                    assert path.read_bytes() == _one_format_table(header, columns), (header, n)
+
+    @staticmethod
+    def _json_oracle(a) -> str:
+        """The JSON list of a series, from ``%`` and ``json``."""
+        if a.dtype == bool:
+            return json.dumps(a.tolist(), separators=(",", ":"))
+        if a.ndim == 2:
+            return "[" + ",".join(map(TestTextCodec._json_oracle, a.T)) + "]"
+        items = [
+            "null" if not math.isfinite(v) else "-0.0" if v == 0.0 and math.copysign(1.0, v) < 0
+            else "%.17g" % v
+            for v in a.tolist()
+        ]
+        return "[" + ",".join(items) + "]"
+
+    @pytest.mark.parametrize("rows_per_write", [4, None])
+    def test_write_frenet_json_matches_frenet_to_json(
+        self, tmp_path, monkeypatch, rows_per_write, figure1_hp
+    ):
+        # on either side of a block end: the figure helix, a geodesic (N, B and
+        # tau all null) and series with negative zeros, also where s, the
+        # points and T are kept from the CSV, as ``generate`` writes them
+        if rows_per_write is not None:
+            monkeypatch.setattr(curves, "_ROWS_PER_WRITE", rows_per_write)
+        block = curves._ROWS_PER_WRITE
+        sizes = (block - 1, block + 1) if block > 8 else (2 * block + 1, 3 * block - 1)
+        path = tmp_path / "curve.frenet.json"
+        for n in sizes:
+            helix = hc.frenet_apparatus(
+                hc.sample_curve(hc.biharmonic_helix(figure1_hp, (0.0, 10.0 * math.pi)), n)
+            )
+            geodesic = hc.frenet_apparatus(hc.sample_curve(
+                hc.one_param_subgroup(np.array([0.0, 0.0, 1.0]), (0.0, 2.0)), n
+            ))
+            assert not geodesic.defined.any()
+            signed = dataclasses.replace(
+                helix, s=helix.s.copy(), points=helix.points.copy(), T=helix.T.copy(),
+                k=helix.k.copy(), tau=helix.tau.copy(),
+            )
+            for i in (0, n // 2, n - 1):
+                signed.s[i] = signed.points[i, 1] = signed.T[i, 2] = signed.k[i] = -0.0
+                signed.tau[i] = np.nan
+            for fr in (helix, geodesic, signed):
+                text = hc.frenet_to_json(fr)
+                columns = {
+                    "B": fr.B, "N": fr.N, "T": fr.T, "defined": fr.defined, "k": fr.k,
+                    "point": fr.points, "s": fr.s, "tau": fr.tau,
+                }
+                head = ",".join(f'"{key}":{self._json_oracle(a)}' for key, a in columns.items())
+                assert text.startswith('{"columns":{' + head + "},"), n
+                hc.write_frenet_json(path, fr)
+                assert path.read_bytes() == text.encode("ascii"), n
+                samples = hc.CurveSamples(fr.manifold, fr.s, fr.points, fr.T)
+                with curves._shared_text(fr.s, *fr.points.T, *fr.T.T):
+                    hc.write_samples_csv(tmp_path / "curve.csv", samples, include_velocity=True)
+                    hc.write_frenet_json(path, fr)
+                assert path.read_bytes() == text.encode("ascii"), n
 
     def test_text_is_percent_17g(self):
         a = self.SPECIAL

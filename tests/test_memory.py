@@ -1,10 +1,13 @@
 """Peak memory of the verify pipeline on an imported position-only curve,
-and of the arclength stencil it runs five times.
+of the arclength stencil it runs five times and of the covariant derivative
+built on it, and of ``generate``'s per-sample writers.
 
 ``sample_curve``, ``bitension_report`` and ``classify_curve`` hold a few
 (n, 3) series each; the kernels run on (n, 3) component arrays, so no stage
-may build per-sample tensor stacks.  The peak is traced with ``tracemalloc``
-(numpy reports its buffers to it) and compared with a bound per sample.
+may build per-sample tensor stacks.  The writers hold one block of rows of
+text besides the text of what two files read.  The peak is traced with
+``tracemalloc`` (numpy reports its buffers to it) and compared with a bound
+per sample.
 """
 
 import math
@@ -13,6 +16,7 @@ import tracemalloc
 import numpy as np
 
 import heiscurves as hc
+from heiscurves import analysis, cli
 from heiscurves.numerics import derivative_on_grid
 
 N = 20001
@@ -58,3 +62,44 @@ def test_stencil_peak_memory():
     y = np.random.default_rng(5).standard_normal((N, 3))
     peak, out = _traced_peak(lambda: derivative_on_grid(y, 0.01))
     assert peak <= 2.2 * out.nbytes, f"{peak / out.nbytes:.2f} outputs"
+
+
+def test_covariant_derivative_peak_memory(figure1_hp):
+    # the connection is added into the derivative one component at a time
+    samples = hc.sample_curve(hc.biharmonic_helix(figure1_hp, (0.0, 10.0 * math.pi)), N)
+    peak, out = _traced_peak(
+        lambda: hc.covariant_derivative_along(samples, samples.velocity_frame)
+    )
+    assert peak <= 2.2 * out.nbytes, f"{peak / out.nbytes:.2f} outputs"
+
+
+# Traced peak of generate's writers per sample, above what the geometry holds
+# when classify_curve returns.  At this n one block of rows of every file and
+# the kept text of s, the points and the velocities take about 530 bytes; the
+# whole-file str text the writers held before took about 840.
+WRITER_BYTES_PER_SAMPLE = 650
+
+
+def test_generate_writers_peak_memory(tmp_path, monkeypatch, capsys):
+    classify = analysis.classify_curve
+    held = []
+
+    def marked(*args, **kwargs):
+        result = classify(*args, **kwargs)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(analysis, "classify_curve", marked)
+    argv = [
+        "generate", "--sin-alpha0", repr(1.0 / math.sqrt(10.0)), "--s1", repr(10.0 * math.pi),
+        "--samples", str(N), "--with-velocity", "--surfaces", "--out", str(tmp_path / "curve"),
+    ]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - held[0]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= WRITER_BYTES_PER_SAMPLE * N, f"{peak / N:.0f} bytes per sample"

@@ -51,6 +51,7 @@ def test_stage_profile_writes_stages_and_answers(tmp_path, capsys):
     assert "nongeodesic_biharmonic" in capsys.readouterr().out
     # the package functions are unwrapped again
     assert hc.curves.sample_curve is hc.sample_curve
+    assert hc.curves.write_frenet_json is hc.write_frenet_json
     assert hc.cli._write_text.__module__ == "heiscurves.cli"
 
 

@@ -10,7 +10,8 @@ that bounds it returns, so the stages are
 * verify and generate: ``read`` (verify only), ``sample``, ``frenet``,
   ``tension`` (the rest of ``bitension_report``) and ``classify``;
 * generate: one stage per written file, named by its suffix, which includes
-  building the file's content (``frenet.json`` includes ``frenet_to_json``).
+  building the file's content (``frenet.json`` ends where
+  ``write_frenet_json``, which builds and writes it block by block, returns).
 
 Each stage gets its wall time, the best of ``--repeats`` untraced runs, and
 ``peak_mb``, the highest ``tracemalloc`` total during the stage in one more,
@@ -72,6 +73,7 @@ STAGES = (
 # stage ended, so it includes building the content.
 WRITERS = (
     (curves, "write_samples_csv"),
+    (curves, "write_frenet_json"),
     (analysis, "residuals_to_csv"),
     (cli, "_write_text"),
     (cli, "_write_surface_csv"),
