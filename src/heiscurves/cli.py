@@ -35,7 +35,6 @@ from .manifold import FrameVector, ManifoldParams
 from .numerics import NumericsConfig
 
 _NUMERIC_TOL = 1e-8  # closed-form vs finite-difference agreement in `tensors`
-_WRITE_CHARS = 1 << 20  # characters of a long output text encoded and written at once
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +227,8 @@ def _write_surface_csv(path, patch, u_vals, v_vals) -> None:
 
 
 def _write_text(path, text: str) -> None:
-    """Write ``text`` in slices, so that no encoded copy of all of it is made."""
     with open(path, "w") as fh:
-        for start in range(0, len(text), _WRITE_CHARS):
-            fh.write(text[start:start + _WRITE_CHARS])
+        fh.write(text)
 
 
 def cmd_generate(args, file_cfg: dict) -> int:
@@ -247,11 +244,8 @@ def cmd_generate(args, file_cfg: dict) -> int:
     result = analysis.classify_curve(report.frenet, config)
 
     out = args.out
-    # the text of what two or three files read is formatted once and kept
-    shared = [samples.s, *samples.points.T]
-    if args.with_velocity:
-        shared += [*samples.velocity_frame.T]
-    with crv._shared_text(*shared):
+    # .frenet.json writes the CSV's text of s, the points and (with --with-velocity) T again
+    with crv._shared_text(samples.s, *samples.points.T, *samples.velocity_frame.T):
         crv.write_samples_csv(f"{out}.csv", samples, include_velocity=args.with_velocity)
         crv.write_frenet_json(f"{out}.frenet.json", report.frenet)
         analysis.residuals_to_csv(f"{out}.residuals.csv", report)

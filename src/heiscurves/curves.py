@@ -645,29 +645,7 @@ def _pack(rows: np.ndarray) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
-def _unpack(text: bytes, out: np.ndarray) -> None:
-    """Lay out the comma-ended fields of ``text`` in the rows of ``out``, one
-    field at the start of each row, so that ``_pack(out) == text``."""
-    b = np.frombuffer(text, dtype=np.uint8)
-    ends = np.flatnonzero(b == ord(","))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    row = np.repeat(np.arange(len(ends)), ends + 1 - starts)
-    out[...] = 0
-    out[row, np.arange(len(b)) - starts[row]] = b
-
-
-class _Kept:
-    """The text of one array kept inside ``_shared_text``."""
-
-    def __init__(self, array: np.ndarray):
-        self.array = array  # held, so that its memory is not reused inside the block
-        self.blocks: list[bytes] = []  # the packed text of each block of rows, so far
-        self.text: Optional[str] = None  # what ``_text`` returned for it
-
-
-_SHARED_TEXT: ContextVar[tuple[dict, bool] | None] = ContextVar(
-    "heiscurves_shared_text", default=None
-)
+_SHARED_TEXT: ContextVar[dict | None] = ContextVar("heiscurves_shared_text", default=None)
 
 
 def _memory_key(a: np.ndarray) -> tuple:
@@ -676,83 +654,50 @@ def _memory_key(a: np.ndarray) -> tuple:
 
 @contextmanager
 def _shared_text(*arrays):
-    """Inside the block the text of each of ``arrays`` (of every array, when
-    none is named) is formatted once, by the first writer that reads it, and
-    kept as packed bytes for every later one.  ``generate`` names s, the
-    points and the velocities, which two or three of its files read.  An
-    array is keyed by the memory it views; the arrays must not change inside
-    the block."""
+    """Inside the block ``_write_table`` keeps the packed text of each of
+    ``arrays`` that it writes, one bytes object per block of rows, and
+    ``_json_items`` writes that text again instead of formatting it.
+    ``generate`` names s, the points and the velocities, which its CSV
+    writes before its ``.frenet.json``.  An array is keyed by the memory it
+    views and held, so that its memory is not reused; the arrays must not
+    change inside the block."""
     kept = {}
     for a in arrays:
         a = np.asarray(a, dtype=float)
-        kept[_memory_key(a)] = _Kept(a)
-    token = _SHARED_TEXT.set((kept, not arrays))
+        kept[_memory_key(a)] = (a, [])
+    token = _SHARED_TEXT.set(kept)
     try:
         yield
     finally:
         _SHARED_TEXT.reset(token)
 
 
-def _kept(a: np.ndarray) -> Optional[_Kept]:
-    """Where ``_shared_text`` keeps the text of ``a``; None where it does not."""
-    shared = _SHARED_TEXT.get()
-    if shared is None:
-        return None
-    kept, keep_all = shared
-    key = _memory_key(a)
-    if keep_all and key not in kept:
-        kept[key] = _Kept(a)
-    return kept.get(key)
-
-
-def _rows(a: np.ndarray, start: int, out: np.ndarray) -> None:
-    """Lay out the text of the block ``a[start : start + len(out)]`` in
-    ``out`` as ``_percent_17g_rows`` does (blocks are ``_ROWS_PER_WRITE``
-    rows, read in order): from the kept text where there is one, else from
-    the kernel, keeping it where ``a`` is kept."""
-    entry = _kept(a)
-    block = start // _ROWS_PER_WRITE
-    if entry is not None and block < len(entry.blocks):
-        _unpack(entry.blocks[block], out)
-        return
-    _percent_17g_rows(a[start : start + len(out)], out)
-    if entry is not None:
-        entry.blocks.append(_pack(out))
-
-
-def _packed(a: np.ndarray, start: int, out: np.ndarray) -> bytes:
-    """``_pack`` of the rows ``_rows`` lays out; for a kept array the kept
-    bytes themselves, and ``out`` is written only if they are new."""
-    entry = _kept(a)
-    block = start // _ROWS_PER_WRITE
-    if entry is None or block == len(entry.blocks):
-        _rows(a, start, out)
-    return _pack(out) if entry is None else entry.blocks[block]
+def _kept_blocks(a: np.ndarray) -> Optional[list[bytes]]:
+    """The packed blocks ``_shared_text`` keeps for ``a`` so far; None where
+    it keeps none."""
+    kept = _SHARED_TEXT.get()
+    entry = None if kept is None else kept.get(_memory_key(a))
+    return None if entry is None else entry[1]
 
 
 def _text(a) -> str:
     """The ``%.17g`` text of each entry of the 1-D array ``a`` (a lossless
-    round trip), comma-separated: the str form of the one float-to-text route
-    of every per-sample file.  Inside ``_shared_text`` a kept array's text is
-    the same str at every call."""
+    round trip), comma-separated: the str form of the kernel that formats
+    every number of the per-sample files."""
     a = np.asarray(a, dtype=float)
-    entry = _kept(a)
-    if entry is not None and entry.text is not None:
-        return entry.text
-    rows = np.empty((min(len(a), _ROWS_PER_WRITE), _ROW_BYTES), dtype=np.uint8)
-    parts = [_packed(a, i, rows[: len(a) - i]) for i in range(0, len(a), _ROWS_PER_WRITE)]
-    text = b"".join(parts)[:-1].decode("ascii")
-    if entry is not None:
-        entry.text = text
-    return text
+    rows = np.empty((len(a), _ROW_BYTES), dtype=np.uint8)
+    _percent_17g_rows(a, rows)
+    return _pack(rows)[:-1].decode("ascii")
 
 
 def _write_table(path, header, columns) -> None:
     """Write ``header`` and one row per sample of the 1-D ``columns``, each
-    field ``_text``, each line ended by ``\\r\\n``; a ``None`` column leaves
-    its field empty.  The columns' rows are laid out side by side and written
-    ``_ROWS_PER_WRITE`` lines at a time."""
+    field the kernel's ``%.17g`` text, each line ended by ``\\r\\n``; a
+    ``None`` column leaves its field empty.  The columns' rows are laid out
+    side by side and written ``_ROWS_PER_WRITE`` lines at a time.  Inside
+    ``_shared_text`` the text of a named column is kept as it is written."""
     columns = [None if c is None else np.asarray(c, dtype=float) for c in columns]
+    kept = [None if c is None else _kept_blocks(c) for c in columns]
     n = len(next(c for c in columns if c is not None))
     layout = np.empty((min(n, _ROWS_PER_WRITE), len(columns), _ROW_BYTES), dtype=np.uint8)
     with open(path, "wb") as fh:
@@ -762,8 +707,10 @@ def _write_table(path, header, columns) -> None:
             for j, column in enumerate(columns):
                 if column is None:
                     rows[:, j] = _row_of(b",")
-                else:
-                    _rows(column, start, rows[:, j])
+                    continue
+                _percent_17g_rows(column[start : start + len(rows)], rows[:, j])
+                if kept[j] is not None and len(kept[j]) == start // _ROWS_PER_WRITE:
+                    kept[j].append(_pack(rows[:, j]))
             last = rows[:, -1]
             last[last == ord(",")] = ord("\r")  # a field from ``%`` ends before byte 46
             last[:, -1] = ord("\n")
@@ -827,7 +774,7 @@ def read_samples_csv(path, manifold: ManifoldParams) -> CurveSpec:
     with open(path) as fh:
         header = fh.readline()
         cols = [c.strip().lower() for c in header.split(",")]
-        if cols[:4] != ["s", "x", "y", "z"]:
+        if cols not in (["s", "x", "y", "z"], ["s", "x", "y", "z", "vx", "vy", "vz"]):
             raise MalformedSampleFile(f"unexpected header {header.strip()!r}; need s,x,y,z[,vx,vy,vz]")
         try:
             with warnings.catch_warnings():
@@ -842,31 +789,33 @@ def read_samples_csv(path, manifold: ManifoldParams) -> CurveSpec:
     if not np.isfinite(data).all():
         _raise_bad_line(path, cols, "non-finite values")
     _check_uniform_s(data[:, 0])
-    vel = data[:, 4:7] if cols[4:7] == ["vx", "vy", "vz"] else None
+    vel = data[:, 4:] if len(cols) == 7 else None
     return make_sampled_spec(manifold, data[:, 0], data[:, 1:4], vel)
 
 
 def _json_items(a: np.ndarray, rows: np.ndarray):
     """The items of the JSON list of the 1-D series ``a``, each followed by a
     comma, as one bytes object per block of ``_ROWS_PER_WRITE``: ``true`` or
-    ``false``, or the ``_text`` of a number, with null where it is not
-    finite and ``-0.0`` for negative zero (its text ``-0`` would read back as
-    the integer 0)."""
-    for start in range(0, len(a), _ROWS_PER_WRITE):
+    ``false``, or the kernel's ``%.17g`` text of a number, with null where it
+    is not finite and ``-0.0`` for negative zero (its text ``-0`` would read
+    back as the integer 0).  A block whose text ``_shared_text`` keeps, and
+    that needs neither, is that text."""
+    kept = _kept_blocks(a)
+    for block, start in enumerate(range(0, len(a), _ROWS_PER_WRITE)):
         v = a[start : start + _ROWS_PER_WRITE]
         if a.dtype == bool:
             yield _pack(np.where(v, b"true,", b"false,"))
             continue
-        out = rows[: len(v)]
         nulls = ~np.isfinite(v)
         negative_zeros = (v == 0.0) & np.signbit(v)
-        if nulls.any() or negative_zeros.any():
-            _rows(a, start, out)
-            out[nulls] = _row_of(b"null,")
-            out[negative_zeros] = _row_of(b"-0.0,")
-            yield _pack(out)
-        else:
-            yield _packed(a, start, out)
+        if kept is not None and block < len(kept) and not (nulls.any() or negative_zeros.any()):
+            yield kept[block]
+            continue
+        out = rows[: len(v)]
+        _percent_17g_rows(v, out)
+        out[nulls] = _row_of(b"null,")
+        out[negative_zeros] = _row_of(b"-0.0,")
+        yield _pack(out)
 
 
 def _json_list_parts(a: np.ndarray, rows: np.ndarray):
@@ -945,6 +894,7 @@ def frenet_to_json(frenet: FrenetSeries) -> str:
 def write_frenet_json(path, frenet: FrenetSeries) -> None:
     """Write ``frenet_to_json(frenet)`` to ``path`` part by part, so that
     the number text of one block of ``_ROWS_PER_WRITE`` samples of one
-    series is held at a time (besides what ``_shared_text`` keeps)."""
+    series is held at a time; inside ``_shared_text`` the CSV's kept text
+    of s, the points and T is held until the block ends."""
     with open(path, "wb") as fh:
         fh.writelines(_frenet_json_parts(frenet))

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import contextlib
 import json
 import math
 import os
@@ -234,6 +235,22 @@ class TestGenerateVerify:
         assert code == 2
         assert err.startswith("input error:") and "line 2" in err
 
+    @pytest.mark.parametrize("header", [
+        "s,x,y,z,vy,vx,vz", "s,x,y,z,vx,vy", "s,x,y,z,w", "s,x,y,z,vx,vy,vz,extra",
+    ])
+    def test_verify_unknown_header_input_error(self, capsys, tmp_path, header):
+        # rows as wide as the header: velocity columns under another header
+        # used to be dropped, and the positions differentiated
+        _, _, out = self._generate(capsys, tmp_path, "--with-velocity")
+        lines = Path(f"{out}.csv").read_text().splitlines()[1:]
+        width = header.count(",") + 1
+        rows = [",".join((line.split(",") * 2)[:width]) for line in lines]
+        path = tmp_path / "header.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        code, stdout, err = run(capsys, "verify", str(path))
+        assert code == 2 and stdout == ""
+        assert err.startswith("input error:") and header in err
+
     def test_verify_digit_underscore_names_line(self, capsys, tmp_path):
         path = tmp_path / "underscore.csv"
         path.write_text("s,x,y,z\n0,0,0,0\n1,1_0,0,0\n2,0,0,0\n")
@@ -443,20 +460,30 @@ class TestWritersPerGenerate:
         assert counts == {"write_samples_csv": 1, "write_frenet_json": 1, "residuals_to_csv": 1}
 
     def test_generate_formats_each_column_once(self, capsys, monkeypatch, tmp_path):
-        # the three files hold 7 + 15 + 5 float columns; the 7 of the first
-        # file are read again (s by both later files, the points and the
-        # velocities by .frenet.json) and kept, so the kernel formats 19
-        # columns, each once
+        # the three files hold 7 + 15 + 5 float columns; .frenet.json takes
+        # the text of s, the points and the velocities from the CSV, so the
+        # kernel formats the other 20 columns.  residuals.csv formats s again
         n = 501
-        formatted, memos = [], []
-        kernel = curves._percent_17g_rows
+        formatted, memos, in_json, frenets, writing = [], [], [], [], []
+        kernel, json_writer = curves._percent_17g_rows, curves.write_frenet_json
 
         def spied(a, out):
             formatted.append(len(a))
             memos.append(curves._SHARED_TEXT.get())
+            if writing:
+                in_json.append(a)
             return kernel(a, out)
 
+        def spied_json(path, frenet):
+            frenets.append(frenet)
+            writing.append(path)
+            try:
+                json_writer(path, frenet)
+            finally:
+                writing.pop()
+
         monkeypatch.setattr(curves, "_percent_17g_rows", spied)
+        monkeypatch.setattr(curves, "write_frenet_json", spied_json)
         code, _, _ = run(
             capsys,
             "generate",
@@ -467,12 +494,71 @@ class TestWritersPerGenerate:
             "--out", str(tmp_path / "curve"),
         )
         assert code == 0
-        assert sum(formatted) == 19 * n
+        assert sum(formatted) == 20 * n
         assert memos[0] is not None and all(memo is memos[0] for memo in memos)
-        kept, keep_all = memos[0]
-        assert not keep_all and len(kept) == 7
-        assert all(len(entry.blocks) == 1 for entry in kept.values())
+        assert len(memos[0]) == 7
+        assert all(len(blocks) == 1 for _, blocks in memos[0].values())
         assert curves._SHARED_TEXT.get() is None
+        # while .frenet.json is written, only k, tau, N and B go through the kernel
+        frenet = frenets[0]
+        assert len(in_json) == 8
+        for a in in_json:
+            for shared in (frenet.s, frenet.points, frenet.T):
+                assert not np.may_share_memory(a, shared)
+
+    def test_shared_text_changes_no_byte(self, capsys, monkeypatch, tmp_path):
+        # blocks of 64 rows, so that block ends are crossed at n = 501
+        monkeypatch.setattr(curves, "_ROWS_PER_WRITE", 64)
+        n = 501
+        argv = [
+            "generate",
+            "--sin-alpha0", repr(1.0 / math.sqrt(10.0)),
+            "--samples", str(n),
+            "--s1", repr(2.0 * math.pi),
+            "--with-velocity", "--surfaces",
+        ]
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "alone").mkdir()
+        assert run(capsys, *argv, "--out", str(tmp_path / "kept" / "curve"))[0] == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(curves, "_shared_text", lambda *arrays: contextlib.nullcontext())
+            assert run(capsys, *argv, "--out", str(tmp_path / "alone" / "curve"))[0] == 0
+        names = sorted(p.name for p in (tmp_path / "kept").iterdir())
+        assert len(names) == 8
+        assert names == sorted(p.name for p in (tmp_path / "alone").iterdir())
+        for name in names:
+            kept, alone = tmp_path / "kept" / name, tmp_path / "alone" / name
+            assert kept.read_bytes() == alone.read_bytes(), name
+
+        # .frenet.json before the CSV: nothing is kept yet, so every column
+        # of .frenet.json goes through the kernel, and the bytes are the same
+        hp = hc.HelixParams(alpha0=math.asin(1.0 / math.sqrt(10.0)))
+        samples = hc.sample_curve(hc.biharmonic_helix(hp, (0.0, 2.0 * math.pi)), n)
+        frenet = hc.bitension_report(samples).frenet
+        formatted = []
+        kernel = curves._percent_17g_rows
+
+        def spied(a, out):
+            formatted.append(len(a))
+            return kernel(a, out)
+
+        monkeypatch.setattr(curves, "_percent_17g_rows", spied)
+        first = tmp_path / "first"
+        with curves._shared_text(samples.s, *samples.points.T, *samples.velocity_frame.T):
+            hc.write_frenet_json(f"{first}.frenet.json", frenet)
+            assert sum(formatted) == 15 * n
+            hc.write_samples_csv(f"{first}.csv", samples, include_velocity=True)
+            kept = curves._SHARED_TEXT.get()
+            assert all(len(blocks) == -(-n // 64) for _, blocks in kept.values())
+            # another view of the same memory finds the kept text; another
+            # shape or stride from the same start address does not
+            x = samples.points[:, 0]
+            assert curves._kept_blocks(x) is not None
+            assert curves._kept_blocks(x) is curves._kept_blocks(samples.points.T[0])
+            assert curves._kept_blocks(x[::2]) is None and curves._kept_blocks(x[:7]) is None
+        for suffix in (".frenet.json", ".csv"):
+            expected = (tmp_path / "kept" / f"curve{suffix}").read_bytes()
+            assert Path(f"{first}{suffix}").read_bytes() == expected, suffix
 
 
 class TestGeodesicCommand:

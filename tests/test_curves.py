@@ -673,7 +673,8 @@ class TestTextCodec:
             for header, columns in tables:
                 curves._write_table(path, header, columns)
                 assert path.read_bytes() == _one_format_table(header, columns), (header, n)
-            # kept text: formatted by the first table, unpacked by the later ones
+            # inside ``_shared_text`` the first table keeps the text of a and s,
+            # and the later ones format it again
             with curves._shared_text(a, s):
                 for header, columns in tables:
                     curves._write_table(path, header, columns)
@@ -779,6 +780,9 @@ class TestTextCodec:
         for view in (a[::-1], a[::3], pts[:, 1], pts.T[2][::-2]):
             assert not view.flags.c_contiguous
             assert curves._text(view) == self._oracle(view)
+        # the same start address with another shape or stride, and short arrays
+        for view in (pts[::2, 0], pts[:7, 0], *(np.full(4, float(k)) for k in range(20))):
+            assert curves._text(view) == self._oracle(view)
 
     def test_text_across_block_ends(self):
         rng = np.random.default_rng(10)
@@ -802,25 +806,6 @@ class TestTextCodec:
         assert curves._text(ties) == expected
         monkeypatch.setattr(curves, "_NEAR_TIE", -1.0)  # no entry counts as a tie
         assert curves._text(ties) != expected
-
-    def test_shared_text_formats_each_array_once(self, figure1_samples):
-        pts = figure1_samples.points
-        assert curves._SHARED_TEXT.get() is None
-        with curves._shared_text():
-            first = curves._text(pts.T[0])
-            # a new view of the same memory gets the same text object
-            assert curves._text(pts.T[0]) is first
-            assert curves._text(pts[:, 0]) is first
-            assert curves._text(pts.T[1]) is not first
-            assert curves._text(np.array(pts.T[0])) is not first
-            # the same start address with another shape or stride is other data
-            assert curves._text(pts[::2, 0]) == ",".join("%.17g" % v for v in pts[::2, 0])
-            assert curves._text(pts[:7, 0]) == ",".join("%.17g" % v for v in pts[:7, 0])
-            # a freed temporary's memory is not reused while its text is kept
-            for k in range(20):
-                assert curves._text(np.full(4, float(k))) == ",".join([str(k)] * 4)
-        assert curves._SHARED_TEXT.get() is None
-        assert curves._text(pts.T[0]) is not curves._text(pts.T[0])
 
     def test_frenet_series_shares_the_sampled_arrays(self, figure1_samples):
         fr = hc.frenet_apparatus(figure1_samples)
