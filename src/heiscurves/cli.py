@@ -34,7 +34,13 @@ from .errors import HeiscurvesError, InadmissibleAlpha, MalformedSampleFile, Non
 from .manifold import FrameVector, ManifoldParams
 from .numerics import NumericsConfig
 
-_NUMERIC_TOL = 1e-8  # closed-form vs finite-difference agreement in `tensors`
+# Closed-form vs finite-difference agreement in `tensors`, for entries of size
+# at most 1.  The numeric route's roundoff grows with what it differences: the
+# connection's entries (l/2, 2m x, 2m y) and, for the curvature, terms of size
+# max|G|^2 (the products G G, and 2m F, the derivative of 2m x along e1) that
+# cancel to its constant entries.  So the tolerance scales by max(1, max|G|)
+# for the connection and by its square for the curvature.
+_NUMERIC_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +177,13 @@ def cmd_tensors(args, file_cfg: dict) -> int:
     R_num = mf.curvature_table_numeric(params, point)
     conn_dev = float(np.abs(G - G_num).max())
     curv_dev = float(np.abs(R - R_num).max())
-    ok = conn_dev <= _NUMERIC_TOL and curv_dev <= _NUMERIC_TOL
+    scale = max(1.0, float(np.abs(G).max()))
+    conn_tol, curv_tol = _NUMERIC_TOL * scale, _NUMERIC_TOL * scale * scale
+    ok = conn_dev <= conn_tol and curv_dev <= curv_tol
     lines.append("")
     lines.append(
-        f"finite-difference cross-check: connection dev {conn_dev:.3e}, "
-        f"curvature dev {curv_dev:.3e} (tol {_NUMERIC_TOL:g}) "
+        f"finite-difference cross-check: connection dev {conn_dev:.3e} (tol {conn_tol:g}), "
+        f"curvature dev {curv_dev:.3e} (tol {curv_tol:g}) "
         + ("PASS" if ok else "FAIL")
     )
 

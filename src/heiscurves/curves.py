@@ -1,11 +1,11 @@
 """Curves, arclength sampling, covariant differentiation and Frenet data.
 
 Curves are always parametrized by arclength.  A curve enters the package in
-one of three forms:
+one of two forms:
 
-* ``closed_form``  -- exact callables for position (and velocity),
-* ``ode_defined``  -- a sampler that integrates an ODE on a given grid,
-* ``sampled``      -- imported (s, x, y, z) rows with optional velocities.
+* a sampler, which gives the points and the frame velocities on a grid of
+  arclengths together, from closed formulas or from an integrator,
+* imported samples: (s, x, y, z) rows with optional velocities.
 
 Velocities are carried in components of the left-invariant orthonormal
 frame; these are unchanged under left translations, which makes Frenet data
@@ -31,7 +31,7 @@ import math
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, NoReturn, Optional
 
 import numpy as np
@@ -77,22 +77,19 @@ __all__ = [
 class CurveSpec:
     """A parametrized curve on one manifold of the family.
 
-    Exactly one payload is populated, matching ``kind``:
+    Exactly one payload is populated:
 
-    closed_form   point_fn (and frame_velocity_fn or velocity_fn),
-    ode_defined   sampler(s_grid) -> (points, frame_velocities),
-    sampled       s / points (and optionally frame velocities).
+    sampler(s_grid) -> (points, frame_velocities), (n, 3) arrays each, or
+    sampled_s / sampled_points (and optionally sampled_velocity_frame).
 
-    ``family`` carries the serializable constructor parameters, when the
-    curve came from one of the factory families.
+    A curve known in coordinates converts its coordinate velocity with
+    ``manifold.to_frame_components`` inside its sampler.  ``family`` carries
+    the serializable constructor parameters, when the curve came from one of
+    the factory families.
     """
 
-    kind: str
     manifold: ManifoldParams
     s_range: tuple[float, float]
-    point_fn: Optional[Callable] = None
-    velocity_fn: Optional[Callable] = None
-    frame_velocity_fn: Optional[Callable] = None
     sampler: Optional[Callable] = None
     sampled_s: Optional[np.ndarray] = None
     sampled_points: Optional[np.ndarray] = None
@@ -100,16 +97,12 @@ class CurveSpec:
     family: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("closed_form", "ode_defined", "sampled"):
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-        if self.kind == "closed_form" and self.point_fn is None:
-            raise ValueError("closed_form curve needs point_fn")
-        if self.kind == "ode_defined" and self.sampler is None:
-            raise ValueError("ode_defined curve needs a sampler")
-        if self.kind == "sampled" and (
-            self.sampled_s is None or self.sampled_points is None
-        ):
-            raise ValueError("sampled curve needs s and point arrays")
+        sampled = (self.sampled_s, self.sampled_points, self.sampled_velocity_frame)
+        if self.sampler is not None:
+            if any(a is not None for a in sampled):
+                raise ValueError("a curve takes a sampler or sampled arrays, not both")
+        elif self.sampled_s is None or self.sampled_points is None:
+            raise ValueError("a curve needs a sampler or sampled s and point arrays")
 
 
 @dataclass
@@ -189,13 +182,13 @@ def sample_curve(
 ) -> CurveSamples:
     """Evaluate ``n`` uniform arclength samples of a curve.
 
-    Velocities come from the analytic derivative (closed form), the ODE
-    state (ode_defined) or central differences of the positions (sampled
-    without velocity columns).  Unit speed is enforced on the interior
-    samples; boundary samples of differentiated imports use one-sided
-    stencils and are excluded from the check.
+    Velocities come from the curve's sampler or, for imported samples
+    without velocity columns, from central differences of the positions.
+    Unit speed is enforced on the interior samples; boundary samples of
+    differentiated imports use one-sided stencils and are excluded from the
+    check.
     """
-    if spec.kind == "sampled":
+    if spec.sampler is None:
         s = np.asarray(spec.sampled_s, dtype=float)
         if n is not None and n != len(s):
             raise ValueError(
@@ -221,24 +214,13 @@ def sample_curve(
         return samples
 
     if n is None:
-        raise ValueError("n is required for closed_form and ode_defined curves")
+        raise ValueError("n is required for a curve with a sampler")
     if n < 9:
         raise TooFewSamples(f"need n >= 9 samples, got {n}")
     s = _uniform_grid(spec.s_range, n)
-
-    if spec.kind == "closed_form":
-        points = np.asarray(spec.point_fn(s), dtype=float)
-        if spec.frame_velocity_fn is not None:
-            vel = np.asarray(spec.frame_velocity_fn(s), dtype=float)
-        elif spec.velocity_fn is not None:
-            v_coord = np.asarray(spec.velocity_fn(s), dtype=float)
-            vel = mf.to_frame_components(spec.manifold, points, v_coord)
-        else:
-            raise ValueError("closed_form curve carries no velocity rule")
-    else:  # ode_defined
-        points, vel = spec.sampler(s)
-        points = np.asarray(points, dtype=float)
-        vel = np.asarray(vel, dtype=float)
+    points, vel = spec.sampler(s)
+    points = np.asarray(points, dtype=float)
+    vel = np.asarray(vel, dtype=float)
 
     samples = CurveSamples(spec.manifold, s, points, vel)
     _validate_unit_speed(vel, config)
@@ -384,46 +366,32 @@ def left_translate_samples(g, samples: CurveSamples) -> CurveSamples:
 
 
 def left_translate_curve(g, spec: CurveSpec) -> CurveSpec:
-    """The curve s -> L_g(gamma(s)) on the Heisenberg group."""
+    """The curve s -> L_g(gamma(s)) on the Heisenberg group.
+
+    The frame velocities are unchanged.  ``family`` records the whole
+    translation from the untranslated curve in ``translated_by``, so that
+    ``factory.load_curve_params`` can rebuild the moved curve.
+    """
     params = spec.manifold
     g_arr = mf.as_point(g)
     # Raise UnsupportedManifold early for (m, l) != (0, 1).
     mf.left_translate(params, g_arr, np.zeros(3))
+    total = g_arr
+    if "translated_by" in spec.family:  # L_g L_h = L_{g h}
+        total = mf.left_translate(params, g_arr, spec.family["translated_by"])
+    family = {**spec.family, "translated_by": list(map(float, total))}
 
-    if spec.kind == "sampled":
-        pts = mf.left_translate(params, g_arr, np.asarray(spec.sampled_points, dtype=float))
-        return CurveSpec(
-            kind="sampled",
-            manifold=params,
-            s_range=spec.s_range,
+    if spec.sampler is None:
+        return replace(
+            spec,
             sampled_s=np.array(spec.sampled_s, copy=True),
-            sampled_points=pts,
+            sampled_points=mf.left_translate(
+                params, g_arr, np.asarray(spec.sampled_points, dtype=float)
+            ),
             sampled_velocity_frame=None
             if spec.sampled_velocity_frame is None
             else np.array(spec.sampled_velocity_frame, copy=True),
-            family={**spec.family, "translated_by": list(map(float, g_arr))},
-        )
-
-    if spec.kind == "closed_form":
-        base_point = spec.point_fn
-        base_vel = spec.velocity_fn
-
-        def point_fn(s):
-            return mf.left_translate(params, g_arr, base_point(s))
-
-        velocity_fn = None
-        if base_vel is not None:
-            def velocity_fn(s):
-                return mf.left_translate_velocity(params, g_arr, base_vel(s))
-
-        return CurveSpec(
-            kind="closed_form",
-            manifold=params,
-            s_range=spec.s_range,
-            point_fn=point_fn,
-            velocity_fn=velocity_fn,
-            frame_velocity_fn=spec.frame_velocity_fn,
-            family={**spec.family, "translated_by": list(map(float, g_arr))},
+            family=family,
         )
 
     base_sampler = spec.sampler
@@ -432,13 +400,7 @@ def left_translate_curve(g, spec: CurveSpec) -> CurveSpec:
         pts, vel = base_sampler(s_grid)
         return mf.left_translate(params, g_arr, pts), vel
 
-    return CurveSpec(
-        kind="ode_defined",
-        manifold=params,
-        s_range=spec.s_range,
-        sampler=sampler,
-        family={**spec.family, "translated_by": list(map(float, g_arr))},
-    )
+    return replace(spec, sampler=sampler, family=family)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +416,6 @@ def make_sampled_spec(
 ) -> CurveSpec:
     s = np.asarray(s, dtype=float)
     return CurveSpec(
-        kind="sampled",
         manifold=manifold,
         s_range=(float(s[0]), float(s[-1])),
         sampled_s=s,

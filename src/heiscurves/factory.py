@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import manifold as mf
-from .curves import CurveSamples, CurveSpec, sample_curve
+from .curves import CurveSamples, CurveSpec, left_translate_curve, sample_curve
 from .errors import (
     DomainExit,
     InadmissibleAlpha,
@@ -151,7 +151,7 @@ def helix_family_curve(
     """The constant-axis-angle family with an arbitrary rotation rate.
 
     Unit speed for every rate; biharmonic only when the rate solves the
-    branch quadratic.  Exact position and velocity callables.
+    branch quadratic.  Exact positions and frame velocities.
     """
     if rate == 0.0:
         raise ValueError("rate must be nonzero")
@@ -159,41 +159,25 @@ def helix_family_curve(
     A = rate
     zslope = C + S * S / (2.0 * A)
 
-    def point_fn(s):
+    def sampler(s):
         s = np.asarray(s, dtype=float)
         beta = A * s + a
-        x = (S / A) * np.sin(beta) + b
-        y = -(S / A) * np.cos(beta) + c
+        sin_beta, cos_beta = np.sin(beta), np.cos(beta)
+        x = (S / A) * sin_beta + b
+        y = -(S / A) * cos_beta + c
         z = (
             zslope * s
-            - (b * S / (2.0 * A)) * np.cos(beta)
-            - (c * S / (2.0 * A)) * np.sin(beta)
+            - (b * S / (2.0 * A)) * cos_beta
+            - (c * S / (2.0 * A)) * sin_beta
             + d
         )
-        return np.stack([x, y, z], axis=-1)
-
-    def velocity_fn(s):
-        s = np.asarray(s, dtype=float)
-        beta = A * s + a
-        dx = S * np.cos(beta)
-        dy = S * np.sin(beta)
-        dz = zslope + 0.5 * S * (b * np.sin(beta) - c * np.cos(beta))
-        return np.stack([dx, dy, dz], axis=-1)
-
-    def frame_velocity_fn(s):
-        s = np.asarray(s, dtype=float)
-        beta = A * s + a
-        return np.stack(
-            [S * np.cos(beta), S * np.sin(beta), np.full_like(beta, C)], axis=-1
-        )
+        vel = np.stack([S * cos_beta, S * sin_beta, np.full_like(beta, C)], axis=-1)
+        return np.stack([x, y, z], axis=-1), vel
 
     return CurveSpec(
-        kind="closed_form",
         manifold=HEISENBERG,
         s_range=s_range,
-        point_fn=point_fn,
-        velocity_fn=velocity_fn,
-        frame_velocity_fn=frame_velocity_fn,
+        sampler=sampler,
         family={
             "family": "helix_family",
             "alpha0": alpha0,
@@ -335,7 +319,7 @@ def _geodesic_closed_form(
     w = l * t3
     s0 = float(s_range[0])
 
-    def point_fn(s):
+    def sampler(s):
         u = np.asarray(s, dtype=float) - s0
         q = w * u
         chord = S * u * np.sinc(q / (2.0 * math.pi))
@@ -344,20 +328,14 @@ def _geodesic_closed_form(
         # S^2 (w u - sin w u) / w^2 = S^2 w u^3 (q - sin q) / q^3
         area = x0 * dy - y0 * dx + S * S * w * u**3 * _sweep(q)
         z = z0 + t3 * u + 0.5 * l * area
-        return np.stack([x0 + dx, y0 + dy, z], axis=-1)
-
-    def frame_velocity_fn(s):
-        theta = phi + w * (np.asarray(s, dtype=float) - s0)
-        return np.stack(
-            [S * np.cos(theta), S * np.sin(theta), np.full_like(theta, t3)], axis=-1
-        )
+        theta = phi + q
+        vel = np.stack([S * np.cos(theta), S * np.sin(theta), np.full_like(theta, t3)], axis=-1)
+        return np.stack([x0 + dx, y0 + dy, z], axis=-1), vel
 
     return CurveSpec(
-        kind="closed_form",
         manifold=params,
         s_range=s_range,
-        point_fn=point_fn,
-        frame_velocity_fn=frame_velocity_fn,
+        sampler=sampler,
         family=_geodesic_family(params, p0, v0),
     )
 
@@ -391,25 +369,19 @@ def _geodesic_orbit(
     zeta0, z0, v, t3 = orbit.zeta0, float(p0[2]), orbit.v, float(v0[2])
     w0, half_l = orbit.F0 * v, 0.5 * params.l
 
-    def point_fn(s):
+    def sampler(s):
         u = np.asarray(s, dtype=float) - s0
         D, sn = orbit.denominator(u)
         zeta = zeta0 + w0 * sn / D
         z = z0 + t3 * u - half_l * orbit.phase(u, D)
-        return np.stack([zeta.real, zeta.imag, z], axis=-1)
-
-    def frame_velocity_fn(s):
-        u = np.asarray(s, dtype=float) - s0
-        D, _ = orbit.denominator(u)
         T = v * (D.conjugate() / D)
-        return np.stack([T.real, T.imag, np.full_like(u, t3)], axis=-1)
+        vel = np.stack([T.real, T.imag, np.full_like(u, t3)], axis=-1)
+        return np.stack([zeta.real, zeta.imag, z], axis=-1), vel
 
     return CurveSpec(
-        kind="closed_form",
         manifold=params,
         s_range=s_range,
-        point_fn=point_fn,
-        frame_velocity_fn=frame_velocity_fn,
+        sampler=sampler,
         family=_geodesic_family(params, p0, v0),
     )
 
@@ -551,21 +523,14 @@ def one_param_subgroup(
         )
     v = _require_unit(direction, "subgroup direction")
 
-    def point_fn(s):
+    def sampler(s):
         s = np.asarray(s, dtype=float)
-        return s[..., None] * v
-
-    def const_velocity(s):
-        s = np.asarray(s, dtype=float)
-        return np.broadcast_to(v, s.shape + (3,)).copy()
+        return s[..., None] * v, np.broadcast_to(v, s.shape + (3,)).copy()
 
     return CurveSpec(
-        kind="closed_form",
         manifold=HEISENBERG,
         s_range=s_range,
-        point_fn=point_fn,
-        velocity_fn=const_velocity,
-        frame_velocity_fn=const_velocity,
+        sampler=sampler,
         family={"family": "one_param_subgroup", "direction": [float(c) for c in v]},
     )
 
@@ -621,7 +586,6 @@ def b3zero_curve(
         return pts, vel
 
     return CurveSpec(
-        kind="ode_defined",
         manifold=HEISENBERG,
         s_range=s_range,
         sampler=sampler,
@@ -661,7 +625,6 @@ def tangent_driven_curve(
         return sol.y.T, vel
 
     return CurveSpec(
-        kind="ode_defined",
         manifold=params,
         s_range=s_range,
         sampler=sampler,
@@ -754,10 +717,21 @@ def membership_residual(
 # ---------------------------------------------------------------------------
 
 
+# The families whose parameter records load_curve_params rebuilds.
+_LOADABLE_FAMILIES = ("biharmonic_helix", "helix_family", "one_param_subgroup", "geodesic",
+                      "b3zero_linear")
+
+
 def dump_curve_params(spec: CurveSpec, n_samples: int | None = None) -> str:
-    """JSON form of a factory-built curve (family parameters only)."""
-    if not spec.family:
-        raise ValueError("curve carries no serializable family parameters")
+    """JSON form of a factory-built curve (family parameters only).
+
+    Raises ValueError for a curve that ``load_curve_params`` cannot rebuild
+    from its record: one with no family, or ``b3zero`` and
+    ``tangent_driven`` curves, whose parameters are callables.
+    """
+    family = spec.family.get("family")
+    if family not in _LOADABLE_FAMILIES:
+        raise ValueError(f"no parameter record for curve family {family!r}")
     payload = dict(spec.family)
     payload.setdefault("manifold", {"m": spec.manifold.m, "l": spec.manifold.l})
     payload["s_range"] = [float(spec.s_range[0]), float(spec.s_range[1])]
@@ -767,12 +741,12 @@ def dump_curve_params(spec: CurveSpec, n_samples: int | None = None) -> str:
 
 
 def load_curve_params(text: str) -> tuple[CurveSpec, int | None]:
-    """Rebuild a CurveSpec from its JSON parameter record."""
+    """Rebuild a CurveSpec from its JSON parameter record, left-translated
+    by ``translated_by`` when the record has it."""
     data = json.loads(text)
     man = data.get("manifold", {"m": 0.0, "l": 1.0})
     params = ManifoldParams(float(man["m"]), float(man["l"]))
     s_range = tuple(float(v) for v in data.get("s_range", (0.0, 10.0 * math.pi)))
-    n = data.get("samples")
     family = data.get("family")
     if family == "biharmonic_helix":
         hp = HelixParams(
@@ -783,34 +757,32 @@ def load_curve_params(text: str) -> tuple[CurveSpec, int | None]:
             d=float(data.get("d", 0.0)),
             branch=data.get("branch", "plus"),
         )
-        return biharmonic_helix(hp, s_range), n
-    if family == "helix_family":
-        return (
-            helix_family_curve(
-                float(data["alpha0"]),
-                float(data["rate"]),
-                float(data.get("a", 0.0)),
-                float(data.get("b", 0.0)),
-                float(data.get("c", 0.0)),
-                float(data.get("d", 0.0)),
-                s_range,
-            ),
-            n,
+        spec = biharmonic_helix(hp, s_range)
+    elif family == "helix_family":
+        spec = helix_family_curve(
+            float(data["alpha0"]),
+            float(data["rate"]),
+            float(data.get("a", 0.0)),
+            float(data.get("b", 0.0)),
+            float(data.get("c", 0.0)),
+            float(data.get("d", 0.0)),
+            s_range,
         )
-    if family == "one_param_subgroup":
-        return one_param_subgroup(np.asarray(data["direction"], dtype=float), s_range), n
-    if family == "geodesic":
-        return (
-            geodesic_ivp(
-                params,
-                np.asarray(data["point"], dtype=float),
-                np.asarray(data["direction"], dtype=float),
-                s_range,
-            ),
-            n,
+    elif family == "one_param_subgroup":
+        spec = one_param_subgroup(np.asarray(data["direction"], dtype=float), s_range)
+    elif family == "geodesic":
+        spec = geodesic_ivp(
+            params,
+            np.asarray(data["point"], dtype=float),
+            np.asarray(data["direction"], dtype=float),
+            s_range,
         )
-    if family == "b3zero_linear":
+    elif family == "b3zero_linear":
         a0 = float(data["alpha_start"])
         rate = float(data["alpha_rate"])
-        return b3zero_curve(lambda s: a0 + rate * np.asarray(s, dtype=float), s_range), n
-    raise ValueError(f"unknown curve family {family!r}")
+        spec = b3zero_curve(lambda s: a0 + rate * np.asarray(s, dtype=float), s_range)
+    else:
+        raise ValueError(f"unknown curve family {family!r}")
+    if "translated_by" in data:
+        spec = left_translate_curve(np.asarray(data["translated_by"], dtype=float), spec)
+    return spec, data.get("samples")

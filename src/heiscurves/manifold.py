@@ -112,10 +112,6 @@ class ManifoldParams:
             if not math.isfinite(value):
                 raise ValueError(f"manifold {name} must be finite, got {value!r}")
 
-    @classmethod
-    def heisenberg(cls) -> "ManifoldParams":
-        return cls(0.0, 1.0)
-
     @property
     def flatness(self) -> float:
         """The combination l^2 - 4m; zero exactly on the constant-curvature
@@ -219,11 +215,10 @@ def metric_at(params: ManifoldParams, p) -> np.ndarray:
     return g
 
 
-def frame_at(params: ManifoldParams, p, validate: bool = False) -> np.ndarray:
+def frame_at(params: ManifoldParams, p) -> np.ndarray:
     """Coordinate components of the orthonormal frame, shape (..., 3, 3).
 
-    Row a holds the components of e_{a+1}.  With ``validate=True`` the Gram
-    matrix of the rows is checked against the identity (1e-10).
+    Row a holds the components of e_{a+1}.
     """
     q = as_point(p)
     fac, _, _ = _twist_coefficients(params, q)
@@ -238,12 +233,6 @@ def frame_at(params: ManifoldParams, p, validate: bool = False) -> np.ndarray:
         ],
         axis=-2,
     )
-    if validate:
-        g = metric_at(params, q)
-        gram = np.einsum("...ai,...ij,...bj->...ab", frame, g, frame)
-        err = np.abs(gram - np.eye(3)).max()
-        if err > 1e-10:
-            raise AssertionError(f"frame not orthonormal, max deviation {err:.3e}")
     return frame
 
 
@@ -519,66 +508,45 @@ def _check_index(*indices: int) -> None:
             raise IndexError(f"frame index must be in {{1, 2, 3}}, got {a}")
 
 
-def _by_route(closed, numeric, params: ManifoldParams, p, method: str) -> np.ndarray:
-    """The table at p from ``closed`` or ``numeric``, by the named route."""
-    if method == "closed_form":
-        return closed(params, p)
-    if method == "numeric":
-        return numeric(params, p)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def connection_frame(
-    params: ManifoldParams, p, a: int, b: int, method: str = "closed_form"
-) -> FrameVector:
+def connection_frame(params: ManifoldParams, p, a: int, b: int) -> FrameVector:
     """nabla_{e_a} e_b at p, in frame components (1-based indices)."""
     _check_index(a, b)
     q = as_point(p)
-    G = _by_route(connection_table, connection_table_numeric, params, q, method)
+    G = connection_table(params, q)
     return FrameVector(q, G[..., a - 1, b - 1, :])
 
 
-def lie_bracket_frame(
-    params: ManifoldParams, p, a: int, b: int, method: str = "closed_form"
-) -> FrameVector:
+def lie_bracket_frame(params: ManifoldParams, p, a: int, b: int) -> FrameVector:
     """[e_a, e_b] at p, in frame components (1-based indices)."""
     _check_index(a, b)
     q = as_point(p)
-    C = _by_route(bracket_table, bracket_table_numeric, params, q, method)
+    C = bracket_table(params, q)
     return FrameVector(q, C[..., a - 1, b - 1, :])
 
 
 def curvature_op(
-    params: ManifoldParams,
-    X: FrameVector,
-    Y: FrameVector,
-    Z: FrameVector,
-    method: str = "closed_form",
+    params: ManifoldParams, X: FrameVector, Y: FrameVector, Z: FrameVector
 ) -> FrameVector:
     """R(X, Y)Z for frame vectors at a common base point."""
     base = _check_same_base(X, Y, Z)
-    table = _by_route(curvature_table, curvature_table_numeric, params, base, method)
+    table = curvature_table(params, base)
     comps = np.einsum(
         "a,b,c,abcd->d", X.components, Y.components, Z.components, table
     )
     return FrameVector(base, comps)
 
 
-def riemann_component(
-    params: ManifoldParams, p, a: int, b: int, c: int, d: int, method: str = "closed_form"
-) -> float:
+def riemann_component(params: ManifoldParams, p, a: int, b: int, c: int, d: int) -> float:
     """R_abcd = <R(e_a, e_b) e_c, e_d> (1-based indices)."""
     _check_index(a, b, c, d)
-    table = _by_route(curvature_table, curvature_table_numeric, params, p, method)
+    table = curvature_table(params, p)
     return float(table[..., a - 1, b - 1, c - 1, d - 1])
 
 
-def ricci_component(
-    params: ManifoldParams, p, a: int, b: int, method: str = "closed_form"
-) -> float:
+def ricci_component(params: ManifoldParams, p, a: int, b: int) -> float:
     """rho_ab = trace(Z -> R(e_a, Z) e_b) (1-based indices)."""
     _check_index(a, b)
-    table = _by_route(curvature_table, curvature_table_numeric, params, p, method)
+    table = curvature_table(params, p)
     # rho(e_a, e_b) = sum_c <R(e_a, e_c) e_b, e_c>
     return float(np.trace(table[..., a - 1, :, b - 1, :]))
 

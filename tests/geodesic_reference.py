@@ -9,8 +9,8 @@ The state (position, frame components of the tangent) obeys
 with F = 1 + m (x^2 + y^2).  ``ode_geodesic`` integrates it with scipy's
 ``solve_ivp`` and stops an m < 0 geodesic where F falls to 1e-9, raising
 DomainExit as ``geodesic_ivp`` does; ``rk4_geodesic`` uses fixed classical
-Runge-Kutta steps.  Both return ``ode_defined`` curves anchored at
-p0 = gamma(s_range[0]).
+Runge-Kutta steps.  Both return curves whose sampler integrates, anchored
+at p0 = gamma(s_range[0]).
 """
 
 import math
@@ -65,7 +65,7 @@ def ode_geodesic(params, p0, v0, s_range, method="DOP853", rtol=1e-13, atol=1e-1
             raise hc.IntegrationFailure(f"ODE solver failed: {sol.message}")
         return sol.y[:3].T, sol.y[3:].T
 
-    return hc.CurveSpec(kind="ode_defined", manifold=params, s_range=s_range, sampler=sampler)
+    return hc.CurveSpec(manifold=params, s_range=s_range, sampler=sampler)
 
 
 def rk4_geodesic(params, p0, v0, s_range, step):
@@ -89,4 +89,4 @@ def rk4_geodesic(params, p0, v0, s_range, step):
             out[i] = y
         return out[:, :3], out[:, 3:]
 
-    return hc.CurveSpec(kind="ode_defined", manifold=params, s_range=s_range, sampler=sampler)
+    return hc.CurveSpec(manifold=params, s_range=s_range, sampler=sampler)

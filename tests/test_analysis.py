@@ -24,20 +24,14 @@ def unit_circle_spec(radius=1.0):
     r = radius
     q = 2.0 / math.sqrt(4.0 + r * r)
 
-    def point_fn(s):
+    def sampler(s):
         s = np.asarray(s, dtype=float)
         t = q * s / r
-        return np.stack([r * np.cos(t), r * np.sin(t), np.zeros_like(t)], axis=-1)
+        points = np.stack([r * np.cos(t), r * np.sin(t), np.zeros_like(t)], axis=-1)
+        v_coord = np.stack([-q * np.sin(t), q * np.cos(t), np.zeros_like(t)], axis=-1)
+        return points, mf.to_frame_components(H, points, v_coord)
 
-    def velocity_fn(s):
-        s = np.asarray(s, dtype=float)
-        t = q * s / r
-        return np.stack([-q * np.sin(t), q * np.cos(t), np.zeros_like(t)], axis=-1)
-
-    return hc.CurveSpec(
-        kind="closed_form", manifold=H, s_range=(0.0, 12.0),
-        point_fn=point_fn, velocity_fn=velocity_fn,
-    )
+    return hc.CurveSpec(manifold=H, s_range=(0.0, 12.0), sampler=sampler)
 
 
 def cv_test_curve(m, l, S0=0.5, rate=3.0, length=4.0, start=(0.05, -0.1, 0.0)):

@@ -4,6 +4,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,14 +52,33 @@ class TestTensors:
         assert np.abs(np.array(a["connection"]) - np.array(b["connection"])).max() < 1e-15
         assert np.abs(np.array(a["riemann"]) - np.array(b["riemann"])).max() < 1e-15
 
-    @pytest.mark.parametrize("m,l,point", [("0", "1", "10,10,0"), ("0", "1", "100,-50,3"),
-                                           ("0.25", "1.2", "1.5,1.5,0"), ("1", "2", "3,0,0")])
-    def test_cross_check_passes_away_from_origin(self, capsys, m, l, point):
+    @pytest.mark.parametrize("m,l,point,scale", [
+        ("0", "1", "10,10,0", 1.0), ("0", "1", "100,-50,3", 1.0), ("0.25", "1.2", "1.5,1.5,0", 1.0),
+        ("1", "2", "3,0,0", 6.0), ("2", "1", "300,-100,5", 1200.0),
+        ("0.25", "1.2", "1000,0,0", 500.0), ("2", "1", "1000,0,0", 4000.0),
+    ])
+    def test_cross_check_passes_away_from_origin(self, capsys, m, l, point, scale):
         # the frame coefficients grow with the point, and so does the
-        # stencil step, so the roundoff of the exact tables stays below 1e-8
+        # stencil step; the roundoff of the numeric route grows with the
+        # connection entries max|G| (2m x, 2m y), and the tolerance with it
         code, out, _ = run(capsys, "tensors", "--m", m, "--l", l, "--point", point)
         assert code == 0
-        assert out.splitlines()[-1].endswith("(tol 1e-08) PASS")
+        tols = [float(v) for v in re.findall(r"\(tol ([^)]*)\)", out.splitlines()[-1])]
+        assert tols == pytest.approx([1e-8 * scale, 1e-8 * scale**2], rel=1e-12)
+        assert out.splitlines()[-1].endswith(" PASS")
+
+    def test_cross_check_fails_on_a_wrong_table(self, capsys, monkeypatch):
+        exact = manifold.curvature_table
+
+        def perturbed(params, p):
+            R = np.array(exact(params, p))
+            R[0, 1, 0, 1] += 1e-6
+            return R
+
+        monkeypatch.setattr(manifold, "curvature_table", perturbed)
+        code, out, _ = run(capsys, "tensors", "--m", "0", "--l", "1")
+        assert code == 1
+        assert out.splitlines()[-1].endswith("(tol 1e-08) FAIL")
 
     @pytest.mark.parametrize("flag,value", [("--m", "nan"), ("--l", "inf"), ("--m", "-inf")])
     def test_nonfinite_manifold_flag_exit_two(self, capsys, flag, value):

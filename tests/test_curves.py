@@ -32,23 +32,14 @@ H = hc.HEISENBERG
 def vertical_line_spec(x0=0.5, y0=-1.0, s_range=(0.0, 5.0)):
     """x, y constant, z = s: the integral curve of e3."""
 
-    def point_fn(s):
+    def sampler(s):
         s = np.asarray(s, dtype=float)
-        return np.stack([np.full_like(s, x0), np.full_like(s, y0), s], axis=-1)
+        points = np.stack([np.full_like(s, x0), np.full_like(s, y0), s], axis=-1)
+        velocity = np.zeros(s.shape + (3,))
+        velocity[..., 2] = 1.0
+        return points, velocity
 
-    def frame_velocity_fn(s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros(s.shape + (3,))
-        out[..., 2] = 1.0
-        return out
-
-    return hc.CurveSpec(
-        kind="closed_form",
-        manifold=H,
-        s_range=s_range,
-        point_fn=point_fn,
-        frame_velocity_fn=frame_velocity_fn,
-    )
+    return hc.CurveSpec(manifold=H, s_range=s_range, sampler=sampler)
 
 
 class TestStencils:
@@ -137,19 +128,21 @@ class TestSampleCurve:
         samples = hc.sample_curve(vertical_line_spec(), 101)
         assert_allclose(samples.velocity_frame, np.tile([0.0, 0.0, 1.0], (101, 1)), atol=0.0)
 
-    def test_closed_form_coordinate_velocity_route(self, figure1_hp):
-        # dropping the exact frame velocities must give the same samples
-        spec = hc.biharmonic_helix(figure1_hp, (0.0, 2.0 * math.pi))
-        stripped = hc.CurveSpec(
-            kind="closed_form",
-            manifold=H,
-            s_range=spec.s_range,
-            point_fn=spec.point_fn,
-            velocity_fn=spec.velocity_fn,
-        )
-        a = hc.sample_curve(spec, 301)
-        b = hc.sample_curve(stripped, 301)
-        assert_allclose(b.velocity_frame, a.velocity_frame, atol=1e-13)
+    def test_sampler_velocity_is_the_coordinate_derivative(self, figure1_hp):
+        # the derivative of the helix's coordinates, in frame components, is
+        # the sampler's frame velocity: a check of its z formula
+        hp = figure1_hp
+        spec = hc.biharmonic_helix(hp, (0.0, 2.0 * math.pi))
+        samples = hc.sample_curve(spec, 301)
+        S, C, A = math.sin(hp.alpha0), math.cos(hp.alpha0), spec.family["rate"]
+        beta = A * samples.s + hp.a
+        v_coord = np.stack([
+            S * np.cos(beta),
+            S * np.sin(beta),
+            C + S * S / (2.0 * A) + 0.5 * S * (hp.b * np.sin(beta) - hp.c * np.cos(beta)),
+        ], axis=-1)
+        frame = mf.to_frame_components(H, samples.points, v_coord)
+        assert_allclose(frame, samples.velocity_frame, rtol=0, atol=1e-13)
 
     def test_sampled_import_matches_analytic(self, figure1_hp):
         spec = hc.biharmonic_helix(figure1_hp, (0.0, 10.0 * math.pi))
@@ -175,6 +168,14 @@ class TestSampleCurve:
         spec = hc.biharmonic_helix(figure1_hp)
         with pytest.raises(hc.TooFewSamples):
             hc.sample_curve(spec, 8)
+
+    def test_exactly_one_payload(self):
+        line = vertical_line_spec()
+        s = np.linspace(0.0, 1.0, 9)
+        with pytest.raises(ValueError, match="needs a sampler or sampled"):
+            hc.CurveSpec(manifold=H, s_range=(0.0, 1.0), sampled_s=s)
+        with pytest.raises(ValueError, match="not both"):
+            dataclasses.replace(line, sampled_s=s, sampled_points=line.sampler(s)[0])
 
     def test_nonuniform_rejected(self):
         s = np.array([0.0, 0.1, 0.25, 0.3])
@@ -375,6 +376,25 @@ class TestLeftInvariance:
         interior = moved.interior(2)
         assert np.abs(moved.k - orig.k)[interior].max() < 1e-6
         assert np.abs(moved.tau - orig.tau)[interior].max() < 1e-6
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        g=st.tuples(*[st.floats(-50.0, 50.0)] * 3),
+        sampled=st.booleans(),
+    )
+    def test_translated_curve_property(self, figure1_hp, g, sampled):
+        # both payloads: the frame velocities are kept bit for bit, the points
+        # are the translated points, and k and tau do not move
+        spec = hc.biharmonic_helix(figure1_hp, (0.0, 4.0 * math.pi))
+        base = hc.sample_curve(spec, 401)
+        if sampled:
+            spec = hc.make_sampled_spec(H, base.s, base.points, base.velocity_frame)
+        moved = hc.sample_curve(hc.left_translate_curve(g, spec), 401)
+        assert np.array_equal(moved.velocity_frame, base.velocity_frame)
+        assert np.array_equal(moved.points, mf.left_translate(H, g, base.points))
+        a, b = hc.frenet_apparatus(base), hc.frenet_apparatus(moved)
+        assert_allclose(b.k, a.k, rtol=0, atol=1e-12)
+        assert_allclose(b.tau, a.tau, rtol=0, atol=1e-12)
 
     def test_translate_samples(self, figure1_samples):
         moved = hc.left_translate_samples([3.0, -1.0, 2.0], figure1_samples)

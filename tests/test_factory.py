@@ -28,6 +28,23 @@ H = hc.HEISENBERG
 BOUNDARY_ALPHA = math.acos(2.0 / math.sqrt(5.0))
 
 
+def points_of(spec, s):
+    """The curve's points at the arclengths ``s``, from its sampler."""
+    return spec.sampler(np.asarray(s, dtype=float))[0]
+
+
+@pytest.fixture
+def no_ode(monkeypatch):
+    """Make ``factory.solve_ivp`` raise, so that a package curve sampled
+    under this fixture is shown to solve no ODE (the reference geodesics
+    integrate with scipy directly)."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ODE was solved")
+
+    monkeypatch.setattr(factory, "solve_ivp", refuse)
+
+
 def admissible_alpha_grid(count):
     """Angles across both admissible components, away from the degenerate
     endpoints sin(alpha0) = 0."""
@@ -104,7 +121,7 @@ class TestBiharmonicHelix:
         # a = b = c = 1, d = 0, sin(alpha0) = 1/sqrt(10)
         hp = hc.HelixParams(alpha0=FIGURE1_ALPHA0, a=1.0, b=1.0, c=1.0, d=0.0)
         spec = hc.biharmonic_helix(hp)
-        p0 = spec.point_fn(0.0)
+        p0 = points_of(spec, 0.0)
         S = math.sin(FIGURE1_ALPHA0)
         assert p0[0] == pytest.approx(S / FIGURE1_A * math.sin(1.0) + 1.0, abs=1e-15)
         assert p0[1] == pytest.approx(-S / FIGURE1_A * math.cos(1.0) + 1.0, abs=1e-15)
@@ -121,7 +138,7 @@ class TestBiharmonicHelix:
                 - hp.c / (2 * A) * S * math.sin(beta)
                 + hp.d
             )
-            assert spec.point_fn(s)[2] == pytest.approx(expected, abs=1e-15)
+            assert points_of(spec, s)[2] == pytest.approx(expected, abs=1e-15)
 
     def test_centered_curve_is_euclidean_helix(self):
         hp = hc.HelixParams(alpha0=FIGURE1_ALPHA0)  # b = c = d = 0
@@ -148,7 +165,7 @@ class TestBiharmonicHelix:
         plus = hc.biharmonic_helix(hc.HelixParams(alpha0=BOUNDARY_ALPHA, branch="plus"))
         minus = hc.biharmonic_helix(hc.HelixParams(alpha0=BOUNDARY_ALPHA, branch="minus"))
         s = np.linspace(0.0, 5.0, 64)
-        assert_allclose(minus.point_fn(s), plus.point_fn(s), atol=1e-12)
+        assert_allclose(points_of(minus, s), points_of(plus, s), atol=1e-12)
 
     def test_translation_identity(self):
         # the translated centered helix is exactly the offset-parameter helix
@@ -158,7 +175,7 @@ class TestBiharmonicHelix:
         moved = hc.left_translate_curve([1.5, -0.7, 2.0], base)
         target = hc.biharmonic_helix(offset)
         s = np.linspace(0.0, 10.0 * math.pi, 257)
-        assert np.abs(moved.point_fn(s) - target.point_fn(s)).max() < 1e-12
+        assert np.abs(points_of(moved, s) - points_of(target, s)).max() < 1e-12
 
 
 class TestHelixInvariants:
@@ -254,11 +271,10 @@ class TestGeodesics:
         radius2 = samples.points[:, 0] ** 2 + samples.points[:, 1] ** 2
         assert (1.0 + par.m * radius2 > 0.0).all()
 
-    def test_reproducible_path(self):
+    def test_reproducible_path(self, no_ode):
         # m != 0 geodesics are closed form too: two samplings are bit-identical
         par = hc.ManifoldParams(0.25, 1.0)
         spec = hc.geodesic_ivp(par, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 10.0))
-        assert spec.kind == "closed_form"
         a = hc.sample_curve(spec, 501)
         b = hc.sample_curve(spec, 501)
         assert np.array_equal(a.points, b.points)
@@ -274,8 +290,8 @@ class TestGeodesics:
         # helix branch apart
         hp = hc.HelixParams(alpha0=FIGURE1_ALPHA0)
         helix = hc.biharmonic_helix(hp, (0.0, 5.0))
-        p0 = helix.point_fn(0.0)
-        v0 = helix.frame_velocity_fn(np.array([0.0]))[0]
+        p0 = points_of(helix, 0.0)
+        v0 = helix.sampler(np.array([0.0]))[1][0]
         geo = hc.geodesic_ivp(H, p0, v0, (0.0, 5.0))
         hs = hc.sample_curve(helix, 201)
         gs = hc.sample_curve(geo, 201)
@@ -297,14 +313,13 @@ class TestClosedFormGeodesics:
 
     @pytest.mark.parametrize("l", [1.0, 1.7, -0.8])
     @pytest.mark.parametrize("t3", [0.8, -0.6, 0.0, 1e-9, 1.0])
-    def test_matches_ode_route(self, l, t3):
+    def test_matches_ode_route(self, l, t3, no_ode):
         # t3 = 1e-9 takes the small-w series of the z sweep, t3 = 0 is the
         # horizontal line; DOP853's global error grows with the length
         par = hc.ManifoldParams(0.0, l)
         v0 = unit_direction(t3, 1.1)
         for length in (100.0, 1000.0):
             spec = hc.geodesic_ivp(par, self.P0, v0, (0.0, length))
-            assert spec.kind == "closed_form"
             closed = hc.sample_curve(spec, 1001)
             ref = ode_geodesic(par, self.P0, v0, (0.0, length), rtol=1e-12, atol=1e-12)
             ode = hc.sample_curve(ref, 1001)
@@ -384,7 +399,7 @@ class TestClosedFormGeodesics:
     ]
 
     @pytest.mark.parametrize("member,start,lengths", ORBIT_CASES, ids=lambda v: str(v))
-    def test_orbit_matches_ode_route(self, member, start, lengths):
+    def test_orbit_matches_ode_route(self, member, start, lengths, no_ode):
         # one tight DOP853 solve per case; its own error, not the closed
         # form's, sets the bounds (it shrinks toward the closed form as
         # rtol is tightened), and grows like the square of the length
@@ -396,7 +411,6 @@ class TestClosedFormGeodesics:
         ref_points, ref_vel = ref.sampler(s_all)
         for length, grid in zip(lengths, grids):
             spec = hc.geodesic_ivp(par, self.ORBIT_P0, v0, (0.0, length))
-            assert spec.kind == "closed_form"
             closed = hc.sample_curve(spec, 1001)
             at = np.searchsorted(s_all, grid)
             assert_allclose(closed.points, ref_points[at], rtol=0, atol=2e-13 * length**2)
@@ -569,7 +583,7 @@ class TestChartExits:
         # F0 / |D|^2 does not, so the reference only bounds the location
         assert abs(s_closed - s_ref) < 1e-3
         spec = hc.geodesic_ivp(par, p0, v0, (0.0, s_closed - 1e-6))
-        edge = spec.point_fn(np.array([s_closed]))[0]
+        edge = points_of(spec, np.array([s_closed]))[0]
         assert 1.0 + par.m * (edge[0] ** 2 + edge[1] ** 2) == pytest.approx(1e-9, rel=1e-6)
 
     def test_negative_m_elliptic_orbit_reaches_edge(self):
@@ -581,9 +595,9 @@ class TestChartExits:
             hc.geodesic_ivp(par, [0.99, 0.0, 0.0], v0, (0.0, 1e5))
         s_exit = float(str(exc.value).rsplit("s = ", 1)[1])
         spec = hc.geodesic_ivp(par, [0.99, 0.0, 0.0], v0, (0.0, 0.999 * s_exit))
-        pts = spec.point_fn(np.linspace(0.0, 0.999 * s_exit, 20001))
+        pts = points_of(spec, np.linspace(0.0, 0.999 * s_exit, 20001))
         assert (1.0 + par.m * (pts[:, 0] ** 2 + pts[:, 1] ** 2)).min() > 1e-9
-        edge = spec.point_fn(np.array([s_exit]))[0]
+        edge = points_of(spec, np.array([s_exit]))[0]
         assert 1.0 + par.m * (edge[0] ** 2 + edge[1] ** 2) == pytest.approx(1e-9, rel=1e-6)
 
 
@@ -681,7 +695,7 @@ class TestSurfaces:
         patch = hc.helicoid_patch(self.hp)
         u = np.linspace(0.0, 10.0 * math.pi, 301)
         slice_pts = hc.surface_eval(patch, u, np.ones_like(u))
-        assert np.abs(slice_pts - self.helix.point_fn(u)).max() < 1e-12
+        assert np.abs(slice_pts - points_of(self.helix, u)).max() < 1e-12
 
     def test_membership_residuals(self):
         assert hc.membership_residual(self.helix, hc.cylinder_patch(self.hp), 1001) < 1e-10
@@ -700,14 +714,14 @@ class TestParameterFiles:
         back, n = hc.load_curve_params(text)
         assert n == 501
         s = np.linspace(0.0, 8.0, 33)
-        assert_allclose(back.point_fn(s), spec.point_fn(s), atol=0.0)
+        assert_allclose(points_of(back, s), points_of(spec, s), atol=0.0)
 
     def test_subgroup_roundtrip(self):
         d = np.array([0.6, 0.0, 0.8])
         spec = hc.one_param_subgroup(d, (0.0, 4.0))
         back, _ = hc.load_curve_params(hc.dump_curve_params(spec))
         s = np.linspace(0.0, 4.0, 17)
-        assert_allclose(back.point_fn(s), spec.point_fn(s), atol=0.0)
+        assert_allclose(points_of(back, s), points_of(spec, s), atol=0.0)
 
     def test_geodesic_roundtrip(self):
         spec = hc.geodesic_ivp(H, [0.1, 0.2, 0.3], [0.6, 0.0, 0.8], (0.0, 4.0))
@@ -728,6 +742,37 @@ class TestParameterFiles:
         samples = hc.sample_curve(spec, n)
         fr = hc.frenet_apparatus(samples)
         assert np.abs(fr.tau[fr.interior(3)] + 0.5).max() < 1e-4
+
+    @pytest.mark.parametrize("curve", ["helix", "subgroup"])
+    def test_translated_roundtrip(self, curve):
+        # the record keeps the translation, and loading applies it again
+        if curve == "helix":
+            hp = hc.HelixParams(alpha0=FIGURE1_ALPHA0, a=1.0, b=1.0, c=1.0)
+            spec = hc.biharmonic_helix(hp)
+        else:
+            spec = hc.one_param_subgroup(np.array([0.6, 0.0, 0.8]), (0.0, 4.0))
+        moved = hc.left_translate_curve([3.0, -1.0, 2.0], spec)
+        back, _ = hc.load_curve_params(hc.dump_curve_params(moved))
+        assert back.family == moved.family
+        a, b = hc.sample_curve(moved, 257), hc.sample_curve(back, 257)
+        assert np.array_equal(b.points, a.points)
+        assert np.array_equal(b.velocity_frame, a.velocity_frame)
+
+    def test_translations_compose_in_the_record(self):
+        spec = hc.one_param_subgroup(np.array([0.6, 0.0, 0.8]), (0.0, 4.0))
+        g, h = [0.5, -2.0, 1.0], [3.0, -1.0, 2.0]
+        twice = hc.left_translate_curve(g, hc.left_translate_curve(h, spec))
+        back, _ = hc.load_curve_params(hc.dump_curve_params(twice))
+        a, b = hc.sample_curve(twice, 65), hc.sample_curve(back, 65)
+        assert_allclose(b.points, a.points, rtol=0, atol=1e-14)
+
+    def test_unloadable_family_not_dumped(self):
+        b3zero = hc.b3zero_curve(lambda s: 0.5 + 0.3 * s, (0.0, 2.0))
+        driven = hc.tangent_driven_curve(H, lambda s: np.array([0.0, 0.0, 1.0]), [0, 0, 0], (0, 1))
+        imported = hc.make_sampled_spec(H, np.linspace(0.0, 1.0, 9), np.zeros((9, 3)))
+        for spec in (b3zero, driven, imported, hc.left_translate_curve([1.0, 0, 0], imported)):
+            with pytest.raises(ValueError, match="no parameter record"):
+                hc.dump_curve_params(spec)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,27 @@
+"""Smoke test of ``tools/output_digests.py`` at a small sample count."""
+
+import importlib.util
+import os
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+FILES = ["h3_geodesic.csv", "helix.classification.json", "helix.csv", "helix.cylinder.csv",
+         "helix.frenet.json", "helix.helicoid.csv", "helix.params.json", "helix.report.json",
+         "helix.residuals.csv", "ml_geodesic.csv", "verify.json"]
+COMMANDS = ["generate", "h3_geodesic", "ml_geodesic", "verify"]
+
+
+def test_output_digests_name_every_output(capsys):
+    spec = importlib.util.spec_from_file_location("output_digests", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    cwd = os.getcwd()
+    assert tool.main(["--samples", "201"]) == 0
+    assert os.getcwd() == cwd
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split("  ", 1)[1] for line in lines]
+    expected = [n for c in COMMANDS for n in (f"{c}.stdout", c)] + FILES
+    assert names == expected
+    assert [line for line in lines if line.startswith("exit")] == [f"exit 0  {c}" for c in COMMANDS]
+    # the same inputs give the same digests
+    assert tool.digests(201) == lines

@@ -1,0 +1,63 @@
+"""SHA-256 digests of what the CLI writes and prints, for byte-identity checks.
+
+In a temporary directory, at ``--samples`` samples each, this runs the
+figure-helix ``generate`` (sin alpha0 = 1/sqrt(10), a = b = c = 1) with
+surfaces and velocities, the benchmark's two length-1000 ``geodesic``
+commands (H3 and (m, l) = (0.25, 1.2)) with velocities, and ``verify
+--json`` on the helix CSV.  It prints ``sha256  name`` for every file and
+every stdout, and ``exit N  name`` for every exit code.  Diff two runs:
+
+    PYTHONPATH=/path/to/parent/src python tools/output_digests.py --samples 2001 > parent.txt
+    PYTHONPATH=src python tools/output_digests.py --samples 2001 > change.txt
+    diff parent.txt change.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import math
+import os
+import tempfile
+
+from heiscurves.cli import main as cli_main
+
+
+def commands(n: int) -> list[tuple[str, list[str]]]:
+    helix = ["generate", f"--sin-alpha0={1.0 / math.sqrt(10.0)!r}", "--a=1", "--b=1", "--c=1",
+             "--samples", str(n), "--surfaces", "--with-velocity", "--out", "helix"]
+    geodesics = [
+        (name, ["geodesic", "--m", m, "--l", l, "--point=0.1,0.2,0", "--direction=0.6,0,0.8",
+                "--length", "1000", "--samples", str(n), "--with-velocity", "--out", name])
+        for name, m, l in (("h3_geodesic", "0", "1"), ("ml_geodesic", "0.25", "1.2"))
+    ]
+    return [("generate", helix), *geodesics, ("verify", ["verify", "helix.csv", "--json", "verify.json"])]
+
+
+def digests(n: int) -> list[str]:
+    lines, cwd = [], os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # so that outputs and stdout name relative paths only
+        try:
+            for name, argv in commands(n):
+                with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                    code = cli_main(argv)
+                lines.append(f"{hashlib.sha256(stdout.getvalue().encode()).hexdigest()}  {name}.stdout")
+                lines.append(f"exit {code}  {name}")
+            for path in sorted(os.listdir(tmp)):
+                with open(path, "rb") as fh:
+                    lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {path}")
+        finally:
+            os.chdir(cwd)
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--samples", type=int, default=2001)
+    print("\n".join(digests(parser.parse_args(argv).samples)))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
