@@ -32,12 +32,25 @@ Each derived series is computed once per curve: ``frenet_apparatus`` keeps
 nabla_T T on its series, ``bitension_report`` extends it to tau2 and carries
 the series, and ``classify_curve`` accepts that series, so a report and a
 verdict together cost four covariant-derivative passes.
+
+``bitension_report`` runs that chain (Frenet frame -> nabla_T N and tau ->
+tau2 -> frame expansion and agreement gap) over tiles of at most
+``numerics.TILE`` (8 192) consecutive samples.  Each tile is widened by a
+halo of ``_BITENSION_DEPTH`` x 2 = 6 samples, the reach of the chain's three
+nested order-4 stencils, clipped at the curve's ends, and every tile uses
+the curve's one ``ds``; so every sample gets the bits of the whole-curve
+chain, and the (n, 3) temporaries are tile-sized.  What spans the curve is
+what the results keep, per sample: the report's residual, cT, cN and cB (32
+bytes; 8 when the frame fails somewhere and the coefficients are None), and
+its Frenet series' k, tau, N, B and ``defined`` (65 bytes).  The series
+shares s, T and the points (56 bytes) with the samples, and keeps neither
+nabla_T T nor tau2.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +60,7 @@ from .curves import _write_table
 from .errors import GeodesicFrameUndefined, NonUnitVector, UnsupportedManifold
 from .factory import admissible_cos
 from .manifold import FrameVector, ManifoldParams
-from .numerics import DEFAULT_CONFIG, NumericsConfig, derivative_on_grid
+from .numerics import DEFAULT_CONFIG, NumericsConfig, derivative_on_grid, tiles
 
 __all__ = [
     "tension1",
@@ -80,17 +93,18 @@ def tension2_direct(samples: CurveSamples) -> np.ndarray:
     Uses nabla_T T directly in the curvature slot (equal to k N wherever the
     Frenet frame exists), so the result is defined on geodesics as well.
     """
-    return _tension2(samples, tension1(samples))
+    t1 = tension1(samples)
+    mf.conformal_factor(samples.manifold, samples.points)  # chart check
+    return _tension2(samples, t1)
 
 
 def _tension2(samples: CurveSamples, t1: np.ndarray) -> np.ndarray:
     """tau2 from t1 = nabla_T T: two more covariant passes (nabla_T^2 T is
     dropped as soon as nabla_T^3 T exists) and the closed-form curvature
-    term, which does not depend on the point; the chart check still covers
-    the whole curve."""
+    term, which does not depend on the point, so the callers check the
+    chart once per curve."""
     T = samples.velocity_frame
     t3 = covariant_derivative_along(samples, covariant_derivative_along(samples, t1))
-    mf.conformal_factor(samples.manifold, samples.points)
     t3 += mf.curvature_term(samples.manifold, T, t1, T)
     return t3
 
@@ -120,19 +134,20 @@ def tension2_frame(frenet: FrenetSeries) -> tuple[np.ndarray, np.ndarray, np.nda
 
 @dataclass
 class BitensionReport:
-    """Both routes to the bitension field plus summary residuals, and the
+    """Both routes to the bitension field as per-sample summaries, and the
     Frenet series they were computed from.
 
+    ``residual`` is |tau2| by the direct route and (cT, cN, cB) the frame
+    expansion's coefficients; the (n, 3) fields themselves are not kept.
     Residual statistics cover interior samples only (boundary samples are
     computed with one-sided stencils).  ``expansion_agreement`` is the worst
     interior distance between the direct route and the reassembled frame
-    expansion; it is None on geodesics, where the frame does not exist.
+    expansion; it is None, and so are the coefficients, unless the frame
+    exists on the whole curve.
     """
 
     manifold: ManifoldParams
     s: np.ndarray
-    tau1: np.ndarray
-    tau2: np.ndarray
     residual: np.ndarray       # |tau2| per sample
     cT: np.ndarray | None
     cN: np.ndarray | None
@@ -159,38 +174,69 @@ class BitensionReport:
 def bitension_report(
     samples: CurveSamples, config: NumericsConfig = DEFAULT_CONFIG
 ) -> BitensionReport:
-    """Evaluate tau1, tau2 (both routes where defined) and their residuals,
-    all from one Frenet series."""
-    frenet = frenet_apparatus(samples, config)
-    t2 = _tension2(samples, frenet.t1)
-    residual = np.linalg.norm(t2, axis=1)
+    """Evaluate tau2 by both routes where defined, and the residuals.
+
+    The chain Frenet frame -> tau2 -> frame expansion runs tile by tile
+    (``numerics.tiles``, with the halo of its three nested passes), so only
+    the per-sample series that the report and its Frenet series keep span
+    the curve.  Every sample gets the bits of the whole-curve chain.
+    """
+    n = samples.n
+    mf.conformal_factor(samples.manifold, samples.points)  # chart check
     interior = samples.interior(_BITENSION_DEPTH)
+    k, tau, residual, cT, cN, cB = (np.empty(n) for _ in range(6))
+    N, B = np.empty((n, 3)), np.empty((n, 3))
+    defined = np.empty(n, dtype=bool)
+    framed = True  # the frame is defined on every tile so far
+    agreement = -np.inf
 
-    cT = cN = cB = None
-    agreement = None
-    if frenet.defined.all():
-        cT, cN, cB = tension2_frame(frenet)
-        gap = cT[interior, None] * frenet.T[interior]  # t2 minus the expansion, in place
-        gap += cN[interior, None] * frenet.N[interior]
-        gap += cB[interior, None] * frenet.B[interior]
-        np.subtract(t2[interior], gap, out=gap)
-        agreement = float(np.abs(gap, out=gap).max())
+    for tile, window, rows in tiles(n, _BITENSION_DEPTH):
+        part = replace(samples, s=samples.s[window], points=samples.points[window],
+                       velocity_frame=samples.velocity_frame[window])  # keeps the curve's ds
+        frenet = frenet_apparatus(part, config)
+        t2 = _tension2(part, frenet.t1)
+        residual[tile] = np.linalg.norm(t2[rows], axis=1)
+        for full, own in ((k, frenet.k), (tau, frenet.tau), (N, frenet.N), (B, frenet.B),
+                          (defined, frenet.defined)):
+            full[tile] = own[rows]
+        framed = framed and bool(frenet.defined.all())
+        if framed:
+            coefficients = tension2_frame(frenet)
+            for full, own in zip((cT, cN, cB), coefficients):
+                full[tile] = own[rows]
+            inner = slice(max(interior.start, tile.start) - window.start,
+                          min(interior.stop, tile.stop) - window.start)
+            agreement = np.maximum(agreement, _expansion_gap(frenet, coefficients, t2, inner))
 
+    if not framed:
+        cT = cN = cB = None
     return BitensionReport(
         manifold=samples.manifold,
         s=samples.s,
-        tau1=frenet.t1,
-        tau2=t2,
         residual=residual,
         cT=cT,
         cN=cN,
         cB=cB,
         max_residual=float(residual[interior].max()),
         mean_residual=float(residual[interior].mean()),
-        expansion_agreement=agreement,
+        expansion_agreement=float(agreement) if framed else None,
         interior=interior,
-        frenet=frenet,
+        frenet=FrenetSeries(
+            manifold=samples.manifold, s=samples.s, T=samples.velocity_frame, k=k, N=N, B=B,
+            tau=tau, defined=defined, points=samples.points,
+            velocity_depth=samples.velocity_depth, ds=samples.ds,
+        ),
     )
+
+
+def _expansion_gap(frenet: FrenetSeries, coefficients, t2: np.ndarray, rows: slice):
+    """Worst |t2 - (cT T + cN N + cB B)| on ``rows``, in place in one array."""
+    cT, cN, cB = coefficients
+    gap = cT[rows, None] * frenet.T[rows]
+    gap += cN[rows, None] * frenet.N[rows]
+    gap += cB[rows, None] * frenet.B[rows]
+    np.subtract(t2[rows], gap, out=gap)
+    return np.abs(gap, out=gap).max()
 
 
 # ---------------------------------------------------------------------------

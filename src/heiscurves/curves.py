@@ -53,6 +53,7 @@ from .numerics import (
     NumericsConfig,
     derivative_on_grid,
     interior_slice,
+    tiles,
 )
 
 __all__ = [
@@ -113,6 +114,8 @@ class CurveSamples:
     velocities: 0 for analytic / ODE-state velocities, 1 when they were
     differenced from imported positions.  Interior masks widen accordingly,
     so boundary-stencil contamination never enters pass/fail statistics.
+    ``ds`` is the curve's one step, s[1] - s[0] unless given: a tile of the
+    curve keeps it, as its own first step may differ in the last bits.
     """
 
     manifold: ManifoldParams
@@ -120,14 +123,15 @@ class CurveSamples:
     points: np.ndarray          # (n, 3) coordinates
     velocity_frame: np.ndarray  # (n, 3) frame components, unit rows
     velocity_depth: int = 0
+    ds: float | None = None
+
+    def __post_init__(self):
+        if self.ds is None:
+            self.ds = float(self.s[1] - self.s[0])
 
     @property
     def n(self) -> int:
         return len(self.s)
-
-    @property
-    def ds(self) -> float:
-        return float(self.s[1] - self.s[0])
 
     def velocity_coord(self) -> np.ndarray:
         return mf.to_coord_components(self.manifold, self.points, self.velocity_frame)
@@ -183,7 +187,8 @@ def sample_curve(
     """Evaluate ``n`` uniform arclength samples of a curve.
 
     Velocities come from the curve's sampler or, for imported samples
-    without velocity columns, from central differences of the positions.
+    without velocity columns, from central differences of the positions,
+    taken tile by tile (``numerics.tiles``) into the one velocity array.
     Unit speed is enforced on the interior samples; boundary samples of
     differentiated imports use one-sided stencils and are excluded from the
     check.
@@ -205,8 +210,11 @@ def sample_curve(
             if len(s) < 9:
                 raise TooFewSamples("need at least 9 samples to differentiate positions")
             ds = float(s[1] - s[0])
-            v_coord = derivative_on_grid(points, ds)
-            vel = mf.to_frame_components(spec.manifold, points, v_coord)
+            mf.conformal_factor(spec.manifold, points)  # the whole curve's chart check first
+            vel = np.empty_like(points)
+            for tile, window, rows in tiles(len(s), 1):
+                v_coord = derivative_on_grid(points[window], ds)[rows]
+                vel[tile] = mf.to_frame_components(spec.manifold, points[tile], v_coord)
             check = interior_slice(len(s), 1)
             depth = 1
         samples = CurveSamples(spec.manifold, s, points, vel, velocity_depth=depth)
@@ -271,28 +279,32 @@ class FrenetSeries:
     Where the geodesic curvature k falls to the floor the normal direction
     is numerically meaningless; there N, B and tau are NaN and ``defined``
     is False rather than reporting zeros.  ``s``, ``T`` and ``points`` are
-    the sampled curve's own arrays, not copies.
+    the sampled curve's own arrays, not copies; ``ds`` is the curve's step,
+    as on ``CurveSamples``.  ``t1`` = nabla_T T (= k N, defined on geodesics
+    too) is kept by ``frenet_apparatus`` for the tension passes; a series
+    assembled from tiles (``analysis.bitension_report``) does not keep it.
     """
 
     manifold: ManifoldParams
     s: np.ndarray
     T: np.ndarray          # (n, 3) frame components
-    t1: np.ndarray         # (n, 3) nabla_T T = k N, defined on geodesics too
-    k: np.ndarray          # (n,) |t1|
+    k: np.ndarray          # (n,) |nabla_T T|
     N: np.ndarray          # (n, 3), NaN where undefined
     B: np.ndarray          # (n, 3), NaN where undefined
     tau: np.ndarray        # (n,), NaN where undefined
     defined: np.ndarray    # (n,) bool
     points: np.ndarray     # (n, 3) base points
     velocity_depth: int = 0
+    ds: float | None = None
+    t1: np.ndarray | None = None  # (n, 3)
+
+    def __post_init__(self):
+        if self.ds is None:
+            self.ds = float(self.s[1] - self.s[0])
 
     @property
     def n(self) -> int:
         return len(self.s)
-
-    @property
-    def ds(self) -> float:
-        return float(self.s[1] - self.s[0])
 
     @property
     def T3(self) -> np.ndarray:
@@ -317,7 +329,7 @@ def frenet_apparatus(
 
     T is the sampled velocity; k = |nabla_T T|; N = nabla_T T / k wherever
     k exceeds the configured floor; B = T x N; tau = -<nabla_T N, B>.
-    The series keeps nabla_T T, so consumers need not differentiate T again.
+    ``analysis.bitension_report`` runs it once per tile of the curve.
     """
     T = samples.velocity_frame
     t1 = covariant_derivative_along(samples, T)
@@ -339,7 +351,6 @@ def frenet_apparatus(
         manifold=samples.manifold,
         s=samples.s,
         T=T,
-        t1=t1,
         k=k,
         N=N,
         B=B,
@@ -347,6 +358,8 @@ def frenet_apparatus(
         defined=defined,
         points=samples.points,
         velocity_depth=samples.velocity_depth,
+        ds=samples.ds,
+        t1=t1,
     )
 
 
@@ -361,7 +374,7 @@ def left_translate_samples(g, samples: CurveSamples) -> CurveSamples:
     return CurveSamples(
         samples.manifold, np.array(samples.s, copy=True), pts,
         np.array(samples.velocity_frame, copy=True),
-        velocity_depth=samples.velocity_depth,
+        velocity_depth=samples.velocity_depth, ds=samples.ds,
     )
 
 

@@ -780,7 +780,10 @@ def load_curve_params(text: str) -> tuple[CurveSpec, int | None]:
     elif family == "b3zero_linear":
         a0 = float(data["alpha_start"])
         rate = float(data["alpha_rate"])
-        spec = b3zero_curve(lambda s: a0 + rate * np.asarray(s, dtype=float), s_range)
+        spec = replace(
+            b3zero_curve(lambda s: a0 + rate * np.asarray(s, dtype=float), s_range),
+            family={"family": family, "alpha_start": a0, "alpha_rate": rate},
+        )
     else:
         raise ValueError(f"unknown curve family {family!r}")
     if "translated_by" in data:

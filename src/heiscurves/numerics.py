@@ -15,6 +15,8 @@ __all__ = [
     "STENCIL_ORDER",
     "stencil_weights",
     "derivative_on_grid",
+    "TILE",
+    "tiles",
     "interior_slice",
     "cumulative_simpson",
 ]
@@ -105,6 +107,29 @@ def derivative_on_grid(values: np.ndarray, ds: float) -> np.ndarray:
         out[i] = np.tensordot(w_lo, y[:_WIDTH], axes=(0, 0)) / ds
         out[n - 1 - i] = np.tensordot(w_hi, y[n - _WIDTH:], axes=(0, 0)) / ds
     return out
+
+
+TILE = 8192  # samples per tile of the per-sample stencil chains
+
+
+def tiles(n: int, depth: int):
+    """Cover ``range(n)`` with consecutive tiles for a chain of ``depth``
+    nested ``derivative_on_grid`` passes.
+
+    Yields ``(tile, window, rows)``: the tile's samples, the samples the
+    chain runs on (the tile widened by ``depth * 2`` on each side, clipped
+    at the curve's ends) and the tile's rows within the window.  The
+    ceil(n / TILE) tiles differ in size by at most one sample, so on a curve
+    longer than ``TILE`` each holds more than ``TILE / 2``: edge stencils
+    then run only at the real ends, and every row of a tile gets the bits of
+    a whole-curve chain.
+    """
+    halo = depth * _HALF_WIDTH
+    count = -(-n // TILE)
+    for i in range(count):
+        start, stop = i * n // count, (i + 1) * n // count
+        lo, hi = max(0, start - halo), min(n, stop + halo)
+        yield slice(start, stop), slice(lo, hi), slice(start - lo, stop - lo)
 
 
 def interior_slice(n: int, depth: int = 1) -> slice:

@@ -445,6 +445,18 @@ class TestOneAnalysisPerCurve:
         assert code == 0
         assert calls == {"covariant_derivative_along": 4, "frenet_apparatus": 1}
 
+    def test_verify_per_tile(self, calls, capsys, tmp_path):
+        # bitension_report runs the chain once per tile: three tiles here
+        n = 2 * numerics.TILE + 7
+        spec = hc.biharmonic_helix(hc.HelixParams(alpha0=FIGURE1_ALPHA0), (0.0, 10 * math.pi))
+        path = tmp_path / "h.csv"
+        hc.write_samples_csv(path, hc.sample_curve(spec, n), include_velocity=True)
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0, out
+        tiles = len(list(numerics.tiles(n, 3)))
+        assert tiles == 3
+        assert calls == {"covariant_derivative_along": 4 * tiles, "frenet_apparatus": tiles}
+
 
 class TestWritersPerGenerate:
     """``generate`` writes each per-sample file through its public writer,

@@ -588,7 +588,7 @@ class TestInterchange:
         n = len(special)
         vec = np.stack([special, special[::-1], np.arange(n) - 4.0], axis=-1)
         fr = hc.FrenetSeries(
-            manifold=H, s=np.arange(n) / 8.0, T=vec, t1=vec, k=special, N=vec, B=vec,
+            manifold=H, s=np.arange(n) / 8.0, T=vec, k=special, N=vec, B=vec,
             tau=special, defined=np.isfinite(special), points=vec,
         )
         columns = json.loads(hc.frenet_to_json(fr))["columns"]

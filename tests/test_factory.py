@@ -743,6 +743,20 @@ class TestParameterFiles:
         fr = hc.frenet_apparatus(samples)
         assert np.abs(fr.tau[fr.interior(3)] + 0.5).max() < 1e-4
 
+    def test_b3zero_linear_roundtrip(self):
+        # a loaded b3zero_linear curve keeps its record, so it dumps again
+        payload = {"family": "b3zero_linear", "alpha_start": 0.5, "alpha_rate": 0.3,
+                   "s_range": [0.0, 2.0]}
+        first, _ = hc.load_curve_params(json.dumps(payload))
+        record = hc.dump_curve_params(first, 801)
+        again, n = hc.load_curve_params(record)
+        assert n == 801
+        assert hc.dump_curve_params(again, n) == record
+        assert json.loads(record) == {**payload, "manifold": {"m": 0.0, "l": 1.0}, "samples": 801}
+        a, b = hc.sample_curve(first, n), hc.sample_curve(again, n)
+        assert np.array_equal(b.points, a.points)
+        assert np.array_equal(b.velocity_frame, a.velocity_frame)
+
     @pytest.mark.parametrize("curve", ["helix", "subgroup"])
     def test_translated_roundtrip(self, curve):
         # the record keeps the translation, and loading applies it again

@@ -2,10 +2,11 @@
 of the arclength stencil it runs five times and of the covariant derivative
 built on it, and of ``generate``'s per-sample writers.
 
-``sample_curve``, ``bitension_report`` and ``classify_curve`` hold a few
-(n, 3) series each; the kernels run on (n, 3) component arrays, so no stage
-may build per-sample tensor stacks.  The writers hold one block of rows of
-text besides the text of what two files read.  The peak is traced with
+``sample_curve`` and ``bitension_report`` run their stencil chains tile by
+tile, so past a few tiles only the series they keep span the curve; the
+kernels run on (n, 3) component arrays, so no stage may build per-sample
+tensor stacks.  The writers hold one block of rows of text besides the
+text of what two files read.  The peak is traced with
 ``tracemalloc`` (numpy reports its buffers to it) and compared with a bound
 per sample.
 """
@@ -22,8 +23,13 @@ from heiscurves.numerics import derivative_on_grid
 N = 20001
 # Traced peak allowed per sample: 33 float64.  The closed-form kernels need
 # about 27.5; the (n, 3, 3) coframe stack, np.cross copies and (n, 9)
-# curvature products they replaced took about 41.
+# curvature products they replaced took about 41.  At this n the three
+# tiles of bitension_report still cost as much as the whole curve: 26.3.
 BYTES_PER_SAMPLE = 33 * 8
+# At N_TILED the tiles' cost is spread thin: 18.1 float64 per sample with
+# tiles against 27.2 with whole-curve (n, 3) temporaries.
+N_TILED = 100001
+TILED_BYTES_PER_SAMPLE = 20 * 8
 
 
 def _traced_peak(fn):
@@ -41,10 +47,12 @@ def _traced_peak(fn):
             tracemalloc.stop()
 
 
-def test_verify_pipeline_peak_memory(tmp_path, figure1_hp):
+def _verify_pipeline_peak(tmp_path, hp, n):
+    """Traced peak of sampling, reporting on and classifying an imported
+    position-only figure helix of ``n`` samples."""
     path = tmp_path / "positions.csv"
-    spec = hc.biharmonic_helix(figure1_hp, (0.0, 10.0 * math.pi))
-    hc.write_samples_csv(path, hc.sample_curve(spec, N))
+    spec = hc.biharmonic_helix(hp, (0.0, 10.0 * math.pi))
+    hc.write_samples_csv(path, hc.sample_curve(spec, n))
     imported = hc.read_samples_csv(path, hc.HEISENBERG)
 
     def pipeline():
@@ -54,7 +62,17 @@ def test_verify_pipeline_peak_memory(tmp_path, figure1_hp):
 
     peak, result = _traced_peak(pipeline)
     assert result.verdict in hc.analysis.VERDICTS
+    return peak
+
+
+def test_verify_pipeline_peak_memory(tmp_path, figure1_hp):
+    peak = _verify_pipeline_peak(tmp_path, figure1_hp, N)
     assert peak <= BYTES_PER_SAMPLE * N, f"{peak / N / 8:.1f} float64 per sample"
+
+
+def test_verify_pipeline_peak_memory_tiled(tmp_path, figure1_hp):
+    peak = _verify_pipeline_peak(tmp_path, figure1_hp, N_TILED)
+    assert peak <= TILED_BYTES_PER_SAMPLE * N_TILED, f"{peak / N_TILED / 8:.1f} float64 per sample"
 
 
 def test_stencil_peak_memory():

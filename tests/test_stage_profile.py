@@ -1,13 +1,16 @@
 """Smoke test of ``tools/stage_profile.py`` at small sample counts."""
 
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import heiscurves as hc
+from heiscurves import numerics
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "stage_profile.py"
 GEOMETRY = ["sample", "frenet", "tension", "classify"]
@@ -53,6 +56,28 @@ def test_stage_profile_writes_stages_and_answers(tmp_path, capsys):
     assert hc.curves.sample_curve is hc.sample_curve
     assert hc.curves.write_frenet_json is hc.write_frenet_json
     assert hc.cli._write_text.__module__ == "heiscurves.cli"
+
+
+def test_stages_sum_over_tiles(tmp_path, monkeypatch):
+    """``bitension_report`` runs ``frenet_apparatus`` once per tile: each
+    stage sums its intervals, and time inside the nested ``frenet`` stage
+    does not count for ``tension``.  A clock that ticks once per reading
+    makes every interval one second."""
+    module = _load_tool()
+    ticks = itertools.count()
+    monkeypatch.setattr(module, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    monkeypatch.setattr(numerics, "TILE", 500)
+    path = tmp_path / "positions.csv"
+    module._write_positions(str(path), 2001)
+    code, _, clock = module._run(["verify", str(path)], traced=False)
+    assert code == 0
+    tiles = len(list(numerics.tiles(2001, 3)))
+    assert tiles == 5
+    assert list(clock.stages) == ["read", *GEOMETRY]
+    assert clock.stages["frenet"]["seconds"] == tiles
+    # before the first tile's frame, between the frames and after the last
+    assert clock.stages["tension"]["seconds"] == tiles + 1
+    assert clock.results["tension"].frenet.n == 2001
 
 
 def test_script_caps_blas_threads_before_numpy(tmp_path):

@@ -9,13 +9,17 @@ that bounds it returns, so the stages are
 
 * verify and generate: ``read`` (verify only), ``sample``, ``frenet``,
   ``tension`` (the rest of ``bitension_report``) and ``classify``;
+  ``bitension_report`` runs ``frenet_apparatus`` once per tile of the curve,
+  so a stage's time is summed over all its calls, and time inside a nested
+  stage counts only for that stage;
 * generate: one stage per written file, named by its suffix, which includes
   building the file's content (``frenet.json`` ends where
   ``write_frenet_json``, which builds and writes it block by block, returns).
 
 Each stage gets its wall time, the best of ``--repeats`` untraced runs, and
 ``peak_mb``, the highest ``tracemalloc`` total during the stage in one more,
-traced run (what earlier stages still hold counts too).  The output JSON
+traced run (what earlier stages still hold counts too).  Stages are listed
+in the order in which they first end.  The output JSON
 also records each run's exit code, verdict, checks and residuals, so that a
 change in speed can be read next to any change in the answers.
 
@@ -81,13 +85,20 @@ WRITERS = (
 
 
 class StageClock:
-    """Seconds and (when traced) peak traced memory between marks."""
+    """Seconds and (when traced) peak traced memory between marks, summed
+    per stage."""
 
     def __init__(self, traced: bool):
         self.traced = traced
-        self.stages: dict[str, dict] = {}
+        self.totals: dict[str, dict] = {}
+        self.ended: dict[str, None] = {}  # stages in the order they first end
+        self.open: list[str] = []  # the stages running, innermost last
         self.results: dict[str, object] = {}
         self.restart()
+
+    @property
+    def stages(self) -> dict[str, dict]:
+        return {stage: self.totals[stage] for stage in self.ended}
 
     def restart(self) -> None:
         if self.traced:
@@ -95,14 +106,20 @@ class StageClock:
         self.start = time.perf_counter()
 
     def mark(self, stage: str | None) -> None:
-        """End the current stage; ``None`` drops it."""
+        """Add the time since the last mark to ``stage``; ``None`` drops it."""
         seconds = time.perf_counter() - self.start
         if stage is not None:
-            entry = {"seconds": seconds}
+            entry = self.totals.setdefault(stage, {"seconds": 0.0})
+            entry["seconds"] += seconds
             if self.traced:
-                entry["peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
-            self.stages[stage] = entry
+                peak = tracemalloc.get_traced_memory()[1] / 1e6
+                entry["peak_mb"] = max(entry.get("peak_mb", 0.0), peak)
         self.restart()
+
+    def end(self, stage: str) -> None:
+        """Mark ``stage``'s last interval; its first end sets its place."""
+        self.mark(stage)
+        self.ended.setdefault(stage)
 
 
 @contextlib.contextmanager
@@ -112,9 +129,13 @@ def _marked(clock: StageClock):
 
     def stage_wrapper(fn, stage):
         def wrapped(*args, **kwargs):
-            clock.mark(None)
-            result = fn(*args, **kwargs)
-            clock.mark(stage)
+            clock.mark(clock.open[-1] if clock.open else None)  # the enclosing stage's time
+            clock.open.append(stage)
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                clock.open.pop()
+            clock.end(stage)
             clock.results[stage] = result
             return result
         return wrapped
@@ -122,7 +143,7 @@ def _marked(clock: StageClock):
     def writer_wrapper(fn):
         def wrapped(path, *args, **kwargs):
             result = fn(path, *args, **kwargs)
-            clock.mark(os.path.basename(str(path)).split(".", 1)[1])
+            clock.end(os.path.basename(str(path)).split(".", 1)[1])
             return result
         return wrapped
 
