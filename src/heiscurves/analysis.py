@@ -346,15 +346,12 @@ def check_helix_system(
 ) -> SystemReport:
     """Residuals of the biharmonic-helix conditions
 
-        B3 = const != 0,  N3 = 0,  k^2 + tau^2 = l^2/4 - (l^2 - 4m) B3^2,
+        B3 = const != 0,  N3 = 0,
 
-    together with the helix-form conditions tau = const and N3 B3 = 0."""
-    params = frenet.manifold
-    lam = 0.25 * params.l * params.l
-    mu = params.flatness
+    together with the helix-form conditions tau = const and N3 B3 = 0.  The
+    relation k^2 + tau^2 = l^2/4 - (l^2 - 4m) B3^2 is ``check_system_33``'s."""
     interior = _interior_frenet(frenet)
 
-    k = frenet.k[interior]
     tau = frenet.tau[interior]
     B3 = frenet.B3[interior]
     N3 = frenet.N3[interior]
@@ -368,11 +365,6 @@ def check_helix_system(
         ),
         "B3_nonzero": SystemCheck("B3_nonzero", config.b3_zero_tol, abs(B3_mean)),
         "N3_zero": SystemCheck("N3_zero", float(np.abs(N3).max()), config.relation_tol),
-        "algebraic_relation": SystemCheck(
-            "algebraic_relation",
-            float(np.abs(k**2 + tau**2 - (lam - mu * B3**2)).max()),
-            config.relation_tol,
-        ),
         "tau_constant": SystemCheck(
             "tau_constant", float(tau.max() - tau.min()),
             config.constancy_tol * (1.0 + abs(tau_mean)),

@@ -20,9 +20,13 @@ of the group.  The same parametric form with an arbitrary rate is exposed as
 ``helix_family_curve`` and serves as the negative control (off-root rates
 give curves with constant invariants that fail the characterization system).
 
-Also provided: geodesics (closed form on every member: a turning tangent
-for m = 0, a Moebius orbit of the (x, y) chart for m != 0), one-parameter
-subgroups (straight lines through the identity),
+These equations give the helix's point at the start of its range; from
+there it is sampled like the geodesics of the m = 0 members and the
+one-parameter subgroups, which are the same kind of curve: T3 constant and
+(T1, T2) turning at a constant rate, A for the helix, l T3 for a geodesic,
+0 for a subgroup.  The tests check the samples against the equations above.
+
+Also provided: geodesics on m != 0 (a Moebius orbit of the (x, y) chart),
 the non-biharmonic family with vanishing third binormal component, and the
 cylinder / helicoid pair whose intersection contains the biharmonic helix.
 """
@@ -139,6 +143,57 @@ def solve_branch_A(alpha0: float, branch: str = "plus") -> float:
     return A
 
 
+# (q - sin q) / q^3 = sum_k (-1)^k q^(2k) / (2k + 3)!; eight terms reach double
+# precision for |q| < 1, below which the direct quotient starts to cancel.
+_SWEEP_SERIES = tuple((-1.0) ** k / math.factorial(2 * k + 3) for k in range(8))
+
+
+def _sweep(q: np.ndarray) -> np.ndarray:
+    """(q - sin q) / q^3, without cancellation near q = 0 (where it is 1/6)."""
+    out = np.empty_like(q)
+    small = np.abs(q) < 1.0
+    q2 = q[small] ** 2
+    series = np.zeros_like(q2)
+    for coeff in reversed(_SWEEP_SERIES):
+        series = series * q2 + coeff
+    out[small] = series
+    big = q[~small]
+    out[~small] = (big - np.sin(big)) / big**3
+    return out
+
+
+def _constant_angle_sampler(
+    l: float, p0, S: float, phi: float, t3: float, w: float, s0: float
+) -> Callable:
+    """Sampler of the m = 0 curve through p0 = gamma(s0) whose tangent keeps
+    T3 = t3 and turns at the constant rate w: the paper's helices (w = A),
+    the geodesics (w = l T3) and the one-parameter subgroups (w = 0).
+
+    With u = s - s0 the tangent is T = (S cos(phi + w u), S sin(phi + w u),
+    t3).  The horizontal chord is S u sinc(w u / 2) along the angle
+    phi + w u / 2, and z gains t3 u plus l/2 times the area term
+    x0 dy - y0 dx + S^2 (w u - sin w u) / w^2.  Written this way every term
+    stays finite and accurate as w -> 0, where the curve becomes the
+    horizontal line through p0.
+    """
+    x0, y0, z0 = (float(v) for v in p0)
+
+    def sampler(s):
+        u = np.asarray(s, dtype=float) - s0
+        q = w * u
+        chord = S * u * np.sinc(q / (2.0 * math.pi))
+        dx = chord * np.cos(phi + 0.5 * q)
+        dy = chord * np.sin(phi + 0.5 * q)
+        # S^2 (w u - sin w u) / w^2 = S^2 w u^3 (q - sin q) / q^3
+        area = x0 * dy - y0 * dx + S * S * w * u**3 * _sweep(q)
+        z = z0 + t3 * u + 0.5 * l * area
+        theta = phi + q
+        vel = np.stack([S * np.cos(theta), S * np.sin(theta), np.full_like(theta, t3)], axis=-1)
+        return np.stack([x0 + dx, y0 + dy, z], axis=-1), vel
+
+    return sampler
+
+
 def helix_family_curve(
     alpha0: float,
     rate: float,
@@ -151,42 +206,23 @@ def helix_family_curve(
     """The constant-axis-angle family with an arbitrary rotation rate.
 
     Unit speed for every rate; biharmonic only when the rate solves the
-    branch quadratic.  Exact positions and frame velocities.
+    branch quadratic.  Exact positions and frame velocities, from the
+    paper's point at s_range[0] and the turning rate w = rate.
     """
     if rate == 0.0:
         raise ValueError("rate must be nonzero")
     S, C = math.sin(alpha0), math.cos(alpha0)
-    A = rate
-    zslope = C + S * S / (2.0 * A)
-
-    def sampler(s):
-        s = np.asarray(s, dtype=float)
-        beta = A * s + a
-        sin_beta, cos_beta = np.sin(beta), np.cos(beta)
-        x = (S / A) * sin_beta + b
-        y = -(S / A) * cos_beta + c
-        z = (
-            zslope * s
-            - (b * S / (2.0 * A)) * cos_beta
-            - (c * S / (2.0 * A)) * sin_beta
-            + d
-        )
-        vel = np.stack([S * cos_beta, S * sin_beta, np.full_like(beta, C)], axis=-1)
-        return np.stack([x, y, z], axis=-1), vel
-
+    s0 = float(s_range[0])
+    beta0 = rate * s0 + a
+    x0 = (S / rate) * math.sin(beta0) + b
+    y0 = -(S / rate) * math.cos(beta0) + c
+    # the paper's z: the slope plus (b (y - c) - c (x - b)) / 2 = (b y - c x) / 2
+    z0 = (C + S * S / (2.0 * rate)) * s0 + 0.5 * (b * y0 - c * x0) + d
     return CurveSpec(
         manifold=HEISENBERG,
         s_range=s_range,
-        sampler=sampler,
-        family={
-            "family": "helix_family",
-            "alpha0": alpha0,
-            "rate": rate,
-            "a": a,
-            "b": b,
-            "c": c,
-            "d": d,
-        },
+        sampler=_constant_angle_sampler(1.0, (x0, y0, z0), S, beta0, C, rate, s0),
+        family=dict(family="helix_family", alpha0=alpha0, rate=rate, a=a, b=b, c=c, d=d),
     )
 
 
@@ -196,17 +232,7 @@ def biharmonic_helix(
     """The non-geodesic biharmonic helix with the given parameters."""
     A = solve_branch_A(hp.alpha0, hp.branch)
     spec = helix_family_curve(hp.alpha0, A, hp.a, hp.b, hp.c, hp.d, s_range)
-    family = {
-        "family": "biharmonic_helix",
-        "alpha0": hp.alpha0,
-        "a": hp.a,
-        "b": hp.b,
-        "c": hp.c,
-        "d": hp.d,
-        "branch": hp.branch,
-        "rate": A,
-    }
-    return replace(spec, family=family)
+    return replace(spec, family={**spec.family, "family": "biharmonic_helix", "branch": hp.branch})
 
 
 def helix_invariants(hp: HelixParams) -> tuple[float, float, float]:
@@ -270,73 +296,23 @@ def geodesic_ivp(
     p0 = mf.as_point(p0)
     v0 = _require_unit(v0_frame, "initial velocity")
     mf.conformal_factor(params, p0)
-    if params.m == 0.0:
-        return _geodesic_closed_form(params, p0, v0, s_range)
-    return _geodesic_orbit(params, p0, v0, s_range)
-
-
-def _geodesic_family(params: ManifoldParams, p0: np.ndarray, v0: np.ndarray) -> dict:
-    return {
-        "family": "geodesic",
-        "point": [float(v) for v in p0],
-        "direction": [float(v) for v in v0],
-        "manifold": {"m": params.m, "l": params.l},
-    }
-
-
-# (q - sin q) / q^3 = sum_k (-1)^k q^(2k) / (2k + 3)!; eight terms reach double
-# precision for |q| < 1, below which the direct quotient starts to cancel.
-_SWEEP_SERIES = tuple((-1.0) ** k / math.factorial(2 * k + 3) for k in range(8))
-
-
-def _sweep(q: np.ndarray) -> np.ndarray:
-    """(q - sin q) / q^3, without cancellation near q = 0 (where it is 1/6)."""
-    small = np.abs(q) < 1.0
-    series = np.zeros_like(q)
-    for coeff in reversed(_SWEEP_SERIES):
-        series = series * (q * q) + coeff
-    safe = np.where(small, 1.0, q)
-    return np.where(small, series, (safe - np.sin(safe)) / safe**3)
-
-
-def _geodesic_closed_form(
-    params: ManifoldParams, p0: np.ndarray, v0: np.ndarray, s_range: tuple[float, float]
-) -> CurveSpec:
-    """The m = 0 geodesic, anchored at p0 = gamma(s0).
-
-    With u = s - s0, S = |(T1, T2)|, phi its angle and w = l T3, the tangent
-    is T = (S cos(phi + w u), S sin(phi + w u), T3).  The horizontal chord
-    is S u sinc(w u / 2) along the angle phi + w u / 2, and z gains T3 u
-    plus l/2 times the area term x0 dy - y0 dx + S^2 (w u - sin w u) / w^2.
-    Written this way every term stays finite and accurate as w -> 0, where
-    the curve becomes the horizontal line through p0.
-    """
-    l = params.l
-    x0, y0, z0 = (float(v) for v in p0)
     t1, t2, t3 = (float(v) for v in v0)
-    S = math.hypot(t1, t2)
-    phi = math.atan2(t2, t1)
-    w = l * t3
     s0 = float(s_range[0])
-
-    def sampler(s):
-        u = np.asarray(s, dtype=float) - s0
-        q = w * u
-        chord = S * u * np.sinc(q / (2.0 * math.pi))
-        dx = chord * np.cos(phi + 0.5 * q)
-        dy = chord * np.sin(phi + 0.5 * q)
-        # S^2 (w u - sin w u) / w^2 = S^2 w u^3 (q - sin q) / q^3
-        area = x0 * dy - y0 * dx + S * S * w * u**3 * _sweep(q)
-        z = z0 + t3 * u + 0.5 * l * area
-        theta = phi + q
-        vel = np.stack([S * np.cos(theta), S * np.sin(theta), np.full_like(theta, t3)], axis=-1)
-        return np.stack([x0 + dx, y0 + dy, z], axis=-1), vel
-
+    if params.m == 0.0:
+        S, phi = math.hypot(t1, t2), math.atan2(t2, t1)
+        sampler = _constant_angle_sampler(params.l, p0, S, phi, t3, params.l * t3, s0)
+    else:
+        sampler = _orbit_sampler(params, p0, v0, s_range)
     return CurveSpec(
         manifold=params,
         s_range=s_range,
         sampler=sampler,
-        family=_geodesic_family(params, p0, v0),
+        family={
+            "family": "geodesic",
+            "point": [float(v) for v in p0],
+            "direction": [t1, t2, t3],
+            "manifold": {"m": params.m, "l": params.l},
+        },
     )
 
 
@@ -344,9 +320,9 @@ _CHART_EDGE = 1e-9  # conformal factor at which an m < 0 geodesic leaves the cha
 _EPS = float(np.finfo(float).eps)
 
 
-def _geodesic_orbit(
+def _orbit_sampler(
     params: ManifoldParams, p0: np.ndarray, v0: np.ndarray, s_range: tuple[float, float]
-) -> CurveSpec:
+) -> Callable:
     """The m != 0 geodesic, anchored at p0 = gamma(s0), as a Moebius orbit.
 
     With zeta = x + i y, u = s - s0, v = (T1 + i T2)(s0), k = l T3 / 2 and
@@ -378,12 +354,7 @@ def _geodesic_orbit(
         vel = np.stack([T.real, T.imag, np.full_like(u, t3)], axis=-1)
         return np.stack([zeta.real, zeta.imag, z], axis=-1), vel
 
-    return CurveSpec(
-        manifold=params,
-        s_range=s_range,
-        sampler=sampler,
-        family=_geodesic_family(params, p0, v0),
-    )
+    return sampler
 
 
 class _MoebiusOrbit:
@@ -515,23 +486,22 @@ def one_param_subgroup(
     """The one-parameter subgroup u -> exp(u X) of the Heisenberg group.
 
     For the Heisenberg multiplication these are the straight lines
-    u -> (A u, B u, C u); their frame velocity is the constant (A, B, C).
+    u -> (A u, B u, C u), whose frame velocity is the constant (A, B, C):
+    the constant-angle curve with turning rate 0.
     """
     if not params.is_heisenberg:
         raise UnsupportedManifold(
             "one-parameter subgroups are implemented only for (m, l) = (0, 1)"
         )
     v = _require_unit(direction, "subgroup direction")
-
-    def sampler(s):
-        s = np.asarray(s, dtype=float)
-        return s[..., None] * v, np.broadcast_to(v, s.shape + (3,)).copy()
-
+    t1, t2, t3 = (float(c) for c in v)
+    s0 = float(s_range[0])
+    S, phi = math.hypot(t1, t2), math.atan2(t2, t1)
     return CurveSpec(
         manifold=HEISENBERG,
         s_range=s_range,
-        sampler=sampler,
-        family={"family": "one_param_subgroup", "direction": [float(c) for c in v]},
+        sampler=_constant_angle_sampler(1.0, s0 * v, S, phi, t3, 0.0, s0),
+        family={"family": "one_param_subgroup", "direction": [t1, t2, t3]},
     )
 
 

@@ -52,19 +52,25 @@ class TestTensors:
         assert np.abs(np.array(a["connection"]) - np.array(b["connection"])).max() < 1e-15
         assert np.abs(np.array(a["riemann"]) - np.array(b["riemann"])).max() < 1e-15
 
-    @pytest.mark.parametrize("m,l,point,scale", [
-        ("0", "1", "10,10,0", 1.0), ("0", "1", "100,-50,3", 1.0), ("0.25", "1.2", "1.5,1.5,0", 1.0),
-        ("1", "2", "3,0,0", 6.0), ("2", "1", "300,-100,5", 1200.0),
-        ("0.25", "1.2", "1000,0,0", 500.0), ("2", "1", "1000,0,0", 4000.0),
+    # (m, l, point, max(1, max|G|), max|E|): max|E| is F = 1 + m (x^2 + y^2)
+    # or |l| r / 2, whichever is larger
+    @pytest.mark.parametrize("m,l,point,scale,reach", [
+        ("0", "1", "10,10,0", 1.0, 5.0), ("0", "1", "100,-50,3", 1.0, 50.0),
+        ("0.25", "1.2", "1.5,1.5,0", 1.0, 2.125), ("1", "2", "3,0,0", 6.0, 10.0),
+        ("2", "1", "300,-100,5", 1200.0, 200001.0), ("0.25", "1.2", "1000,0,0", 500.0, 250001.0),
+        ("2", "1", "1000,0,0", 4000.0, 2000001.0), ("0", "3", "10000,1000,0", 1.5, 15000.0),
     ])
-    def test_cross_check_passes_away_from_origin(self, capsys, m, l, point, scale):
+    def test_cross_check_passes_away_from_origin(self, capsys, m, l, point, scale, reach):
         # the frame coefficients grow with the point, and so does the
         # stencil step; the roundoff of the numeric route grows with the
-        # connection entries max|G| (2m x, 2m y), and the tolerance with it
+        # connection entries max|G| (2m x, 2m y) and, for the curvature, with
+        # the frame's reach max|E| too, and the tolerance with them
         code, out, _ = run(capsys, "tensors", "--m", m, "--l", l, "--point", point)
         assert code == 0
         tols = [float(v) for v in re.findall(r"\(tol ([^)]*)\)", out.splitlines()[-1])]
-        assert tols == pytest.approx([1e-8 * scale, 1e-8 * scale**2], rel=1e-12)
+        curv_tol = max(1e-8 * scale**2, cli._ROUNDOFF * reach * scale)
+        printed = [float(f"{v:g}") for v in (1e-8 * scale, curv_tol)]  # as the line gives them
+        assert tols == pytest.approx(printed, rel=1e-12)
         assert out.splitlines()[-1].endswith(" PASS")
 
     def test_cross_check_fails_on_a_wrong_table(self, capsys, monkeypatch):

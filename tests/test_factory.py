@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -176,6 +176,58 @@ class TestBiharmonicHelix:
         target = hc.biharmonic_helix(offset)
         s = np.linspace(0.0, 10.0 * math.pi, 257)
         assert np.abs(points_of(moved, s) - points_of(target, s)).max() < 1e-12
+
+
+def paper_helix(alpha0, rate, a, b, c, d, s):
+    """Points and frame velocities of the helix from the paper's own
+    equations in (alpha0, A, a, b, c, d), evaluated directly."""
+    S, C = math.sin(alpha0), math.cos(alpha0)
+    beta = rate * s + a
+    sin_beta, cos_beta = np.sin(beta), np.cos(beta)
+    x = (S / rate) * sin_beta + b
+    y = -(S / rate) * cos_beta + c
+    z = (
+        (C + S * S / (2.0 * rate)) * s
+        - (b * S / (2.0 * rate)) * cos_beta
+        - (c * S / (2.0 * rate)) * sin_beta
+        + d
+    )
+    vel = np.stack([S * cos_beta, S * sin_beta, np.full_like(beta, C)], axis=-1)
+    return np.stack([x, y, z], axis=-1), vel
+
+
+class TestPaperEquations:
+    """The factory samples a helix by the constant-angle formula from its
+    point at s_range[0]; the paper's equations are the reference."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        alpha0=st.floats(0.02, hc.ADMISSIBLE_BOUNDARY),
+        lower_cone=st.booleans(),
+        branch=st.sampled_from(["plus", "minus"]),
+        detune=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+        abcd=st.tuples(*[st.floats(-5.0, 5.0)] * 4),
+        s0=st.sampled_from([0.0, -37.5, 12.25]),
+    )
+    @example(alpha0=FIGURE1_ALPHA0, lower_cone=False, branch="plus", detune=0.0,
+             abcd=(1.0, 1.0, 1.0, 0.0), s0=0.0)
+    def test_matches_paper_equations(self, alpha0, lower_cone, branch, detune, abcd, s0):
+        # admissible alpha0 on either cone, the biharmonic rate or an
+        # off-root one; at s0 = 0 the frame velocity is the paper's, bit for bit
+        if lower_cone:
+            alpha0 = math.pi - alpha0
+        rate = hc.solve_branch_A(alpha0, branch) + detune
+        assume(rate != 0.0)
+        s = s0 + np.linspace(0.0, 10.0 * math.pi, 1001)
+        spec = hc.helix_family_curve(alpha0, rate, *abcd, s_range=(s0, s0 + 10.0 * math.pi))
+        points, vel = spec.sampler(s)
+        ref_points, ref_vel = paper_helix(alpha0, rate, *abcd, s)
+        bound = 1e-13 * (1.0 + np.linalg.norm(ref_points, axis=-1))
+        assert (np.abs(points - ref_points).max(axis=-1) <= bound).all()
+        if s0 == 0.0:
+            assert np.array_equal(vel, ref_vel)
+        else:
+            assert_allclose(vel, ref_vel, rtol=0, atol=1e-13)
 
 
 class TestHelixInvariants:
