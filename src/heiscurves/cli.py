@@ -309,8 +309,7 @@ def cmd_generate(args, file_cfg: dict) -> int:
 def cmd_verify(args, file_cfg: dict) -> int:
     params = _resolve_manifold(args, file_cfg)
     config = _resolve_numerics(file_cfg, args)
-    spec = crv.read_samples_csv(args.input, params)
-    samples = crv.sample_curve(spec, None, config)
+    samples = crv.import_samples(params, *crv.read_samples_csv(args.input), config=config)
     report = analysis.bitension_report(samples, config)
     result = analysis.classify_curve(report.frenet, config)
 

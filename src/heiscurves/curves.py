@@ -1,11 +1,12 @@
 """Curves, arclength sampling, covariant differentiation and Frenet data.
 
-Curves are always parametrized by arclength.  A curve enters the package in
-one of two forms:
-
-* a sampler, which gives the points and the frame velocities on a grid of
-  arclengths together, from closed formulas or from an integrator,
-* imported samples: (s, x, y, z) rows with optional velocities.
+Curves are always parametrized by arclength.  A curve is a sampler, which
+gives the points and the frame velocities on a grid of arclengths together,
+from closed formulas or from an integrator; ``sample_curve`` evaluates it on
+n uniform samples.  Imported (s, x, y, z) rows, with optional velocities,
+are samples already: ``import_samples`` checks them and differences the
+positions where the rows carry no velocities.  Both routes give
+``CurveSamples``.
 
 Velocities are carried in components of the left-invariant orthonormal
 frame; these are unchanged under left translations, which makes Frenet data
@@ -53,7 +54,6 @@ from .numerics import (
     NumericsConfig,
     derivative_on_grid,
     interior_slice,
-    tiles,
 )
 
 __all__ = [
@@ -66,7 +66,7 @@ __all__ = [
     "frame_cross",
     "left_translate_curve",
     "left_translate_samples",
-    "make_sampled_spec",
+    "import_samples",
     "write_samples_csv",
     "read_samples_csv",
     "frenet_to_json",
@@ -76,34 +76,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """A parametrized curve on one manifold of the family.
-
-    Exactly one payload is populated:
-
-    sampler(s_grid) -> (points, frame_velocities), (n, 3) arrays each, or
-    sampled_s / sampled_points (and optionally sampled_velocity_frame).
+    """A parametrized curve on one manifold of the family, given by its
+    sampler: sampler(s_grid) -> (points, frame_velocities), (n, 3) arrays
+    each.
 
     A curve known in coordinates converts its coordinate velocity with
     ``manifold.to_frame_components`` inside its sampler.  ``family`` carries
     the serializable constructor parameters, when the curve came from one of
-    the factory families.
+    the factory families.  Imported rows are samples, not curves: see
+    ``import_samples``.
     """
 
     manifold: ManifoldParams
     s_range: tuple[float, float]
-    sampler: Optional[Callable] = None
-    sampled_s: Optional[np.ndarray] = None
-    sampled_points: Optional[np.ndarray] = None
-    sampled_velocity_frame: Optional[np.ndarray] = None
+    sampler: Callable
     family: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        sampled = (self.sampled_s, self.sampled_points, self.sampled_velocity_frame)
-        if self.sampler is not None:
-            if any(a is not None for a in sampled):
-                raise ValueError("a curve takes a sampler or sampled arrays, not both")
-        elif self.sampled_s is None or self.sampled_points is None:
-            raise ValueError("a curve needs a sampler or sampled s and point arrays")
 
 
 @dataclass
@@ -182,47 +169,12 @@ def _check_uniform_s(s: np.ndarray) -> float:
 
 
 def sample_curve(
-    spec: CurveSpec, n: int | None = None, config: NumericsConfig = DEFAULT_CONFIG
+    spec: CurveSpec, n: int, config: NumericsConfig = DEFAULT_CONFIG
 ) -> CurveSamples:
-    """Evaluate ``n`` uniform arclength samples of a curve.
+    """Evaluate ``n`` uniform arclength samples of a curve with its sampler.
 
-    Velocities come from the curve's sampler or, for imported samples
-    without velocity columns, from central differences of the positions,
-    taken tile by tile (``numerics.tiles``) into the one velocity array.
-    Unit speed is enforced on the interior samples; boundary samples of
-    differentiated imports use one-sided stencils and are excluded from the
-    check.
+    Unit speed is enforced at every sample.
     """
-    if spec.sampler is None:
-        s = np.asarray(spec.sampled_s, dtype=float)
-        if n is not None and n != len(s):
-            raise ValueError(
-                f"sampled curve provides {len(s)} rows; resampling to n={n} "
-                "is not supported"
-            )
-        _check_uniform_s(s)
-        points = np.asarray(spec.sampled_points, dtype=float)
-        if spec.sampled_velocity_frame is not None:
-            vel = np.asarray(spec.sampled_velocity_frame, dtype=float)
-            check = slice(0, len(s))
-            depth = 0
-        else:
-            if len(s) < 9:
-                raise TooFewSamples("need at least 9 samples to differentiate positions")
-            ds = float(s[1] - s[0])
-            mf.conformal_factor(spec.manifold, points)  # the whole curve's chart check first
-            vel = np.empty_like(points)
-            for tile, window, rows in tiles(len(s), 1):
-                v_coord = derivative_on_grid(points[window], ds)[rows]
-                vel[tile] = mf.to_frame_components(spec.manifold, points[tile], v_coord)
-            check = interior_slice(len(s), 1)
-            depth = 1
-        samples = CurveSamples(spec.manifold, s, points, vel, velocity_depth=depth)
-        _validate_unit_speed(vel, config, check)
-        return samples
-
-    if n is None:
-        raise ValueError("n is required for a curve with a sampler")
     if n < 9:
         raise TooFewSamples(f"need n >= 9 samples, got {n}")
     s = _uniform_grid(spec.s_range, n)
@@ -232,6 +184,48 @@ def sample_curve(
 
     samples = CurveSamples(spec.manifold, s, points, vel)
     _validate_unit_speed(vel, config)
+    return samples
+
+
+def import_samples(
+    manifold: ManifoldParams,
+    s: np.ndarray,
+    points: np.ndarray,
+    velocity_frame: np.ndarray | None = None,
+    config: NumericsConfig = DEFAULT_CONFIG,
+) -> CurveSamples:
+    """Imported rows as samples: arclengths ``s`` (n,), coordinates
+    ``points`` (n, 3) and, optionally, frame velocities (n, 3).
+
+    Without velocities, they are central differences of the positions.
+    Unit speed is enforced on the interior samples; boundary samples of
+    differentiated positions use one-sided stencils and are excluded from
+    the check.  Raises ValueError for other shapes or n < 2, NonMonotone for
+    arclengths that are not finite, strictly increasing and uniform, and
+    TooFewSamples for fewer than 9 positions to differentiate.
+    """
+    s = np.asarray(s, dtype=float)
+    points = np.asarray(points, dtype=float)
+    vel = None if velocity_frame is None else np.asarray(velocity_frame, dtype=float)
+    n = len(s) if s.ndim == 1 else 0
+    if n < 2 or points.shape != (n, 3) or (vel is not None and vel.shape != (n, 3)):
+        shapes = f"s {s.shape}, points {points.shape}"
+        if vel is not None:
+            shapes += f", velocities {vel.shape}"
+        raise ValueError(f"imported samples need s (n,), n >= 2, and (n, 3) arrays; got {shapes}")
+    _check_uniform_s(s)
+    if vel is not None:
+        check = None
+        depth = 0
+    else:
+        if n < 9:
+            raise TooFewSamples("need at least 9 samples to differentiate positions")
+        v_coord = derivative_on_grid(points, float(s[1] - s[0]))
+        vel = mf.to_frame_components(manifold, points, v_coord)
+        check = interior_slice(n, 1)
+        depth = 1
+    samples = CurveSamples(manifold, s, points, vel, velocity_depth=depth)
+    _validate_unit_speed(vel, config, check)
     return samples
 
 
@@ -393,20 +387,6 @@ def left_translate_curve(g, spec: CurveSpec) -> CurveSpec:
     if "translated_by" in spec.family:  # L_g L_h = L_{g h}
         total = mf.left_translate(params, g_arr, spec.family["translated_by"])
     family = {**spec.family, "translated_by": list(map(float, total))}
-
-    if spec.sampler is None:
-        return replace(
-            spec,
-            sampled_s=np.array(spec.sampled_s, copy=True),
-            sampled_points=mf.left_translate(
-                params, g_arr, np.asarray(spec.sampled_points, dtype=float)
-            ),
-            sampled_velocity_frame=None
-            if spec.sampled_velocity_frame is None
-            else np.array(spec.sampled_velocity_frame, copy=True),
-            family=family,
-        )
-
     base_sampler = spec.sampler
 
     def sampler(s_grid):
@@ -419,24 +399,6 @@ def left_translate_curve(g, spec: CurveSpec) -> CurveSpec:
 # ---------------------------------------------------------------------------
 # Interchange formats
 # ---------------------------------------------------------------------------
-
-
-def make_sampled_spec(
-    manifold: ManifoldParams,
-    s: np.ndarray,
-    points: np.ndarray,
-    velocity_frame: np.ndarray | None = None,
-) -> CurveSpec:
-    s = np.asarray(s, dtype=float)
-    return CurveSpec(
-        manifold=manifold,
-        s_range=(float(s[0]), float(s[-1])),
-        sampled_s=s,
-        sampled_points=np.asarray(points, dtype=float),
-        sampled_velocity_frame=None
-        if velocity_frame is None
-        else np.asarray(velocity_frame, dtype=float),
-    )
 
 
 _ROWS_PER_WRITE = 8192  # rows of a per-sample file laid out and written at once
@@ -737,13 +699,14 @@ def _raise_bad_line(path, cols: list[str], cause: str) -> NoReturn:
     raise MalformedSampleFile(f"unreadable data rows: {cause}")
 
 
-def read_samples_csv(path, manifold: ManifoldParams) -> CurveSpec:
-    """Read a ``s,x,y,z[,vx,vy,vz]`` file back into a sampled CurveSpec.
+def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Parse a ``s,x,y,z[,vx,vy,vz]`` file into ``(s, points, velocities)``,
+    the velocities None without their columns: the arguments of
+    ``import_samples`` after the manifold.
 
     Skips empty lines.  Raises MalformedSampleFile for a bad header, fewer
     than two data rows, or a row that is unparseable, not as wide as the
-    header or holds a ``nan`` or ``inf`` (naming its line); NonMonotone for
-    bad arclength columns.
+    header or holds a ``nan`` or ``inf`` (naming its line).
     """
     with open(path) as fh:
         header = fh.readline()
@@ -762,9 +725,8 @@ def read_samples_csv(path, manifold: ManifoldParams) -> CurveSpec:
         _raise_bad_line(path, cols, f"rows have {data.shape[1]} fields")
     if not np.isfinite(data).all():
         _raise_bad_line(path, cols, "non-finite values")
-    _check_uniform_s(data[:, 0])
     vel = data[:, 4:] if len(cols) == 7 else None
-    return make_sampled_spec(manifold, data[:, 0], data[:, 1:4], vel)
+    return data[:, 0], data[:, 1:4], vel
 
 
 def _json_items(a: np.ndarray, rows: np.ndarray):

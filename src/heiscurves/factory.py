@@ -518,7 +518,8 @@ def b3zero_curve(
         T = sin(alpha) cos(beta) e1 + sin(alpha) sin(beta) e2 + cos(alpha) e3,
         beta(s) = integral of cos(alpha),
 
-    for a strictly increasing profile angle alpha(s).  The resulting curve
+    for a strictly increasing profile angle alpha(s), which maps an array of
+    arclengths to an array of the same shape.  The resulting curve
     has vanishing third binormal component, torsion -1/2, geodesic curvature
     alpha', and is never biharmonic.
 
@@ -532,12 +533,11 @@ def b3zero_curve(
         s_grid = np.asarray(s_grid, dtype=float)
         n = len(s_grid)
         fine = np.linspace(s_grid[0], s_grid[-1], (n - 1) * _QUAD_REFINE + 1)
-        try:
-            a_vals = np.asarray(alpha(fine), dtype=float)
-            if a_vals.shape != fine.shape:
-                raise TypeError
-        except TypeError:
-            a_vals = np.array([float(alpha(t)) for t in fine])
+        a_vals = np.asarray(alpha(fine), dtype=float)
+        if a_vals.shape != fine.shape:
+            raise ValueError(
+                f"alpha returned shape {a_vals.shape} for arclengths of shape {fine.shape}"
+            )
         if np.any(np.diff(a_vals) <= 0.0):
             raise NonMonotoneAlpha("alpha(s) must be strictly increasing")
         delta = fine[1] - fine[0]

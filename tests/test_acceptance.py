@@ -346,10 +346,8 @@ def test_criterion_10_left_invariance():
     worst = max(worst, float(np.abs(ra.residual - rb.residual)[interior].max()))
 
     # differentiated-import route: velocities recomputed from translated points
-    imported = hc.sample_curve(hc.make_sampled_spec(H, base.s, base.points))
-    imported_moved = hc.sample_curve(
-        hc.make_sampled_spec(H, base.s, mf.left_translate(H, shift, base.points))
-    )
+    imported = hc.import_samples(H, base.s, base.points)
+    imported_moved = hc.import_samples(H, base.s, mf.left_translate(H, shift, base.points))
     fa, fb = hc.frenet_apparatus(imported), hc.frenet_apparatus(imported_moved)
     interior = fa.interior(3)
     worst = max(worst, float(np.abs(fa.k - fb.k)[interior].max()))

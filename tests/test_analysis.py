@@ -396,6 +396,6 @@ class TestDepthGuards:
         s = np.linspace(0.0, 2.0, 401)
         points = np.stack([0.5 + s / 2.0, np.zeros_like(s), np.zeros_like(s)], axis=-1)
         vel = np.tile([1.0, 0.0, 0.0], (len(s), 1))
-        spec = hc.make_sampled_spec(mf.ManifoldParams(-1.0, 1.0), s, points, vel)
+        samples = hc.import_samples(mf.ManifoldParams(-1.0, 1.0), s, points, vel)
         with pytest.raises(hc.DomainError):
-            hc.bitension_report(hc.sample_curve(spec))
+            hc.bitension_report(samples)

@@ -147,8 +147,7 @@ class TestSampleCurve:
     def test_sampled_import_matches_analytic(self, figure1_hp):
         spec = hc.biharmonic_helix(figure1_hp, (0.0, 10.0 * math.pi))
         exact = hc.sample_curve(spec, 1001)
-        imported = hc.make_sampled_spec(H, exact.s, exact.points)
-        samples = hc.sample_curve(imported)
+        samples = hc.import_samples(H, exact.s, exact.points)
         interior = samples.interior(0)
         dev = np.abs(samples.velocity_frame - exact.velocity_frame)[interior].max()
         assert dev < 1e-8
@@ -159,7 +158,7 @@ class TestSampleCurve:
         for n in (801, 1601):
             spec = hc.biharmonic_helix(figure1_hp, (0.0, 10.0 * math.pi))
             exact = hc.sample_curve(spec, n)
-            samples = hc.sample_curve(hc.make_sampled_spec(H, exact.s, exact.points))
+            samples = hc.import_samples(H, exact.s, exact.points)
             interior = samples.interior(0)
             errs[n] = np.abs(samples.velocity_frame - exact.velocity_frame)[interior].max()
         assert errs[801] / errs[1601] >= 12.0
@@ -168,14 +167,6 @@ class TestSampleCurve:
         spec = hc.biharmonic_helix(figure1_hp)
         with pytest.raises(hc.TooFewSamples):
             hc.sample_curve(spec, 8)
-
-    def test_exactly_one_payload(self):
-        line = vertical_line_spec()
-        s = np.linspace(0.0, 1.0, 9)
-        with pytest.raises(ValueError, match="needs a sampler or sampled"):
-            hc.CurveSpec(manifold=H, s_range=(0.0, 1.0), sampled_s=s)
-        with pytest.raises(ValueError, match="not both"):
-            dataclasses.replace(line, sampled_s=s, sampled_points=line.sampler(s)[0])
 
     def test_nonuniform_rejected(self):
         s = np.array([0.0, 0.1, 0.25, 0.3])
@@ -187,9 +178,8 @@ class TestSampleCurve:
     def test_non_unit_speed_rejected(self):
         s = np.linspace(0.0, 1.0, 12)
         pts = np.stack([2.0 * s, np.zeros_like(s), np.zeros_like(s)], axis=-1)
-        spec = hc.make_sampled_spec(H, s, pts)
         with pytest.raises(hc.NonUnitSpeed):
-            hc.sample_curve(spec)
+            hc.import_samples(H, s, pts)
 
     def test_nan_velocity_rejected(self, tmp_path, figure1_hp):
         # NaN compares false against any tolerance; it must not pass as unit speed
@@ -200,7 +190,25 @@ class TestSampleCurve:
         path = tmp_path / "nan.csv"
         hc.write_samples_csv(path, samples, include_velocity=True)
         with pytest.raises(hc.NonUnitSpeed, match="sample 137"):
-            hc.sample_curve(hc.read_samples_csv(path, H))
+            hc.import_samples(H, *hc.read_samples_csv(path))
+
+    @pytest.mark.parametrize("s_shape,points_shape,velocity_shape", [
+        ((4001,), (4501, 3), None),     # more points than arclengths
+        ((4001,), (4001, 3), (100, 3)),  # a short velocity array
+        ((4001,), (4001, 2), None),     # points without z
+        ((4001,), (4001, 3), (4001, 2)),
+        ((4001, 1), (4001, 3), None),   # arclengths not 1-D
+        ((1,), (1, 3), None),           # fewer than two samples
+    ])
+    def test_import_rejects_mismatched_shapes(self, s_shape, points_shape, velocity_shape):
+        s = np.linspace(0.0, 1.0, math.prod(s_shape)).reshape(s_shape)
+        points = np.zeros(points_shape)
+        vel = None if velocity_shape is None else np.ones(velocity_shape) / math.sqrt(3.0)
+        with pytest.raises(ValueError, match=re.escape(f"points {points_shape}")) as err:
+            hc.import_samples(H, s, points, vel)
+        assert f"s {s_shape}" in str(err.value)
+        if velocity_shape is not None:
+            assert f"velocities {velocity_shape}" in str(err.value)
 
 
 class TestCovariantDerivative:
@@ -371,8 +379,8 @@ class TestLeftInvariance:
         spec = hc.biharmonic_helix(figure1_hp, (0.0, 10.0 * math.pi))
         base = hc.sample_curve(spec, 2001)
         moved_pts = mf.left_translate(H, [3.0, -1.0, 2.0], base.points)
-        orig = hc.frenet_apparatus(hc.sample_curve(hc.make_sampled_spec(H, base.s, base.points)))
-        moved = hc.frenet_apparatus(hc.sample_curve(hc.make_sampled_spec(H, base.s, moved_pts)))
+        orig = hc.frenet_apparatus(hc.import_samples(H, base.s, base.points))
+        moved = hc.frenet_apparatus(hc.import_samples(H, base.s, moved_pts))
         interior = moved.interior(2)
         assert np.abs(moved.k - orig.k)[interior].max() < 1e-6
         assert np.abs(moved.tau - orig.tau)[interior].max() < 1e-6
@@ -383,13 +391,16 @@ class TestLeftInvariance:
         sampled=st.booleans(),
     )
     def test_translated_curve_property(self, figure1_hp, g, sampled):
-        # both payloads: the frame velocities are kept bit for bit, the points
-        # are the translated points, and k and tau do not move
+        # a translated curve and translated imported samples: the frame
+        # velocities are the sampler's bit for bit, the points are the
+        # translated points, and k and tau do not move
         spec = hc.biharmonic_helix(figure1_hp, (0.0, 4.0 * math.pi))
         base = hc.sample_curve(spec, 401)
         if sampled:
-            spec = hc.make_sampled_spec(H, base.s, base.points, base.velocity_frame)
-        moved = hc.sample_curve(hc.left_translate_curve(g, spec), 401)
+            imported = hc.import_samples(H, base.s, base.points, base.velocity_frame)
+            moved = hc.left_translate_samples(g, imported)
+        else:
+            moved = hc.sample_curve(hc.left_translate_curve(g, spec), 401)
         assert np.array_equal(moved.velocity_frame, base.velocity_frame)
         assert np.array_equal(moved.points, mf.left_translate(H, g, base.points))
         a, b = hc.frenet_apparatus(base), hc.frenet_apparatus(moved)
@@ -412,7 +423,7 @@ class TestInterchange:
         samples = hc.sample_curve(spec, 301)
         path = tmp_path / "helix.csv"
         hc.write_samples_csv(path, samples, include_velocity=True)
-        back = hc.sample_curve(hc.read_samples_csv(path, H))
+        back = hc.import_samples(H, *hc.read_samples_csv(path))
         assert_allclose(back.s, samples.s, atol=0.0)
         assert_allclose(back.points, samples.points, atol=0.0)
         assert_allclose(back.velocity_frame, samples.velocity_frame, atol=0.0)
@@ -422,7 +433,7 @@ class TestInterchange:
         samples = hc.sample_curve(spec, 1001)
         path = tmp_path / "pos.csv"
         hc.write_samples_csv(path, samples)
-        back = hc.sample_curve(hc.read_samples_csv(path, H))
+        back = hc.import_samples(H, *hc.read_samples_csv(path))
         assert back.velocity_depth == 1
         interior = back.interior(0)
         assert np.abs(back.velocity_frame - samples.velocity_frame)[interior].max() < 1e-8
@@ -446,13 +457,13 @@ class TestInterchange:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(hc.MalformedSampleFile):
-            hc.read_samples_csv(path, H)
+            hc.read_samples_csv(path)
 
     def test_csv_bad_number_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("s,x,y,z\n0,0,0,0\n0.1,oops,0,0\n")
         with pytest.raises(hc.MalformedSampleFile) as err:
-            hc.read_samples_csv(path, H)
+            hc.read_samples_csv(path)
         assert "line 3" in str(err.value)
 
     @pytest.mark.parametrize("number", ["1_0", "\u0661", " 1_0 "])
@@ -462,7 +473,7 @@ class TestInterchange:
         path = tmp_path / "bad.csv"
         path.write_text(f"s,x,y,z\n0,0,0,0\n1,{number},0,0\n2,0,0,0\n", encoding="utf-8")
         with pytest.raises(hc.MalformedSampleFile) as err:
-            hc.read_samples_csv(path, H)
+            hc.read_samples_csv(path)
         assert "unparseable number at line 3" in str(err.value)
 
     def test_csv_padded_number_not_blamed(self, tmp_path):
@@ -471,7 +482,7 @@ class TestInterchange:
         path = tmp_path / "padded.csv"
         path.write_text("s,x,y,z\n0,0,0,0\n1,\u00a01\t,0,0\n2,0,0,0,5\n", encoding="utf-8")
         with pytest.raises(hc.MalformedSampleFile) as err:
-            hc.read_samples_csv(path, H)
+            hc.read_samples_csv(path)
         assert "line 4 has 5 fields" in str(err.value)
 
     def test_csv_short_velocity_rows_rejected(self, tmp_path):
@@ -479,14 +490,14 @@ class TestInterchange:
         path = tmp_path / "short.csv"
         path.write_text("s,x,y,z,vx,vy,vz\n0,0,0,0\n0.1,0.1,0,0\n0.2,0.2,0,0\n")
         with pytest.raises(hc.MalformedSampleFile) as err:
-            hc.read_samples_csv(path, H)
+            hc.read_samples_csv(path)
         assert "line 2" in str(err.value)
 
     def test_csv_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("s,x,y,z\n0,0,0,0\n0.1,0.1,0,0\n0.2,0.2,0,0,1\n0.3,0.3,0,0\n")
         with pytest.raises(hc.MalformedSampleFile) as err:
-            hc.read_samples_csv(path, H)
+            hc.read_samples_csv(path)
         assert "line 4" in str(err.value)
 
     def test_csv_blank_line_skipped_other_lines_rejected(self, tmp_path):
@@ -495,14 +506,15 @@ class TestInterchange:
         plain.write_text("\n".join(rows) + "\n")
         blank = tmp_path / "blank.csv"
         blank.write_text("\r\n".join(rows[:2] + [""] + rows[2:]) + "\r\n")
-        a, b = hc.read_samples_csv(plain, H), hc.read_samples_csv(blank, H)
-        assert np.array_equal(a.sampled_s, b.sampled_s)
-        assert np.array_equal(a.sampled_points, b.sampled_points)
+        (s_a, points_a, vel_a), (s_b, points_b, vel_b) = map(hc.read_samples_csv, (plain, blank))
+        assert np.array_equal(s_a, s_b)
+        assert np.array_equal(points_a, points_b)
+        assert vel_a is None and vel_b is None
         for filler in ("   ", "# comment"):
             path = tmp_path / "filler.csv"
             path.write_text("\n".join(rows[:2] + ["", filler] + rows[2:]) + "\n")
             with pytest.raises(hc.MalformedSampleFile) as err:
-                hc.read_samples_csv(path, H)
+                hc.read_samples_csv(path)
             assert "line 4" in str(err.value)
 
     @pytest.mark.parametrize("column,value", [("s", "nan"), ("x", "nan"), ("z", "-inf"),
@@ -515,7 +527,7 @@ class TestInterchange:
         lines = [",".join(cols)] + [",".join(r) for r in rows]
         path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")  # sample 3 is on line 6
         with pytest.raises(hc.MalformedSampleFile) as err:
-            hc.read_samples_csv(path, H)
+            hc.read_samples_csv(path)
         assert f"line 6 (sample 3), column {column}" in str(err.value)
         # a bad velocity is also a velocity that cannot have unit length
         assert isinstance(err.value, hc.NonUnitSpeed) is column.startswith("v")
@@ -523,16 +535,16 @@ class TestInterchange:
     def test_nonfinite_arclength_rejected_outside_the_reader(self):
         s = np.linspace(0.0, 1.0, 11)
         s[7] = np.nan
-        spec = hc.make_sampled_spec(H, s, np.zeros((11, 3)), np.tile([1.0, 0.0, 0.0], (11, 1)))
         with pytest.raises(hc.NonMonotone, match="not finite at row 7"):
-            hc.sample_curve(spec)
+            hc.import_samples(H, s, np.zeros((11, 3)), np.tile([1.0, 0.0, 0.0], (11, 1)))
 
     def test_csv_nonmonotone_reports_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         rows = ["s,x,y,z"] + [f"{s},{s},0,0" for s in (0.0, 0.1, 0.05, 0.3)]
         path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(hc.NonMonotone):
-            hc.read_samples_csv(path, H)
+        parsed = hc.read_samples_csv(path)  # the reader only parses
+        with pytest.raises(hc.NonMonotone, match="at row 2"):
+            hc.import_samples(H, *parsed)
 
     def test_frenet_json(self, figure1_samples):
         import json
@@ -619,7 +631,7 @@ class TestInterchange:
         # positions read back carry one more derivative pass
         path = tmp_path / "pos.csv"
         hc.write_samples_csv(path, figure1_samples)
-        imported = hc.frenet_apparatus(hc.sample_curve(hc.read_samples_csv(path, H)))
+        imported = hc.frenet_apparatus(hc.import_samples(H, *hc.read_samples_csv(path)))
         prov = json.loads(hc.frenet_to_json(imported))["provenance"]
         assert prov["velocity_depth"] == 1
         assert prov["interior"] == [6, fr.n - 6]

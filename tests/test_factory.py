@@ -719,6 +719,17 @@ class TestB3Zero:
         with pytest.raises(hc.NonMonotoneAlpha):
             hc.sample_curve(spec, 101)
 
+    @pytest.mark.parametrize(
+        "alpha", [lambda s: 0.5, lambda s: (0.5 + 0.3 * s)[::2]], ids=["scalar", "every_other"]
+    )
+    def test_profile_gives_one_angle_per_node(self, alpha):
+        # the profile is evaluated once, on the whole quadrature grid of
+        # (101 - 1) * 16 + 1 nodes
+        spec = hc.b3zero_curve(alpha, (0.0, 2.0))
+        with pytest.raises(ValueError, match=r"alpha returned shape \((801,)?\) for arclengths "
+                                             r"of shape \(1601,\)"):
+            hc.sample_curve(spec, 101)
+
     def test_classification(self):
         spec = hc.b3zero_curve(lambda s: 0.5 + 0.3 * s, (0.0, 2.0))
         result = hc.classify_curve(hc.sample_curve(spec, 801))
@@ -835,8 +846,8 @@ class TestParameterFiles:
     def test_unloadable_family_not_dumped(self):
         b3zero = hc.b3zero_curve(lambda s: 0.5 + 0.3 * s, (0.0, 2.0))
         driven = hc.tangent_driven_curve(H, lambda s: np.array([0.0, 0.0, 1.0]), [0, 0, 0], (0, 1))
-        imported = hc.make_sampled_spec(H, np.linspace(0.0, 1.0, 9), np.zeros((9, 3)))
-        for spec in (b3zero, driven, imported, hc.left_translate_curve([1.0, 0, 0], imported)):
+        bare = hc.CurveSpec(H, (0.0, 1.0), b3zero.sampler)  # no family record
+        for spec in (b3zero, driven, bare):
             with pytest.raises(ValueError, match="no parameter record"):
                 hc.dump_curve_params(spec)
 

@@ -2,10 +2,10 @@
 of the arclength stencil it runs five times and of the covariant derivative
 built on it, and of ``generate``'s per-sample writers.
 
-``sample_curve`` and ``bitension_report`` run their stencil chains tile by
-tile, so past a few tiles only the series they keep span the curve; the
-kernels run on (n, 3) component arrays, so no stage may build per-sample
-tensor stacks.  The writers hold one block of rows of text besides the
+``bitension_report`` runs its stencil chain tile by tile, so past a few
+tiles only the series it keeps span the curve; the kernels run on (n, 3)
+component arrays, so no stage may build per-sample tensor stacks.  The
+writers hold one block of rows of text besides the
 text of what two files read.  The peak is traced with
 ``tracemalloc`` (numpy reports its buffers to it) and compared with a bound
 per sample.
@@ -53,10 +53,10 @@ def _verify_pipeline_peak(tmp_path, hp, n):
     path = tmp_path / "positions.csv"
     spec = hc.biharmonic_helix(hp, (0.0, 10.0 * math.pi))
     hc.write_samples_csv(path, hc.sample_curve(spec, n))
-    imported = hc.read_samples_csv(path, hc.HEISENBERG)
+    s, points, _ = hc.read_samples_csv(path)
 
     def pipeline():
-        samples = hc.sample_curve(imported)
+        samples = hc.import_samples(hc.HEISENBERG, s, points)
         report = hc.bitension_report(samples)
         return hc.classify_curve(report.frenet)
 

@@ -1,4 +1,5 @@
-"""Smoke test of ``tools/output_digests.py`` at a small sample count."""
+"""Smoke test of ``tools/output_digests.py`` at a small sample count: 2 001,
+as 201 positions of the figure helix fail the unit-speed check."""
 
 import importlib.util
 import os
@@ -7,8 +8,9 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 FILES = ["h3_geodesic.csv", "helix.classification.json", "helix.csv", "helix.cylinder.csv",
          "helix.frenet.json", "helix.helicoid.csv", "helix.params.json", "helix.report.json",
-         "helix.residuals.csv", "ml_geodesic.csv", "verify.json"]
-COMMANDS = ["generate", "h3_geodesic", "ml_geodesic", "verify"]
+         "helix.residuals.csv", "ml_geodesic.csv", "positions.csv", "verify.json",
+         "verify_positions.json"]
+COMMANDS = ["generate", "h3_geodesic", "ml_geodesic", "verify", "verify_positions"]
 
 
 def test_output_digests_name_every_output(capsys):
@@ -16,7 +18,7 @@ def test_output_digests_name_every_output(capsys):
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     cwd = os.getcwd()
-    assert tool.main(["--samples", "201"]) == 0
+    assert tool.main(["--samples", "2001"]) == 0
     assert os.getcwd() == cwd
     lines = capsys.readouterr().out.splitlines()
     names = [line.split("  ", 1)[1] for line in lines]
@@ -24,4 +26,4 @@ def test_output_digests_name_every_output(capsys):
     assert names == expected
     assert [line for line in lines if line.startswith("exit")] == [f"exit 0  {c}" for c in COMMANDS]
     # the same inputs give the same digests
-    assert tool.digests(201) == lines
+    assert tool.digests(2001) == lines

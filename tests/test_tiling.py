@@ -1,5 +1,5 @@
-"""``sample_curve`` and ``bitension_report`` run their stencil chains tile by
-tile (``numerics.tiles``).  Every per-sample series, every check residual and
+"""``bitension_report`` runs its stencil chain tile by tile
+(``numerics.tiles``).  Every per-sample series, every check residual and
 the verdict must equal, bit for bit, a whole-curve evaluation through the
 public full-array functions, on both input routes and on a curve whose frame
 exists on part of its length only."""
@@ -60,7 +60,7 @@ def samples(request, figure1_hp, tmp_path):
         return hc.sample_curve(spec, n)
     path = tmp_path / "positions.csv"
     hc.write_samples_csv(path, hc.sample_curve(spec, n))
-    return hc.sample_curve(hc.read_samples_csv(path, H))
+    return hc.import_samples(H, *hc.read_samples_csv(path))
 
 
 CASES = [(route, n) for route in ("sampler", "csv", "mixed") for n in SIZES]
@@ -69,7 +69,7 @@ CASES = [(route, n) for route in ("sampler", "csv", "mixed") for n in SIZES]
 @pytest.mark.parametrize("samples", CASES, indirect=True, ids=[f"{r}-{n}" for r, n in CASES])
 def test_tiles_match_the_whole_curve(samples):
     if samples.velocity_depth:
-        # positions differenced tile by tile into the one velocity array
+        # positions differenced over the whole curve
         v_coord = derivative_on_grid(samples.points, samples.ds)
         whole_velocity = mf.to_frame_components(H, samples.points, v_coord)
         assert _bits(samples.velocity_frame) == _bits(whole_velocity)

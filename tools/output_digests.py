@@ -4,8 +4,10 @@ In a temporary directory, at ``--samples`` samples each, this runs the
 figure-helix ``generate`` (sin alpha0 = 1/sqrt(10), a = b = c = 1) with
 surfaces and velocities, the benchmark's two length-1000 ``geodesic``
 commands (H3 and (m, l) = (0.25, 1.2)) with velocities, and ``verify
---json`` on the helix CSV.  It prints ``sha256  name`` for every file and
-every stdout, and ``exit N  name`` for every exit code.  Diff two runs:
+--json`` on the helix CSV and on its ``s,x,y,z`` columns alone, the input
+whose velocities ``verify`` differences.  It prints ``sha256  name`` for
+every file and every stdout, and ``exit N  name`` for every exit code.  Diff
+two runs:
 
     PYTHONPATH=/path/to/parent/src python tools/output_digests.py --samples 2001 > parent.txt
     PYTHONPATH=src python tools/output_digests.py --samples 2001 > change.txt
@@ -31,7 +33,18 @@ def commands(n: int) -> list[tuple[str, list[str]]]:
                 "--length", "1000", "--samples", str(n), "--with-velocity", "--out", name])
         for name, m, l in (("h3_geodesic", "0", "1"), ("ml_geodesic", "0.25", "1.2"))
     ]
-    return [("generate", helix), *geodesics, ("verify", ["verify", "helix.csv", "--json", "verify.json"])]
+    return [
+        ("generate", helix),
+        *geodesics,
+        ("verify", ["verify", "helix.csv", "--json", "verify.json"]),
+        ("verify_positions", ["verify", "positions.csv", "--json", "verify_positions.json"]),
+    ]
+
+
+def write_positions(src: str, dst: str) -> None:
+    """Copy the ``s,x,y,z`` columns of the sample CSV ``src`` to ``dst``."""
+    with open(src, "rb") as fh, open(dst, "wb") as out:
+        out.writelines(b",".join(line.rstrip(b"\r\n").split(b",")[:4]) + b"\r\n" for line in fh)
 
 
 def digests(n: int) -> list[str]:
@@ -40,6 +53,8 @@ def digests(n: int) -> list[str]:
         os.chdir(tmp)  # so that outputs and stdout name relative paths only
         try:
             for name, argv in commands(n):
+                if name == "verify_positions":
+                    write_positions("helix.csv", "positions.csv")
                 with contextlib.redirect_stdout(io.StringIO()) as stdout:
                     code = cli_main(argv)
                 lines.append(f"{hashlib.sha256(stdout.getvalue().encode()).hexdigest()}  {name}.stdout")

@@ -7,8 +7,9 @@ figure helix (sin alpha0 = 1/sqrt(10), a = b = c = 1, s in [0, 10 pi]).
 surfaces and velocities included.  A stage ends where the package function
 that bounds it returns, so the stages are
 
-* verify and generate: ``read`` (verify only), ``sample``, ``frenet``,
-  ``tension`` (the rest of ``bitension_report``) and ``classify``;
+* verify and generate: ``read`` (verify only), ``sample`` (``import_samples``
+  in verify, ``sample_curve`` in generate), ``frenet``, ``tension`` (the
+  rest of ``bitension_report``) and ``classify``;
   ``bitension_report`` runs ``frenet_apparatus`` once per tile of the curve,
   so a stage's time is summed over all its calls, and time inside a nested
   stage counts only for that stage;
@@ -69,6 +70,7 @@ DEFAULT_SIZES = (2001, 20001, 200001)
 STAGES = (
     (curves, "read_samples_csv", "read"),
     (curves, "sample_curve", "sample"),
+    (curves, "import_samples", "sample"),
     (analysis, "frenet_apparatus", "frenet"),
     (analysis, "bitension_report", "tension"),
     (analysis, "classify_curve", "classify"),
