@@ -43,8 +43,8 @@ chain, and the (n, 3) temporaries are tile-sized.  What spans the curve is
 what the results keep, per sample: the report's residual, cT, cN and cB (32
 bytes; 8 when the frame fails somewhere and the coefficients are None), and
 its Frenet series' k, tau, N, B and ``defined`` (65 bytes).  The series
-shares s, T and the points (56 bytes) with the samples, and keeps neither
-nabla_T T nor tau2.
+holds the samples themselves, whose s, T and points (56 bytes) it reads
+there, and keeps neither nabla_T T nor tau2.
 """
 
 from __future__ import annotations
@@ -118,13 +118,13 @@ def tension2_frame(frenet: FrenetSeries) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     if not frenet.defined.any():
         raise GeodesicFrameUndefined("Frenet frame undefined along the whole curve")
-    params = frenet.manifold
+    params, ds = frenet.samples.manifold, frenet.samples.ds
     lam = 0.25 * params.l * params.l
     mu = params.flatness
     k, tau = frenet.k, frenet.tau
-    kp = derivative_on_grid(k, frenet.ds)
-    kpp = derivative_on_grid(kp, frenet.ds)
-    taup = derivative_on_grid(tau, frenet.ds)
+    kp = derivative_on_grid(k, ds)
+    kpp = derivative_on_grid(kp, ds)
+    taup = derivative_on_grid(tau, ds)
     B3, N3 = frenet.B3, frenet.N3
     cT = -3.0 * kp * k
     cN = kpp - k**3 - k * tau**2 + k * lam - k * mu * B3**2
@@ -135,7 +135,7 @@ def tension2_frame(frenet: FrenetSeries) -> tuple[np.ndarray, np.ndarray, np.nda
 @dataclass
 class BitensionReport:
     """Both routes to the bitension field as per-sample summaries, and the
-    Frenet series they were computed from.
+    Frenet series they were computed from, whose ``samples`` are the curve.
 
     ``residual`` is |tau2| by the direct route and (cT, cN, cB) the frame
     expansion's coefficients; the (n, 3) fields themselves are not kept.
@@ -146,8 +146,6 @@ class BitensionReport:
     exists on the whole curve.
     """
 
-    manifold: ManifoldParams
-    s: np.ndarray
     residual: np.ndarray       # |tau2| per sample
     cT: np.ndarray | None
     cN: np.ndarray | None
@@ -160,9 +158,10 @@ class BitensionReport:
 
     def to_json(self) -> str:
         """The summary; the residual series goes to ``residuals_to_csv``."""
+        samples = self.frenet.samples
         payload = {
-            "manifold": {"m": self.manifold.m, "l": self.manifold.l},
-            "n": len(self.s),
+            "manifold": {"m": samples.manifold.m, "l": samples.manifold.l},
+            "n": samples.n,
             "max_interior_residual": self.max_residual,
             "mean_interior_residual": self.mean_residual,
             "expansion_agreement": self.expansion_agreement,
@@ -211,8 +210,6 @@ def bitension_report(
     if not framed:
         cT = cN = cB = None
     return BitensionReport(
-        manifold=samples.manifold,
-        s=samples.s,
         residual=residual,
         cT=cT,
         cN=cN,
@@ -221,18 +218,14 @@ def bitension_report(
         mean_residual=float(residual[interior].mean()),
         expansion_agreement=float(agreement) if framed else None,
         interior=interior,
-        frenet=FrenetSeries(
-            manifold=samples.manifold, s=samples.s, T=samples.velocity_frame, k=k, N=N, B=B,
-            tau=tau, defined=defined, points=samples.points,
-            velocity_depth=samples.velocity_depth, ds=samples.ds,
-        ),
+        frenet=FrenetSeries(samples, k=k, N=N, B=B, tau=tau, defined=defined),
     )
 
 
 def _expansion_gap(frenet: FrenetSeries, coefficients, t2: np.ndarray, rows: slice):
     """Worst |t2 - (cT T + cN N + cB B)| on ``rows``, in place in one array."""
     cT, cN, cB = coefficients
-    gap = cT[rows, None] * frenet.T[rows]
+    gap = cT[rows, None] * frenet.samples.velocity_frame[rows]
     gap += cN[rows, None] * frenet.N[rows]
     gap += cB[rows, None] * frenet.B[rows]
     np.subtract(t2[rows], gap, out=gap)
@@ -278,13 +271,20 @@ class SystemReport:
 
 
 def _interior_frenet(frenet: FrenetSeries):
-    interior = frenet.interior(_BITENSION_DEPTH)
+    interior = frenet.samples.interior(_BITENSION_DEPTH)
     if not frenet.defined[interior].all():
         raise GeodesicFrameUndefined(
             "Frenet frame undefined on interior samples; the curve is "
             "(locally) a geodesic"
         )
     return interior
+
+
+def _k_constant(k: np.ndarray, config: NumericsConfig) -> SystemCheck:
+    """The spread of k against the constancy tolerance, scaled by its mean."""
+    return SystemCheck(
+        "k_constant", float(k.max() - k.min()), config.constancy_tol * (1.0 + abs(float(k.mean())))
+    )
 
 
 def check_system_33(
@@ -299,7 +299,7 @@ def check_system_33(
     evaluated with the manifold's own coefficients (for (0, 1) this is the
     Heisenberg system with l^2/4 = 1/4 and unit coefficient).
     """
-    params = frenet.manifold
+    params = frenet.samples.manifold
     lam = 0.25 * params.l * params.l
     mu = params.flatness
     interior = _interior_frenet(frenet)
@@ -310,15 +310,12 @@ def check_system_33(
     N3 = frenet.N3[interior]
     k_mean = float(k.mean())
 
-    k_const = float(k.max() - k.min())
     relation = float(np.abs(k**2 + tau**2 - (lam - mu * B3**2)).max())
-    taup = derivative_on_grid(frenet.tau, frenet.ds)[interior]
+    taup = derivative_on_grid(frenet.tau, frenet.samples.ds)[interior]
     torsion = float(np.abs(taup - mu * N3 * B3).max())
 
     checks = {
-        "k_constant": SystemCheck(
-            "k_constant", k_const, config.constancy_tol * (1.0 + abs(k_mean))
-        ),
+        "k_constant": _k_constant(k, config),
         "k_nonzero": SystemCheck(
             # residual formulation: passes when k is NOT negligible
             "k_nonzero", config.k_floor, abs(k_mean)
@@ -410,10 +407,10 @@ class ClassificationResult:
 
 
 def classify_curve(
-    curve: CurveSamples | FrenetSeries, config: NumericsConfig = DEFAULT_CONFIG
+    frenet: FrenetSeries, config: NumericsConfig = DEFAULT_CONFIG
 ) -> ClassificationResult:
-    """Classify a unit-speed curve, given by its samples or by its Frenet
-    series (for instance ``BitensionReport.frenet``).
+    """Classify a unit-speed curve by its Frenet series: ``frenet_apparatus``
+    of its samples, or ``BitensionReport.frenet``.
 
     geodesic                 tension field vanishes (within residual_tol);
     nongeodesic_biharmonic   the full characterization system holds;
@@ -422,10 +419,11 @@ def classify_curve(
     not_biharmonic           everything else.  Curves with B3 ~ 0 land here
                              regardless of helix structure: a vanishing third
                              binormal component forces tau^2 = 1/4 and rules
-                             biharmonicity out unconditionally.
+                             biharmonicity out unconditionally; so do
+                             non-geodesic curves whose k vanishes inside,
+                             which carry the k_constant check alone.
     """
-    frenet = curve if isinstance(curve, FrenetSeries) else frenet_apparatus(curve, config)
-    t1_max = float(frenet.k[frenet.interior(1)].max())  # k = |nabla_T T|
+    t1_max = float(frenet.k[frenet.samples.interior(1)].max())  # k = |nabla_T T|
     values: dict[str, float] = {"tension1_max": t1_max}
     checks: dict[str, SystemCheck] = {
         "tension1_zero": SystemCheck("tension1_zero", t1_max, config.residual_tol)
@@ -433,6 +431,13 @@ def classify_curve(
 
     if t1_max <= max(config.k_floor, config.residual_tol):
         return ClassificationResult("geodesic", checks, values)
+
+    interior = frenet.samples.interior(_BITENSION_DEPTH)
+    if not frenet.defined[interior].all():  # k vanishes inside, so it is no nonzero constant
+        k = frenet.k[interior]
+        checks["system_k_constant"] = _k_constant(k, config)
+        values["k_mean"] = float(k.mean())
+        return ClassificationResult("not_biharmonic", checks, values)
 
     sys33 = check_system_33(frenet, config)
     helix = check_helix_system(frenet, config)
@@ -494,5 +499,5 @@ def legendre_pairing(samples: CurveSamples) -> np.ndarray:
 def residuals_to_csv(path, report: BitensionReport) -> None:
     """Write the residual series as ``s,cT,cN,cB,residual`` rows; the
     frame coefficients are empty on geodesics."""
-    series = (report.s, report.cT, report.cN, report.cB, report.residual)
+    series = (report.frenet.samples.s, report.cT, report.cN, report.cB, report.residual)
     _write_table(path, ("s", "cT", "cN", "cB", "residual"), series)

@@ -134,18 +134,16 @@ def _uniform_grid(s_range: tuple[float, float], n: int) -> np.ndarray:
     return np.linspace(s0, s1, n)
 
 
-def _validate_unit_speed(
-    vel_frame: np.ndarray, config: NumericsConfig, check: slice | None = None
-) -> None:
-    norms = np.linalg.norm(vel_frame, axis=1)
-    region = norms[check] if check is not None else norms
-    offset = check.start if (check is not None and check.start) else 0
-    dev = np.abs(region - 1.0)
+def _validate_unit_speed(samples: CurveSamples, config: NumericsConfig) -> None:
+    """Unit speed on ``samples.interior(0)``: every row of given velocities,
+    and the rows clear of one-sided stencils where they were differenced."""
+    check = samples.interior(0)
+    dev = np.abs(np.linalg.norm(samples.velocity_frame[check], axis=1) - 1.0)
     worst = int(np.argmax(dev))  # the first NaN, if there is one
     if not dev[worst] <= config.unit_speed_tol:
         raise NonUnitSpeed(
             f"|velocity| deviates from 1 by {dev[worst]:.3e} at sample "
-            f"{worst + offset} (tolerance {config.unit_speed_tol:.1e})"
+            f"{worst + check.start} (tolerance {config.unit_speed_tol:.1e})"
         )
 
 
@@ -183,7 +181,7 @@ def sample_curve(
     vel = np.asarray(vel, dtype=float)
 
     samples = CurveSamples(spec.manifold, s, points, vel)
-    _validate_unit_speed(vel, config)
+    _validate_unit_speed(samples, config)
     return samples
 
 
@@ -214,18 +212,13 @@ def import_samples(
             shapes += f", velocities {vel.shape}"
         raise ValueError(f"imported samples need s (n,), n >= 2, and (n, 3) arrays; got {shapes}")
     _check_uniform_s(s)
-    if vel is not None:
-        check = None
-        depth = 0
-    else:
+    if vel is None:
         if n < 9:
             raise TooFewSamples("need at least 9 samples to differentiate positions")
         v_coord = derivative_on_grid(points, float(s[1] - s[0]))
         vel = mf.to_frame_components(manifold, points, v_coord)
-        check = interior_slice(n, 1)
-        depth = 1
-    samples = CurveSamples(manifold, s, points, vel, velocity_depth=depth)
-    _validate_unit_speed(vel, config, check)
+    samples = CurveSamples(manifold, s, points, vel, velocity_depth=int(velocity_frame is None))
+    _validate_unit_speed(samples, config)
     return samples
 
 
@@ -270,39 +263,27 @@ def frame_cross(X: FrameVector, Y: FrameVector) -> FrameVector:
 class FrenetSeries:
     """Frenet apparatus along a sampled curve.
 
-    Where the geodesic curvature k falls to the floor the normal direction
-    is numerically meaningless; there N, B and tau are NaN and ``defined``
-    is False rather than reporting zeros.  ``s``, ``T`` and ``points`` are
-    the sampled curve's own arrays, not copies; ``ds`` is the curve's step,
-    as on ``CurveSamples``.  ``t1`` = nabla_T T (= k N, defined on geodesics
-    too) is kept by ``frenet_apparatus`` for the tension passes; a series
-    assembled from tiles (``analysis.bitension_report``) does not keep it.
+    ``samples`` is the curve the series was computed from: its grid, points
+    and T = ``samples.velocity_frame`` are read there, not copied.  Where
+    the geodesic curvature k falls to the floor the normal direction is
+    numerically meaningless; there N, B and tau are NaN and ``defined`` is
+    False rather than reporting zeros.  ``t1`` = nabla_T T (= k N, defined
+    on geodesics too) is kept by ``frenet_apparatus`` for the tension
+    passes; a series assembled from tiles (``analysis.bitension_report``)
+    does not keep it.
     """
 
-    manifold: ManifoldParams
-    s: np.ndarray
-    T: np.ndarray          # (n, 3) frame components
+    samples: CurveSamples
     k: np.ndarray          # (n,) |nabla_T T|
     N: np.ndarray          # (n, 3), NaN where undefined
     B: np.ndarray          # (n, 3), NaN where undefined
     tau: np.ndarray        # (n,), NaN where undefined
     defined: np.ndarray    # (n,) bool
-    points: np.ndarray     # (n, 3) base points
-    velocity_depth: int = 0
-    ds: float | None = None
     t1: np.ndarray | None = None  # (n, 3)
-
-    def __post_init__(self):
-        if self.ds is None:
-            self.ds = float(self.s[1] - self.s[0])
-
-    @property
-    def n(self) -> int:
-        return len(self.s)
 
     @property
     def T3(self) -> np.ndarray:
-        return self.T[:, 2]
+        return self.samples.velocity_frame[:, 2]
 
     @property
     def N3(self) -> np.ndarray:
@@ -311,9 +292,6 @@ class FrenetSeries:
     @property
     def B3(self) -> np.ndarray:
         return self.B[:, 2]
-
-    def interior(self, depth: int = 1) -> slice:
-        return interior_slice(self.n, depth + self.velocity_depth)
 
 
 def frenet_apparatus(
@@ -341,20 +319,7 @@ def frenet_apparatus(
     dN = covariant_derivative_along(samples, N) if defined.any() else np.full_like(T, np.nan)
     tau = -np.einsum("ni,ni->n", dN, B)
 
-    return FrenetSeries(
-        manifold=samples.manifold,
-        s=samples.s,
-        T=T,
-        k=k,
-        N=N,
-        B=B,
-        tau=tau,
-        defined=defined,
-        points=samples.points,
-        velocity_depth=samples.velocity_depth,
-        ds=samples.ds,
-        t1=t1,
-    )
+    return FrenetSeries(samples, k=k, N=N, B=B, tau=tau, defined=defined, t1=t1)
 
 
 # ---------------------------------------------------------------------------
@@ -775,37 +740,38 @@ _FRENET_DEPTH = 2  # derivative passes behind tau: nabla_T T, then nabla_T N
 
 def _frenet_json_parts(frenet: FrenetSeries):
     """The ASCII bytes of ``frenet_to_json``'s text, in order."""
+    samples = frenet.samples
     columns = {  # in sorted order, as the rest of the payload
         "B": frenet.B,
         "N": frenet.N,
-        "T": frenet.T,
+        "T": samples.velocity_frame,
         "defined": frenet.defined,
         "k": frenet.k,
-        "point": frenet.points,
-        "s": frenet.s,
+        "point": samples.points,
+        "s": samples.s,
         "tau": frenet.tau,
     }
     try:
-        interior = frenet.interior(_FRENET_DEPTH)
+        interior = samples.interior(_FRENET_DEPTH)
         interior = [interior.start, interior.stop]
     except TooFewSamples:
         interior = None
-    manifold = {"m": frenet.manifold.m, "l": frenet.manifold.l}
+    manifold = {"m": samples.manifold.m, "l": samples.manifold.l}
     rest = {
         "manifold": manifold,
-        "n": frenet.n,
+        "n": samples.n,
         "provenance": {
             "version": __version__,
             "manifold": manifold,
-            "n": frenet.n,
-            "ds": frenet.ds,
-            "velocity_depth": frenet.velocity_depth,
+            "n": samples.n,
+            "ds": samples.ds,
+            "velocity_depth": samples.velocity_depth,
             "stencil_order": STENCIL_ORDER,
             "interior": interior,
         },
         "stencil_order": STENCIL_ORDER,
     }
-    rows = np.empty((min(frenet.n, _ROWS_PER_WRITE), _ROW_BYTES), dtype=np.uint8)
+    rows = np.empty((min(samples.n, _ROWS_PER_WRITE), _ROW_BYTES), dtype=np.uint8)
     # "columns" sorts before every other key, so it leads the object
     opening = b'{"columns":{'
     for name, series in columns.items():

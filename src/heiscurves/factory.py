@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import manifold as mf
-from .curves import CurveSamples, CurveSpec, left_translate_curve, sample_curve
+from .curves import CurveSamples, CurveSpec, left_translate_curve
 from .errors import (
     DomainExit,
     InadmissibleAlpha,
@@ -51,7 +51,7 @@ from .errors import (
     UnsupportedManifold,
 )
 from .manifold import HEISENBERG, ManifoldParams
-from .numerics import DEFAULT_CONFIG, NumericsConfig, cumulative_simpson
+from .numerics import cumulative_simpson
 
 __all__ = [
     "HelixParams",
@@ -662,18 +662,12 @@ def surface_eval(patch: SurfacePatch, u, v) -> np.ndarray:
     return np.stack([x, y, z], axis=-1)
 
 
-def membership_residual(
-    curve: CurveSpec | CurveSamples,
-    patch: SurfacePatch,
-    n: int = 1001,
-    config: NumericsConfig = DEFAULT_CONFIG,
-) -> float:
+def membership_residual(samples: CurveSamples, patch: SurfacePatch) -> float:
     """Worst distance of the sampled curve from the patch.
 
     Cylinder: radial defect |hypot(x - b, y - c) - radius|.  Helicoid:
     componentwise defect against the slice v = 1 evaluated at u = s.
     """
-    samples = curve if isinstance(curve, CurveSamples) else sample_curve(curve, n, config)
     pts = samples.points
     if patch.kind == "cylinder":
         r = np.hypot(pts[:, 0] - patch.b, pts[:, 1] - patch.c)

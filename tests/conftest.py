@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from heiscurves import HelixParams, biharmonic_helix, sample_curve
+from heiscurves import HEISENBERG, CurveSpec, HelixParams, biharmonic_helix, sample_curve
+from heiscurves.numerics import cumulative_simpson
 
 FIGURE1_COS = 3.0 / math.sqrt(10.0)
 FIGURE1_ALPHA0 = math.acos(FIGURE1_COS)
@@ -26,6 +27,22 @@ def figure1_hp():
 def figure1_samples(figure1_hp):
     spec = biharmonic_helix(figure1_hp, (0.0, 10.0 * math.pi))
     return sample_curve(spec, 2001)
+
+
+def inflection_spec() -> CurveSpec:
+    """A unit-speed horizontal curve on H3 with an inflection point: T =
+    (cos b, sin b, 0), b = (s - 2)**2 / 2, s in [0, 4], so k = |s - 2|
+    vanishes at s = 2, a sample at every odd n.  The points integrate
+    x' = T1, y' = T2 and z' = (x T2 - y T1) / 2 on the grid itself."""
+
+    def sampler(s):
+        beta = 0.5 * (s - 2.0) ** 2
+        T = np.stack([np.cos(beta), np.sin(beta), np.zeros_like(s)], axis=-1)
+        xy = cumulative_simpson(T[:, :2], s[1] - s[0])
+        z = cumulative_simpson(0.5 * (xy[:, 0] * T[:, 1] - xy[:, 1] * T[:, 0]), s[1] - s[0])
+        return np.column_stack([xy, z]), T
+
+    return CurveSpec(manifold=HEISENBERG, s_range=(0.0, 4.0), sampler=sampler)
 
 
 def random_domain_point(rng: np.random.Generator, m: float, scale: float = 3.0):

@@ -116,7 +116,7 @@ def test_criterion_04_negative_controls():
 
     # (b) vanishing third binormal component
     bz = hc.sample_curve(hc.b3zero_curve(lambda s: 0.5 + 0.3 * s, (0.0, 2.0)), 1001)
-    result = hc.classify_curve(bz)
+    result = hc.classify_curve(hc.frenet_apparatus(bz))
     tau_mean = result.values["tau_mean"]
     ok_b = abs(tau_mean + 0.5) <= 1e-4 and result.verdict == "not_biharmonic"
 
@@ -148,7 +148,7 @@ def test_criterion_05_one_parameter_subgroups():
         count += 1
         samples = hc.sample_curve(hc.one_param_subgroup(v, (0.0, 20.0)), 2001)
         fr = hc.frenet_apparatus(samples)
-        interior = fr.interior(3)
+        interior = fr.samples.interior(3)
         worst_circle = max(
             worst_circle,
             float(np.abs(fr.k[interior] ** 2 + fr.tau[interior] ** 2 - 0.25).max()),
@@ -242,12 +242,12 @@ def test_criterion_07_metric_family():
     )
     fr = hc.frenet_apparatus(samples)
     sys_general = hc.check_system_33(fr)
-    interior = fr.interior(3)
+    interior = fr.samples.interior(3)
     k, tau, B3, N3 = fr.k[interior], fr.tau[interior], fr.B3[interior], fr.N3[interior]
     relation_h3 = float(np.abs(k**2 + tau**2 - (0.25 - B3**2)).max())
     from heiscurves.numerics import derivative_on_grid
 
-    taup = derivative_on_grid(fr.tau, fr.ds)[interior]
+    taup = derivative_on_grid(fr.tau, fr.samples.ds)[interior]
     torsion_h3 = float(np.abs(taup - N3 * B3).max())
     coincide = max(
         abs(sys_general["algebraic_relation"].residual - relation_h3),
@@ -266,8 +266,9 @@ def test_criterion_08_surface_intersection():
     """The figure-parameter helix lies on its cylinder and helicoid."""
     hp = hc.HelixParams(alpha0=FIGURE1_ALPHA0, a=1.0, b=1.0, c=1.0)
     helix = hc.biharmonic_helix(hp, (0.0, 10.0 * math.pi))
-    res_cyl = hc.membership_residual(helix, hc.cylinder_patch(hp), 1001)
-    res_hel = hc.membership_residual(helix, hc.helicoid_patch(hp), 1001)
+    samples = hc.sample_curve(helix, 1001)
+    res_cyl = hc.membership_residual(samples, hc.cylinder_patch(hp))
+    res_hel = hc.membership_residual(samples, hc.helicoid_patch(hp))
     ok = res_cyl <= 1e-10 and res_hel <= 1e-10
     report(
         8,
@@ -338,7 +339,7 @@ def test_criterion_10_left_invariance():
     base = hc.sample_curve(spec, 2001)
     moved = hc.sample_curve(hc.left_translate_curve(shift, spec), 2001)
     fa, fb = hc.frenet_apparatus(base), hc.frenet_apparatus(moved)
-    interior = fa.interior(3)
+    interior = fa.samples.interior(3)
     worst = max(worst, float(np.abs(fa.k - fb.k)[interior].max()))
     worst = max(worst, float(np.abs(fa.tau - fb.tau)[interior].max()))
     worst = max(worst, float(np.abs(fa.B3 - fb.B3)[interior].max()))
@@ -349,7 +350,7 @@ def test_criterion_10_left_invariance():
     imported = hc.import_samples(H, base.s, base.points)
     imported_moved = hc.import_samples(H, base.s, mf.left_translate(H, shift, base.points))
     fa, fb = hc.frenet_apparatus(imported), hc.frenet_apparatus(imported_moved)
-    interior = fa.interior(3)
+    interior = fa.samples.interior(3)
     worst = max(worst, float(np.abs(fa.k - fb.k)[interior].max()))
     worst = max(worst, float(np.abs(fa.tau - fb.tau)[interior].max()))
     worst = max(worst, float(np.abs(fa.B3 - fb.B3)[interior].max()))

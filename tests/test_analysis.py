@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import heiscurves as hc
 from heiscurves import manifold as mf
 
-from conftest import FIGURE1_A, FIGURE1_ALPHA0, FIGURE1_COS
+from conftest import FIGURE1_A, FIGURE1_ALPHA0, FIGURE1_COS, inflection_spec
 
 H = hc.HEISENBERG
 
@@ -104,7 +104,7 @@ class TestTension2:
             spec = hc.helix_family_curve(alpha0, A, s_range=(0.0, 6.0 * math.pi))
             samples = hc.sample_curve(spec, 1501)
             fr = hc.frenet_apparatus(samples)
-            interior = fr.interior(3)
+            interior = fr.samples.interior(3)
             k = fr.k[interior].mean()
             tau = fr.tau[interior].mean()
             B3 = fr.B3[interior].mean()
@@ -115,7 +115,7 @@ class TestTension2:
     def test_frame_route_coefficients(self, figure1_samples):
         fr = hc.frenet_apparatus(figure1_samples)
         cT, cN, cB = hc.tension2_frame(fr)
-        interior = fr.interior(3)
+        interior = fr.samples.interior(3)
         assert np.abs(cT[interior]).max() < 1e-5
         assert np.abs(cN[interior]).max() < 1e-5
         assert np.abs(cB[interior]).max() < 1e-5
@@ -128,7 +128,7 @@ class TestTension2:
         samples = hc.sample_curve(spec, 1501)
         fr = hc.frenet_apparatus(samples)
         cT, cN, cB = hc.tension2_frame(fr)
-        interior = fr.interior(3)
+        interior = fr.samples.interior(3)
         k = fr.k[interior].mean()
         tau = fr.tau[interior].mean()
         B3 = fr.B3[interior].mean()
@@ -181,7 +181,7 @@ class TestSystems:
         d = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
         samples = hc.sample_curve(hc.one_param_subgroup(d, (0.0, 20.0)), 2001)
         fr = hc.frenet_apparatus(samples)
-        interior = fr.interior(3)
+        interior = fr.samples.interior(3)
         circle = np.abs(fr.k[interior] ** 2 + fr.tau[interior] ** 2 - 0.25)
         assert circle.max() < 1e-6
         assert np.abs(fr.B3[interior]).min() > 0.1
@@ -191,7 +191,7 @@ class TestSystems:
 
     def test_circle_classification(self):
         samples = hc.sample_curve(unit_circle_spec(), 1201)
-        result = hc.classify_curve(samples)
+        result = hc.classify_curve(hc.frenet_apparatus(samples))
         assert result.verdict in ("helix_not_biharmonic", "not_biharmonic")
         assert not result.is_biharmonic
         assert "system_algebraic_relation" in result.checks
@@ -223,14 +223,14 @@ class TestSystems:
         # hard-coded Heisenberg relations to float precision
         fr = hc.frenet_apparatus(figure1_samples)
         report = hc.check_system_33(fr)
-        interior = fr.interior(3)
+        interior = fr.samples.interior(3)
         k, tau, B3, N3 = (
             fr.k[interior], fr.tau[interior], fr.B3[interior], fr.N3[interior]
         )
         relation_h3 = float(np.abs(k**2 + tau**2 - (0.25 - B3**2)).max())
         from heiscurves.numerics import derivative_on_grid
 
-        taup = derivative_on_grid(fr.tau, fr.ds)[interior]
+        taup = derivative_on_grid(fr.tau, fr.samples.ds)[interior]
         torsion_h3 = float(np.abs(taup - N3 * B3).max())
         assert abs(report["algebraic_relation"].residual - relation_h3) < 1e-10
         assert abs(report["torsion_derivative"].residual - torsion_h3) < 1e-10
@@ -245,29 +245,48 @@ class TestSystems:
 
 class TestClassification:
     def test_helix_verdict(self, figure1_samples):
-        assert hc.classify_curve(figure1_samples).verdict == "nongeodesic_biharmonic"
+        result = hc.classify_curve(hc.frenet_apparatus(figure1_samples))
+        assert result.verdict == "nongeodesic_biharmonic"
 
     def test_geodesic_verdict(self):
         spec = hc.geodesic_ivp(H, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 20.0))
-        result = hc.classify_curve(hc.sample_curve(spec, 1601))
+        result = hc.classify_curve(hc.frenet_apparatus(hc.sample_curve(spec, 1601)))
         assert result.verdict == "geodesic"
         assert result.is_biharmonic
 
     def test_b3zero_verdict(self):
         spec = hc.b3zero_curve(lambda s: 0.5 + 0.3 * s, (0.0, 2.0))
-        result = hc.classify_curve(hc.sample_curve(spec, 1001))
+        result = hc.classify_curve(hc.frenet_apparatus(hc.sample_curve(spec, 1001)))
         assert result.verdict == "not_biharmonic"
         assert abs(result.values["tau_mean"] + 0.5) < 1e-4
 
     def test_offroot_helix_verdict(self):
         spec = hc.helix_family_curve(FIGURE1_ALPHA0, FIGURE1_A + 0.05,
                                      s_range=(0.0, 6.0 * math.pi))
-        result = hc.classify_curve(hc.sample_curve(spec, 1501))
+        result = hc.classify_curve(hc.frenet_apparatus(hc.sample_curve(spec, 1501)))
         assert result.verdict == "helix_not_biharmonic"
         assert not result.is_biharmonic
 
+    def test_inflection_point_is_not_biharmonic(self):
+        # k = |s - 2| is no nonzero constant; where it vanishes the frame is
+        # undefined, so the verdict rests on k alone
+        samples = hc.sample_curve(inflection_spec(), 2001)
+        frenet = hc.bitension_report(samples).frenet
+        assert not frenet.defined[1000] and frenet.defined[:990].all()
+        result = hc.classify_curve(frenet)
+        assert result.verdict == "not_biharmonic"
+        assert set(result.checks) == {"tension1_zero", "system_k_constant"}
+        check = result.checks["system_k_constant"]
+        assert not check.passed and check.residual == pytest.approx(1.988, abs=1e-6)
+        assert result.values["k_mean"] == pytest.approx(0.9945, abs=1e-4)
+        json.loads(result.to_json(), parse_constant=pytest.fail)  # no NaN or Infinity
+        # the frame-dependent checks still refuse the curve
+        for check_frame in (hc.check_system_33, hc.check_helix_system):
+            with pytest.raises(hc.GeodesicFrameUndefined):
+                check_frame(frenet)
+
     def test_json_serialization(self, figure1_samples):
-        result = hc.classify_curve(figure1_samples)
+        result = hc.classify_curve(hc.frenet_apparatus(figure1_samples))
         payload = json.loads(result.to_json())
         assert payload["verdict"] == "nongeodesic_biharmonic"
         assert payload["biharmonic"] is True
@@ -284,9 +303,8 @@ class TestClassification:
             rep = hc.bitension_report(samples)
             direct = np.linalg.norm(hc.tension2_direct(samples), axis=1)
             assert rep.residual.tobytes() == direct.tobytes()
-            assert (
-                hc.classify_curve(rep.frenet).to_json() == hc.classify_curve(samples).to_json()
-            )
+            whole = hc.frenet_apparatus(samples)
+            assert hc.classify_curve(rep.frenet).to_json() == hc.classify_curve(whole).to_json()
 
 
 class TestCone:
@@ -371,8 +389,8 @@ class TestReports:
         lines = path.read_bytes().split(b"\r\n")
         assert lines[0] == b"s,cT,cN,cB,residual" and lines[-1] == b""
         rows = [line.decode().split(",") for line in lines[1:-1]]
-        assert [row[1:4] for row in rows] == [["", "", ""]] * rep.s.size
-        assert [float(row[0]) for row in rows] == rep.s.tolist()
+        assert [row[1:4] for row in rows] == [["", "", ""]] * rep.frenet.samples.n
+        assert [float(row[0]) for row in rows] == rep.frenet.samples.s.tolist()
         assert [float(row[4]) for row in rows] == rep.residual.tolist()
 
     def test_geodesic_report_has_no_expansion(self):

@@ -16,7 +16,7 @@ import heiscurves as hc
 from heiscurves import analysis, cli, curves, factory, manifold, numerics
 from heiscurves.cli import main
 
-from conftest import FIGURE1_ALPHA0
+from conftest import FIGURE1_ALPHA0, inflection_spec
 
 
 def run(capsys, *argv):
@@ -195,6 +195,18 @@ class TestGenerateVerify:
         assert "verdict: not_biharmonic" in out
         tau_line = next(l for l in out.splitlines() if "tau_mean" in l)
         assert float(tau_line.split("=")[1]) == pytest.approx(-0.5, abs=1e-4)
+
+    def test_verify_inflection_point_exit_one(self, capsys, tmp_path):
+        # a valid curve whose k vanishes at one sample is not biharmonic, not
+        # an input error
+        path = tmp_path / "inflection.csv"
+        hc.write_samples_csv(path, hc.sample_curve(inflection_spec(), 2001), include_velocity=True)
+        code, out, err = run(capsys, "verify", str(path), "--json", str(tmp_path / "v.json"))
+        assert (code, err) == (1, "")
+        assert "verdict: not_biharmonic" in out
+        payload = json.loads((tmp_path / "v.json").read_text(), parse_constant=pytest.fail)
+        assert payload["verdict"] == "not_biharmonic"
+        assert payload["checks"]["system_k_constant"]["passed"] is False
 
     def test_verify_geodesic_exit_zero(self, capsys, tmp_path):
         spec = hc.geodesic_ivp(hc.HEISENBERG, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 20.0))
@@ -541,7 +553,7 @@ class TestWritersPerGenerate:
         frenet = frenets[0]
         assert len(in_json) == 8
         for a in in_json:
-            for shared in (frenet.s, frenet.points, frenet.T):
+            for shared in (frenet.samples.s, frenet.samples.points, frenet.samples.velocity_frame):
                 assert not np.may_share_memory(a, shared)
 
     def test_shared_text_changes_no_byte(self, capsys, monkeypatch, tmp_path):

@@ -289,7 +289,7 @@ class TestCovariantDerivative:
 class TestFrenet:
     def test_helix_invariant_values(self, figure1_samples):
         fr = hc.frenet_apparatus(figure1_samples)
-        interior = fr.interior(2)
+        interior = fr.samples.interior(2)
         assert fr.defined[interior].all()
         assert np.abs(fr.k[interior] - FIGURE1_K).max() < 1e-6
         assert np.abs(fr.tau[interior] - FIGURE1_TAU).max() < 1e-6
@@ -299,8 +299,9 @@ class TestFrenet:
 
     def test_frame_orthonormal(self, figure1_samples):
         fr = hc.frenet_apparatus(figure1_samples)
-        interior = fr.interior(2)
-        frames = np.stack([fr.T[interior], fr.N[interior], fr.B[interior]], axis=1)
+        interior = fr.samples.interior(2)
+        T = figure1_samples.velocity_frame
+        frames = np.stack([T[interior], fr.N[interior], fr.B[interior]], axis=1)
         gram = np.einsum("nai,nbi->nab", frames, frames)
         assert np.abs(gram - np.eye(3)).max() < 1e-6
 
@@ -311,7 +312,7 @@ class TestFrenet:
         samples = dataclasses.replace(figure1_samples, velocity_frame=T)
         fr = hc.frenet_apparatus(samples)
         assert not fr.defined[900:1100].any() and fr.defined[:700].all()
-        expected = np.cross(fr.T, fr.N)
+        expected = np.cross(samples.velocity_frame, fr.N)
         assert np.array_equal(fr.B.view(np.uint64), expected.view(np.uint64))
 
     def test_geodesic_frame_undefined(self):
@@ -329,8 +330,8 @@ class TestFrenet:
         fr = hc.frenet_apparatus(samples)
         dN = hc.covariant_derivative_along(samples, fr.N)
         dB = hc.covariant_derivative_along(samples, fr.B)
-        interior = fr.interior(2)
-        lhs_k = np.einsum("ni,ni->n", dN, fr.T)[interior]
+        interior = fr.samples.interior(2)
+        lhs_k = np.einsum("ni,ni->n", dN, samples.velocity_frame)[interior]
         lhs_tau = np.einsum("ni,ni->n", dB, fr.N)[interior]
         assert np.abs(lhs_k + fr.k[interior]).max() < 1e-5
         assert np.abs(lhs_tau - fr.tau[interior]).max() < 1e-5
@@ -340,8 +341,8 @@ class TestFrenet:
         spec = hc.b3zero_curve(lambda s: 0.4 + 0.3 * s + 0.05 * s**2, (0.0, 2.0))
         samples = hc.sample_curve(spec, 1001)
         fr = hc.frenet_apparatus(samples)
-        dN3 = derivative_on_grid(fr.N3, fr.ds)
-        interior = fr.interior(2)
+        dN3 = derivative_on_grid(fr.N3, fr.samples.ds)
+        interior = fr.samples.interior(2)
         lhs = dN3[interior] + 0.5 * fr.B3[interior]
         rhs = -fr.k[interior] * fr.T3[interior] - fr.tau[interior] * fr.B3[interior]
         assert np.abs(lhs - rhs).max() < 1e-5
@@ -381,7 +382,7 @@ class TestLeftInvariance:
         moved_pts = mf.left_translate(H, [3.0, -1.0, 2.0], base.points)
         orig = hc.frenet_apparatus(hc.import_samples(H, base.s, base.points))
         moved = hc.frenet_apparatus(hc.import_samples(H, base.s, moved_pts))
-        interior = moved.interior(2)
+        interior = moved.samples.interior(2)
         assert np.abs(moved.k - orig.k)[interior].max() < 1e-6
         assert np.abs(moved.tau - orig.tau)[interior].max() < 1e-6
 
@@ -554,7 +555,7 @@ class TestInterchange:
         assert payload["n"] == figure1_samples.n
         assert payload["manifold"] == {"m": 0.0, "l": 1.0}
         columns = payload["columns"]
-        mid = fr.n // 2
+        mid = fr.samples.n // 2
         assert columns["defined"][mid] is True
         assert columns["k"][mid] == pytest.approx(FIGURE1_K, abs=1e-6)
 
@@ -569,7 +570,7 @@ class TestInterchange:
         assert columns["tau"][10] is None and columns["N"][0][10] is None
         # k = |nabla_T T| is always a number; N, B and tau are null exactly
         # where the frame is undefined
-        assert len(columns["defined"]) == fr.n
+        assert len(columns["defined"]) == fr.samples.n
         for i, defined in enumerate(fr.defined):
             assert columns["defined"][i] is bool(defined)
             k = columns["k"][i]
@@ -585,9 +586,11 @@ class TestInterchange:
         fr = hc.frenet_apparatus(figure1_samples)
         columns = json.loads(hc.frenet_to_json(fr))["columns"]
         assert set(columns) == {"s", "point", "T", "k", "N", "B", "tau", "defined"}
-        for key, series in (("point", fr.points), ("T", fr.T), ("N", fr.N), ("B", fr.B)):
+        vectors = (("point", fr.samples.points), ("T", fr.samples.velocity_frame), ("N", fr.N),
+                   ("B", fr.B))
+        for key, series in vectors:
             assert _bits(np.array(columns[key], float).T) == _bits(series), key
-        for key, series in (("s", fr.s), ("k", fr.k), ("tau", fr.tau)):
+        for key, series in (("s", fr.samples.s), ("k", fr.k), ("tau", fr.tau)):
             assert _bits(np.array(columns[key], float)) == _bits(series), key
         assert np.array_equal(np.array(columns["defined"]), fr.defined)
         # integral values are written as the CSVs write them: s = 0 reads back as 0
@@ -600,8 +603,8 @@ class TestInterchange:
         n = len(special)
         vec = np.stack([special, special[::-1], np.arange(n) - 4.0], axis=-1)
         fr = hc.FrenetSeries(
-            manifold=H, s=np.arange(n) / 8.0, T=vec, k=special, N=vec, B=vec,
-            tau=special, defined=np.isfinite(special), points=vec,
+            hc.CurveSamples(H, np.arange(n) / 8.0, vec, vec), k=special, N=vec, B=vec,
+            tau=special, defined=np.isfinite(special),
         )
         columns = json.loads(hc.frenet_to_json(fr))["columns"]
         expected = [None, None, None, -0.0, 0, 5e-324, 1e300, 2, 0.1]
@@ -618,12 +621,12 @@ class TestInterchange:
 
         fr = hc.frenet_apparatus(figure1_samples)
         prov = json.loads(hc.frenet_to_json(fr))["provenance"]
-        interior = fr.interior(2)
+        interior = fr.samples.interior(2)
         assert prov == {
             "version": hc.__version__,
             "manifold": {"m": 0.0, "l": 1.0},
-            "n": fr.n,
-            "ds": fr.ds,
+            "n": fr.samples.n,
+            "ds": fr.samples.ds,
             "velocity_depth": 0,
             "stencil_order": 4,
             "interior": [interior.start, interior.stop],
@@ -634,11 +637,12 @@ class TestInterchange:
         imported = hc.frenet_apparatus(hc.import_samples(H, *hc.read_samples_csv(path)))
         prov = json.loads(hc.frenet_to_json(imported))["provenance"]
         assert prov["velocity_depth"] == 1
-        assert prov["interior"] == [6, fr.n - 6]
+        assert prov["interior"] == [6, fr.samples.n - 6]
         # a series too short for an interior still serializes
         short = hc.frenet_apparatus(hc.sample_curve(vertical_line_spec(), 9))
         assert json.loads(hc.frenet_to_json(short))["provenance"]["interior"] == [4, 5]
-        assert json.loads(hc.frenet_to_json(dataclasses.replace(short, velocity_depth=1)))[
+        deeper = dataclasses.replace(short.samples, velocity_depth=1)
+        assert json.loads(hc.frenet_to_json(dataclasses.replace(short, samples=deeper)))[
             "provenance"]["interior"] is None
 
 
@@ -746,25 +750,29 @@ class TestTextCodec:
                 hc.one_param_subgroup(np.array([0.0, 0.0, 1.0]), (0.0, 2.0)), n
             ))
             assert not geodesic.defined.any()
+            copied = dataclasses.replace(
+                helix.samples, s=helix.samples.s.copy(), points=helix.samples.points.copy(),
+                velocity_frame=helix.samples.velocity_frame.copy(),
+            )
             signed = dataclasses.replace(
-                helix, s=helix.s.copy(), points=helix.points.copy(), T=helix.T.copy(),
-                k=helix.k.copy(), tau=helix.tau.copy(),
+                helix, samples=copied, k=helix.k.copy(), tau=helix.tau.copy()
             )
             for i in (0, n // 2, n - 1):
-                signed.s[i] = signed.points[i, 1] = signed.T[i, 2] = signed.k[i] = -0.0
+                copied.s[i] = copied.points[i, 1] = copied.velocity_frame[i, 2] = -0.0
+                signed.k[i] = -0.0
                 signed.tau[i] = np.nan
             for fr in (helix, geodesic, signed):
                 text = hc.frenet_to_json(fr)
+                samples = fr.samples
                 columns = {
-                    "B": fr.B, "N": fr.N, "T": fr.T, "defined": fr.defined, "k": fr.k,
-                    "point": fr.points, "s": fr.s, "tau": fr.tau,
+                    "B": fr.B, "N": fr.N, "T": samples.velocity_frame, "defined": fr.defined,
+                    "k": fr.k, "point": samples.points, "s": samples.s, "tau": fr.tau,
                 }
                 head = ",".join(f'"{key}":{self._json_oracle(a)}' for key, a in columns.items())
                 assert text.startswith('{"columns":{' + head + "},"), n
                 hc.write_frenet_json(path, fr)
                 assert path.read_bytes() == text.encode("ascii"), n
-                samples = hc.CurveSamples(fr.manifold, fr.s, fr.points, fr.T)
-                with curves._shared_text(fr.s, *fr.points.T, *fr.T.T):
+                with curves._shared_text(samples.s, *samples.points.T, *samples.velocity_frame.T):
                     hc.write_samples_csv(tmp_path / "curve.csv", samples, include_velocity=True)
                     hc.write_frenet_json(path, fr)
                 assert path.read_bytes() == text.encode("ascii"), n
@@ -841,9 +849,17 @@ class TestTextCodec:
 
     def test_frenet_series_shares_the_sampled_arrays(self, figure1_samples):
         fr = hc.frenet_apparatus(figure1_samples)
-        assert fr.T is figure1_samples.velocity_frame
-        assert fr.points is figure1_samples.points
-        assert fr.s is figure1_samples.s
+        assert fr.samples is figure1_samples
+        assert np.shares_memory(fr.T3, figure1_samples.velocity_frame)
+
+    def test_series_hold_their_samples(self, figure1_samples):
+        # one grid record: the whole-curve series of a tiled report holds the
+        # samples too, not a copy of their fields
+        assert hc.frenet_apparatus(figure1_samples).samples is figure1_samples
+        assert hc.bitension_report(figure1_samples).frenet.samples is figure1_samples
+        assert [f.name for f in dataclasses.fields(hc.FrenetSeries)] == [
+            "samples", "k", "N", "B", "tau", "defined", "t1"
+        ]
 
 
 TOLERANCES = (

@@ -255,7 +255,7 @@ class TestHelixInvariants:
     def test_matches_measured_frenet(self, figure1_samples):
         k, tau, B3 = hc.helix_invariants(hc.HelixParams(alpha0=FIGURE1_ALPHA0))
         fr = hc.frenet_apparatus(figure1_samples)
-        interior = fr.interior(2)
+        interior = fr.samples.interior(2)
         assert np.abs(fr.k[interior] - k).max() < 1e-6
         assert np.abs(fr.tau[interior] - tau).max() < 1e-6
         assert np.abs(fr.B3[interior] - B3).max() < 1e-6
@@ -272,7 +272,7 @@ class TestHelixInvariants:
         assert k > 0.0 and B3 == pytest.approx(math.sin(alpha0), abs=1e-12)
         samples = hc.sample_curve(hc.biharmonic_helix(hp, (0.0, 6 * math.pi)), 1501)
         fr = hc.frenet_apparatus(samples)
-        interior = fr.interior(2)
+        interior = fr.samples.interior(2)
         assert np.abs(fr.k[interior] - k).max() < 1e-6
         assert np.abs(fr.tau[interior] - tau).max() < 1e-6
         assert np.abs(fr.B3[interior] - B3).max() < 1e-6
@@ -669,7 +669,7 @@ class TestSubgroups:
         d = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
         samples = hc.sample_curve(hc.one_param_subgroup(d), 2001)
         fr = hc.frenet_apparatus(samples)
-        interior = fr.interior(3)
+        interior = fr.samples.interior(3)
         assert np.abs(fr.k[interior] ** 2 + fr.tau[interior] ** 2 - 0.25).max() < 1e-6
         assert np.abs(fr.B3[interior]).min() > 1e-3
         # analytic values: k = |C| sqrt(Q), tau = C^2 - 1/2
@@ -701,7 +701,7 @@ class TestB3Zero:
         spec = hc.b3zero_curve(lambda s: 0.5 + 0.3 * s, (0.0, 2.0))
         samples = hc.sample_curve(spec, 801)
         fr = hc.frenet_apparatus(samples)
-        interior = fr.interior(3)
+        interior = fr.samples.interior(3)
         assert np.abs(fr.B3[interior]).max() < 1e-5
         assert np.abs(fr.tau[interior] + 0.5).max() < 1e-4
         assert np.abs(fr.k[interior] - 0.3).max() < 1e-8
@@ -710,7 +710,7 @@ class TestB3Zero:
         spec = hc.b3zero_curve(lambda s: 0.4 + 0.3 * s + 0.05 * s**2, (0.0, 2.0))
         samples = hc.sample_curve(spec, 801)
         fr = hc.frenet_apparatus(samples)
-        interior = fr.interior(2)
+        interior = fr.samples.interior(2)
         expected = 0.3 + 0.1 * samples.s[interior]
         assert np.abs(fr.k[interior] - expected).max() < 1e-8
 
@@ -732,7 +732,7 @@ class TestB3Zero:
 
     def test_classification(self):
         spec = hc.b3zero_curve(lambda s: 0.5 + 0.3 * s, (0.0, 2.0))
-        result = hc.classify_curve(hc.sample_curve(spec, 801))
+        result = hc.classify_curve(hc.frenet_apparatus(hc.sample_curve(spec, 801)))
         assert result.verdict == "not_biharmonic"
 
 
@@ -761,12 +761,13 @@ class TestSurfaces:
         assert np.abs(slice_pts - points_of(self.helix, u)).max() < 1e-12
 
     def test_membership_residuals(self):
-        assert hc.membership_residual(self.helix, hc.cylinder_patch(self.hp), 1001) < 1e-10
-        assert hc.membership_residual(self.helix, hc.helicoid_patch(self.hp), 1001) < 1e-10
+        samples = hc.sample_curve(self.helix, 1001)
+        assert hc.membership_residual(samples, hc.cylinder_patch(self.hp)) < 1e-10
+        assert hc.membership_residual(samples, hc.helicoid_patch(self.hp)) < 1e-10
 
     def test_translated_curve_misses_cylinder(self):
         moved = hc.left_translate_curve([3.0, -1.0, 2.0], self.helix)
-        assert hc.membership_residual(moved, hc.cylinder_patch(self.hp), 301) > 1.0
+        assert hc.membership_residual(hc.sample_curve(moved, 301), hc.cylinder_patch(self.hp)) > 1.0
 
 
 class TestParameterFiles:
@@ -804,7 +805,7 @@ class TestParameterFiles:
         spec, n = hc.load_curve_params(json.dumps(payload))
         samples = hc.sample_curve(spec, n)
         fr = hc.frenet_apparatus(samples)
-        assert np.abs(fr.tau[fr.interior(3)] + 0.5).max() < 1e-4
+        assert np.abs(fr.tau[fr.samples.interior(3)] + 0.5).max() < 1e-4
 
     def test_b3zero_linear_roundtrip(self):
         # a loaded b3zero_linear curve keeps its record, so it dumps again

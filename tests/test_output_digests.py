@@ -8,9 +8,11 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 FILES = ["h3_geodesic.csv", "helix.classification.json", "helix.csv", "helix.cylinder.csv",
          "helix.frenet.json", "helix.helicoid.csv", "helix.params.json", "helix.report.json",
-         "helix.residuals.csv", "ml_geodesic.csv", "positions.csv", "verify.json",
-         "verify_positions.json"]
-COMMANDS = ["generate", "h3_geodesic", "ml_geodesic", "verify", "verify_positions"]
+         "helix.residuals.csv", "inflection.csv", "ml_geodesic.csv", "positions.csv",
+         "verify.json", "verify_inflection.json", "verify_positions.json"]
+COMMANDS = ["generate", "h3_geodesic", "ml_geodesic", "verify", "verify_positions",
+            "verify_inflection"]
+EXITS = {"verify_inflection": 1}  # the inflection curve is not biharmonic
 
 
 def test_output_digests_name_every_output(capsys):
@@ -24,6 +26,8 @@ def test_output_digests_name_every_output(capsys):
     names = [line.split("  ", 1)[1] for line in lines]
     expected = [n for c in COMMANDS for n in (f"{c}.stdout", c)] + FILES
     assert names == expected
-    assert [line for line in lines if line.startswith("exit")] == [f"exit 0  {c}" for c in COMMANDS]
+    assert [line for line in lines if line.startswith("exit")] == [
+        f"exit {EXITS.get(c, 0)}  {c}" for c in COMMANDS
+    ]
     # the same inputs give the same digests
     assert tool.digests(2001) == lines

@@ -77,7 +77,7 @@ def test_stages_sum_over_tiles(tmp_path, monkeypatch):
     assert clock.stages["frenet"]["seconds"] == tiles
     # before the first tile's frame, between the frames and after the last
     assert clock.stages["tension"]["seconds"] == tiles + 1
-    assert clock.results["tension"].frenet.n == 2001
+    assert clock.results["tension"].frenet.samples.n == 2001
 
 
 def test_script_caps_blas_threads_before_numpy(tmp_path):

@@ -78,7 +78,8 @@ def test_tiles_match_the_whole_curve(samples):
     whole = hc.frenet_apparatus(samples)
     for name in ("k", "tau", "N", "B", "defined"):
         assert _bits(getattr(rep.frenet, name)) == _bits(getattr(whole, name)), name
-    assert rep.frenet.ds == whole.ds == float(samples.s[1] - samples.s[0])
+    assert rep.frenet.samples is whole.samples is samples
+    assert samples.ds == float(samples.s[1] - samples.s[0])
     assert rep.frenet.t1 is None
 
     t2 = hc.tension2_direct(samples)
@@ -91,7 +92,8 @@ def test_tiles_match_the_whole_curve(samples):
     if whole.defined.all():
         cT, cN, cB = hc.tension2_frame(whole)
         assert (_bits(rep.cT), _bits(rep.cN), _bits(rep.cB)) == (_bits(cT), _bits(cN), _bits(cB))
-        expansion = cT[:, None] * whole.T + cN[:, None] * whole.N + cB[:, None] * whole.B
+        T = samples.velocity_frame
+        expansion = cT[:, None] * T + cN[:, None] * whole.N + cB[:, None] * whole.B
         assert rep.expansion_agreement == float(np.abs(t2 - expansion)[interior].max())
     else:
         assert whole.defined.any()  # the mixed curve

@@ -4,8 +4,10 @@ In a temporary directory, at ``--samples`` samples each, this runs the
 figure-helix ``generate`` (sin alpha0 = 1/sqrt(10), a = b = c = 1) with
 surfaces and velocities, the benchmark's two length-1000 ``geodesic``
 commands (H3 and (m, l) = (0.25, 1.2)) with velocities, and ``verify
---json`` on the helix CSV and on its ``s,x,y,z`` columns alone, the input
-whose velocities ``verify`` differences.  It prints ``sha256  name`` for
+--json`` on the helix CSV, on its ``s,x,y,z`` columns alone, the input
+whose velocities ``verify`` differences, and on a horizontal H3 curve with
+an inflection point, which ``verify`` finds not biharmonic (exit 1) at
+every n.  It prints ``sha256  name`` for
 every file and every stdout, and ``exit N  name`` for every exit code.  Diff
 two runs:
 
@@ -22,7 +24,10 @@ import math
 import os
 import tempfile
 
+import numpy as np
+
 from heiscurves.cli import main as cli_main
+from heiscurves.numerics import cumulative_simpson
 
 
 def commands(n: int) -> list[tuple[str, list[str]]]:
@@ -38,6 +43,7 @@ def commands(n: int) -> list[tuple[str, list[str]]]:
         *geodesics,
         ("verify", ["verify", "helix.csv", "--json", "verify.json"]),
         ("verify_positions", ["verify", "positions.csv", "--json", "verify_positions.json"]),
+        ("verify_inflection", ["verify", "inflection.csv", "--json", "verify_inflection.json"]),
     ]
 
 
@@ -45,6 +51,21 @@ def write_positions(src: str, dst: str) -> None:
     """Copy the ``s,x,y,z`` columns of the sample CSV ``src`` to ``dst``."""
     with open(src, "rb") as fh, open(dst, "wb") as out:
         out.writelines(b",".join(line.rstrip(b"\r\n").split(b",")[:4]) + b"\r\n" for line in fh)
+
+
+def write_inflection(path: str, n: int) -> None:
+    """Write ``n`` rows ``s,x,y,z,vx,vy,vz`` of the unit-speed horizontal H3
+    curve T = (cos b, sin b, 0), b = (s - 2)**2 / 2, s in [0, 4], whose
+    curvature k = |s - 2| vanishes at s = 2 (a sample when n is odd).  The
+    positions integrate x' = T1, y' = T2 and z' = (x T2 - y T1) / 2 with
+    ``cumulative_simpson`` on a grid 16 times finer."""
+    s = np.linspace(0.0, 4.0, 16 * (n - 1) + 1)
+    beta = 0.5 * (s - 2.0) ** 2
+    T = np.column_stack([np.cos(beta), np.sin(beta)])  # T3 = 0
+    xy = cumulative_simpson(T, s[1] - s[0])
+    z = cumulative_simpson(0.5 * (xy[:, 0] * T[:, 1] - xy[:, 1] * T[:, 0]), s[1] - s[0])
+    rows = np.column_stack([s[::16], xy[::16], z[::16], T[::16], np.zeros(n)])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="s,x,y,z,vx,vy,vz", comments="")
 
 
 def digests(n: int) -> list[str]:
@@ -55,6 +76,8 @@ def digests(n: int) -> list[str]:
             for name, argv in commands(n):
                 if name == "verify_positions":
                     write_positions("helix.csv", "positions.csv")
+                if name == "verify_inflection":
+                    write_inflection("inflection.csv", n)
                 with contextlib.redirect_stdout(io.StringIO()) as stdout:
                     code = cli_main(argv)
                 lines.append(f"{hashlib.sha256(stdout.getvalue().encode()).hexdigest()}  {name}.stdout")
