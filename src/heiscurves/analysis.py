@@ -29,22 +29,31 @@ A non-geodesic unit-speed curve is biharmonic if and only if
     tau' = (l^2 - 4m) N3 B3.
 
 Each derived series is computed once per curve: ``frenet_apparatus`` keeps
-nabla_T T on its series, ``bitension_report`` extends it to tau2 and carries
-the series, and ``classify_curve`` accepts that series, so a report and a
-verdict together cost four covariant-derivative passes.
+nabla_T T on its series, and the tension passes extend it to tau2, so a
+verdict costs four covariant-derivative passes.
 
-``bitension_report`` runs that chain (Frenet frame -> nabla_T N and tau ->
-tau2 -> frame expansion and agreement gap) over tiles of at most
-``numerics.TILE`` (8 192) consecutive samples.  Each tile is widened by a
-halo of ``_BITENSION_DEPTH`` x 2 = 6 samples, the reach of the chain's three
-nested order-4 stencils, clipped at the curve's ends, and every tile uses
-the curve's one ``ds``; so every sample gets the bits of the whole-curve
-chain, and the (n, 3) temporaries are tile-sized.  What spans the curve is
-what the results keep, per sample: the report's residual, cT, cN and cB (32
-bytes; 8 when the frame fails somewhere and the coefficients are None), and
-its Frenet series' k, tau, N, B and ``defined`` (65 bytes).  The series
-holds the samples themselves, whose s, T and points (56 bytes) it reads
-there, and keeps neither nabla_T T nor tau2.
+One chain (Frenet frame -> nabla_T N and tau -> tau2) runs over tiles of at
+most ``numerics.TILE`` (8 192) consecutive samples.  Each tile is widened
+by a halo of ``_BITENSION_DEPTH`` x 2 = 6 samples, the reach of the chain's
+three nested order-4 stencils, clipped at the curve's ends, and every tile
+uses the curve's one ``ds``; so every sample gets the bits of the
+whole-curve chain, and the (n, 3) temporaries are tile-sized.  Two
+collectors keep what their command reads, per sample:
+
+* ``bitension_report`` (``generate``) also evaluates the frame expansion
+  and its agreement gap per tile, and keeps what ``generate``'s files
+  write: |tau2|, cT, cN and cB (32 bytes; 8 when the frame fails somewhere
+  and the coefficients are None) and a ``FrenetSeries`` of k, tau, N, B and
+  ``defined`` (65 bytes).
+* ``verdict_series`` (``verify``) keeps k, tau, N3, B3 and ``defined`` (33
+  bytes) and a running interior max of |tau2|: what ``classify_curve``
+  reads and ``verify`` prints.  It does not evaluate the frame expansion,
+  which ``verify`` never printed.
+
+Both hold the samples themselves, whose s, T and points (56 bytes) they
+read there, and keep neither nabla_T T nor tau2.  ``classify_curve`` takes
+either's series, and its checks take their maxima tile by tile, so a
+verdict adds no per-sample temporary that spans the curve.
 """
 
 from __future__ import annotations
@@ -68,6 +77,8 @@ __all__ = [
     "tension2_frame",
     "BitensionReport",
     "bitension_report",
+    "VerdictSeries",
+    "verdict_series",
     "SystemCheck",
     "SystemReport",
     "check_system_33",
@@ -170,30 +181,51 @@ class BitensionReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _tile_chain(samples: CurveSamples, config: NumericsConfig):
+    """Check the chart and the interior, then run the chain Frenet frame ->
+    tau2 tile by tile (``numerics.tiles``, with the halo of its three nested
+    passes).
+
+    Returns the interior (``TooFewSamples`` when there is none) and an
+    iterator of ``(tile, rows, inner, frenet, t2)``: the tile, its rows and
+    its interior rows in the window ``numerics.tiles`` widens it to, and the
+    window's Frenet series and tau2.  Every row of ``rows`` has the bits of
+    the whole-curve chain.
+    """
+    mf.conformal_factor(samples.manifold, samples.points)  # chart check
+    interior = samples.interior(_BITENSION_DEPTH)
+
+    def chain():
+        for tile, window, rows in tiles(samples.n, _BITENSION_DEPTH):
+            part = replace(samples, s=samples.s[window], points=samples.points[window],
+                           velocity_frame=samples.velocity_frame[window])  # keeps the curve's ds
+            frenet = frenet_apparatus(part, config)
+            inner = slice(max(interior.start, tile.start) - window.start,
+                          min(interior.stop, tile.stop) - window.start)
+            yield tile, rows, inner, frenet, _tension2(part, frenet.t1)
+
+    return interior, chain()
+
+
 def bitension_report(
     samples: CurveSamples, config: NumericsConfig = DEFAULT_CONFIG
 ) -> BitensionReport:
     """Evaluate tau2 by both routes where defined, and the residuals.
 
-    The chain Frenet frame -> tau2 -> frame expansion runs tile by tile
-    (``numerics.tiles``, with the halo of its three nested passes), so only
-    the per-sample series that the report and its Frenet series keep span
-    the curve.  Every sample gets the bits of the whole-curve chain.
+    ``generate``'s collector of the tile chain: it keeps per sample what
+    ``generate``'s files write (|tau2|, the frame expansion's coefficients
+    and the Frenet series).  Every sample gets the bits of the whole-curve
+    chain.
     """
     n = samples.n
-    mf.conformal_factor(samples.manifold, samples.points)  # chart check
-    interior = samples.interior(_BITENSION_DEPTH)
+    interior, chain = _tile_chain(samples, config)
     k, tau, residual, cT, cN, cB = (np.empty(n) for _ in range(6))
     N, B = np.empty((n, 3)), np.empty((n, 3))
     defined = np.empty(n, dtype=bool)
     framed = True  # the frame is defined on every tile so far
     agreement = -np.inf
 
-    for tile, window, rows in tiles(n, _BITENSION_DEPTH):
-        part = replace(samples, s=samples.s[window], points=samples.points[window],
-                       velocity_frame=samples.velocity_frame[window])  # keeps the curve's ds
-        frenet = frenet_apparatus(part, config)
-        t2 = _tension2(part, frenet.t1)
+    for tile, rows, inner, frenet, t2 in chain:
         residual[tile] = np.linalg.norm(t2[rows], axis=1)
         for full, own in ((k, frenet.k), (tau, frenet.tau), (N, frenet.N), (B, frenet.B),
                           (defined, frenet.defined)):
@@ -203,9 +235,8 @@ def bitension_report(
             coefficients = tension2_frame(frenet)
             for full, own in zip((cT, cN, cB), coefficients):
                 full[tile] = own[rows]
-            inner = slice(max(interior.start, tile.start) - window.start,
-                          min(interior.stop, tile.stop) - window.start)
             agreement = np.maximum(agreement, _expansion_gap(frenet, coefficients, t2, inner))
+        del frenet, t2  # before the next tile's chain runs
 
     if not framed:
         cT = cN = cB = None
@@ -220,6 +251,45 @@ def bitension_report(
         interior=interior,
         frenet=FrenetSeries(samples, k=k, N=N, B=B, tau=tau, defined=defined),
     )
+
+
+@dataclass
+class VerdictSeries:
+    """What a verdict reads per sample: the Frenet series' k, tau, N3, B3
+    and ``defined``, with the curve's ``samples``, and the largest interior
+    |tau2|.  ``classify_curve`` takes it as it takes a ``FrenetSeries``."""
+
+    samples: CurveSamples
+    k: np.ndarray        # (n,)
+    tau: np.ndarray      # (n,), NaN where undefined
+    N3: np.ndarray       # (n,), NaN where undefined
+    B3: np.ndarray       # (n,), NaN where undefined
+    defined: np.ndarray  # (n,) bool
+    max_residual: float  # max interior |tau2|
+
+
+def verdict_series(
+    samples: CurveSamples, config: NumericsConfig = DEFAULT_CONFIG
+) -> VerdictSeries:
+    """``verify``'s collector of the tile chain: the series ``classify_curve``
+    reads and a running interior max of |tau2|, with the bits of
+    ``frenet_apparatus`` and ``tension2_direct`` on the whole curve.  It
+    does not evaluate the frame expansion."""
+    n = samples.n
+    interior, chain = _tile_chain(samples, config)
+    k, tau, N3, B3 = (np.empty(n) for _ in range(4))
+    defined = np.empty(n, dtype=bool)
+    worst = -np.inf
+
+    for tile, rows, inner, frenet, t2 in chain:
+        worst = np.maximum(worst, np.linalg.norm(t2[inner], axis=1).max())
+        for full, own in ((k, frenet.k), (tau, frenet.tau), (N3, frenet.N3), (B3, frenet.B3),
+                          (defined, frenet.defined)):
+            full[tile] = own[rows]
+        del frenet, t2  # before the next tile's chain runs
+
+    return VerdictSeries(samples, k=k, tau=tau, N3=N3, B3=B3, defined=defined,
+                         max_residual=float(worst))
 
 
 def _expansion_gap(frenet: FrenetSeries, coefficients, t2: np.ndarray, rows: slice):
@@ -270,7 +340,7 @@ class SystemReport:
         return self.checks[name]
 
 
-def _interior_frenet(frenet: FrenetSeries):
+def _interior_frenet(frenet: FrenetSeries | VerdictSeries):
     interior = frenet.samples.interior(_BITENSION_DEPTH)
     if not frenet.defined[interior].all():
         raise GeodesicFrameUndefined(
@@ -278,6 +348,23 @@ def _interior_frenet(frenet: FrenetSeries):
             "(locally) a geodesic"
         )
     return interior
+
+
+def _interior_max(frenet: FrenetSeries | VerdictSeries, residual) -> float:
+    """The largest per-sample ``residual(rows, window)`` on the interior.
+
+    It runs one tile at a time (``numerics.tiles`` with the reach of one
+    derivative pass): ``rows`` are the tile's interior samples and ``window``
+    the samples a stencil at them reads.  So no temporary spans the curve,
+    and the result has the bits of the whole-curve ``residual(...).max()``.
+    """
+    interior = frenet.samples.interior(_BITENSION_DEPTH)
+    worst = -np.inf
+    for tile, window, _ in tiles(frenet.samples.n, 1):
+        rows = slice(max(interior.start, tile.start), min(interior.stop, tile.stop))
+        if rows.start < rows.stop:
+            worst = np.maximum(worst, residual(rows, window).max())
+    return float(worst)
 
 
 def _k_constant(k: np.ndarray, config: NumericsConfig) -> SystemCheck:
@@ -288,7 +375,7 @@ def _k_constant(k: np.ndarray, config: NumericsConfig) -> SystemCheck:
 
 
 def check_system_33(
-    frenet: FrenetSeries, config: NumericsConfig = DEFAULT_CONFIG
+    frenet: FrenetSeries | VerdictSeries, config: NumericsConfig = DEFAULT_CONFIG
 ) -> SystemReport:
     """Residuals of the non-geodesic biharmonicity system
 
@@ -297,41 +384,41 @@ def check_system_33(
         tau' = (l^2 - 4m) N3 B3,
 
     evaluated with the manifold's own coefficients (for (0, 1) this is the
-    Heisenberg system with l^2/4 = 1/4 and unit coefficient).
+    Heisenberg system with l^2/4 = 1/4 and unit coefficient), on a
+    ``FrenetSeries`` or a ``VerdictSeries``.
     """
-    params = frenet.samples.manifold
+    params, ds = frenet.samples.manifold, frenet.samples.ds
     lam = 0.25 * params.l * params.l
     mu = params.flatness
     interior = _interior_frenet(frenet)
+    k, tau, B3, N3 = frenet.k, frenet.tau, frenet.B3, frenet.N3
 
-    k = frenet.k[interior]
-    tau = frenet.tau[interior]
-    B3 = frenet.B3[interior]
-    N3 = frenet.N3[interior]
-    k_mean = float(k.mean())
+    def relation(rows, window):
+        return np.abs(k[rows]**2 + tau[rows]**2 - (lam - mu * B3[rows]**2))
 
-    relation = float(np.abs(k**2 + tau**2 - (lam - mu * B3**2)).max())
-    taup = derivative_on_grid(frenet.tau, frenet.samples.ds)[interior]
-    torsion = float(np.abs(taup - mu * N3 * B3).max())
+    def torsion(rows, window):
+        taup = derivative_on_grid(tau[window], ds)[rows.start - window.start:rows.stop - window.start]
+        return np.abs(taup - mu * N3[rows] * B3[rows])
 
+    k_mean = float(k[interior].mean())
     checks = {
-        "k_constant": _k_constant(k, config),
+        "k_constant": _k_constant(k[interior], config),
         "k_nonzero": SystemCheck(
             # residual formulation: passes when k is NOT negligible
             "k_nonzero", config.k_floor, abs(k_mean)
         ),
         "algebraic_relation": SystemCheck(
-            "algebraic_relation", relation, config.relation_tol
+            "algebraic_relation", _interior_max(frenet, relation), config.relation_tol
         ),
         "torsion_derivative": SystemCheck(
-            "torsion_derivative", torsion, config.relation_tol
+            "torsion_derivative", _interior_max(frenet, torsion), config.relation_tol
         ),
     }
     values = {
         "k_mean": k_mean,
-        "tau_mean": float(tau.mean()),
-        "B3_mean": float(B3.mean()),
-        "N3_max": float(np.abs(N3).max()),
+        "tau_mean": float(tau[interior].mean()),
+        "B3_mean": float(B3[interior].mean()),
+        "N3_max": _interior_max(frenet, lambda rows, window: np.abs(N3[rows])),
         "curvature_level": lam,
         "coefficient": mu,
     }
@@ -339,35 +426,40 @@ def check_system_33(
 
 
 def check_helix_system(
-    frenet: FrenetSeries, config: NumericsConfig = DEFAULT_CONFIG
+    frenet: FrenetSeries | VerdictSeries, config: NumericsConfig = DEFAULT_CONFIG
 ) -> SystemReport:
     """Residuals of the biharmonic-helix conditions
 
         B3 = const != 0,  N3 = 0,
 
-    together with the helix-form conditions tau = const and N3 B3 = 0.  The
-    relation k^2 + tau^2 = l^2/4 - (l^2 - 4m) B3^2 is ``check_system_33``'s."""
+    together with the helix-form conditions tau = const and N3 B3 = 0, on a
+    ``FrenetSeries`` or a ``VerdictSeries``.  The relation
+    k^2 + tau^2 = l^2/4 - (l^2 - 4m) B3^2 is ``check_system_33``'s."""
     interior = _interior_frenet(frenet)
+    N3, B3 = frenet.N3, frenet.B3
 
     tau = frenet.tau[interior]
-    B3 = frenet.B3[interior]
-    N3 = frenet.N3[interior]
+    B3_inner = B3[interior]
     tau_mean = float(tau.mean())
-    B3_mean = float(B3.mean())
+    B3_mean = float(B3_inner.mean())
 
     checks = {
         "B3_constant": SystemCheck(
-            "B3_constant", float(B3.max() - B3.min()),
+            "B3_constant", float(B3_inner.max() - B3_inner.min()),
             config.constancy_tol * (1.0 + abs(B3_mean)),
         ),
         "B3_nonzero": SystemCheck("B3_nonzero", config.b3_zero_tol, abs(B3_mean)),
-        "N3_zero": SystemCheck("N3_zero", float(np.abs(N3).max()), config.relation_tol),
+        "N3_zero": SystemCheck(
+            "N3_zero", _interior_max(frenet, lambda rows, window: np.abs(N3[rows])),
+            config.relation_tol,
+        ),
         "tau_constant": SystemCheck(
             "tau_constant", float(tau.max() - tau.min()),
             config.constancy_tol * (1.0 + abs(tau_mean)),
         ),
         "N3B3_zero": SystemCheck(
-            "N3B3_zero", float(np.abs(N3 * B3).max()), config.relation_tol
+            "N3B3_zero", _interior_max(frenet, lambda rows, window: np.abs(N3[rows] * B3[rows])),
+            config.relation_tol,
         ),
     }
     values = {"tau_mean": tau_mean, "B3_mean": B3_mean}
@@ -407,10 +499,11 @@ class ClassificationResult:
 
 
 def classify_curve(
-    frenet: FrenetSeries, config: NumericsConfig = DEFAULT_CONFIG
+    frenet: FrenetSeries | VerdictSeries, config: NumericsConfig = DEFAULT_CONFIG
 ) -> ClassificationResult:
     """Classify a unit-speed curve by its Frenet series: ``frenet_apparatus``
-    of its samples, or ``BitensionReport.frenet``.
+    of its samples, ``BitensionReport.frenet`` or ``verdict_series``, of
+    which it reads k, tau, N3, B3, ``defined`` and the samples.
 
     geodesic                 tension field vanishes (within residual_tol);
     nongeodesic_biharmonic   the full characterization system holds;

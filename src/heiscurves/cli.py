@@ -310,12 +310,12 @@ def cmd_verify(args, file_cfg: dict) -> int:
     params = _resolve_manifold(args, file_cfg)
     config = _resolve_numerics(file_cfg, args)
     samples = crv.import_samples(params, *crv.read_samples_csv(args.input), config=config)
-    report = analysis.bitension_report(samples, config)
-    result = analysis.classify_curve(report.frenet, config)
+    series = analysis.verdict_series(samples, config)
+    result = analysis.classify_curve(series, config)
 
     print(f"curve: {args.input} ({samples.n} samples, manifold m={params.m:g} l={params.l:g})")
     print(f"verdict: {result.verdict}")
-    print(f"max interior |tau2| = {report.max_residual:.6e}")
+    print(f"max interior |tau2| = {series.max_residual:.6e}")
     for name, chk in sorted(result.checks.items()):
         status = "holds" if chk.passed else "fails"
         print(f"  {name:28s} residual {chk.residual:12.6e}  tol {chk.tolerance:9.3e}  {status}")
@@ -324,7 +324,7 @@ def cmd_verify(args, file_cfg: dict) -> int:
             print(f"  {key} = {result.values[key]:.9g}")
     if args.json:
         payload = json.loads(result.to_json())
-        payload["max_interior_tau2"] = report.max_residual
+        payload["max_interior_tau2"] = series.max_residual
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
     return 0 if result.is_biharmonic else 1

@@ -54,6 +54,7 @@ from .numerics import (
     NumericsConfig,
     derivative_on_grid,
     interior_slice,
+    tiles,
 )
 
 __all__ = [
@@ -138,7 +139,12 @@ def _validate_unit_speed(samples: CurveSamples, config: NumericsConfig) -> None:
     """Unit speed on ``samples.interior(0)``: every row of given velocities,
     and the rows clear of one-sided stencils where they were differenced."""
     check = samples.interior(0)
-    dev = np.abs(np.linalg.norm(samples.velocity_frame[check], axis=1) - 1.0)
+    v = samples.velocity_frame[check]
+    dev = np.empty(len(v))
+    for tile, _, _ in tiles(len(v), 0):  # |v| without an (n, 3) temporary
+        dev[tile] = np.linalg.norm(v[tile], axis=1)
+    dev -= 1.0
+    np.abs(dev, out=dev)
     worst = int(np.argmax(dev))  # the first NaN, if there is one
     if not dev[worst] <= config.unit_speed_tol:
         raise NonUnitSpeed(
@@ -195,7 +201,8 @@ def import_samples(
     """Imported rows as samples: arclengths ``s`` (n,), coordinates
     ``points`` (n, 3) and, optionally, frame velocities (n, 3).
 
-    Without velocities, they are central differences of the positions.
+    Without velocities, they are central differences of the positions,
+    converted to frame components in place.
     Unit speed is enforced on the interior samples; boundary samples of
     differentiated positions use one-sided stencils and are excluded from
     the check.  Raises ValueError for other shapes or n < 2, NonMonotone for
@@ -215,8 +222,8 @@ def import_samples(
     if vel is None:
         if n < 9:
             raise TooFewSamples("need at least 9 samples to differentiate positions")
-        v_coord = derivative_on_grid(points, float(s[1] - s[0]))
-        vel = mf.to_frame_components(manifold, points, v_coord)
+        vel = derivative_on_grid(points, float(s[1] - s[0]))
+        mf.to_frame_components(manifold, points, vel, out=vel)
     samples = CurveSamples(manifold, s, points, vel, velocity_depth=int(velocity_frame is None))
     _validate_unit_speed(samples, config)
     return samples
@@ -301,7 +308,8 @@ def frenet_apparatus(
 
     T is the sampled velocity; k = |nabla_T T|; N = nabla_T T / k wherever
     k exceeds the configured floor; B = T x N; tau = -<nabla_T N, B>.
-    ``analysis.bitension_report`` runs it once per tile of the curve.
+    ``analysis.bitension_report`` and ``analysis.verdict_series`` run it once
+    per tile of the curve.
     """
     T = samples.velocity_frame
     t1 = covariant_derivative_along(samples, T)

@@ -252,16 +252,18 @@ def coframe_at(params: ManifoldParams, p) -> np.ndarray:
     )
 
 
-def to_frame_components(params: ManifoldParams, p, v_coord) -> np.ndarray:
+def to_frame_components(params: ManifoldParams, p, v_coord, out=None) -> np.ndarray:
     """Convert coordinate components of tangent vectors to frame components:
     the coframe contraction (v1 / F, v2 / F, v3 + (l/2)(y v1 - x v2) / F).
 
-    The points and the vectors broadcast over their leading shape.
+    The points and the vectors broadcast over their leading shape.  ``out``
+    may be ``v_coord`` itself, converted in place with the same bits.
     """
     q = as_point(p)
     v = np.asarray(v_coord, dtype=float)
     fac = conformal_factor(params, q)
-    out = np.empty(np.broadcast_shapes(q.shape, v.shape))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(q.shape, v.shape))
     np.divide(v[..., 0], fac, out=out[..., 0])
     np.divide(v[..., 1], fac, out=out[..., 1])
     out[..., 2] = v[..., 2] + (0.5 * params.l) * (q[..., 1] * out[..., 0] - q[..., 0] * out[..., 1])

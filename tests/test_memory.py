@@ -1,12 +1,13 @@
 """Peak memory of the verify pipeline on an imported position-only curve,
-of the arclength stencil it runs five times and of the covariant derivative
-built on it, and of ``generate``'s per-sample writers.
+of its import stage, of the arclength stencil it runs five times and of the
+covariant derivative built on it, and of ``generate``'s per-sample writers.
 
-``bitension_report`` runs its stencil chain tile by tile, so past a few
-tiles only the series it keeps span the curve; the kernels run on (n, 3)
-component arrays, so no stage may build per-sample tensor stacks.  The
-writers hold one block of rows of text besides the
-text of what two files read.  The peak is traced with
+``verdict_series`` runs its stencil chain tile by tile and keeps per sample
+only what the verdict reads, and the checks take their maxima tile by tile,
+so past a few tiles only the imported samples and the five series span the
+curve; the kernels run on (n, 3) component arrays, so no stage may build
+per-sample tensor stacks.  The writers hold one block of rows of text
+besides the text of what two files read.  The peak is traced with
 ``tracemalloc`` (numpy reports its buffers to it) and compared with a bound
 per sample.
 """
@@ -21,15 +22,20 @@ from heiscurves import analysis, cli
 from heiscurves.numerics import derivative_on_grid
 
 N = 20001
-# Traced peak allowed per sample: 33 float64.  The closed-form kernels need
-# about 27.5; the (n, 3, 3) coframe stack, np.cross copies and (n, 9)
-# curvature products they replaced took about 41.  At this n the three
-# tiles of bitension_report still cost as much as the whole curve: 26.3.
-BYTES_PER_SAMPLE = 33 * 8
-# At N_TILED the tiles' cost is spread thin: 18.1 float64 per sample with
-# tiles against 27.2 with whole-curve (n, 3) temporaries.
+# Traced peak allowed per sample: 18 float64.  verdict_series and
+# classify_curve need 16.3 (the report's path, which also keeps N, B, |tau2|
+# and the frame expansion, 25.3; before the kernels were closed-form, about
+# 41).  At this n the three tiles still cost as much as the curve.
+BYTES_PER_SAMPLE = 18 * 8
+# At N_TILED the tiles' cost is spread thin: 9.2 float64 per sample (the
+# report's path 17.5).
 N_TILED = 100001
-TILED_BYTES_PER_SAMPLE = 20 * 8
+TILED_BYTES_PER_SAMPLE = 10.5 * 8
+# import_samples on positions: the differenced (n, 3) velocities, the
+# stencil's one (n, 3) temporary and (n,) temporaries, 7.0 float64 per
+# sample at N; converting to frame components beside a second (n, 3) copy
+# took 11.0.
+IMPORT_BYTES_PER_SAMPLE = 8 * 8
 
 
 def _traced_peak(fn):
@@ -47,18 +53,22 @@ def _traced_peak(fn):
             tracemalloc.stop()
 
 
-def _verify_pipeline_peak(tmp_path, hp, n):
-    """Traced peak of sampling, reporting on and classifying an imported
-    position-only figure helix of ``n`` samples."""
+def _positions(tmp_path, hp, n):
+    """A position-only CSV of the figure helix with ``n`` samples."""
     path = tmp_path / "positions.csv"
     spec = hc.biharmonic_helix(hp, (0.0, 10.0 * math.pi))
     hc.write_samples_csv(path, hc.sample_curve(spec, n))
-    s, points, _ = hc.read_samples_csv(path)
+    return path
+
+
+def _verify_pipeline_peak(tmp_path, hp, n):
+    """Traced peak of importing and classifying an imported position-only
+    figure helix of ``n`` samples, with the functions ``verify`` calls."""
+    s, points, _ = hc.read_samples_csv(_positions(tmp_path, hp, n))
 
     def pipeline():
         samples = hc.import_samples(hc.HEISENBERG, s, points)
-        report = hc.bitension_report(samples)
-        return hc.classify_curve(report.frenet)
+        return hc.classify_curve(hc.verdict_series(samples))
 
     peak, result = _traced_peak(pipeline)
     assert result.verdict in hc.analysis.VERDICTS
@@ -73,6 +83,26 @@ def test_verify_pipeline_peak_memory(tmp_path, figure1_hp):
 def test_verify_pipeline_peak_memory_tiled(tmp_path, figure1_hp):
     peak = _verify_pipeline_peak(tmp_path, figure1_hp, N_TILED)
     assert peak <= TILED_BYTES_PER_SAMPLE * N_TILED, f"{peak / N_TILED / 8:.1f} float64 per sample"
+
+
+def test_import_positions_peak_memory(tmp_path, figure1_hp):
+    s, points, _ = hc.read_samples_csv(_positions(tmp_path, figure1_hp, N))
+    peak, samples = _traced_peak(lambda: hc.import_samples(hc.HEISENBERG, s, points))
+    assert samples.velocity_depth == 1
+    assert peak <= IMPORT_BYTES_PER_SAMPLE * N, f"{peak / N / 8:.1f} float64 per sample"
+
+
+def test_verify_calls_the_pipeline_measured_here(tmp_path, monkeypatch, capsys, figure1_hp):
+    """``verify`` runs the functions the pipeline peak above traces."""
+    path = _positions(tmp_path, figure1_hp, 2001)
+    called = []
+    for name in ("verdict_series", "bitension_report", "classify_curve"):
+        fn = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *a, _fn=fn, _name=name, **k:
+                            called.append(_name) or _fn(*a, **k))
+    assert cli.main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert called == ["verdict_series", "classify_curve"]
 
 
 def test_stencil_peak_memory():

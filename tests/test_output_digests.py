@@ -1,6 +1,7 @@
 """Smoke test of ``tools/output_digests.py`` at a small sample count: 2 001,
 as 201 positions of the figure helix fail the unit-speed check."""
 
+import hashlib
 import importlib.util
 import os
 from pathlib import Path
@@ -24,10 +25,25 @@ def test_output_digests_name_every_output(capsys):
     assert os.getcwd() == cwd
     lines = capsys.readouterr().out.splitlines()
     names = [line.split("  ", 1)[1] for line in lines]
-    expected = [n for c in COMMANDS for n in (f"{c}.stdout", c)] + FILES
+    expected = [n for c in COMMANDS for n in (f"{c}.stdout", f"{c}.stderr", c)] + FILES
     assert names == expected
     assert [line for line in lines if line.startswith("exit")] == [
         f"exit {EXITS.get(c, 0)}  {c}" for c in COMMANDS
     ]
     # the same inputs give the same digests
     assert tool.digests(2001) == lines
+
+
+def test_output_digests_hash_stderr(monkeypatch, capsys):
+    """An input error shows in the digest of the command's stderr, not only
+    in its exit code; stdout stays empty."""
+    spec = importlib.util.spec_from_file_location("output_digests", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "commands", lambda n: [("missing", ["verify", "missing.csv"])])
+    empty = hashlib.sha256(b"").hexdigest()
+    stdout, stderr, code = tool.digests(2001)
+    assert stdout == f"{empty}  missing.stdout"
+    assert stderr.endswith("  missing.stderr") and not stderr.startswith(empty)
+    assert code == "exit 2  missing"
+    capsys.readouterr()

@@ -51,6 +51,9 @@ def test_stage_profile_writes_stages_and_answers(tmp_path, capsys):
         for entry in run["stages"]:
             assert entry["seconds"] >= 0.0 and entry["peak_mb"] > 0.0
         assert run["peak_mb"] == max(entry["peak_mb"] for entry in run["stages"])
+    # verify keeps only the largest interior |tau2|; generate's report has the rest
+    assert "mean_interior_residual" not in verify and "expansion_agreement" not in verify
+    assert 0.0 < generate["mean_interior_residual"] <= generate["max_interior_residual"]
     assert "nongeodesic_biharmonic" in capsys.readouterr().out
     # the package functions are unwrapped again
     assert hc.curves.sample_curve is hc.sample_curve
@@ -59,7 +62,7 @@ def test_stage_profile_writes_stages_and_answers(tmp_path, capsys):
 
 
 def test_stages_sum_over_tiles(tmp_path, monkeypatch):
-    """``bitension_report`` runs ``frenet_apparatus`` once per tile: each
+    """``verdict_series`` runs ``frenet_apparatus`` once per tile: each
     stage sums its intervals, and time inside the nested ``frenet`` stage
     does not count for ``tension``.  A clock that ticks once per reading
     makes every interval one second."""
@@ -77,7 +80,8 @@ def test_stages_sum_over_tiles(tmp_path, monkeypatch):
     assert clock.stages["frenet"]["seconds"] == tiles
     # before the first tile's frame, between the frames and after the last
     assert clock.stages["tension"]["seconds"] == tiles + 1
-    assert clock.results["tension"].frenet.samples.n == 2001
+    assert isinstance(clock.results["tension"], hc.VerdictSeries)
+    assert clock.results["tension"].samples.n == 2001
 
 
 def test_script_caps_blas_threads_before_numpy(tmp_path):

@@ -1,5 +1,6 @@
-"""``bitension_report`` runs its stencil chain tile by tile
-(``numerics.tiles``).  Every per-sample series, every check residual and
+"""``bitension_report`` and ``verdict_series`` run one stencil chain tile
+by tile (``numerics.tiles``), and the characterization checks take their
+maxima tile by tile.  Every per-sample series, every check residual and
 the verdict must equal, bit for bit, a whole-curve evaluation through the
 public full-array functions, on both input routes and on a curve whose frame
 exists on part of its length only."""
@@ -11,7 +12,7 @@ import pytest
 
 import heiscurves as hc
 from heiscurves import manifold as mf
-from heiscurves.numerics import TILE, derivative_on_grid
+from heiscurves.numerics import TILE, derivative_on_grid, tiles
 
 H = hc.HEISENBERG
 # one tile up to TILE samples, two at TILE + 1 (the shortest tiles), three
@@ -43,7 +44,7 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-def _classified(frenet: hc.FrenetSeries) -> str:
+def _classified(frenet) -> str:
     try:
         return hc.classify_curve(frenet).to_json()
     except hc.GeodesicFrameUndefined as exc:
@@ -100,3 +101,85 @@ def test_tiles_match_the_whole_curve(samples):
         assert rep.cT is None and rep.cN is None and rep.cB is None
         assert rep.expansion_agreement is None
     assert _classified(rep.frenet) == _classified(whole)
+
+
+def _whole_curve_residuals(frenet: hc.FrenetSeries) -> dict:
+    """The maxima the checks take tile by tile, as whole-array expressions."""
+    params = frenet.samples.manifold
+    lam, mu = 0.25 * params.l * params.l, params.flatness
+    interior = frenet.samples.interior(3)
+    k, tau, N3, B3 = (a[interior] for a in (frenet.k, frenet.tau, frenet.N3, frenet.B3))
+    taup = derivative_on_grid(frenet.tau, frenet.samples.ds)[interior]
+    return {
+        "system_algebraic_relation": float(np.abs(k**2 + tau**2 - (lam - mu * B3**2)).max()),
+        "system_torsion_derivative": float(np.abs(taup - mu * N3 * B3).max()),
+        "helix_N3_zero": float(np.abs(N3).max()),
+        "helix_N3B3_zero": float(np.abs(N3 * B3).max()),
+    }
+
+
+@pytest.mark.parametrize("samples", CASES, indirect=True, ids=[f"{r}-{n}" for r, n in CASES])
+def test_verdict_series_matches_the_whole_curve(samples):
+    series = hc.verdict_series(samples)
+    whole = hc.frenet_apparatus(samples)
+    for name in ("k", "tau", "N3", "B3", "defined"):
+        assert _bits(getattr(series, name)) == _bits(getattr(whole, name)), name
+    assert series.samples is samples
+
+    residual = np.linalg.norm(hc.tension2_direct(samples), axis=1)
+    assert _bits(np.float64(series.max_residual)) == _bits(residual[samples.interior(3)].max())
+    assert _classified(series) == _classified(whole)
+
+    if whole.defined.all():
+        checks = hc.classify_curve(series).checks
+        for name, value in _whole_curve_residuals(whole).items():
+            assert _bits(np.float64(checks[name].residual)) == _bits(np.float64(value)), name
+        assert hc.classify_curve(series).values["N3_max"] == checks["helix_N3_zero"].residual
+
+
+@pytest.mark.parametrize("collect", [hc.verdict_series, hc.bitension_report])
+def test_no_interior_raises(collect, figure1_hp):
+    spec = hc.biharmonic_helix(figure1_hp, (0.0, 1.0))
+    # the three nested passes reach 6 samples in from each end
+    with pytest.raises(hc.TooFewSamples):
+        collect(hc.sample_curve(spec, 12))
+    assert collect(hc.sample_curve(spec, 13)).max_residual >= 0.0  # one interior sample
+
+
+def _spiked_series(params, n, p):
+    """A Frenet series of noise whose k and N3 peak at sample ``p``; the
+    checks read only its k, tau, N3, B3 and ``defined``."""
+    rng = np.random.default_rng(p)
+    samples = hc.CurveSamples(params, np.linspace(0.0, 1.0, n), np.zeros((n, 3)),
+                              np.tile([1.0, 0.0, 0.0], (n, 1)))
+    k = 1.0 + 1e-3 * rng.standard_normal(n)
+    N, B = np.zeros((n, 3)), np.zeros((n, 3))
+    N[:, 2], B[:, 2] = rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n)
+    k[p], N[p, 2] = 3.0, 0.9
+    tau = 0.25 + 1e-3 * samples.s**2  # smooth, so that tau' does not swamp N3 B3
+    return hc.FrenetSeries(samples, k=k, N=N, B=B, tau=tau, defined=np.ones(n, dtype=bool))
+
+
+def test_check_maxima_see_every_tile_edge():
+    """The checks' tile-by-tile maxima reach each tile's first and last
+    interior sample, on a member whose coefficient l^2 - 4m is not 1, for
+    a ``FrenetSeries`` and for a ``VerdictSeries`` of the same values."""
+    n = 2 * TILE + 7
+    params = hc.ManifoldParams(0.25, 1.2)
+    interior = hc.CurveSamples(params, np.arange(float(n)), np.zeros((n, 3)),
+                               np.zeros((n, 3))).interior(3)
+    edges = set()
+    for tile, _, _ in tiles(n, 1):
+        edges |= {max(interior.start, tile.start), min(interior.stop, tile.stop) - 1}
+    assert len(edges) == 6
+    for p in sorted(edges):
+        frenet = _spiked_series(params, n, p)
+        series = hc.VerdictSeries(frenet.samples, k=frenet.k, tau=frenet.tau,
+                                  N3=frenet.N3.copy(), B3=frenet.B3.copy(),
+                                  defined=frenet.defined, max_residual=0.0)
+        expected = _whole_curve_residuals(frenet)
+        for source in (frenet, series):
+            checks = hc.classify_curve(source).checks
+            for name, value in expected.items():
+                assert _bits(np.float64(checks[name].residual)) == _bits(np.float64(value)), (p, name)
+        assert hc.classify_curve(series).to_json() == hc.classify_curve(frenet).to_json()

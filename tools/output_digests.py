@@ -8,8 +8,8 @@ commands (H3 and (m, l) = (0.25, 1.2)) with velocities, and ``verify
 whose velocities ``verify`` differences, and on a horizontal H3 curve with
 an inflection point, which ``verify`` finds not biharmonic (exit 1) at
 every n.  It prints ``sha256  name`` for
-every file and every stdout, and ``exit N  name`` for every exit code.  Diff
-two runs:
+every file and for every command's stdout and stderr, and ``exit N  name``
+for every exit code.  Diff two runs:
 
     PYTHONPATH=/path/to/parent/src python tools/output_digests.py --samples 2001 > parent.txt
     PYTHONPATH=src python tools/output_digests.py --samples 2001 > change.txt
@@ -68,6 +68,10 @@ def write_inflection(path: str, n: int) -> None:
     np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="s,x,y,z,vx,vy,vz", comments="")
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def digests(n: int) -> list[str]:
     lines, cwd = [], os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -78,13 +82,15 @@ def digests(n: int) -> list[str]:
                     write_positions("helix.csv", "positions.csv")
                 if name == "verify_inflection":
                     write_inflection("inflection.csv", n)
-                with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                with contextlib.redirect_stdout(io.StringIO()) as stdout, \
+                        contextlib.redirect_stderr(io.StringIO()) as stderr:
                     code = cli_main(argv)
-                lines.append(f"{hashlib.sha256(stdout.getvalue().encode()).hexdigest()}  {name}.stdout")
+                for stream, text in (("stdout", stdout), ("stderr", stderr)):
+                    lines.append(f"{_sha256(text.getvalue().encode())}  {name}.{stream}")
                 lines.append(f"exit {code}  {name}")
             for path in sorted(os.listdir(tmp)):
                 with open(path, "rb") as fh:
-                    lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {path}")
+                    lines.append(f"{_sha256(fh.read())}  {path}")
         finally:
             os.chdir(cwd)
     return lines

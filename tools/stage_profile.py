@@ -9,10 +9,10 @@ that bounds it returns, so the stages are
 
 * verify and generate: ``read`` (verify only), ``sample`` (``import_samples``
   in verify, ``sample_curve`` in generate), ``frenet``, ``tension`` (the
-  rest of ``bitension_report``) and ``classify``;
-  ``bitension_report`` runs ``frenet_apparatus`` once per tile of the curve,
-  so a stage's time is summed over all its calls, and time inside a nested
-  stage counts only for that stage;
+  rest of ``verdict_series`` in verify, of ``bitension_report`` in
+  generate) and ``classify``; both run ``frenet_apparatus`` once per tile
+  of the curve, so a stage's time is summed over all its calls, and time
+  inside a nested stage counts only for that stage;
 * generate: one stage per written file, named by its suffix, which includes
   building the file's content (``frenet.json`` ends where
   ``write_frenet_json``, which builds and writes it block by block, returns).
@@ -72,6 +72,7 @@ STAGES = (
     (curves, "sample_curve", "sample"),
     (curves, "import_samples", "sample"),
     (analysis, "frenet_apparatus", "frenet"),
+    (analysis, "verdict_series", "tension"),
     (analysis, "bitension_report", "tension"),
     (analysis, "classify_curve", "classify"),
 )
@@ -185,14 +186,16 @@ def _answers(clock: StageClock) -> dict:
     result = clock.results.get("classify")
     if report is None or result is None:
         return {"verdict": None}
-    return {
+    answers = {
         "verdict": result.verdict,
         "max_interior_residual": report.max_residual,
-        "mean_interior_residual": report.mean_residual,
-        "expansion_agreement": report.expansion_agreement,
         "checks": {name: check.as_dict() for name, check in sorted(result.checks.items())},
         "values": result.values,
     }
+    if isinstance(report, analysis.BitensionReport):  # generate's; verify keeps only the max
+        answers["mean_interior_residual"] = report.mean_residual
+        answers["expansion_agreement"] = report.expansion_agreement
+    return answers
 
 
 def profile(command: str, argv: list[str], n: int, repeats: int) -> dict:
