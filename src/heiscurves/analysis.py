@@ -32,13 +32,12 @@ Each derived series is computed once per curve: ``frenet_apparatus`` keeps
 nabla_T T on its series, and the tension passes extend it to tau2, so a
 verdict costs four covariant-derivative passes.
 
-One chain (Frenet frame -> nabla_T N and tau -> tau2) runs over tiles of at
-most ``numerics.TILE`` (8 192) consecutive samples.  Each tile is widened
-by a halo of ``_BITENSION_DEPTH`` x 2 = 6 samples, the reach of the chain's
-three nested order-4 stencils, clipped at the curve's ends, and every tile
-uses the curve's one ``ds``; so every sample gets the bits of the
-whole-curve chain, and the (n, 3) temporaries are tile-sized.  Two
-collectors keep what their command reads, per sample:
+One chain (Frenet frame -> nabla_T N and tau -> tau2) runs over the tiles
+``CurveSamples.tiles`` gives for its ``_BITENSION_DEPTH`` nested passes,
+each differenced with the curve's one ``ds``; so every sample gets the bits
+of the whole-curve chain, and the (n, 3) temporaries are tile-sized.  Every
+derivative, interior and tile here comes from the samples.  Two collectors
+keep what their command reads, per sample:
 
 * ``bitension_report`` (``generate``) also evaluates the frame expansion
   and its agreement gap per tile, and keeps what ``generate``'s files
@@ -69,7 +68,7 @@ from .curves import _write_table
 from .errors import GeodesicFrameUndefined, NonUnitVector, UnsupportedManifold
 from .factory import admissible_cos
 from .manifold import FrameVector, ManifoldParams
-from .numerics import DEFAULT_CONFIG, NumericsConfig, derivative_on_grid, tiles
+from .numerics import DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
     "tension1",
@@ -129,13 +128,13 @@ def tension2_frame(frenet: FrenetSeries) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     if not frenet.defined.any():
         raise GeodesicFrameUndefined("Frenet frame undefined along the whole curve")
-    params, ds = frenet.samples.manifold, frenet.samples.ds
+    params, derivative = frenet.samples.manifold, frenet.samples.derivative
     lam = 0.25 * params.l * params.l
     mu = params.flatness
     k, tau = frenet.k, frenet.tau
-    kp = derivative_on_grid(k, ds)
-    kpp = derivative_on_grid(kp, ds)
-    taup = derivative_on_grid(tau, ds)
+    kp = derivative(k)
+    kpp = derivative(kp)
+    taup = derivative(tau)
     B3, N3 = frenet.B3, frenet.N3
     cT = -3.0 * kp * k
     cN = kpp - k**3 - k * tau**2 + k * lam - k * mu * B3**2
@@ -182,29 +181,20 @@ class BitensionReport:
 
 
 def _tile_chain(samples: CurveSamples, config: NumericsConfig):
-    """Check the chart and the interior, then run the chain Frenet frame ->
-    tau2 tile by tile (``numerics.tiles``, with the halo of its three nested
-    passes).
+    """Check the chart, then run the chain Frenet frame -> tau2 over
+    ``samples.tiles(_BITENSION_DEPTH)`` (``TooFewSamples`` when there is no
+    interior).
 
-    Returns the interior (``TooFewSamples`` when there is none) and an
-    iterator of ``(tile, rows, inner, frenet, t2)``: the tile, its rows and
-    its interior rows in the window ``numerics.tiles`` widens it to, and the
-    window's Frenet series and tau2.  Every row of ``rows`` has the bits of
-    the whole-curve chain.
+    Yields ``(tile, rows, inner, frenet, t2)``: the tile, its rows and
+    interior rows in its window, and the window's Frenet series and tau2.
+    Every row of ``rows`` has the bits of the whole-curve chain.
     """
     mf.conformal_factor(samples.manifold, samples.points)  # chart check
-    interior = samples.interior(_BITENSION_DEPTH)
-
-    def chain():
-        for tile, window, rows in tiles(samples.n, _BITENSION_DEPTH):
-            part = replace(samples, s=samples.s[window], points=samples.points[window],
-                           velocity_frame=samples.velocity_frame[window])  # keeps the curve's ds
-            frenet = frenet_apparatus(part, config)
-            inner = slice(max(interior.start, tile.start) - window.start,
-                          min(interior.stop, tile.stop) - window.start)
-            yield tile, rows, inner, frenet, _tension2(part, frenet.t1)
-
-    return interior, chain()
+    for tile, window, rows, inner in samples.tiles(_BITENSION_DEPTH):
+        part = replace(samples, s=samples.s[window], points=samples.points[window],
+                       velocity_frame=samples.velocity_frame[window])  # keeps the curve's ds
+        frenet = frenet_apparatus(part, config)
+        yield tile, rows, inner, frenet, _tension2(part, frenet.t1)
 
 
 def bitension_report(
@@ -218,14 +208,13 @@ def bitension_report(
     chain.
     """
     n = samples.n
-    interior, chain = _tile_chain(samples, config)
     k, tau, residual, cT, cN, cB = (np.empty(n) for _ in range(6))
     N, B = np.empty((n, 3)), np.empty((n, 3))
     defined = np.empty(n, dtype=bool)
     framed = True  # the frame is defined on every tile so far
     agreement = -np.inf
 
-    for tile, rows, inner, frenet, t2 in chain:
+    for tile, rows, inner, frenet, t2 in _tile_chain(samples, config):
         residual[tile] = np.linalg.norm(t2[rows], axis=1)
         for full, own in ((k, frenet.k), (tau, frenet.tau), (N, frenet.N), (B, frenet.B),
                           (defined, frenet.defined)):
@@ -240,6 +229,7 @@ def bitension_report(
 
     if not framed:
         cT = cN = cB = None
+    interior = samples.interior(_BITENSION_DEPTH)
     return BitensionReport(
         residual=residual,
         cT=cT,
@@ -276,12 +266,11 @@ def verdict_series(
     ``frenet_apparatus`` and ``tension2_direct`` on the whole curve.  It
     does not evaluate the frame expansion."""
     n = samples.n
-    interior, chain = _tile_chain(samples, config)
     k, tau, N3, B3 = (np.empty(n) for _ in range(4))
     defined = np.empty(n, dtype=bool)
     worst = -np.inf
 
-    for tile, rows, inner, frenet, t2 in chain:
+    for tile, rows, inner, frenet, t2 in _tile_chain(samples, config):
         worst = np.maximum(worst, np.linalg.norm(t2[inner], axis=1).max())
         for full, own in ((k, frenet.k), (tau, frenet.tau), (N3, frenet.N3), (B3, frenet.B3),
                           (defined, frenet.defined)):
@@ -351,19 +340,13 @@ def _interior_frenet(frenet: FrenetSeries | VerdictSeries):
 
 
 def _interior_max(frenet: FrenetSeries | VerdictSeries, residual) -> float:
-    """The largest per-sample ``residual(rows, window)`` on the interior.
-
-    It runs one tile at a time (``numerics.tiles`` with the reach of one
-    derivative pass): ``rows`` are the tile's interior samples and ``window``
-    the samples a stencil at them reads.  So no temporary spans the curve,
-    and the result has the bits of the whole-curve ``residual(...).max()``.
-    """
-    interior = frenet.samples.interior(_BITENSION_DEPTH)
+    """The largest interior value of the per-sample ``residual(window)``,
+    taken over the chain's tiles (``CurveSamples.tiles``) one window at a
+    time: no temporary spans the curve, and the result has the bits of the
+    whole-curve maximum."""
     worst = -np.inf
-    for tile, window, _ in tiles(frenet.samples.n, 1):
-        rows = slice(max(interior.start, tile.start), min(interior.stop, tile.stop))
-        if rows.start < rows.stop:
-            worst = np.maximum(worst, residual(rows, window).max())
+    for _, window, _, inner in frenet.samples.tiles(_BITENSION_DEPTH):
+        worst = np.maximum(worst, residual(window)[inner].max())
     return float(worst)
 
 
@@ -387,18 +370,17 @@ def check_system_33(
     Heisenberg system with l^2/4 = 1/4 and unit coefficient), on a
     ``FrenetSeries`` or a ``VerdictSeries``.
     """
-    params, ds = frenet.samples.manifold, frenet.samples.ds
+    params = frenet.samples.manifold
     lam = 0.25 * params.l * params.l
     mu = params.flatness
     interior = _interior_frenet(frenet)
     k, tau, B3, N3 = frenet.k, frenet.tau, frenet.B3, frenet.N3
 
-    def relation(rows, window):
-        return np.abs(k[rows]**2 + tau[rows]**2 - (lam - mu * B3[rows]**2))
+    def relation(w):
+        return np.abs(k[w]**2 + tau[w]**2 - (lam - mu * B3[w]**2))
 
-    def torsion(rows, window):
-        taup = derivative_on_grid(tau[window], ds)[rows.start - window.start:rows.stop - window.start]
-        return np.abs(taup - mu * N3[rows] * B3[rows])
+    def torsion(w):
+        return np.abs(frenet.samples.derivative(tau[w]) - mu * N3[w] * B3[w])
 
     k_mean = float(k[interior].mean())
     checks = {
@@ -418,7 +400,6 @@ def check_system_33(
         "k_mean": k_mean,
         "tau_mean": float(tau[interior].mean()),
         "B3_mean": float(B3[interior].mean()),
-        "N3_max": _interior_max(frenet, lambda rows, window: np.abs(N3[rows])),
         "curvature_level": lam,
         "coefficient": mu,
     }
@@ -450,7 +431,7 @@ def check_helix_system(
         ),
         "B3_nonzero": SystemCheck("B3_nonzero", config.b3_zero_tol, abs(B3_mean)),
         "N3_zero": SystemCheck(
-            "N3_zero", _interior_max(frenet, lambda rows, window: np.abs(N3[rows])),
+            "N3_zero", _interior_max(frenet, lambda w: np.abs(N3[w])),
             config.relation_tol,
         ),
         "tau_constant": SystemCheck(
@@ -458,7 +439,7 @@ def check_helix_system(
             config.constancy_tol * (1.0 + abs(tau_mean)),
         ),
         "N3B3_zero": SystemCheck(
-            "N3B3_zero", _interior_max(frenet, lambda rows, window: np.abs(N3[rows] * B3[rows])),
+            "N3B3_zero", _interior_max(frenet, lambda w: np.abs(N3[w] * B3[w])),
             config.relation_tol,
         ),
     }
@@ -536,7 +517,7 @@ def classify_curve(
     helix = check_helix_system(frenet, config)
     checks.update({f"system_{k}": c for k, c in sys33.checks.items()})
     checks.update({f"helix_{k}": c for k, c in helix.checks.items()})
-    values.update(sys33.values)
+    values.update(sys33.values, N3_max=helix["N3_zero"].residual)
 
     if sys33.all_passed:
         verdict = "nongeodesic_biharmonic"

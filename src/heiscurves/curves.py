@@ -98,6 +98,8 @@ class CurveSpec:
 class CurveSamples:
     """Uniform arclength samples of a curve (struct-of-arrays layout).
 
+    Every consumer takes its ``derivative``, ``interior`` and ``tiles`` from
+    the samples; past them, only ``numerics`` knows the stencil's reach.
     ``velocity_depth`` counts derivative passes already spent producing the
     velocities: 0 for analytic / ODE-state velocities, 1 when they were
     differenced from imported positions.  Interior masks widen accordingly,
@@ -124,8 +126,24 @@ class CurveSamples:
     def velocity_coord(self) -> np.ndarray:
         return mf.to_coord_components(self.manifold, self.points, self.velocity_frame)
 
+    def derivative(self, values: np.ndarray) -> np.ndarray:
+        """d/ds of per-sample ``values`` (or of a window of them) along axis 0."""
+        return derivative_on_grid(values, self.ds)
+
     def interior(self, depth: int = 1) -> slice:
+        """Samples clear of one-sided stencils after ``depth`` more passes."""
         return interior_slice(self.n, depth + self.velocity_depth)
+
+    def tiles(self, depth: int):
+        """``numerics.tiles`` for a chain of ``depth`` nested passes: yields
+        ``(tile, window, rows, inner)``, where ``rows`` are the tile's rows
+        and ``inner`` its rows in ``interior(depth)``, both in the window.
+        Raises ``TooFewSamples`` when there is no interior."""
+        interior = self.interior(depth)
+        for tile, window, rows in tiles(self.n, depth):
+            inner = slice(max(interior.start, tile.start) - window.start,
+                          min(interior.stop, tile.stop) - window.start)
+            yield tile, window, rows, inner
 
 
 def _uniform_grid(s_range: tuple[float, float], n: int) -> np.ndarray:
@@ -138,18 +156,16 @@ def _uniform_grid(s_range: tuple[float, float], n: int) -> np.ndarray:
 def _validate_unit_speed(samples: CurveSamples, config: NumericsConfig) -> None:
     """Unit speed on ``samples.interior(0)``: every row of given velocities,
     and the rows clear of one-sided stencils where they were differenced."""
-    check = samples.interior(0)
-    v = samples.velocity_frame[check]
-    dev = np.empty(len(v))
-    for tile, _, _ in tiles(len(v), 0):  # |v| without an (n, 3) temporary
-        dev[tile] = np.linalg.norm(v[tile], axis=1)
+    dev = np.ones(samples.n)  # so that the rows outside the check deviate by 0
+    for tile, _, _, inner in samples.tiles(0):  # |v| without an (n, 3) temporary
+        dev[tile][inner] = np.linalg.norm(samples.velocity_frame[tile][inner], axis=1)
     dev -= 1.0
     np.abs(dev, out=dev)
     worst = int(np.argmax(dev))  # the first NaN, if there is one
     if not dev[worst] <= config.unit_speed_tol:
         raise NonUnitSpeed(
             f"|velocity| deviates from 1 by {dev[worst]:.3e} at sample "
-            f"{worst + check.start} (tolerance {config.unit_speed_tol:.1e})"
+            f"{worst} (tolerance {config.unit_speed_tol:.1e})"
         )
 
 
@@ -232,7 +248,7 @@ def import_samples(
 def covariant_derivative_along(samples: CurveSamples, field: np.ndarray) -> np.ndarray:
     """nabla_T V along the curve for a field V given in frame components.
 
-    Componentwise arclength derivative (``derivative_on_grid``) plus
+    Componentwise arclength derivative (``samples.derivative``) plus
     the connection correction contracted with the velocity:
 
         (nabla_T V)^a = dV^a/ds + Gamma_ij^a T^i V^j.
@@ -251,7 +267,7 @@ def covariant_derivative_along(samples: CurveSamples, field: np.ndarray) -> np.n
     V = np.asarray(field, dtype=float)
     if V.shape != samples.points.shape:
         raise ValueError("field must provide frame components at every sample")
-    dV = derivative_on_grid(V, samples.ds)
+    dV = samples.derivative(V)
     q = mf.as_point(samples.points)
     T = np.asarray(samples.velocity_frame, dtype=float)
     for a, component in enumerate(mf._connection_components(samples.manifold, q, T, V)):

@@ -245,9 +245,7 @@ def test_criterion_07_metric_family():
     interior = fr.samples.interior(3)
     k, tau, B3, N3 = fr.k[interior], fr.tau[interior], fr.B3[interior], fr.N3[interior]
     relation_h3 = float(np.abs(k**2 + tau**2 - (0.25 - B3**2)).max())
-    from heiscurves.numerics import derivative_on_grid
-
-    taup = derivative_on_grid(fr.tau, fr.samples.ds)[interior]
+    taup = fr.samples.derivative(fr.tau)[interior]
     torsion_h3 = float(np.abs(taup - N3 * B3).max())
     coincide = max(
         abs(sys_general["algebraic_relation"].residual - relation_h3),

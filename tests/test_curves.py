@@ -285,6 +285,20 @@ class TestCovariantDerivative:
         with pytest.raises(ValueError):
             hc.covariant_derivative_along(figure1_samples, np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_point_rejected(self, figure1_samples, bad):
+        samples = _with_bad_point(figure1_samples, bad)
+        with pytest.raises(ValueError, match="finite"):
+            hc.covariant_derivative_along(samples, samples.velocity_frame)
+
+
+def _with_bad_point(samples, bad):
+    """``samples`` with one coordinate of one interior point set to ``bad``,
+    built directly, past the checks of ``import_samples``."""
+    points = samples.points.copy()
+    points[samples.n // 2, 1] = bad
+    return dataclasses.replace(samples, points=points)
+
 
 class TestFrenet:
     def test_helix_invariant_values(self, figure1_samples):
@@ -314,6 +328,11 @@ class TestFrenet:
         assert not fr.defined[900:1100].any() and fr.defined[:700].all()
         expected = np.cross(samples.velocity_frame, fr.N)
         assert np.array_equal(fr.B.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_point_rejected(self, figure1_samples, bad):
+        with pytest.raises(ValueError, match="finite"):
+            hc.frenet_apparatus(_with_bad_point(figure1_samples, bad))
 
     def test_geodesic_frame_undefined(self):
         spec = hc.geodesic_ivp(H, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 10.0))

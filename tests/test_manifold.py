@@ -592,3 +592,24 @@ class TestGroupOps:
     def test_unsupported_manifold(self):
         with pytest.raises(UnsupportedManifold):
             mf.left_translate(mf.ManifoldParams(1.0, 2.0), ORIGIN, ORIGIN)
+
+
+class TestAsPoint:
+    def test_points_pass_unchanged(self):
+        pts = np.array([[0.1, -2.0, 3.5], [1e300, 0.0, -1e-300]])
+        assert np.array_equal(mf.as_point(pts), pts)
+        assert mf.as_point([1, 2, 3]).dtype == float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mf.as_point([0.0, bad, 1.0])
+        pts = np.zeros((4, 3))
+        pts[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mf.as_point(pts)
+
+    @pytest.mark.parametrize("shape", [(), (2,), (4,), (5, 2), (3, 4)])
+    def test_not_3_vectors_rejected(self, shape):
+        with pytest.raises(ValueError, match="3 components"):
+            mf.as_point(np.zeros(shape))

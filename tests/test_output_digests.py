@@ -1,5 +1,5 @@
-"""Smoke test of ``tools/output_digests.py`` at a small sample count: 2 001,
-as 201 positions of the figure helix fail the unit-speed check."""
+"""Smoke test of ``tools/output_digests.py`` at small sample counts: 2 001
+and 1 001, as 201 positions of the figure helix fail the unit-speed check."""
 
 import hashlib
 import importlib.util
@@ -17,21 +17,28 @@ EXITS = {"verify_inflection": 1}  # the inflection curve is not biharmonic
 
 
 def test_output_digests_name_every_output(capsys):
+    """Two sizes in one run: each line carries its n, and each size's block
+    is ``digests`` of that size."""
     spec = importlib.util.spec_from_file_location("output_digests", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     cwd = os.getcwd()
-    assert tool.main(["--samples", "2001"]) == 0
+    sizes = (2001, 1001)
+    assert tool.main(["--samples", *map(str, sizes)]) == 0
     assert os.getcwd() == cwd
-    lines = capsys.readouterr().out.splitlines()
-    names = [line.split("  ", 1)[1] for line in lines]
+    out = capsys.readouterr().out.splitlines()
     expected = [n for c in COMMANDS for n in (f"{c}.stdout", f"{c}.stderr", c)] + FILES
-    assert names == expected
-    assert [line for line in lines if line.startswith("exit")] == [
-        f"exit {EXITS.get(c, 0)}  {c}" for c in COMMANDS
-    ]
-    # the same inputs give the same digests
-    assert tool.digests(2001) == lines
+    assert len(out) == len(sizes) * len(expected)
+    for i, size in enumerate(sizes):
+        block = out[i * len(expected):(i + 1) * len(expected)]
+        assert all(line.startswith(f"{size}  ") for line in block)
+        lines = [line.split("  ", 1)[1] for line in block]
+        assert [line.split("  ", 1)[1] for line in lines] == expected
+        assert [line for line in lines if line.startswith("exit")] == [
+            f"exit {EXITS.get(c, 0)}  {c}" for c in COMMANDS
+        ]
+        # the same inputs give the same digests
+        assert tool.digests(size) == lines
 
 
 def test_output_digests_hash_stderr(monkeypatch, capsys):

@@ -1,5 +1,5 @@
 """``bitension_report`` and ``verdict_series`` run one stencil chain tile
-by tile (``numerics.tiles``), and the characterization checks take their
+by tile (``CurveSamples.tiles``), and the characterization checks take their
 maxima tile by tile.  Every per-sample series, every check residual and
 the verdict must equal, bit for bit, a whole-curve evaluation through the
 public full-array functions, on both input routes and on a curve whose frame
@@ -9,10 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heiscurves as hc
 from heiscurves import manifold as mf
-from heiscurves.numerics import TILE, derivative_on_grid, tiles
+from heiscurves.numerics import TILE
 
 H = hc.HEISENBERG
 # one tile up to TILE samples, two at TILE + 1 (the shortest tiles), three
@@ -71,7 +73,7 @@ CASES = [(route, n) for route in ("sampler", "csv", "mixed") for n in SIZES]
 def test_tiles_match_the_whole_curve(samples):
     if samples.velocity_depth:
         # positions differenced over the whole curve
-        v_coord = derivative_on_grid(samples.points, samples.ds)
+        v_coord = samples.derivative(samples.points)
         whole_velocity = mf.to_frame_components(H, samples.points, v_coord)
         assert _bits(samples.velocity_frame) == _bits(whole_velocity)
 
@@ -109,7 +111,7 @@ def _whole_curve_residuals(frenet: hc.FrenetSeries) -> dict:
     lam, mu = 0.25 * params.l * params.l, params.flatness
     interior = frenet.samples.interior(3)
     k, tau, N3, B3 = (a[interior] for a in (frenet.k, frenet.tau, frenet.N3, frenet.B3))
-    taup = derivative_on_grid(frenet.tau, frenet.samples.ds)[interior]
+    taup = frenet.samples.derivative(frenet.tau)[interior]
     return {
         "system_algebraic_relation": float(np.abs(k**2 + tau**2 - (lam - mu * B3**2)).max()),
         "system_torsion_derivative": float(np.abs(taup - mu * N3 * B3).max()),
@@ -146,6 +148,40 @@ def test_no_interior_raises(collect, figure1_hp):
     assert collect(hc.sample_curve(spec, 13)).max_residual >= 0.0  # one interior sample
 
 
+def _flat_samples(n, params=H, velocity_depth=0):
+    """``n`` samples whose arrays are only what their shape needs."""
+    return hc.CurveSamples(params, np.arange(float(n)), np.zeros((n, 3)), np.zeros((n, 3)),
+                           velocity_depth=velocity_depth)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(9, 3 * TILE + 7), depth=st.integers(0, 3), velocity_depth=st.integers(0, 1))
+def test_tiles_cover_the_curve_and_its_interior(n, depth, velocity_depth):
+    """``CurveSamples.tiles``: the tiles' rows cover the curve once, their
+    interior rows cover ``interior(depth)`` once, and each window reaches
+    2 depth samples past its tile, except where the curve ends."""
+    samples = _flat_samples(n, velocity_depth=velocity_depth)
+    try:
+        interior = samples.interior(depth)
+    except hc.TooFewSamples:
+        with pytest.raises(hc.TooFewSamples):
+            next(samples.tiles(depth))
+        return
+    rows_seen, inner_seen = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    for tile, window, rows, inner in samples.tiles(depth):
+        assert (window.start, window.stop) == (max(0, tile.start - 2 * depth),
+                                               min(n, tile.stop + 2 * depth))
+        index = np.arange(window.start, window.stop)
+        assert np.array_equal(index[rows], np.arange(tile.start, tile.stop))
+        assert len(index[inner]) > 0
+        rows_seen[index[rows]] += 1
+        inner_seen[index[inner]] += 1
+    assert (rows_seen == 1).all()
+    expected = np.zeros(n, dtype=int)
+    expected[interior] = 1
+    assert np.array_equal(inner_seen, expected)
+
+
 def _spiked_series(params, n, p):
     """A Frenet series of noise whose k and N3 peak at sample ``p``; the
     checks read only its k, tau, N3, B3 and ``defined``."""
@@ -166,11 +202,9 @@ def test_check_maxima_see_every_tile_edge():
     a ``FrenetSeries`` and for a ``VerdictSeries`` of the same values."""
     n = 2 * TILE + 7
     params = hc.ManifoldParams(0.25, 1.2)
-    interior = hc.CurveSamples(params, np.arange(float(n)), np.zeros((n, 3)),
-                               np.zeros((n, 3))).interior(3)
     edges = set()
-    for tile, _, _ in tiles(n, 1):
-        edges |= {max(interior.start, tile.start), min(interior.stop, tile.stop) - 1}
+    for _, window, _, inner in _flat_samples(n, params).tiles(3):
+        edges |= {window.start + inner.start, window.start + inner.stop - 1}
     assert len(edges) == 6
     for p in sorted(edges):
         frenet = _spiked_series(params, n, p)

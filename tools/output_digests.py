@@ -1,18 +1,18 @@
 """SHA-256 digests of what the CLI writes and prints, for byte-identity checks.
 
-In a temporary directory, at ``--samples`` samples each, this runs the
+In a temporary directory, at each ``--samples`` size, this runs the
 figure-helix ``generate`` (sin alpha0 = 1/sqrt(10), a = b = c = 1) with
 surfaces and velocities, the benchmark's two length-1000 ``geodesic``
 commands (H3 and (m, l) = (0.25, 1.2)) with velocities, and ``verify
 --json`` on the helix CSV, on its ``s,x,y,z`` columns alone, the input
 whose velocities ``verify`` differences, and on a horizontal H3 curve with
 an inflection point, which ``verify`` finds not biharmonic (exit 1) at
-every n.  It prints ``sha256  name`` for
-every file and for every command's stdout and stderr, and ``exit N  name``
-for every exit code.  Diff two runs:
+every n.  It prints ``n  sha256  name`` for
+every file and for every command's stdout and stderr, and ``n  exit N  name``
+for every exit code, n being the sample count.  Diff two runs:
 
-    PYTHONPATH=/path/to/parent/src python tools/output_digests.py --samples 2001 > parent.txt
-    PYTHONPATH=src python tools/output_digests.py --samples 2001 > change.txt
+    PYTHONPATH=/path/to/parent/src python tools/output_digests.py --samples 2001 50001 > parent.txt
+    PYTHONPATH=src python tools/output_digests.py --samples 2001 50001 > change.txt
     diff parent.txt change.txt
 """
 
@@ -98,8 +98,9 @@ def digests(n: int) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--samples", type=int, default=2001)
-    print("\n".join(digests(parser.parse_args(argv).samples)))
+    parser.add_argument("--samples", type=int, nargs="+", default=[2001])
+    for n in parser.parse_args(argv).samples:
+        print("\n".join(f"{n}  {line}" for line in digests(n)))
     return 0
 
 
