@@ -51,8 +51,8 @@ keep what their command reads, per sample:
 
 Both hold the samples themselves, whose s, T and points (56 bytes) they
 read there, and keep neither nabla_T T nor tau2.  ``classify_curve`` takes
-either's series, and its checks take their maxima tile by tile, so a
-verdict adds no per-sample temporary that spans the curve.
+either's series; ``CurveSamples.interior_max`` gives its checks' maxima tile
+by tile, so a verdict adds no per-sample temporary that spans the curve.
 """
 
 from __future__ import annotations
@@ -339,17 +339,6 @@ def _interior_frenet(frenet: FrenetSeries | VerdictSeries):
     return interior
 
 
-def _interior_max(frenet: FrenetSeries | VerdictSeries, residual) -> float:
-    """The largest interior value of the per-sample ``residual(window)``,
-    taken over the chain's tiles (``CurveSamples.tiles``) one window at a
-    time: no temporary spans the curve, and the result has the bits of the
-    whole-curve maximum."""
-    worst = -np.inf
-    for _, window, _, inner in frenet.samples.tiles(_BITENSION_DEPTH):
-        worst = np.maximum(worst, residual(window)[inner].max())
-    return float(worst)
-
-
 def _k_constant(k: np.ndarray, config: NumericsConfig) -> SystemCheck:
     """The spread of k against the constancy tolerance, scaled by its mean."""
     return SystemCheck(
@@ -390,10 +379,12 @@ def check_system_33(
             "k_nonzero", config.k_floor, abs(k_mean)
         ),
         "algebraic_relation": SystemCheck(
-            "algebraic_relation", _interior_max(frenet, relation), config.relation_tol
+            "algebraic_relation", frenet.samples.interior_max(relation, _BITENSION_DEPTH)[0],
+            config.relation_tol,
         ),
         "torsion_derivative": SystemCheck(
-            "torsion_derivative", _interior_max(frenet, torsion), config.relation_tol
+            "torsion_derivative", frenet.samples.interior_max(torsion, _BITENSION_DEPTH)[0],
+            config.relation_tol,
         ),
     }
     values = {
@@ -431,7 +422,7 @@ def check_helix_system(
         ),
         "B3_nonzero": SystemCheck("B3_nonzero", config.b3_zero_tol, abs(B3_mean)),
         "N3_zero": SystemCheck(
-            "N3_zero", _interior_max(frenet, lambda w: np.abs(N3[w])),
+            "N3_zero", frenet.samples.interior_max(lambda w: np.abs(N3[w]), _BITENSION_DEPTH)[0],
             config.relation_tol,
         ),
         "tau_constant": SystemCheck(
@@ -439,7 +430,8 @@ def check_helix_system(
             config.constancy_tol * (1.0 + abs(tau_mean)),
         ),
         "N3B3_zero": SystemCheck(
-            "N3B3_zero", _interior_max(frenet, lambda w: np.abs(N3[w] * B3[w])),
+            "N3B3_zero",
+            frenet.samples.interior_max(lambda w: np.abs(N3[w] * B3[w]), _BITENSION_DEPTH)[0],
             config.relation_tol,
         ),
     }

@@ -20,6 +20,7 @@ flags win over the file.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -33,24 +34,6 @@ from . import manifold as mf
 from .errors import HeiscurvesError, InadmissibleAlpha, MalformedSampleFile, NonMonotone, NonUnitSpeed
 from .manifold import FrameVector, ManifoldParams
 from .numerics import NumericsConfig
-
-# Closed-form vs finite-difference agreement in `tensors`, for entries of size
-# at most 1.  The numeric route's roundoff grows with what it differences: the
-# connection's entries (l/2, 2m x, 2m y) and, for the curvature, terms of size
-# max|G|^2 (the products G G, and 2m F, the derivative of 2m x along e1) that
-# cancel to its constant entries.  So the tolerance scales by max(1, max|G|)
-# for the connection and by its square for the curvature.
-_NUMERIC_TOL = 1e-8
-# Far from the origin the curvature's roundoff outgrows that: the frame
-# stencil's relative roundoff eps / _FRAME_STEP on terms of size max(1, max|G|),
-# differenced again at _TABLE_STEP along frame vectors of length up to max|E|.
-# Measured on 7 000 random points (m in [-0.5, 2], |l| <= 4, |E| up to 2e9),
-# the deviation stays below 1.4 eps max|E| max(1, max|G|) / (_FRAME_STEP
-# _TABLE_STEP); eps |E|^2 alone would need a factor from 60 to 5e3 as |E|
-# falls from 1e6 to 1e2.  The curvature tolerance is the larger of the two,
-# this one with a margin of about 3.
-_ROUNDOFF = 4.0 * float(np.finfo(float).eps) / (mf._FRAME_STEP * mf._TABLE_STEP)
-
 
 # ---------------------------------------------------------------------------
 # Config plumbing
@@ -123,6 +106,13 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _reference_tag(val: float, ref: float | None) -> str:
+    """An entry's ``reference <ref>  MATCH`` (or ``MISMATCH``) suffix; empty without ``ref``."""
+    if ref is None:
+        return ""
+    return f"   reference {ref:g}  " + ("MATCH" if abs(val - ref) <= 1e-12 else "MISMATCH")
+
+
 def cmd_tensors(args, file_cfg: dict) -> int:
     params = _resolve_manifold(args, file_cfg)
     _resolve_numerics(file_cfg, args)  # rejects bad settings; the tables read none
@@ -144,36 +134,23 @@ def cmd_tensors(args, file_cfg: dict) -> int:
     reference = mf.h3_riemann_reference() if params.is_heisenberg else {}
     lines.append("")
     lines.append("riemann components R_abcd (a<b, c<d, nonzero)")
-    seen_nonzero = []
-    for a in range(3):
-        for b in range(a + 1, 3):
-            for c in range(3):
-                for d in range(c + 1, 3):
-                    val = R[a, b, c, d]
-                    key = (a + 1, b + 1, c + 1, d + 1)
-                    if abs(val) < 1e-15 and key not in reference:
-                        continue
-                    seen_nonzero.append((key, val))
-    for key, val in seen_nonzero:
-        tag = ""
-        if key in reference:
-            ref = reference[key]
-            tag = f"   reference {ref:g}  " + ("MATCH" if abs(val - ref) <= 1e-12 else "MISMATCH")
-        lines.append(f"  R_{key[0]}{key[1]}{key[2]}{key[3]} = {_fmt(val)}{tag}")
+    planes = list(itertools.combinations(range(3), 2))
+    for (a, b), (c, d) in itertools.product(planes, repeat=2):
+        val = R[a, b, c, d]
+        key = (a + 1, b + 1, c + 1, d + 1)
+        if abs(val) < 1e-15 and key not in reference:
+            continue
+        lines.append(f"  R_{a + 1}{b + 1}{c + 1}{d + 1} = {_fmt(val)}"
+                     + _reference_tag(val, reference.get(key)))
 
+    ricci = [[mf.ricci_component(params, point, a, b) for b in (1, 2, 3)] for a in (1, 2, 3)]
     ricci_ref = mf.h3_ricci_reference() if params.is_heisenberg else {}
     lines.append("")
     lines.append("ricci components rho_ab")
     for a in range(3):
         for b in range(a, 3):
-            val = float(np.trace(R[a, :, b, :]))
-            tag = ""
-            if (a + 1, b + 1) in ricci_ref:
-                ref = ricci_ref[(a + 1, b + 1)]
-                tag = f"   reference {ref:g}  " + (
-                    "MATCH" if abs(val - ref) <= 1e-12 else "MISMATCH"
-                )
-            lines.append(f"  rho_{a + 1}{b + 1} = {_fmt(val)}{tag}")
+            lines.append(f"  rho_{a + 1}{b + 1} = {_fmt(ricci[a][b])}"
+                         + _reference_tag(ricci[a][b], ricci_ref.get((a + 1, b + 1))))
 
     lines.append("")
     lines.append("sectional curvatures of the frame planes")
@@ -182,14 +159,7 @@ def cmd_tensors(args, file_cfg: dict) -> int:
         eb = FrameVector(point, np.eye(3)[b - 1])
         lines.append(f"  K(e{a}, e{b}) = {_fmt(mf.sectional(params, point, ea, eb))}")
 
-    G_num = mf.connection_table_numeric(params, point)
-    R_num = mf.curvature_table_numeric(params, point)
-    conn_dev = float(np.abs(G - G_num).max())
-    curv_dev = float(np.abs(R - R_num).max())
-    scale = max(1.0, float(np.abs(G).max()))
-    reach = float(np.abs(mf.frame_at(params, point)).max())
-    conn_tol = _NUMERIC_TOL * scale
-    curv_tol = max(_NUMERIC_TOL * scale * scale, _ROUNDOFF * reach * scale)
+    conn_dev, conn_tol, curv_dev, curv_tol = mf.cross_check(params, point)
     ok = conn_dev <= conn_tol and curv_dev <= curv_tol
     lines.append("")
     lines.append(
@@ -206,7 +176,7 @@ def cmd_tensors(args, file_cfg: dict) -> int:
             "point": [float(v) for v in point],
             "connection": G.tolist(),
             "riemann": R.tolist(),
-            "ricci": [[float(np.trace(R[a, :, b, :])) for b in range(3)] for a in range(3)],
+            "ricci": ricci,
             "numeric_deviation": {"connection": conn_dev, "curvature": curv_dev},
         }
         with open(args.json, "w") as fh:
@@ -347,8 +317,7 @@ def cmd_geodesic(args, file_cfg: dict) -> int:
     spec = factory.geodesic_ivp(params, p0, v0, (0.0, args.length))
     samples = crv.sample_curve(spec, args.samples, config)
     t1 = analysis.tension1(samples)
-    interior = samples.interior(1)
-    t1_max = float(np.linalg.norm(t1, axis=1)[interior].max())
+    t1_max = samples.interior_max(lambda w: np.linalg.norm(t1[w], axis=1), 1)[0]
     drift = float(np.abs(np.linalg.norm(samples.velocity_frame, axis=1) - 1.0).max())
 
     crv.write_samples_csv(f"{args.out}.csv", samples, include_velocity=args.with_velocity)

@@ -98,8 +98,9 @@ class CurveSpec:
 class CurveSamples:
     """Uniform arclength samples of a curve (struct-of-arrays layout).
 
-    Every consumer takes its ``derivative``, ``interior`` and ``tiles`` from
-    the samples; past them, only ``numerics`` knows the stencil's reach.
+    Every consumer takes its ``derivative``, ``interior``, ``tiles`` and
+    worst interior sample (``interior_max``) from the samples; past them,
+    only ``numerics`` knows the stencil's reach.
     ``velocity_depth`` counts derivative passes already spent producing the
     velocities: 0 for analytic / ODE-state velocities, 1 when they were
     differenced from imported positions.  Interior masks widen accordingly,
@@ -145,6 +146,21 @@ class CurveSamples:
                           min(interior.stop, tile.stop) - window.start)
             yield tile, window, rows, inner
 
+    def interior_max(self, residual, depth: int) -> tuple[float, int]:
+        """The largest per-sample ``residual(window)`` on ``interior(depth)``
+        and its sample, one window of ``tiles(depth)`` at a time: the first
+        NaN if there is one, else the first largest value.  No temporary
+        spans the curve, and the value has the bits of the whole maximum."""
+        worst = at = None
+        for _, window, _, inner in self.tiles(depth):
+            r = residual(window)[inner]
+            i = int(np.argmax(r))  # the first NaN, if there is one
+            if at is None or not r[i] <= worst:
+                worst, at = float(r[i]), window.start + inner.start + i
+            if math.isnan(worst):
+                break
+        return worst, at
+
 
 def _uniform_grid(s_range: tuple[float, float], n: int) -> np.ndarray:
     s0, s1 = float(s_range[0]), float(s_range[1])
@@ -156,15 +172,11 @@ def _uniform_grid(s_range: tuple[float, float], n: int) -> np.ndarray:
 def _validate_unit_speed(samples: CurveSamples, config: NumericsConfig) -> None:
     """Unit speed on ``samples.interior(0)``: every row of given velocities,
     and the rows clear of one-sided stencils where they were differenced."""
-    dev = np.ones(samples.n)  # so that the rows outside the check deviate by 0
-    for tile, _, _, inner in samples.tiles(0):  # |v| without an (n, 3) temporary
-        dev[tile][inner] = np.linalg.norm(samples.velocity_frame[tile][inner], axis=1)
-    dev -= 1.0
-    np.abs(dev, out=dev)
-    worst = int(np.argmax(dev))  # the first NaN, if there is one
-    if not dev[worst] <= config.unit_speed_tol:
+    vel = samples.velocity_frame  # |v| a tile at a time, without an (n, 3) temporary
+    dev, worst = samples.interior_max(lambda w: np.abs(np.linalg.norm(vel[w], axis=1) - 1.0), 0)
+    if not dev <= config.unit_speed_tol:
         raise NonUnitSpeed(
-            f"|velocity| deviates from 1 by {dev[worst]:.3e} at sample "
+            f"|velocity| deviates from 1 by {dev:.3e} at sample "
             f"{worst} (tolerance {config.unit_speed_tol:.1e})"
         )
 

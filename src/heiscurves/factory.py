@@ -681,9 +681,36 @@ def membership_residual(samples: CurveSamples, patch: SurfacePatch) -> float:
 # ---------------------------------------------------------------------------
 
 
-# The families whose parameter records load_curve_params rebuilds.
-_LOADABLE_FAMILIES = ("biharmonic_helix", "helix_family", "one_param_subgroup", "geodesic",
-                      "b3zero_linear")
+def _offsets(data: dict) -> list[float]:
+    """A helix record's phase and translation constants a, b, c, d (0 where absent)."""
+    return [float(data.get(key, 0.0)) for key in "abcd"]
+
+
+def _load_b3zero_linear(data: dict, params: ManifoldParams, s_range) -> CurveSpec:
+    a0, rate = float(data["alpha_start"]), float(data["alpha_rate"])
+    return replace(b3zero_curve(lambda s: a0 + rate * np.asarray(s, dtype=float), s_range),
+                   family={"family": "b3zero_linear", "alpha_start": a0, "alpha_rate": rate})
+
+
+# Each loadable curve family and its loader, (record, manifold, s_range) ->
+# CurveSpec: the keys are the families that have a parameter record.
+_LOADERS = {
+    "biharmonic_helix": lambda data, params, s_range: biharmonic_helix(
+        HelixParams(float(data["alpha0"]), *_offsets(data), data.get("branch", "plus")), s_range),
+    "helix_family": lambda data, params, s_range: helix_family_curve(
+        float(data["alpha0"]), float(data["rate"]), *_offsets(data), s_range),
+    "one_param_subgroup": lambda data, params, s_range: one_param_subgroup(
+        np.asarray(data["direction"], dtype=float), s_range),
+    "geodesic": lambda data, params, s_range: geodesic_ivp(
+        params, np.asarray(data["point"], dtype=float), np.asarray(data["direction"], dtype=float),
+        s_range),
+    "b3zero_linear": _load_b3zero_linear,
+}
+
+
+def _loader(family) -> Callable | None:
+    """The loader of a family name; None for any other value."""
+    return _LOADERS.get(family) if isinstance(family, str) else None
 
 
 def dump_curve_params(spec: CurveSpec, n_samples: int | None = None) -> str:
@@ -694,7 +721,7 @@ def dump_curve_params(spec: CurveSpec, n_samples: int | None = None) -> str:
     ``tangent_driven`` curves, whose parameters are callables.
     """
     family = spec.family.get("family")
-    if family not in _LOADABLE_FAMILIES:
+    if _loader(family) is None:
         raise ValueError(f"no parameter record for curve family {family!r}")
     payload = dict(spec.family)
     payload.setdefault("manifold", {"m": spec.manifold.m, "l": spec.manifold.l})
@@ -712,44 +739,10 @@ def load_curve_params(text: str) -> tuple[CurveSpec, int | None]:
     params = ManifoldParams(float(man["m"]), float(man["l"]))
     s_range = tuple(float(v) for v in data.get("s_range", (0.0, 10.0 * math.pi)))
     family = data.get("family")
-    if family == "biharmonic_helix":
-        hp = HelixParams(
-            alpha0=float(data["alpha0"]),
-            a=float(data.get("a", 0.0)),
-            b=float(data.get("b", 0.0)),
-            c=float(data.get("c", 0.0)),
-            d=float(data.get("d", 0.0)),
-            branch=data.get("branch", "plus"),
-        )
-        spec = biharmonic_helix(hp, s_range)
-    elif family == "helix_family":
-        spec = helix_family_curve(
-            float(data["alpha0"]),
-            float(data["rate"]),
-            float(data.get("a", 0.0)),
-            float(data.get("b", 0.0)),
-            float(data.get("c", 0.0)),
-            float(data.get("d", 0.0)),
-            s_range,
-        )
-    elif family == "one_param_subgroup":
-        spec = one_param_subgroup(np.asarray(data["direction"], dtype=float), s_range)
-    elif family == "geodesic":
-        spec = geodesic_ivp(
-            params,
-            np.asarray(data["point"], dtype=float),
-            np.asarray(data["direction"], dtype=float),
-            s_range,
-        )
-    elif family == "b3zero_linear":
-        a0 = float(data["alpha_start"])
-        rate = float(data["alpha_rate"])
-        spec = replace(
-            b3zero_curve(lambda s: a0 + rate * np.asarray(s, dtype=float), s_range),
-            family={"family": family, "alpha_start": a0, "alpha_rate": rate},
-        )
-    else:
+    loader = _loader(family)
+    if loader is None:
         raise ValueError(f"unknown curve family {family!r}")
+    spec = loader(data, params, s_range)
     if "translated_by" in data:
         spec = left_translate_curve(np.asarray(data["translated_by"], dtype=float), spec)
     return spec, data.get("samples")

@@ -31,7 +31,7 @@ Two routes are provided for the connection and the curvature:
 * a numeric route that follows the same Koszul formula from numbers only:
   5-point central differences of the frame coefficients give the brackets,
   the Koszul formula the connection, and differences of that table along
-  the frame the curvature.  It is the tables' independent cross-check in
+  the frame the curvature.  ``cross_check`` compares the tables with it for
   the ``tensors`` command (connection to ~1e-11, curvature to ~1e-9).
 
 Sign convention.  The curvature operator is
@@ -83,6 +83,7 @@ __all__ = [
     "curvature_table",
     "curvature_term",
     "curvature_table_numeric",
+    "cross_check",
     "curvature_op",
     "riemann_component",
     "ricci_component",
@@ -432,6 +433,23 @@ _FD5_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 _FRAME_STEP = 1e-4  # inner step, per unit of the largest frame coefficient
 _TABLE_STEP = 1e-2  # outer step along the frame vectors
 
+# Closed-form vs finite-difference agreement in ``cross_check``, for entries of
+# size at most 1.  The numeric route's roundoff grows with what it differences:
+# the connection's entries (l/2, 2m x, 2m y) and, for the curvature, terms of
+# size max|G|^2 (the products G G, and 2m F, the derivative of 2m x along e1)
+# that cancel to its constant entries.  So the tolerance scales by max(1,
+# max|G|) for the connection and by its square for the curvature.
+_NUMERIC_TOL = 1e-8
+# Far from the origin the curvature's roundoff outgrows that: the frame
+# stencil's relative roundoff eps / _FRAME_STEP on terms of size max(1, max|G|),
+# differenced again at _TABLE_STEP along frame vectors of length up to max|E|.
+# Measured on 7 000 random points (m in [-0.5, 2], |l| <= 4, |E| up to 2e9),
+# the deviation stays below 1.4 eps max|E| max(1, max|G|) / (_FRAME_STEP
+# _TABLE_STEP); eps |E|^2 alone would need a factor from 60 to 5e3 as |E|
+# falls from 1e6 to 1e2.  The curvature tolerance is the larger of the two,
+# this one with a margin of about 3.
+_ROUNDOFF = 4.0 * float(np.finfo(float).eps) / (_FRAME_STEP * _TABLE_STEP)
+
 
 def _fd5(f, q, directions, step) -> np.ndarray:
     """Derivatives of the table ``f`` at the points q along the rows of
@@ -497,6 +515,20 @@ def curvature_table_numeric(params: ManifoldParams, p) -> np.ndarray:
         + np.einsum("ace,bed->abcd", G, G)
         + np.einsum("abf,fcd->abcd", C, G)
     )
+
+
+def cross_check(params: ManifoldParams, p) -> tuple[float, float, float, float]:
+    """The closed-form tables against the numeric route at one point: the
+    largest deviation of the connection table and its tolerance, then the
+    largest deviation of the curvature table and its tolerance."""
+    q = as_point(p)
+    G = connection_table(params, q)
+    conn_dev = float(np.abs(G - connection_table_numeric(params, q)).max())
+    curv_dev = float(np.abs(curvature_table(params, q) - curvature_table_numeric(params, q)).max())
+    scale = max(1.0, float(np.abs(G).max()))
+    reach = float(np.abs(frame_at(params, q)).max())
+    curv_tol = max(_NUMERIC_TOL * scale * scale, _ROUNDOFF * reach * scale)
+    return conn_dev, _NUMERIC_TOL * scale, curv_dev, curv_tol
 
 
 # ---------------------------------------------------------------------------

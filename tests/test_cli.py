@@ -68,10 +68,21 @@ class TestTensors:
         code, out, _ = run(capsys, "tensors", "--m", m, "--l", l, "--point", point)
         assert code == 0
         tols = [float(v) for v in re.findall(r"\(tol ([^)]*)\)", out.splitlines()[-1])]
-        curv_tol = max(1e-8 * scale**2, cli._ROUNDOFF * reach * scale)
+        curv_tol = max(1e-8 * scale**2, manifold._ROUNDOFF * reach * scale)
         printed = [float(f"{v:g}") for v in (1e-8 * scale, curv_tol)]  # as the line gives them
         assert tols == pytest.approx(printed, rel=1e-12)
         assert out.splitlines()[-1].endswith(" PASS")
+
+    def test_cross_check_at_the_origin(self, capsys):
+        # manifold.cross_check: both deviations within their tolerances, and
+        # the tolerances are the ones the tensors line prints
+        conn_dev, conn_tol, curv_dev, curv_tol = manifold.cross_check(hc.HEISENBERG, np.zeros(3))
+        assert conn_dev <= conn_tol and curv_dev <= curv_tol
+        code, out, _ = run(capsys, "tensors", "--m", "0", "--l", "1")
+        assert code == 0
+        last = out.splitlines()[-1]
+        assert re.findall(r"\(tol ([^)]*)\)", last) == [f"{conn_tol:g}", f"{curv_tol:g}"]
+        assert re.findall(r"dev (\S+)", last) == [f"{conn_dev:.3e}", f"{curv_dev:.3e}"]
 
     def test_cross_check_fails_on_a_wrong_table(self, capsys, monkeypatch):
         exact = manifold.curvature_table

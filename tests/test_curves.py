@@ -20,6 +20,7 @@ from heiscurves.curves import _check_uniform_s
 from heiscurves.numerics import (
     cumulative_simpson,
     derivative_on_grid,
+    TILE,
     interior_slice,
     stencil_weights,
 )
@@ -191,6 +192,17 @@ class TestSampleCurve:
         hc.write_samples_csv(path, samples, include_velocity=True)
         with pytest.raises(hc.NonUnitSpeed, match="sample 137"):
             hc.import_samples(H, *hc.read_samples_csv(path))
+
+    @pytest.mark.parametrize("spike,where", [(1e-2, 2 * TILE + 1), (np.nan, TILE + 100)])
+    def test_unit_speed_names_its_worst_sample_past_the_first_tile(self, spike, where):
+        # given velocities on three tiles deviate by 1e-3 at sample 50 and by
+        # more, or by NaN, in a later tile: the message names the later sample
+        n = 2 * TILE + 7
+        vel = np.tile([0.6, 0.0, 0.8], (n, 1))
+        vel[50] *= 1.0 + 1e-3
+        vel[where] *= 1.0 + spike
+        with pytest.raises(hc.NonUnitSpeed, match=rf"at sample {where} "):
+            hc.import_samples(H, np.linspace(0.0, 1.0, n), np.zeros((n, 3)), vel)
 
     @pytest.mark.parametrize("s_shape,points_shape,velocity_shape", [
         ((4001,), (4501, 3), None),     # more points than arclengths

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heiscurves as hc
@@ -180,6 +180,39 @@ def test_tiles_cover_the_curve_and_its_interior(n, depth, velocity_depth):
     expected = np.zeros(n, dtype=int)
     expected[interior] = 1
     assert np.array_equal(inner_seen, expected)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+# the worst sample in the last tile, tied in the second and third, and a NaN
+# in the second tile after a tie in the first
+@example(n=2 * TILE + 7, depth=3, velocity_depth=1, seed=1, levels=3, peaks=[0.9], nans=[])
+@example(n=2 * TILE + 7, depth=0, velocity_depth=0, seed=2, levels=2, peaks=[0.5, 0.8], nans=[])
+@example(n=2 * TILE + 7, depth=2, velocity_depth=0, seed=3, levels=1, peaks=[0.1, 0.2], nans=[0.6])
+@given(n=st.integers(9, 3 * TILE + 7), depth=st.integers(0, 3), velocity_depth=st.integers(0, 1),
+       seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 4),
+       peaks=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=3),
+       nans=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=2))
+def test_interior_max_is_the_first_worst_interior_sample(n, depth, velocity_depth, seed, levels,
+                                                        peaks, nans):
+    """``CurveSamples.interior_max`` over the tiles returns the whole
+    interior's maximum and the absolute index of its first NaN, or else of
+    its first largest value.  A residual of a few levels below 1 repeats
+    its maximum; one raised to 1 at ``peaks`` (fractions of the curve)
+    repeats it where drawn."""
+    samples = _flat_samples(n, velocity_depth=velocity_depth)
+    r = np.random.default_rng(seed).integers(0, levels, n) / levels
+    r[[int(f * n) for f in peaks]] = 1.0
+    r[[int(f * n) for f in nans]] = np.nan
+    try:
+        interior = samples.interior(depth)
+    except hc.TooFewSamples:
+        with pytest.raises(hc.TooFewSamples):
+            samples.interior_max(lambda w: r[w], depth)
+        return
+    value, sample = samples.interior_max(lambda w: r[w], depth)
+    expected = r[interior]
+    assert _bits(np.float64(value)) == _bits(expected.max())
+    assert sample == interior.start + int(np.argmax(expected))
 
 
 def _spiked_series(params, n, p):

@@ -7,7 +7,10 @@ commands (H3 and (m, l) = (0.25, 1.2)) with velocities, and ``verify
 --json`` on the helix CSV, on its ``s,x,y,z`` columns alone, the input
 whose velocities ``verify`` differences, and on a horizontal H3 curve with
 an inflection point, which ``verify`` finds not biharmonic (exit 1) at
-every n.  It prints ``n  sha256  name`` for
+every n.  It also runs the commands whose outputs do not depend on n:
+``tensors --json`` on H3 at the origin, on (m, l) = (0.25, 1.2) at (1, 2, 3)
+and on (2, 1) at (1000, 0, 0), ``cone`` on one direction and on a sweep,
+and ``scan`` of both branches to a CSV.  It prints ``n  sha256  name`` for
 every file and for every command's stdout and stderr, and ``n  exit N  name``
 for every exit code, n being the sample count.  Diff two runs:
 
@@ -38,12 +41,22 @@ def commands(n: int) -> list[tuple[str, list[str]]]:
                 "--length", "1000", "--samples", str(n), "--with-velocity", "--out", name])
         for name, m, l in (("h3_geodesic", "0", "1"), ("ml_geodesic", "0.25", "1.2"))
     ]
+    tensors = [
+        (name, ["tensors", "--m", m, "--l", l, "--point", point, "--json", f"{name}.json"])
+        for name, m, l, point in (("tensors_h3", "0", "1", "0,0,0"),
+                                  ("tensors_ml", "0.25", "1.2", "1,2,3"),
+                                  ("tensors_far", "2", "1", "1000,0,0"))
+    ]
     return [
         ("generate", helix),
         *geodesics,
         ("verify", ["verify", "helix.csv", "--json", "verify.json"]),
         ("verify_positions", ["verify", "positions.csv", "--json", "verify_positions.json"]),
         ("verify_inflection", ["verify", "inflection.csv", "--json", "verify_inflection.json"]),
+        *tensors,
+        ("cone_direction", ["cone", "--direction", "0,0.6,0.8"]),
+        ("cone_sweep", ["cone", "--sweep", "7"]),
+        ("scan", ["scan", "--branch", "both", "--out", "scan.csv"]),
     ]
 
 
