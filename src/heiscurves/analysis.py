@@ -461,14 +461,16 @@ class ClassificationResult:
     def is_biharmonic(self) -> bool:
         return self.verdict in ("geodesic", "nongeodesic_biharmonic")
 
-    def to_json(self) -> str:
-        payload = {
+    def as_dict(self) -> dict:
+        return {
             "verdict": self.verdict,
             "biharmonic": self.is_biharmonic,
             "checks": {name: c.as_dict() for name, c in self.checks.items()},
             "values": self.values,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
 def classify_curve(
@@ -541,7 +543,7 @@ def cone_membership(params: ManifoldParams, X: FrameVector) -> str:
     if not params.is_heisenberg:
         raise UnsupportedManifold("the biharmonic cone is implemented for (0, 1) only")
     nrm = X.norm()
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:  # NaN fails too
         raise NonUnitVector(f"direction must be unit, |X| = {nrm:.12f}")
     cos_a = float(X.components[2])
     if admissible_cos(cos_a) and 1.0 - cos_a * cos_a > 1e-12:

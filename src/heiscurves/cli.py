@@ -94,6 +94,8 @@ def _parse_triple(text: str, what: str) -> np.ndarray:
         raise ValueError(f"cannot parse {what} {text!r}; expected three comma-separated numbers")
     if len(parts) != 3:
         raise ValueError(f"{what} needs exactly three components, got {len(parts)}")
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"{what} must be finite, got {text!r}")
     return np.asarray(parts, dtype=float)
 
 
@@ -232,33 +234,26 @@ def cmd_generate(args, file_cfg: dict) -> int:
     report = analysis.bitension_report(samples, config)
     result = analysis.classify_curve(report.frenet, config)
 
-    out = args.out
-    # .frenet.json writes the CSV's text of s, the points and (with --with-velocity) T again
-    with crv._shared_text(samples.s, *samples.points.T, *samples.velocity_frame.T):
-        crv.write_samples_csv(f"{out}.csv", samples, include_velocity=args.with_velocity)
-        crv.write_frenet_json(f"{out}.frenet.json", report.frenet)
-        analysis.residuals_to_csv(f"{out}.residuals.csv", report)
-    _write_text(f"{out}.report.json", report.to_json())
-    _write_text(f"{out}.classification.json", result.to_json())
-    _write_text(f"{out}.params.json", factory.dump_curve_params(spec, args.samples))
-
-    written = [
-        f"{out}.csv",
-        f"{out}.frenet.json",
-        f"{out}.report.json",
-        f"{out}.classification.json",
-        f"{out}.params.json",
-        f"{out}.residuals.csv",
-    ]
+    suffixes = [".csv", ".frenet.json", ".report.json", ".classification.json", ".params.json",
+                ".residuals.csv"]
+    if args.surfaces:
+        suffixes += [".cylinder.csv", ".helicoid.csv"]
+    path = {suffix: f"{args.out}{suffix}" for suffix in suffixes}
+    with crv._shared_text():  # .frenet.json writes the text .csv has written
+        crv.write_samples_csv(path[".csv"], samples, include_velocity=args.with_velocity)
+        crv.write_frenet_json(path[".frenet.json"], report.frenet)
+        analysis.residuals_to_csv(path[".residuals.csv"], report)
+    _write_text(path[".report.json"], report.to_json())
+    _write_text(path[".classification.json"], result.to_json())
+    _write_text(path[".params.json"], factory.dump_curve_params(spec, args.samples))
     if args.surfaces:
         nu, nv = args.surface_grid
         u_vals = np.linspace(s_range[0], s_range[1], nu)
         zs = samples.points[:, 2]
         v_cyl = np.linspace(zs.min(), zs.max(), nv)
         v_hel = np.linspace(0.0, 1.25, nv)
-        _write_surface_csv(f"{out}.cylinder.csv", factory.cylinder_patch(hp), u_vals, v_cyl)
-        _write_surface_csv(f"{out}.helicoid.csv", factory.helicoid_patch(hp), u_vals, v_hel)
-        written += [f"{out}.cylinder.csv", f"{out}.helicoid.csv"]
+        _write_surface_csv(path[".cylinder.csv"], factory.cylinder_patch(hp), u_vals, v_cyl)
+        _write_surface_csv(path[".helicoid.csv"], factory.helicoid_patch(hp), u_vals, v_hel)
 
     print(f"alpha0 = {alpha0:.12g}, branch = {hp.branch}, rate A = {spec.family['rate']:.12g}")
     print(
@@ -266,8 +261,8 @@ def cmd_generate(args, file_cfg: dict) -> int:
         f"expansion agreement = {report.expansion_agreement:.3e}"
     )
     print(f"verdict: {result.verdict}")
-    for path in written:
-        print(f"wrote {path}")
+    for written in path.values():
+        print(f"wrote {written}")
     return 0
 
 
@@ -293,7 +288,7 @@ def cmd_verify(args, file_cfg: dict) -> int:
         if key in result.values:
             print(f"  {key} = {result.values[key]:.9g}")
     if args.json:
-        payload = json.loads(result.to_json())
+        payload = result.as_dict()
         payload["max_interior_tau2"] = series.max_residual
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -318,7 +313,7 @@ def cmd_geodesic(args, file_cfg: dict) -> int:
     samples = crv.sample_curve(spec, args.samples, config)
     t1 = analysis.tension1(samples)
     t1_max = samples.interior_max(lambda w: np.linalg.norm(t1[w], axis=1), 1)[0]
-    drift = float(np.abs(np.linalg.norm(samples.velocity_frame, axis=1) - 1.0).max())
+    drift = crv._speed_deviation(samples)[0]
 
     crv.write_samples_csv(f"{args.out}.csv", samples, include_velocity=args.with_velocity)
     print(f"geodesic from ({args.point}) direction ({args.direction}) length {args.length:g}")

@@ -164,16 +164,23 @@ class CurveSamples:
 
 def _uniform_grid(s_range: tuple[float, float], n: int) -> np.ndarray:
     s0, s1 = float(s_range[0]), float(s_range[1])
+    if not (math.isfinite(s0) and math.isfinite(s1)):
+        raise ValueError(f"s_range must be finite, got ({s0!r}, {s1!r})")
     if not s1 > s0:
         raise ValueError("s_range must be increasing")
     return np.linspace(s0, s1, n)
 
 
+def _speed_deviation(samples: CurveSamples) -> tuple[float, int]:
+    """The largest | |v| - 1 | on ``samples.interior(0)`` and its sample."""
+    vel = samples.velocity_frame  # |v| a tile at a time, without an (n, 3) temporary
+    return samples.interior_max(lambda w: np.abs(np.linalg.norm(vel[w], axis=1) - 1.0), 0)
+
+
 def _validate_unit_speed(samples: CurveSamples, config: NumericsConfig) -> None:
     """Unit speed on ``samples.interior(0)``: every row of given velocities,
     and the rows clear of one-sided stencils where they were differenced."""
-    vel = samples.velocity_frame  # |v| a tile at a time, without an (n, 3) temporary
-    dev, worst = samples.interior_max(lambda w: np.abs(np.linalg.norm(vel[w], axis=1) - 1.0), 0)
+    dev, worst = _speed_deviation(samples)
     if not dev <= config.unit_speed_tol:
         raise NonUnitSpeed(
             f"|velocity| deviates from 1 by {dev:.3e} at sample "
@@ -582,39 +589,22 @@ def _pack(rows: np.ndarray) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
-_SHARED_TEXT: ContextVar[dict | None] = ContextVar("heiscurves_shared_text", default=None)
-
-
-def _memory_key(a: np.ndarray) -> tuple:
-    return (a.__array_interface__["data"][0], a.shape, a.strides)
+_SHARED_TEXT: ContextVar[list | None] = ContextVar("heiscurves_shared_text", default=None)
 
 
 @contextmanager
-def _shared_text(*arrays):
-    """Inside the block ``_write_table`` keeps the packed text of each of
-    ``arrays`` that it writes, one bytes object per block of rows, and
-    ``_json_items`` writes that text again instead of formatting it.
-    ``generate`` names s, the points and the velocities, which its CSV
-    writes before its ``.frenet.json``.  An array is keyed by the memory it
-    views and held, so that its memory is not reused; the arrays must not
-    change inside the block."""
-    kept = {}
-    for a in arrays:
-        a = np.asarray(a, dtype=float)
-        kept[_memory_key(a)] = (a, [])
-    token = _SHARED_TEXT.set(kept)
+def _shared_text():
+    """Inside the block ``write_samples_csv`` keeps the packed text of each
+    column, one bytes object per block of rows, under its ``CurveSamples``
+    and the column's header name, and ``_frenet_json_parts`` writes the text
+    kept for ``frenet.samples`` (found by identity) again instead of
+    formatting s, the points and T.  The samples must not change inside the
+    block."""
+    token = _SHARED_TEXT.set([])
     try:
         yield
     finally:
         _SHARED_TEXT.reset(token)
-
-
-def _kept_blocks(a: np.ndarray) -> Optional[list[bytes]]:
-    """The packed blocks ``_shared_text`` keeps for ``a`` so far; None where
-    it keeps none."""
-    kept = _SHARED_TEXT.get()
-    entry = None if kept is None else kept.get(_memory_key(a))
-    return None if entry is None else entry[1]
 
 
 def _text(a) -> str:
@@ -627,14 +617,15 @@ def _text(a) -> str:
     return _pack(rows)[:-1].decode("ascii")
 
 
-def _write_table(path, header, columns) -> None:
+def _write_table(path, header, columns, keep: dict | None = None) -> None:
     """Write ``header`` and one row per sample of the 1-D ``columns``, each
     field the kernel's ``%.17g`` text, each line ended by ``\\r\\n``; a
     ``None`` column leaves its field empty.  The columns' rows are laid out
-    side by side and written ``_ROWS_PER_WRITE`` lines at a time.  Inside
-    ``_shared_text`` the text of a named column is kept as it is written."""
+    side by side and written ``_ROWS_PER_WRITE`` lines at a time.  With
+    ``keep``, the packed text of each column goes to the list under its
+    header name there, one bytes object per block."""
     columns = [None if c is None else np.asarray(c, dtype=float) for c in columns]
-    kept = [None if c is None else _kept_blocks(c) for c in columns]
+    kept = None if keep is None else [keep.setdefault(name, []) for name in header]
     n = len(next(c for c in columns if c is not None))
     layout = np.empty((min(n, _ROWS_PER_WRITE), len(columns), _ROW_BYTES), dtype=np.uint8)
     with open(path, "wb") as fh:
@@ -646,7 +637,7 @@ def _write_table(path, header, columns) -> None:
                     rows[:, j] = _row_of(b",")
                     continue
                 _percent_17g_rows(column[start : start + len(rows)], rows[:, j])
-                if kept[j] is not None and len(kept[j]) == start // _ROWS_PER_WRITE:
+                if kept is not None:
                     kept[j].append(_pack(rows[:, j]))
             last = rows[:, -1]
             last[last == ord(",")] = ord("\r")  # a field from ``%`` ends before byte 46
@@ -655,10 +646,14 @@ def _write_table(path, header, columns) -> None:
 
 
 def write_samples_csv(path, samples: CurveSamples, include_velocity: bool = False) -> None:
-    """Write rows ``s,x,y,z`` (plus frame components ``vx,vy,vz`` on request)."""
+    """Write rows ``s,x,y,z`` (plus frame components ``vx,vy,vz`` on request);
+    inside ``_shared_text`` each column's text is kept for ``write_frenet_json``."""
     width = 7 if include_velocity else 4
     columns = [samples.s, *samples.points.T, *samples.velocity_frame.T]
-    _write_table(path, ["s", "x", "y", "z", "vx", "vy", "vz"][:width], columns[:width])
+    shared, keep = _SHARED_TEXT.get(), None
+    if shared is not None:
+        shared.append((samples, keep := {}))
+    _write_table(path, ["s", "x", "y", "z", "vx", "vy", "vz"][:width], columns[:width], keep)
 
 
 def _loadtxt_float(text: str) -> float:
@@ -730,14 +725,13 @@ def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]
     return data[:, 0], data[:, 1:4], vel
 
 
-def _json_items(a: np.ndarray, rows: np.ndarray):
+def _json_items(a: np.ndarray, rows: np.ndarray, kept: list[bytes] | None):
     """The items of the JSON list of the 1-D series ``a``, each followed by a
     comma, as one bytes object per block of ``_ROWS_PER_WRITE``: ``true`` or
     ``false``, or the kernel's ``%.17g`` text of a number, with null where it
     is not finite and ``-0.0`` for negative zero (its text ``-0`` would read
-    back as the integer 0).  A block whose text ``_shared_text`` keeps, and
-    that needs neither, is that text."""
-    kept = _kept_blocks(a)
+    back as the integer 0).  A block that needs neither is its text in
+    ``kept``, where given: the packed blocks of ``a`` that a CSV wrote."""
     for block, start in enumerate(range(0, len(a), _ROWS_PER_WRITE)):
         v = a[start : start + _ROWS_PER_WRITE]
         if a.dtype == bool:
@@ -745,7 +739,7 @@ def _json_items(a: np.ndarray, rows: np.ndarray):
             continue
         nulls = ~np.isfinite(v)
         negative_zeros = (v == 0.0) & np.signbit(v)
-        if kept is not None and block < len(kept) and not (nulls.any() or negative_zeros.any()):
+        if kept is not None and not (nulls.any() or negative_zeros.any()):
             yield kept[block]
             continue
         out = rows[: len(v)]
@@ -755,18 +749,19 @@ def _json_items(a: np.ndarray, rows: np.ndarray):
         yield _pack(out)
 
 
-def _json_list_parts(a: np.ndarray, rows: np.ndarray):
+def _json_list_parts(a: np.ndarray, rows: np.ndarray, kept):
     """The JSON text of a per-sample series, in parts: a list of booleans or
-    numbers, or for an (n, 3) series its three component lists."""
+    numbers, or for an (n, 3) series its three component lists; ``kept`` is
+    the kept text of the list (``_json_items``), or of each component."""
     if a.ndim == 2:
-        for opening, component in zip((b"[", b",", b","), a.T):
+        for opening, component, text in zip((b"[", b",", b","), a.T, kept or (None,) * 3):
             yield opening
-            yield from _json_list_parts(component, rows)
+            yield from _json_list_parts(component, rows, text)
         yield b"]"
         return
     yield b"["
     last = (len(a) - 1) // _ROWS_PER_WRITE
-    for block, items in enumerate(_json_items(a, rows)):
+    for block, items in enumerate(_json_items(a, rows, kept)):
         yield items if block < last else memoryview(items)[:-1]
     yield b"]"
 
@@ -807,12 +802,15 @@ def _frenet_json_parts(frenet: FrenetSeries):
         },
         "stencil_order": STENCIL_ORDER,
     }
+    text = next((text for written, text in _SHARED_TEXT.get() or () if written is samples), {})
+    kept = {"s": text.get("s"), "point": [text.get(c) for c in ("x", "y", "z")],
+            "T": [text.get(c) for c in ("vx", "vy", "vz")]}
     rows = np.empty((min(samples.n, _ROWS_PER_WRITE), _ROW_BYTES), dtype=np.uint8)
     # "columns" sorts before every other key, so it leads the object
     opening = b'{"columns":{'
     for name, series in columns.items():
         yield opening + f'"{name}":'.encode("ascii")
-        yield from _json_list_parts(series, rows)
+        yield from _json_list_parts(series, rows, kept.get(name))
         opening = b","
     yield b"}," + json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:].encode("ascii")
 
@@ -832,7 +830,8 @@ def frenet_to_json(frenet: FrenetSeries) -> str:
 def write_frenet_json(path, frenet: FrenetSeries) -> None:
     """Write ``frenet_to_json(frenet)`` to ``path`` part by part, so that
     the number text of one block of ``_ROWS_PER_WRITE`` samples of one
-    series is held at a time; inside ``_shared_text`` the CSV's kept text
-    of s, the points and T is held until the block ends."""
+    series is held at a time.  Inside ``_shared_text``, after
+    ``write_samples_csv`` of the same samples, the CSV's text of s, the
+    points and (with its velocity columns) T is written again."""
     with open(path, "wb") as fh:
         fh.writelines(_frenet_json_parts(frenet))

@@ -104,6 +104,10 @@ class HelixParams:
     branch: str = "plus"
 
     def __post_init__(self):
+        constants = {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
+        bad = [f"{name} = {value!r}" for name, value in constants.items() if not math.isfinite(value)]
+        if bad:
+            raise ValueError(f"helix constants must be finite, got {', '.join(bad)}")
         if self.branch not in ("plus", "minus"):
             raise ValueError(f"branch must be 'plus' or 'minus', got {self.branch!r}")
         if not 0.0 < self.alpha0 < math.pi:
@@ -270,7 +274,7 @@ def _require_unit(v: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
     if v.shape != (3,):
         raise NonUnitVector(f"{what} must have 3 components")
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > tol:
+    if not abs(nrm - 1.0) <= tol:  # NaN fails too
         raise NonUnitVector(f"{what} must be unit, |v| = {nrm:.12f}")
     return v
 

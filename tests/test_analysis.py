@@ -338,6 +338,11 @@ class TestCone:
                 hc.ManifoldParams(1.0, 2.0), mf.FrameVector(np.zeros(3), [0.0, 0.0, 1.0])
             )
 
+    def test_nan_direction_rejected(self):
+        # NaN passed ``abs(|X| - 1) > tol`` and was classified
+        with pytest.raises(hc.NonUnitVector):
+            hc.cone_membership(H, mf.FrameVector(np.zeros(3), [0.0, np.nan, 0.0]))
+
 
 class TestLegendrePairing:
     def test_helix_constant_cos(self, figure1_samples):

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -520,11 +521,11 @@ class TestWritersPerGenerate:
         assert code == 0
         assert counts == {"write_samples_csv": 1, "write_frenet_json": 1, "residuals_to_csv": 1}
 
-    def test_generate_formats_each_column_once(self, capsys, monkeypatch, tmp_path):
-        # the three files hold 7 + 15 + 5 float columns; .frenet.json takes
-        # the text of s, the points and the velocities from the CSV, so the
-        # kernel formats the other 20 columns.  residuals.csv formats s again
-        n = 501
+    @staticmethod
+    def _formatted(capsys, monkeypatch, tmp_path, n, *flags):
+        """Run ``generate`` with ``flags``; return the lengths the kernel
+        formats, the kept text it sees at each call, the arrays it formats
+        while .frenet.json is written, and the Frenet series written."""
         formatted, memos, in_json, frenets, writing = [], [], [], [], []
         kernel, json_writer = curves._percent_17g_rows, curves.write_frenet_json
 
@@ -551,20 +552,48 @@ class TestWritersPerGenerate:
             "--sin-alpha0", repr(1.0 / math.sqrt(10.0)),
             "--samples", str(n),
             "--s1", repr(2.0 * math.pi),
-            "--with-velocity",
+            *flags,
             "--out", str(tmp_path / "curve"),
         )
         assert code == 0
+        assert curves._SHARED_TEXT.get() is None
+        return formatted, memos, in_json, frenets[0]
+
+    def test_generate_formats_each_column_once(self, capsys, monkeypatch, tmp_path):
+        # the three files hold 7 + 15 + 5 float columns; .frenet.json takes
+        # the text of s, the points and the velocities from the CSV, so the
+        # kernel formats the other 20 columns.  residuals.csv formats s again
+        n = 501
+        formatted, memos, in_json, frenet = self._formatted(
+            capsys, monkeypatch, tmp_path, n, "--with-velocity"
+        )
         assert sum(formatted) == 20 * n
         assert memos[0] is not None and all(memo is memos[0] for memo in memos)
-        assert len(memos[0]) == 7
-        assert all(len(blocks) == 1 for _, blocks in memos[0].values())
-        assert curves._SHARED_TEXT.get() is None
+        # the CSV's text is kept once, under the samples .frenet.json writes
+        [(samples, text)] = memos[0]
+        assert samples is frenet.samples
+        assert sorted(text) == sorted(["s", "x", "y", "z", "vx", "vy", "vz"])
+        assert all(len(blocks) == 1 for blocks in text.values())
         # while .frenet.json is written, only k, tau, N and B go through the kernel
-        frenet = frenets[0]
         assert len(in_json) == 8
         for a in in_json:
             for shared in (frenet.samples.s, frenet.samples.points, frenet.samples.velocity_frame):
+                assert not np.may_share_memory(a, shared)
+
+    def test_generate_without_velocity_formats_T_for_the_json(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # the CSV holds s and the points alone, so .frenet.json formats T
+        # itself: 4 + 11 + 5 columns
+        n = 501
+        formatted, memos, in_json, frenet = self._formatted(capsys, monkeypatch, tmp_path, n)
+        assert sum(formatted) == 20 * n
+        [(samples, text)] = memos[0]
+        assert samples is frenet.samples and sorted(text) == sorted(["s", "x", "y", "z"])
+        assert len(in_json) == 11
+        assert sum(np.may_share_memory(a, frenet.samples.velocity_frame) for a in in_json) == 3
+        for a in in_json:
+            for shared in (frenet.samples.s, frenet.samples.points):
                 assert not np.may_share_memory(a, shared)
 
     def test_shared_text_changes_no_byte(self, capsys, monkeypatch, tmp_path):
@@ -582,7 +611,7 @@ class TestWritersPerGenerate:
         (tmp_path / "alone").mkdir()
         assert run(capsys, *argv, "--out", str(tmp_path / "kept" / "curve"))[0] == 0
         with monkeypatch.context() as patch:
-            patch.setattr(curves, "_shared_text", lambda *arrays: contextlib.nullcontext())
+            patch.setattr(curves, "_shared_text", contextlib.nullcontext)
             assert run(capsys, *argv, "--out", str(tmp_path / "alone" / "curve"))[0] == 0
         names = sorted(p.name for p in (tmp_path / "kept").iterdir())
         assert len(names) == 8
@@ -605,18 +634,19 @@ class TestWritersPerGenerate:
 
         monkeypatch.setattr(curves, "_percent_17g_rows", spied)
         first = tmp_path / "first"
-        with curves._shared_text(samples.s, *samples.points.T, *samples.velocity_frame.T):
+        with curves._shared_text():
             hc.write_frenet_json(f"{first}.frenet.json", frenet)
             assert sum(formatted) == 15 * n
             hc.write_samples_csv(f"{first}.csv", samples, include_velocity=True)
-            kept = curves._SHARED_TEXT.get()
-            assert all(len(blocks) == -(-n // 64) for _, blocks in kept.values())
-            # another view of the same memory finds the kept text; another
-            # shape or stride from the same start address does not
-            x = samples.points[:, 0]
-            assert curves._kept_blocks(x) is not None
-            assert curves._kept_blocks(x) is curves._kept_blocks(samples.points.T[0])
-            assert curves._kept_blocks(x[::2]) is None and curves._kept_blocks(x[:7]) is None
+            [(kept_samples, text)] = curves._SHARED_TEXT.get()
+            assert kept_samples is samples
+            assert all(len(blocks) == -(-n // 64) for blocks in text.values())
+            # written after the CSV, .frenet.json formats k, tau, N and B alone
+            formatted.clear()
+            hc.write_frenet_json(f"{first}.again.frenet.json", frenet)
+            assert sum(formatted) == 8 * n
+        assert Path(f"{first}.again.frenet.json").read_bytes() == Path(
+            f"{first}.frenet.json").read_bytes()
         for suffix in (".frenet.json", ".csv"):
             expected = (tmp_path / "kept" / f"curve{suffix}").read_bytes()
             assert Path(f"{first}{suffix}").read_bytes() == expected, suffix
@@ -676,6 +706,34 @@ class TestConeCommand:
         code, _, err = run(capsys, "cone", "--direction", "1,1,1")
         assert code == 2
         assert "unit" in err
+
+
+class TestNonFiniteInput:
+    """A NaN or an infinity on the command line fails with exit 2 and an
+    error that names it, before any numerics run (so without a warning)."""
+
+    HELIX = ["generate", "--sin-alpha0", "0.3"]
+
+    @pytest.mark.parametrize("argv,cause", [
+        (["cone", "--direction", "0,nan,0"], "--direction must be finite, got '0,nan,0'"),
+        (["geodesic", "--point", "0,0,0", "--direction", "nan,0,1"],
+         "--direction must be finite, got 'nan,0,1'"),
+        (["geodesic", "--point", "0,0,0", "--direction", "inf,0,0"],
+         "--direction must be finite, got 'inf,0,0'"),
+        (["geodesic", "--point", "0,0,0", "--direction", "0.6,0,0.8", "--length", "inf"],
+         "s_range must be finite, got (0.0, inf)"),
+        ([*HELIX, "--s1", "inf"], "s_range must be finite, got (0.0, inf)"),
+        ([*HELIX, "--a", "inf"], "helix constants must be finite, got a = inf"),
+    ], ids=["cone-direction", "geodesic-nan-direction", "geodesic-inf-direction",
+            "geodesic-length", "generate-s1", "generate-a"])
+    def test_exit_two_naming_the_cause(self, capsys, tmp_path, argv, cause):
+        out = [] if argv[0] == "cone" else ["--out", str(tmp_path / "curve")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, *argv, *out)
+        assert code == 2 and stdout == ""
+        assert err == f"error: {cause}\n"
+        assert not list(tmp_path.iterdir())
 
 
 class TestScanCommand:

@@ -169,6 +169,18 @@ class TestSampleCurve:
         with pytest.raises(hc.TooFewSamples):
             hc.sample_curve(spec, 8)
 
+    @pytest.mark.parametrize("s_range", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+    def test_range_must_be_finite(self, s_range):
+        # such a range used to reach the sampler and fail its unit-speed
+        # check with |v| = nan
+        with pytest.raises(ValueError, match="s_range must be finite"):
+            hc.sample_curve(vertical_line_spec(s_range=s_range), 11)
+
+    @pytest.mark.parametrize("s_range", [(1.0, 1.0), (1.0, 0.0)])
+    def test_range_must_increase(self, s_range):
+        with pytest.raises(ValueError, match="s_range must be increasing"):
+            hc.sample_curve(vertical_line_spec(s_range=s_range), 11)
+
     def test_nonuniform_rejected(self):
         s = np.array([0.0, 0.1, 0.25, 0.3])
         with pytest.raises(hc.NonMonotone):
@@ -740,12 +752,19 @@ class TestTextCodec:
             for header, columns in tables:
                 curves._write_table(path, header, columns)
                 assert path.read_bytes() == _one_format_table(header, columns), (header, n)
-            # inside ``_shared_text`` the first table keeps the text of a and s,
-            # and the later ones format it again
-            with curves._shared_text(a, s):
-                for header, columns in tables:
-                    curves._write_table(path, header, columns)
-                    assert path.read_bytes() == _one_format_table(header, columns), (header, n)
+            # with ``keep`` each column's text is kept, one block at a time, as
+            # the CSV lays it out, and the bytes written do not change
+            for header, columns in tables:
+                keep = {}
+                curves._write_table(path, header, columns, keep)
+                assert path.read_bytes() == _one_format_table(header, columns), (header, n)
+                for name, column in zip(header, columns):
+                    blocks = keep[name]
+                    if column is None:
+                        assert blocks == []
+                        continue
+                    assert len(blocks) == -(-n // block)
+                    assert b"".join(blocks) == "".join("%.17g," % v for v in column).encode()
 
     @staticmethod
     def _json_oracle(a) -> str:
@@ -767,7 +786,8 @@ class TestTextCodec:
     ):
         # on either side of a block end: the figure helix, a geodesic (N, B and
         # tau all null) and series with negative zeros, also where s, the
-        # points and T are kept from the CSV, as ``generate`` writes them
+        # points and (with the velocity columns) T are kept from the CSV, as
+        # ``generate`` writes them
         if rows_per_write is not None:
             monkeypatch.setattr(curves, "_ROWS_PER_WRITE", rows_per_write)
         block = curves._ROWS_PER_WRITE
@@ -803,10 +823,11 @@ class TestTextCodec:
                 assert text.startswith('{"columns":{' + head + "},"), n
                 hc.write_frenet_json(path, fr)
                 assert path.read_bytes() == text.encode("ascii"), n
-                with curves._shared_text(samples.s, *samples.points.T, *samples.velocity_frame.T):
-                    hc.write_samples_csv(tmp_path / "curve.csv", samples, include_velocity=True)
-                    hc.write_frenet_json(path, fr)
-                assert path.read_bytes() == text.encode("ascii"), n
+                for include_velocity in (True, False):
+                    with curves._shared_text():
+                        hc.write_samples_csv(tmp_path / "curve.csv", samples, include_velocity)
+                        hc.write_frenet_json(path, fr)
+                    assert path.read_bytes() == text.encode("ascii"), (n, include_velocity)
 
     def test_text_is_percent_17g(self):
         a = self.SPECIAL

@@ -117,6 +117,12 @@ class TestBranchRoot:
 
 
 class TestBiharmonicHelix:
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_constant_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} = {value!r}"):
+            hc.HelixParams(alpha0=FIGURE1_ALPHA0, **{name: value})
+
     def test_figure_parameters_start_point(self):
         # a = b = c = 1, d = 0, sin(alpha0) = 1/sqrt(10)
         hp = hc.HelixParams(alpha0=FIGURE1_ALPHA0, a=1.0, b=1.0, c=1.0, d=0.0)
@@ -336,6 +342,11 @@ class TestGeodesics:
     def test_nonunit_direction_rejected(self):
         with pytest.raises(hc.NonUnitVector):
             hc.geodesic_ivp(H, [0.0, 0.0, 0.0], [1.0, 1.0, 0.0], (0.0, 1.0))
+
+    @pytest.mark.parametrize("params", [H, hc.ManifoldParams(0.25, 1.2)])
+    def test_nan_direction_rejected(self, params):
+        with pytest.raises(hc.NonUnitVector):
+            hc.geodesic_ivp(params, [0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], (0.0, 1.0))
 
     def test_cone_direction_also_tangent_to_helix(self):
         # same point, same initial velocity: the geodesic and the biharmonic
@@ -681,6 +692,10 @@ class TestSubgroups:
     def test_requires_unit_direction(self):
         with pytest.raises(hc.NonUnitVector):
             hc.one_param_subgroup(np.array([1.0, 2.0, 3.0]))
+
+    def test_nan_direction_rejected(self):
+        with pytest.raises(hc.NonUnitVector):
+            hc.one_param_subgroup(np.array([0.0, np.nan, 1.0]))
 
     def test_requires_heisenberg(self):
         with pytest.raises(hc.UnsupportedManifold):

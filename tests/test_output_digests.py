@@ -9,10 +9,12 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 FILES = ["h3_geodesic.csv", "helix.classification.json", "helix.csv", "helix.cylinder.csv",
          "helix.frenet.json", "helix.helicoid.csv", "helix.params.json", "helix.report.json",
-         "helix.residuals.csv", "inflection.csv", "ml_geodesic.csv", "positions.csv", "scan.csv",
+         "helix.residuals.csv", "inflection.csv", "ml_geodesic.csv", "plain.classification.json",
+         "plain.csv", "plain.frenet.json", "plain.params.json", "plain.report.json",
+         "plain.residuals.csv", "positions.csv", "scan.csv",
          "tensors_far.json", "tensors_h3.json", "tensors_ml.json", "verify.json",
          "verify_inflection.json", "verify_positions.json"]
-COMMANDS = ["generate", "h3_geodesic", "ml_geodesic", "verify", "verify_positions",
+COMMANDS = ["generate", "generate_plain", "h3_geodesic", "ml_geodesic", "verify", "verify_positions",
             "verify_inflection", "tensors_h3", "tensors_ml", "tensors_far", "cone_direction",
             "cone_sweep", "scan"]
 EXITS = {"verify_inflection": 1}  # the inflection curve is not biharmonic

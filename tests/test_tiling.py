@@ -20,6 +20,10 @@ H = hc.HEISENBERG
 # one tile up to TILE samples, two at TILE + 1 (the shortest tiles), three
 # at 2 TILE + 7, where the middle tile has a halo on both sides
 SIZES = (TILE - 1, TILE, TILE + 1, 2 * TILE + 7)
+# n from 9 to 3 TILE + 7, drawn as whole tiles and an offset past them, so
+# that most draws span two tiles or more and the last tile is short or long
+SAMPLE_COUNTS = st.builds(lambda tiles, offset: max(9, tiles * TILE + offset),
+                          st.integers(0, 2), st.integers(1, TILE + 7))
 
 
 def line_then_arc(rate=0.8):
@@ -155,7 +159,7 @@ def _flat_samples(n, params=H, velocity_depth=0):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(n=st.integers(9, 3 * TILE + 7), depth=st.integers(0, 3), velocity_depth=st.integers(0, 1))
+@given(n=SAMPLE_COUNTS, depth=st.integers(0, 3), velocity_depth=st.integers(0, 1))
 def test_tiles_cover_the_curve_and_its_interior(n, depth, velocity_depth):
     """``CurveSamples.tiles``: the tiles' rows cover the curve once, their
     interior rows cover ``interior(depth)`` once, and each window reaches
@@ -188,7 +192,7 @@ def test_tiles_cover_the_curve_and_its_interior(n, depth, velocity_depth):
 @example(n=2 * TILE + 7, depth=3, velocity_depth=1, seed=1, levels=3, peaks=[0.9], nans=[])
 @example(n=2 * TILE + 7, depth=0, velocity_depth=0, seed=2, levels=2, peaks=[0.5, 0.8], nans=[])
 @example(n=2 * TILE + 7, depth=2, velocity_depth=0, seed=3, levels=1, peaks=[0.1, 0.2], nans=[0.6])
-@given(n=st.integers(9, 3 * TILE + 7), depth=st.integers(0, 3), velocity_depth=st.integers(0, 1),
+@given(n=SAMPLE_COUNTS, depth=st.integers(0, 3), velocity_depth=st.integers(0, 1),
        seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 4),
        peaks=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=3),
        nans=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=2))

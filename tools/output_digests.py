@@ -2,9 +2,10 @@
 
 In a temporary directory, at each ``--samples`` size, this runs the
 figure-helix ``generate`` (sin alpha0 = 1/sqrt(10), a = b = c = 1) with
-surfaces and velocities, the benchmark's two length-1000 ``geodesic``
-commands (H3 and (m, l) = (0.25, 1.2)) with velocities, and ``verify
---json`` on the helix CSV, on its ``s,x,y,z`` columns alone, the input
+surfaces and velocities, and again without either, where ``.frenet.json``
+reuses the CSV's text of s and the points and formats T itself.  It runs
+the benchmark's two length-1000 ``geodesic`` commands (H3 and (m, l) =
+(0.25, 1.2)) with velocities, and ``verify --json`` on the helix CSV, on its ``s,x,y,z`` columns alone, the input
 whose velocities ``verify`` differences, and on a horizontal H3 curve with
 an inflection point, which ``verify`` finds not biharmonic (exit 1) at
 every n.  It also runs the commands whose outputs do not depend on n:
@@ -35,7 +36,7 @@ from heiscurves.numerics import cumulative_simpson
 
 def commands(n: int) -> list[tuple[str, list[str]]]:
     helix = ["generate", f"--sin-alpha0={1.0 / math.sqrt(10.0)!r}", "--a=1", "--b=1", "--c=1",
-             "--samples", str(n), "--surfaces", "--with-velocity", "--out", "helix"]
+             "--samples", str(n)]
     geodesics = [
         (name, ["geodesic", "--m", m, "--l", l, "--point=0.1,0.2,0", "--direction=0.6,0,0.8",
                 "--length", "1000", "--samples", str(n), "--with-velocity", "--out", name])
@@ -48,7 +49,8 @@ def commands(n: int) -> list[tuple[str, list[str]]]:
                                   ("tensors_far", "2", "1", "1000,0,0"))
     ]
     return [
-        ("generate", helix),
+        ("generate", [*helix, "--surfaces", "--with-velocity", "--out", "helix"]),
+        ("generate_plain", [*helix, "--out", "plain"]),
         *geodesics,
         ("verify", ["verify", "helix.csv", "--json", "verify.json"]),
         ("verify_positions", ["verify", "positions.csv", "--json", "verify_positions.json"]),
