@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -162,10 +163,17 @@ class CurveSamples:
         return worst, at
 
 
-def _uniform_grid(s_range: tuple[float, float], n: int) -> np.ndarray:
+def _finite_range(s_range: tuple[float, float]) -> tuple[float, float]:
+    """``s_range`` as two floats; ValueError unless both are finite.  The
+    curve builders check it before they evaluate anything at s_range[0]."""
     s0, s1 = float(s_range[0]), float(s_range[1])
     if not (math.isfinite(s0) and math.isfinite(s1)):
         raise ValueError(f"s_range must be finite, got ({s0!r}, {s1!r})")
+    return s0, s1
+
+
+def _uniform_grid(s_range: tuple[float, float], n: int) -> np.ndarray:
+    s0, s1 = _finite_range(s_range)
     if not s1 > s0:
         raise ValueError("s_range must be increasing")
     return np.linspace(s0, s1, n)
@@ -695,6 +703,70 @@ def _raise_bad_line(path, cols: list[str], cause: str) -> NoReturn:
     raise MalformedSampleFile(f"unreadable data rows: {cause}")
 
 
+def _header_columns(header: str) -> list[str]:
+    """The columns of a sample file's header line, which must name them."""
+    cols = [c.strip().lower() for c in header.split(",")]
+    if cols not in (["s", "x", "y", "z"], ["s", "x", "y", "z", "vx", "vy", "vz"]):
+        raise MalformedSampleFile(f"unexpected header {header.strip()!r}; need s,x,y,z[,vx,vy,vz]")
+    return cols
+
+
+_NUMBER_BYTES = b"0123456789+-.eE \t"  # deleted by the row check, with JSON's blanks
+_BLOCK_BYTES = 1 << 15  # bytes per block of rows parsed at once, plus the rest of a line
+_INT_NEG_ZERO = re.compile(rb"-0(?=[,\s])(?<![eE]-0)")  # the integer -0: orjson reads 0
+
+
+def _json_list(block: bytes) -> bytes:
+    """Lines of comma-separated numbers as one JSON list."""
+    return b"[" + block[:-1].replace(b"\n", b",") + b"]"
+
+
+def _read_json_rows(fh, width: int) -> np.ndarray | None:
+    """The rows after the header of the binary file ``fh`` as an (n, width)
+    array, parsed by orjson; None, for ``np.loadtxt`` to read the file, when
+    orjson cannot be imported or a block of lines is not plain rows of
+    ``width`` JSON numbers.  JSON numbers (no ``.5``, ``1.``, ``+1``, ``01``
+    or ``1e400``) are a subset of what ``np.loadtxt`` reads, and orjson
+    rounds each correctly, as ``float`` does.
+
+    The lines are counted first, so the array is the one allocation that
+    spans the file; each block of whole lines is checked and parsed alone.
+    """
+    try:
+        import orjson
+    except ImportError:
+        return None
+    start, lines, tail = fh.tell(), 0, b"\n"
+    while part := fh.read(_BLOCK_BYTES):
+        lines, tail = lines + part.count(b"\n"), part[-1:]
+    data = np.empty((lines + (tail != b"\n"), width))  # the last line may lack its newline
+    flat, at = data.reshape(-1), 0
+    fh.seek(start)
+    while block := fh.read(_BLOCK_BYTES):
+        block += fh.readline()  # whole lines
+        if not block.endswith(b"\n"):  # the last line, ended as the others are
+            block += b"\r\n" if b"\r" in block else b"\n"
+        # one pass proves every line's width and keeps quotes, letters,
+        # blank lines and non-ASCII bytes out; a lone "\r" ends a line in
+        # text mode, so the rows end all in "\n" or all in "\r\n"
+        commas = block.translate(None, _NUMBER_BYTES)
+        row = b"," * (width - 1) + (b"\r\n" if commas.endswith(b"\r\n") else b"\n")
+        rows = len(commas) // len(row)
+        if commas != row * rows:
+            return None
+        count = rows * width
+        try:
+            values = np.fromiter(orjson.loads(_json_list(block)), float, count)
+            if not values.all() and _INT_NEG_ZERO.search(block):
+                block = _INT_NEG_ZERO.sub(b"-0.0", block)
+                values = np.fromiter(orjson.loads(_json_list(block)), float, count)
+        except orjson.JSONDecodeError:
+            return None
+        flat[at:at + count] = values
+        at += count
+    return data
+
+
 def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Parse a ``s,x,y,z[,vx,vy,vz]`` file into ``(s, points, velocities)``,
     the velocities None without their columns: the arguments of
@@ -703,18 +775,27 @@ def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]
     Skips empty lines.  Raises MalformedSampleFile for a bad header, fewer
     than two data rows, or a row that is unparseable, not as wide as the
     header or holds a ``nan`` or ``inf`` (naming its line).
+
+    Plain rows of JSON numbers are parsed by orjson when it can be imported
+    (``_read_json_rows``); every other file, and every file without orjson,
+    is read by ``np.loadtxt``.  Both give the same bits, since both round
+    each number's text correctly.
     """
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         header = fh.readline()
-        cols = [c.strip().lower() for c in header.split(",")]
-        if cols not in (["s", "x", "y", "z"], ["s", "x", "y", "z", "vx", "vy", "vz"]):
-            raise MalformedSampleFile(f"unexpected header {header.strip()!r}; need s,x,y,z[,vx,vy,vz]")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # an empty body is reported below
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-        except ValueError as exc:
-            _raise_bad_line(path, cols, str(exc))
+        data = None
+        if header.isascii() and b"\r" not in header.removesuffix(b"\r\n"):  # as text mode reads it
+            cols = _header_columns(header.decode("ascii"))
+            data = _read_json_rows(fh, len(cols))
+    if data is None:
+        with open(path) as fh:
+            cols = _header_columns(fh.readline())
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # an empty body is reported below
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            except ValueError as exc:
+                _raise_bad_line(path, cols, str(exc))
     if data.shape[0] < 2:
         raise MalformedSampleFile("need at least two data rows")
     if data.shape[1] != len(cols):

@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import manifold as mf
-from .curves import CurveSamples, CurveSpec, left_translate_curve
+from .curves import CurveSamples, CurveSpec, _finite_range, left_translate_curve
 from .errors import (
     DomainExit,
     InadmissibleAlpha,
@@ -216,7 +216,7 @@ def helix_family_curve(
     if rate == 0.0:
         raise ValueError("rate must be nonzero")
     S, C = math.sin(alpha0), math.cos(alpha0)
-    s0 = float(s_range[0])
+    s0 = _finite_range(s_range)[0]
     beta0 = rate * s0 + a
     x0 = (S / rate) * math.sin(beta0) + b
     y0 = -(S / rate) * math.cos(beta0) + c
@@ -301,7 +301,7 @@ def geodesic_ivp(
     v0 = _require_unit(v0_frame, "initial velocity")
     mf.conformal_factor(params, p0)
     t1, t2, t3 = (float(v) for v in v0)
-    s0 = float(s_range[0])
+    s0 = _finite_range(s_range)[0]
     if params.m == 0.0:
         S, phi = math.hypot(t1, t2), math.atan2(t2, t1)
         sampler = _constant_angle_sampler(params.l, p0, S, phi, t3, params.l * t3, s0)
@@ -499,7 +499,7 @@ def one_param_subgroup(
         )
     v = _require_unit(direction, "subgroup direction")
     t1, t2, t3 = (float(c) for c in v)
-    s0 = float(s_range[0])
+    s0 = _finite_range(s_range)[0]
     S, phi = math.hypot(t1, t2), math.atan2(t2, t1)
     return CurveSpec(
         manifold=HEISENBERG,

@@ -97,10 +97,13 @@ def derivative_on_grid(values: np.ndarray, ds: float) -> np.ndarray:
     out = np.empty_like(y)
     # (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * ds), the same
     # operations in the same order, in place in ``out`` with one temporary
+    # of at most TILE rows
     mid = out[2:-2]
     np.multiply(y[1:-3], 8.0, out=mid)
     np.subtract(y[:-4], mid, out=mid)
-    mid += np.multiply(y[3:-1], 8.0)
+    for start in range(0, n - 4, TILE):
+        rows = slice(start, start + TILE)
+        mid[rows] += np.multiply(y[3:-1][rows], 8.0)
     mid -= y[4:]
     mid /= 12.0 * ds
     for i, w_lo, w_hi in _EDGE_ROWS:

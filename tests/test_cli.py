@@ -417,13 +417,14 @@ def test_every_command_runs_without_scipy(tmp_path, figure1_samples):
 
 def test_cli_import_loads_no_fractions_decimal_or_scipy():
     """The text kernel's tables come from integer arithmetic on first use,
-    so importing the CLI pulls in neither exact-arithmetic module, nor scipy."""
+    so importing the CLI pulls in neither exact-arithmetic module, nor scipy;
+    nor orjson, which the sample reader imports when it first runs."""
     src = str(Path(hc.__file__).resolve().parents[1])
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     script = (
         "import sys, heiscurves.cli; "
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'fractions', 'decimal', 'scipy'}))"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'fractions', 'decimal', 'scipy', 'orjson'}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
@@ -723,9 +724,16 @@ class TestNonFiniteInput:
         (["geodesic", "--point", "0,0,0", "--direction", "0.6,0,0.8", "--length", "inf"],
          "s_range must be finite, got (0.0, inf)"),
         ([*HELIX, "--s1", "inf"], "s_range must be finite, got (0.0, inf)"),
+        ([*HELIX, "--s1=-inf"], "s_range must be finite, got (0.0, -inf)"),
+        ([*HELIX, "--s1", "nan"], "s_range must be finite, got (0.0, nan)"),
+        # the helix is built from its point at s0, before it is sampled
+        ([*HELIX, "--s0=-inf"], "s_range must be finite, got (-inf, 31.41592653589793)"),
+        ([*HELIX, "--s0", "inf"], "s_range must be finite, got (inf, 31.41592653589793)"),
+        ([*HELIX, "--s0", "nan"], "s_range must be finite, got (nan, 31.41592653589793)"),
         ([*HELIX, "--a", "inf"], "helix constants must be finite, got a = inf"),
     ], ids=["cone-direction", "geodesic-nan-direction", "geodesic-inf-direction",
-            "geodesic-length", "generate-s1", "generate-a"])
+            "geodesic-length", "generate-s1", "generate-s1-minus-inf", "generate-s1-nan",
+            "generate-s0-minus-inf", "generate-s0-inf", "generate-s0-nan", "generate-a"])
     def test_exit_two_naming_the_cause(self, capsys, tmp_path, argv, cause):
         out = [] if argv[0] == "cone" else ["--out", str(tmp_path / "curve")]
         with warnings.catch_warnings():

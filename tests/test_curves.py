@@ -1,9 +1,11 @@
 """Curve sampling, covariant differentiation and the Frenet apparatus."""
 
 import dataclasses
+import decimal
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -83,10 +85,10 @@ class TestStencils:
             hi = np.tensordot(stencil_weights(np.arange(-4, 1) + i), y[-5:], axes=(0, 0)) / ds
             assert np.array_equal(out[i], lo) and np.array_equal(out[-1 - i], hi)
 
-    @pytest.mark.parametrize("shape", [(1001,), (1001, 3)])
+    @pytest.mark.parametrize("shape", [(1001,), (1001, 3), (2 * TILE + 7, 3), (TILE + 5, 3)])
     def test_interior_stencil_is_the_one_expression_to_the_bit(self, shape):
-        # derivative_on_grid works in place; the bits are those of the
-        # expression it replaced
+        # derivative_on_grid works in place, a temporary of TILE rows at a
+        # time; the bits are those of the expression it replaced
         rng = np.random.default_rng(4)
         y = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
         ds = 0.0123
@@ -701,6 +703,174 @@ def _one_format_table(header, columns) -> bytes:
     data = np.column_stack([c for c in columns if c is not None])
     row = ",".join("" if c is None else "%.17g" for c in columns) + "\r\n"
     return (",".join(header) + "\r\n" + (row * len(data)) % tuple(data.ravel().tolist())).encode()
+
+
+def _outcome(path):
+    """What ``read_samples_csv`` gives for ``path``: its rows as the bits of
+    one array, or the type and message of its error."""
+    try:
+        s, points, vel = hc.read_samples_csv(path)
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), str(exc)
+    return np.column_stack([s, points, *([] if vel is None else [vel])]).view(np.int64).tolist()
+
+
+def _rows_file(path, texts, width=4) -> list[str]:
+    """Write ``texts`` as rows of ``width`` fields under a sample header,
+    padded with "0" to whole rows and to at least two; returns the fields."""
+    texts = list(texts) + ["0"] * (-len(texts) % width)
+    texts += ["0"] * max(0, 2 * width - len(texts))
+    header = ",".join(["s", "x", "y", "z", "vx", "vy", "vz"][:width])
+    rows = [",".join(texts[i:i + width]) for i in range(0, len(texts), width)]
+    path.write_bytes(("\n".join([header, *rows]) + "\n").encode("ascii"))
+    return texts
+
+
+def _json_rows(path, width=4):
+    with open(path, "rb") as fh:
+        fh.readline()
+        return curves._read_json_rows(fh, width)
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).reshape(-1).view(np.int64).tolist()
+
+
+def _midpoint_texts(x: float) -> list[str]:
+    """The exact decimal midpoint between ``x`` and the next double up, and
+    the decimals just below and just above it."""
+    with decimal.localcontext(prec=2000):
+        mid = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+        return [format(d, "e") for d in (mid.next_minus(), mid, mid.next_plus())]
+
+
+class TestReaderRoutes:
+    """orjson reads files of plain rows of JSON numbers; ``np.loadtxt`` reads
+    every other file, and every file when orjson cannot be imported.  Each
+    file gives the same bits, or the same error, on both routes."""
+
+    ROWS = ["0,0,0,0", "1,0.5,-0.25,3", "2,1e-5,2.5E+3,-7", "3,4,5,6"]
+
+    @staticmethod
+    def _both_routes(monkeypatch, path):
+        """The outcome with orjson, the outcome with it hidden, and whether
+        the first read took orjson's route."""
+        routes, read = [], curves._read_json_rows
+        monkeypatch.setattr(curves, "_read_json_rows",
+                            lambda *a: routes.append(read(*a)) or routes[-1])
+        fast = _outcome(path)
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "orjson", None)
+            slow = _outcome(path)
+        return fast, slow, bool(routes) and routes[0] is not None
+
+    @pytest.mark.parametrize("text,json_route", [
+        ('"1.5"', False), ("true", False), ("false", False), ("null", False),
+        ("-0", True), ("-0.0", True), ("-0e0", True), (".5", False), ("1.", False),
+        ("+1", False), ("01", False), ("1e400", False), ("-1e-400", True), ("1e-0", True),
+        ("12345678901234567", True), ("12345678901234567890", True),
+        ("123456789012345678901234567890", True), (" \t-2.5 ", True),
+        ("\u00a01", False), ("1\u2003", False), ("1_0", False), ("nan", False),
+        ("-inf", False), ("Infinity", False), ("0x1p0", False), ("", False), ("1 2", False),
+    ])
+    def test_field_grammar(self, tmp_path, monkeypatch, text, json_route):
+        rows = list(self.ROWS)
+        rows[1] = f"1,{text},-0.25,3"
+        path = tmp_path / "field.csv"
+        path.write_bytes(("s,x,y,z\n" + "\n".join(rows) + "\n").encode("utf-8"))
+        fast, slow, took_json = self._both_routes(monkeypatch, path)
+        assert fast == slow
+        assert took_json is json_route
+        if json_route:  # the parsed value is float()'s, sign of zero included
+            assert fast[1][1] == _bits(float(text))[0]
+
+    def test_integer_minus_zero_keeps_its_sign(self, tmp_path):
+        # orjson reads the integer -0 as 0; 1e-0 is one
+        path = tmp_path / "zeros.csv"
+        path.write_bytes(b"s,x,y,z\n-0,0,-0 ,1e-0\n-0,\t-0,0,-0\n")
+        rows = _json_rows(path)
+        assert np.signbit(rows).tolist() == [[True, False, True, False], [True, True, False, True]]
+        assert rows[0, 3] == 1.0
+
+    @pytest.mark.parametrize("body,json_route", [
+        (b"s,x,y,z\r\n{}", True),                      # rows end in \r\n
+        (b"s,x,y,z\n{}", True),
+        (b" S , X,y ,z\n{}", True),                    # the header check is text's
+        (b"s,x,y,z,vx,vy,vz\n0,0,0,0,1,0,0\n1,1,0,0,1,0,0\n", True),
+        (b"s,x,y,z\n0,0,0,0\n1,1,1,1", True),          # the last line lacks its newline
+        (b"s,x,y,z\r\n0,0,0,0\r\n1,1,1,1", True),
+        (b"s,x,y,z\n0,0,0,0\n1,1,1,1\r", False),     # a lone \r ends the last line
+        (b"s,x,y,z\n0,0,0,0\n\n1,1,1,1\n", False),     # a blank line
+        (b"s,x,y,z\n0,0,0,0\n1,1,1,1\n\n", False),
+        (b"s,x,y,z\n0,0,0,0\r\n1,1,1,1\n", False),     # mixed line ends
+        (b"s,x,y,z\n0,0\r,0,0\n1,1,1,1\n", False),     # a lone \r ends a line
+        (b"s,x,y,z\n0,0,0,0\r1,1,1,1\n", False),
+        (b"s,x,y,z\n0,0,0,0\r\r\n1,1,1,1\n", False),
+        (b"s,x\r,y,z\n0,0,0,0\n1,1,1,1\n", None),
+        (b"s,x,y,z\xc2\xa0\n0,0,0,0\n1,1,1,1\n", None),  # Unicode padding
+        (b"\xef\xbb\xbfs,x,y,z\n0,0,0,0\n1,1,1,1\n", None),
+        (b"s,x,y,z\n0,0,0,0\n1,1,1,\xff\n", False),
+        (b"s,x,y,z\n0,0,0,0\n1,1,1,1,1\n", False),
+        (b"s,x,y,z,vx,vy,vz\n0,0,0,0\n1,1,1,1\n", False),
+        (b"s,x,y,z\n0,0,0,0\n", True),                  # too few rows
+        (b"s,x,y,z\n", True),
+        (b"s,x,y\n0,0,0\n1,1,1\n", None),
+        (b"", None),
+    ])
+    def test_line_grammar(self, tmp_path, monkeypatch, body, json_route):
+        path = tmp_path / "lines.csv"
+        rows = "\r\n" if body.startswith(b"s,x,y,z\r\n") else "\n"
+        path.write_bytes(body.replace(b"{}", (rows.join(self.ROWS) + rows).encode()))
+        fast, slow, took_json = self._both_routes(monkeypatch, path)
+        assert fast == slow
+        if json_route is not None:
+            assert took_json is json_route
+
+    def test_blocks_of_whole_lines(self, tmp_path, monkeypatch):
+        # rows that cross the block boundary many times, each read once
+        monkeypatch.setattr(curves, "_BLOCK_BYTES", 37)
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((500, 7)) * 10.0 ** rng.integers(-300, 300, (500, 7))
+        path = tmp_path / "blocks.csv"
+        texts = _rows_file(path, ["%.17g" % v for v in a.ravel()], width=7)
+        assert _bits(_json_rows(path, 7)) == _bits([float(t) for t in texts])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(
+        allow_nan=False, allow_infinity=False, allow_subnormal=True)),
+        st.sampled_from(["%.17g", "repr"]))
+    def test_doubles_read_as_float_reads_them(self, tmp_path_factory, a, style):
+        texts = [repr(float(v)) if style == "repr" else style % v for v in a]
+        self._check_texts(tmp_path_factory, texts)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+                    | st.integers(0, 2**52 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+                    min_size=1, max_size=6))
+    def test_midpoints_read_as_float_reads_them(self, tmp_path_factory, xs):
+        # the decimals that are hardest to round: ties between two doubles
+        # (subnormal ones included) and their nearest neighbours
+        texts = [t for x in xs if math.isfinite(math.nextafter(x, math.inf))
+                 for t in _midpoint_texts(x)]
+        self._check_texts(tmp_path_factory, texts)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.from_regex(
+        r"-?(0|[1-9][0-9]{0,30})(\.[0-9]{1,30})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+        min_size=1, max_size=20))
+    def test_decimal_strings_read_as_float_reads_them(self, tmp_path_factory, texts):
+        texts = [t for t in texts if math.isfinite(float(t))]
+        self._check_texts(tmp_path_factory, texts)
+
+    @staticmethod
+    def _check_texts(tmp_path_factory, texts):
+        path = tmp_path_factory.getbasetemp() / "property.csv"
+        texts = _rows_file(path, texts)
+        expected = _bits([float(t) for t in texts])
+        assert _bits(_json_rows(path)) == expected
+        with pytest.MonkeyPatch.context() as m:
+            m.setitem(sys.modules, "orjson", None)
+            assert _outcome(path) == np.reshape(expected, (-1, 4)).tolist()
 
 
 class TestTextCodec:
