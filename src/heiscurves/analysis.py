@@ -51,8 +51,12 @@ keep what their command reads, per sample:
 
 Both hold the samples themselves, whose s, T and points (56 bytes) they
 read there, and keep neither nabla_T T nor tau2.  ``classify_curve`` takes
-either's series; ``CurveSamples.interior_max`` gives its checks' maxima tile
-by tile, so a verdict adds no per-sample temporary that spans the curve.
+either's series.  ``check_system_33`` and ``check_helix_system`` build each
+check but the two nonzero ones with one of two builders: ``_spread_check``
+(max - min of an interior series against ``constancy_tol`` (1 + |mean|))
+and ``_worst_check`` (the largest interior residual against
+``relation_tol``, which ``CurveSamples.interior_max`` finds tile by tile,
+so a verdict adds no per-sample temporary that spans the curve).
 """
 
 from __future__ import annotations
@@ -339,11 +343,22 @@ def _interior_frenet(frenet: FrenetSeries | VerdictSeries):
     return interior
 
 
-def _k_constant(k: np.ndarray, config: NumericsConfig) -> SystemCheck:
-    """The spread of k against the constancy tolerance, scaled by its mean."""
-    return SystemCheck(
-        "k_constant", float(k.max() - k.min()), config.constancy_tol * (1.0 + abs(float(k.mean())))
-    )
+def _spread_check(
+    name: str, series: np.ndarray, config: NumericsConfig
+) -> tuple[SystemCheck, float]:
+    """The spread check of an interior series, max - min against
+    ``constancy_tol`` (1 + |mean|), and the series' mean."""
+    mean = float(series.mean())
+    spread = float(series.max() - series.min())
+    return SystemCheck(name, spread, config.constancy_tol * (1.0 + abs(mean))), mean
+
+
+def _worst_check(name: str, frenet: FrenetSeries | VerdictSeries, residual,
+                 config: NumericsConfig) -> SystemCheck:
+    """The worst-interior check: the largest ``residual(window)`` on the
+    interior (``CurveSamples.interior_max``) against ``relation_tol``."""
+    worst, _ = frenet.samples.interior_max(residual, _BITENSION_DEPTH)
+    return SystemCheck(name, worst, config.relation_tol)
 
 
 def check_system_33(
@@ -371,22 +386,14 @@ def check_system_33(
     def torsion(w):
         return np.abs(frenet.samples.derivative(tau[w]) - mu * N3[w] * B3[w])
 
-    k_mean = float(k[interior].mean())
-    checks = {
-        "k_constant": _k_constant(k[interior], config),
-        "k_nonzero": SystemCheck(
-            # residual formulation: passes when k is NOT negligible
-            "k_nonzero", config.k_floor, abs(k_mean)
-        ),
-        "algebraic_relation": SystemCheck(
-            "algebraic_relation", frenet.samples.interior_max(relation, _BITENSION_DEPTH)[0],
-            config.relation_tol,
-        ),
-        "torsion_derivative": SystemCheck(
-            "torsion_derivative", frenet.samples.interior_max(torsion, _BITENSION_DEPTH)[0],
-            config.relation_tol,
-        ),
-    }
+    k_constant, k_mean = _spread_check("k_constant", k[interior], config)
+    checks = (
+        k_constant,
+        # residual formulation: passes when k is NOT negligible
+        SystemCheck("k_nonzero", config.k_floor, abs(k_mean)),
+        _worst_check("algebraic_relation", frenet, relation, config),
+        _worst_check("torsion_derivative", frenet, torsion, config),
+    )
     values = {
         "k_mean": k_mean,
         "tau_mean": float(tau[interior].mean()),
@@ -394,7 +401,7 @@ def check_system_33(
         "curvature_level": lam,
         "coefficient": mu,
     }
-    return SystemReport(checks, values)
+    return SystemReport({c.name: c for c in checks}, values)
 
 
 def check_helix_system(
@@ -409,34 +416,16 @@ def check_helix_system(
     k^2 + tau^2 = l^2/4 - (l^2 - 4m) B3^2 is ``check_system_33``'s."""
     interior = _interior_frenet(frenet)
     N3, B3 = frenet.N3, frenet.B3
-
-    tau = frenet.tau[interior]
-    B3_inner = B3[interior]
-    tau_mean = float(tau.mean())
-    B3_mean = float(B3_inner.mean())
-
-    checks = {
-        "B3_constant": SystemCheck(
-            "B3_constant", float(B3_inner.max() - B3_inner.min()),
-            config.constancy_tol * (1.0 + abs(B3_mean)),
-        ),
-        "B3_nonzero": SystemCheck("B3_nonzero", config.b3_zero_tol, abs(B3_mean)),
-        "N3_zero": SystemCheck(
-            "N3_zero", frenet.samples.interior_max(lambda w: np.abs(N3[w]), _BITENSION_DEPTH)[0],
-            config.relation_tol,
-        ),
-        "tau_constant": SystemCheck(
-            "tau_constant", float(tau.max() - tau.min()),
-            config.constancy_tol * (1.0 + abs(tau_mean)),
-        ),
-        "N3B3_zero": SystemCheck(
-            "N3B3_zero",
-            frenet.samples.interior_max(lambda w: np.abs(N3[w] * B3[w]), _BITENSION_DEPTH)[0],
-            config.relation_tol,
-        ),
-    }
-    values = {"tau_mean": tau_mean, "B3_mean": B3_mean}
-    return SystemReport(checks, values)
+    B3_constant, B3_mean = _spread_check("B3_constant", B3[interior], config)
+    tau_constant, tau_mean = _spread_check("tau_constant", frenet.tau[interior], config)
+    checks = (
+        B3_constant,
+        SystemCheck("B3_nonzero", config.b3_zero_tol, abs(B3_mean)),
+        _worst_check("N3_zero", frenet, lambda w: np.abs(N3[w]), config),
+        tau_constant,
+        _worst_check("N3B3_zero", frenet, lambda w: np.abs(N3[w] * B3[w]), config),
+    )
+    return SystemReport({c.name: c for c in checks}, {"tau_mean": tau_mean, "B3_mean": B3_mean})
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +491,8 @@ def classify_curve(
 
     interior = frenet.samples.interior(_BITENSION_DEPTH)
     if not frenet.defined[interior].all():  # k vanishes inside, so it is no nonzero constant
-        k = frenet.k[interior]
-        checks["system_k_constant"] = _k_constant(k, config)
-        values["k_mean"] = float(k.mean())
+        checks["system_k_constant"], values["k_mean"] = _spread_check(
+            "k_constant", frenet.k[interior], config)
         return ClassificationResult("not_biharmonic", checks, values)
 
     sys33 = check_system_33(frenet, config)

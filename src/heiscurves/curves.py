@@ -316,8 +316,9 @@ class FrenetSeries:
     ``samples`` is the curve the series was computed from: its grid, points
     and T = ``samples.velocity_frame`` are read there, not copied.  Where
     the geodesic curvature k falls to the floor the normal direction is
-    numerically meaningless; there N, B and tau are NaN and ``defined`` is
-    False rather than reporting zeros.  ``t1`` = nabla_T T (= k N, defined
+    numerically meaningless; there, and where the stencil of nabla_T N
+    reaches such a sample, N, B and tau are NaN and ``defined`` is False
+    rather than reporting zeros.  ``t1`` = nabla_T T (= k N, defined
     on geodesics too) is kept by ``frenet_apparatus`` for the tension
     passes; a series assembled from tiles (``analysis.bitension_report``)
     does not keep it.
@@ -350,7 +351,9 @@ def frenet_apparatus(
     """T, N, B, k, tau and the third frame components along the curve.
 
     T is the sampled velocity; k = |nabla_T T|; N = nabla_T T / k wherever
-    k exceeds the configured floor; B = T x N; tau = -<nabla_T N, B>.
+    k exceeds the configured floor; B = T x N; tau = -<nabla_T N, B>.  The
+    frame is ``defined`` where tau exists: k clears the floor there and on
+    every sample the stencil of nabla_T N reaches.
     ``analysis.bitension_report`` and ``analysis.verdict_series`` run it once
     per tile of the curve.
     """
@@ -369,6 +372,9 @@ def frenet_apparatus(
         B[:, i] -= T[:, b] * N[:, a]
     dN = covariant_derivative_along(samples, N) if defined.any() else np.full_like(T, np.nan)
     tau = -np.einsum("ni,ni->n", dN, B)
+    defined = ~np.isnan(tau)  # also false where nabla_T N reaches an undefined N
+    N[~defined] = np.nan
+    B[~defined] = np.nan
 
     return FrenetSeries(samples, k=k, N=N, B=B, tau=tau, defined=defined, t1=t1)
 
@@ -714,11 +720,24 @@ def _header_columns(header: str) -> list[str]:
 _NUMBER_BYTES = b"0123456789+-.eE \t"  # deleted by the row check, with JSON's blanks
 _BLOCK_BYTES = 1 << 15  # bytes per block of rows parsed at once, plus the rest of a line
 _INT_NEG_ZERO = re.compile(rb"-0(?=[,\s])(?<![eE]-0)")  # the integer -0: orjson reads 0
+_EMPTY_LINE = re.compile(rb"^\r?\n", re.MULTILINE)
 
 
 def _json_list(block: bytes) -> bytes:
     """Lines of comma-separated numbers as one JSON list."""
     return b"[" + block[:-1].replace(b"\n", b",") + b"]"
+
+
+def _plain_rows(block: bytes, width: int) -> int | None:
+    """The number of lines in ``block``, or None unless each holds ``width``
+    numbers and blanks only.  One pass proves every line's width and keeps
+    quotes, letters, empty lines, lines of blanks and non-ASCII bytes out; a
+    lone CR ends a line in text mode, so the rows end all in LF or all in
+    CR LF."""
+    commas = block.translate(None, _NUMBER_BYTES)
+    row = b"," * (width - 1) + (b"\r\n" if commas.endswith(b"\r\n") else b"\n")
+    rows = len(commas) // len(row)
+    return rows if commas == row * rows else None
 
 
 def _read_json_rows(fh, width: int) -> np.ndarray | None:
@@ -731,6 +750,9 @@ def _read_json_rows(fh, width: int) -> np.ndarray | None:
 
     The lines are counted first, so the array is the one allocation that
     spans the file; each block of whole lines is checked and parsed alone.
+    A block that fails the check is checked again without its empty lines,
+    which ``np.loadtxt`` skips; a line of blanks still fails it, as
+    ``np.loadtxt`` rejects it.
     """
     try:
         import orjson
@@ -746,14 +768,12 @@ def _read_json_rows(fh, width: int) -> np.ndarray | None:
         block += fh.readline()  # whole lines
         if not block.endswith(b"\n"):  # the last line, ended as the others are
             block += b"\r\n" if b"\r" in block else b"\n"
-        # one pass proves every line's width and keeps quotes, letters,
-        # blank lines and non-ASCII bytes out; a lone "\r" ends a line in
-        # text mode, so the rows end all in "\n" or all in "\r\n"
-        commas = block.translate(None, _NUMBER_BYTES)
-        row = b"," * (width - 1) + (b"\r\n" if commas.endswith(b"\r\n") else b"\n")
-        rows = len(commas) // len(row)
-        if commas != row * rows:
-            return None
+        rows = _plain_rows(block, width)
+        if rows is None:  # empty lines are skipped, but looked for only here
+            block = _EMPTY_LINE.sub(b"", block)
+            rows = _plain_rows(block, width)
+            if rows is None:
+                return None
         count = rows * width
         try:
             values = np.fromiter(orjson.loads(_json_list(block)), float, count)
@@ -764,7 +784,7 @@ def _read_json_rows(fh, width: int) -> np.ndarray | None:
             return None
         flat[at:at + count] = values
         at += count
-    return data
+    return data[: at // width]  # the lines counted include the empty ones
 
 
 def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:

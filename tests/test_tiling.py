@@ -5,6 +5,7 @@ the verdict must equal, bit for bit, a whole-curve evaluation through the
 public full-array functions, on both input routes and on a curve whose frame
 exists on part of its length only."""
 
+import json
 import math
 
 import numpy as np
@@ -107,6 +108,38 @@ def test_tiles_match_the_whole_curve(samples):
         assert rep.cT is None and rep.cN is None and rep.cB is None
         assert rep.expansion_agreement is None
     assert _classified(rep.frenet) == _classified(whole)
+
+
+def _frame_where_tau_exists(frenet: hc.FrenetSeries) -> None:
+    """``defined`` is false exactly where tau is NaN, and so are N and B."""
+    undefined = np.isnan(frenet.tau)
+    assert np.array_equal(frenet.defined, ~undefined)
+    for v in (frenet.N, frenet.B):
+        assert np.array_equal(np.isnan(v), np.repeat(undefined[:, None], 3, axis=1))
+
+
+def test_frame_is_defined_exactly_where_tau_exists():
+    """k clears the floor at the last sample of this geodesic (2.5e-7), but
+    the stencil of nabla_T N there reaches samples where it does not: that
+    sample has no tau, so no frame, and ``.frenet.json`` writes null for
+    its tau where ``defined`` is false.  On the line-then-arc curve the
+    first arc samples are the same case; the tiled series matches the
+    whole curve's there."""
+    spec = hc.geodesic_ivp(hc.ManifoldParams(0.25, 1.2), [0.1, 0.2, 0.0], [0.6, 0.0, 0.8],
+                           (0.0, 20.0))
+    frenet = hc.frenet_apparatus(hc.sample_curve(spec, 1001))
+    assert frenet.k[1000] > hc.DEFAULT_CONFIG.k_floor
+    _frame_where_tau_exists(frenet)
+    columns = json.loads(hc.frenet_to_json(frenet))["columns"]
+    assert [t is None for t in columns["tau"]] == [not d for d in columns["defined"]]
+
+    samples = hc.sample_curve(line_then_arc(), 2 * TILE + 7)
+    whole, tiled = hc.frenet_apparatus(samples), hc.bitension_report(samples).frenet
+    assert (whole.k > hc.DEFAULT_CONFIG.k_floor).sum() > whole.defined.sum() > 0
+    for series in (whole, tiled):
+        _frame_where_tau_exists(series)
+    for name in ("defined", "tau", "N", "B"):
+        assert _bits(getattr(tiled, name)) == _bits(getattr(whole, name)), name
 
 
 def _whole_curve_residuals(frenet: hc.FrenetSeries) -> dict:
