@@ -337,8 +337,8 @@ def _interior_frenet(frenet: FrenetSeries | VerdictSeries):
     interior = frenet.samples.interior(_BITENSION_DEPTH)
     if not frenet.defined[interior].all():
         raise GeodesicFrameUndefined(
-            "Frenet frame undefined on interior samples; the curve is "
-            "(locally) a geodesic"
+            "Frenet frame undefined on interior samples: k is at or below "
+            "k_floor there or on a sample the stencil of nabla_T N reaches"
         )
     return interior
 
@@ -353,11 +353,11 @@ def _spread_check(
     return SystemCheck(name, spread, config.constancy_tol * (1.0 + abs(mean))), mean
 
 
-def _worst_check(name: str, frenet: FrenetSeries | VerdictSeries, residual,
+def _worst_check(name: str, samples: CurveSamples, residual,
                  config: NumericsConfig) -> SystemCheck:
     """The worst-interior check: the largest ``residual(window)`` on the
     interior (``CurveSamples.interior_max``) against ``relation_tol``."""
-    worst, _ = frenet.samples.interior_max(residual, _BITENSION_DEPTH)
+    worst, _ = samples.interior_max(residual, _BITENSION_DEPTH)
     return SystemCheck(name, worst, config.relation_tol)
 
 
@@ -391,8 +391,8 @@ def check_system_33(
         k_constant,
         # residual formulation: passes when k is NOT negligible
         SystemCheck("k_nonzero", config.k_floor, abs(k_mean)),
-        _worst_check("algebraic_relation", frenet, relation, config),
-        _worst_check("torsion_derivative", frenet, torsion, config),
+        _worst_check("algebraic_relation", frenet.samples, relation, config),
+        _worst_check("torsion_derivative", frenet.samples, torsion, config),
     )
     values = {
         "k_mean": k_mean,
@@ -421,9 +421,9 @@ def check_helix_system(
     checks = (
         B3_constant,
         SystemCheck("B3_nonzero", config.b3_zero_tol, abs(B3_mean)),
-        _worst_check("N3_zero", frenet, lambda w: np.abs(N3[w]), config),
+        _worst_check("N3_zero", frenet.samples, lambda w: np.abs(N3[w]), config),
         tau_constant,
-        _worst_check("N3B3_zero", frenet, lambda w: np.abs(N3[w] * B3[w]), config),
+        _worst_check("N3B3_zero", frenet.samples, lambda w: np.abs(N3[w] * B3[w]), config),
     )
     return SystemReport({c.name: c for c in checks}, {"tau_mean": tau_mean, "B3_mean": B3_mean})
 
@@ -477,8 +477,12 @@ def classify_curve(
                              regardless of helix structure: a vanishing third
                              binormal component forces tau^2 = 1/4 and rules
                              biharmonicity out unconditionally; so do
-                             non-geodesic curves whose k vanishes inside,
-                             which carry the k_constant check alone.
+                             non-geodesic curves whose frame (tau) is
+                             undefined on an interior sample, which carry
+                             the k_constant check alone: the curvature
+                             falls to the floor on that sample or on one its
+                             nabla_T N stencil reaches, so the system cannot
+                             be evaluated there.
     """
     t1_max = float(frenet.k[frenet.samples.interior(1)].max())  # k = |nabla_T T|
     values: dict[str, float] = {"tension1_max": t1_max}
@@ -490,7 +494,7 @@ def classify_curve(
         return ClassificationResult("geodesic", checks, values)
 
     interior = frenet.samples.interior(_BITENSION_DEPTH)
-    if not frenet.defined[interior].all():  # k vanishes inside, so it is no nonzero constant
+    if not frenet.defined[interior].all():  # tau is undefined inside: no system to evaluate
         checks["system_k_constant"], values["k_mean"] = _spread_check(
             "k_constant", frenet.k[interior], config)
         return ClassificationResult("not_biharmonic", checks, values)

@@ -720,24 +720,11 @@ def _header_columns(header: str) -> list[str]:
 _NUMBER_BYTES = b"0123456789+-.eE \t"  # deleted by the row check, with JSON's blanks
 _BLOCK_BYTES = 1 << 15  # bytes per block of rows parsed at once, plus the rest of a line
 _INT_NEG_ZERO = re.compile(rb"-0(?=[,\s])(?<![eE]-0)")  # the integer -0: orjson reads 0
-_EMPTY_LINE = re.compile(rb"^\r?\n", re.MULTILINE)
 
 
 def _json_list(block: bytes) -> bytes:
     """Lines of comma-separated numbers as one JSON list."""
     return b"[" + block[:-1].replace(b"\n", b",") + b"]"
-
-
-def _plain_rows(block: bytes, width: int) -> int | None:
-    """The number of lines in ``block``, or None unless each holds ``width``
-    numbers and blanks only.  One pass proves every line's width and keeps
-    quotes, letters, empty lines, lines of blanks and non-ASCII bytes out; a
-    lone CR ends a line in text mode, so the rows end all in LF or all in
-    CR LF."""
-    commas = block.translate(None, _NUMBER_BYTES)
-    row = b"," * (width - 1) + (b"\r\n" if commas.endswith(b"\r\n") else b"\n")
-    rows = len(commas) // len(row)
-    return rows if commas == row * rows else None
 
 
 def _read_json_rows(fh, width: int) -> np.ndarray | None:
@@ -750,9 +737,6 @@ def _read_json_rows(fh, width: int) -> np.ndarray | None:
 
     The lines are counted first, so the array is the one allocation that
     spans the file; each block of whole lines is checked and parsed alone.
-    A block that fails the check is checked again without its empty lines,
-    which ``np.loadtxt`` skips; a line of blanks still fails it, as
-    ``np.loadtxt`` rejects it.
     """
     try:
         import orjson
@@ -768,12 +752,14 @@ def _read_json_rows(fh, width: int) -> np.ndarray | None:
         block += fh.readline()  # whole lines
         if not block.endswith(b"\n"):  # the last line, ended as the others are
             block += b"\r\n" if b"\r" in block else b"\n"
-        rows = _plain_rows(block, width)
-        if rows is None:  # empty lines are skipped, but looked for only here
-            block = _EMPTY_LINE.sub(b"", block)
-            rows = _plain_rows(block, width)
-            if rows is None:
-                return None
+        # one pass proves every line's width and keeps quotes, letters,
+        # blank lines and non-ASCII bytes out; a lone "\r" ends a line in
+        # text mode, so the rows end all in "\n" or all in "\r\n"
+        commas = block.translate(None, _NUMBER_BYTES)
+        row = b"," * (width - 1) + (b"\r\n" if commas.endswith(b"\r\n") else b"\n")
+        rows = len(commas) // len(row)
+        if commas != row * rows:
+            return None
         count = rows * width
         try:
             values = np.fromiter(orjson.loads(_json_list(block)), float, count)
@@ -784,7 +770,7 @@ def _read_json_rows(fh, width: int) -> np.ndarray | None:
             return None
         flat[at:at + count] = values
         at += count
-    return data[: at // width]  # the lines counted include the empty ones
+    return data
 
 
 def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:

@@ -11,12 +11,12 @@ FILES = ["h3_geodesic.csv", "helix.classification.json", "helix.csv", "helix.cyl
          "helix.frenet.json", "helix.helicoid.csv", "helix.params.json", "helix.report.json",
          "helix.residuals.csv", "inflection.csv", "ml_geodesic.csv", "plain.classification.json",
          "plain.csv", "plain.frenet.json", "plain.params.json", "plain.report.json",
-         "plain.residuals.csv", "positions.csv", "positions_blank.csv", "scan.csv",
+         "plain.residuals.csv", "positions.csv", "scan.csv",
          "tensors_far.json", "tensors_h3.json", "tensors_ml.json", "verify.json",
-         "verify_blank_line.json", "verify_inflection.json", "verify_positions.json"]
+         "verify_inflection.json", "verify_positions.json"]
 COMMANDS = ["generate", "generate_plain", "h3_geodesic", "ml_geodesic", "verify", "verify_positions",
-            "verify_blank_line", "verify_inflection", "tensors_h3", "tensors_ml", "tensors_far",
-            "cone_direction", "cone_sweep", "scan"]
+            "verify_inflection", "tensors_h3", "tensors_ml", "tensors_far", "cone_direction",
+            "cone_sweep", "scan"]
 EXITS = {"verify_inflection": 1}  # the inflection curve is not biharmonic
 
 

@@ -142,6 +142,36 @@ def test_frame_is_defined_exactly_where_tau_exists():
         assert _bits(getattr(tiled, name)) == _bits(getattr(whole, name)), name
 
 
+def test_undefined_frame_at_the_interior_edge():
+    """The line of ``line_then_arc`` ends at sample 6, so k is at the floor
+    up to sample 4, between interior(2) and interior(3), and above it from
+    sample 5 on.  The nabla_T N stencil of sample 6, the first of
+    interior(3), reaches sample 4: its tau is undefined although its k is
+    not, so ``classify_curve`` takes the undefined-frame branch, whose one
+    system check is k_constant; here it fails on the curvature's ramp."""
+    n = 1001
+    h = 4.0 / (n - 7)
+    spec = hc.CurveSpec(manifold=H, s_range=(-6 * h, 4.0), sampler=line_then_arc().sampler)
+    samples = hc.sample_curve(spec, n)
+    frenet = hc.frenet_apparatus(samples)
+    floor = hc.DEFAULT_CONFIG.k_floor
+    assert samples.interior(2).start == 4 and samples.interior(3).start == 6
+    assert (frenet.k[:5] <= floor).all() and (frenet.k[5:] > floor).all()
+    assert not frenet.defined[:7].any() and frenet.defined[7:].all()
+
+    result = hc.classify_curve(frenet)
+    assert result.verdict == "not_biharmonic"
+    assert list(result.checks) == ["tension1_zero", "system_k_constant"]
+    assert not result.checks["system_k_constant"].passed
+    interior_k = frenet.k[samples.interior(3)]
+    assert result.checks["system_k_constant"].residual == float(interior_k.max() - interior_k.min())
+    assert list(result.values) == ["tension1_max", "k_mean"]
+    for series in (hc.verdict_series(samples), hc.bitension_report(samples).frenet):
+        assert hc.classify_curve(series).to_json() == result.to_json()
+    with pytest.raises(hc.GeodesicFrameUndefined, match="nabla_T N"):
+        hc.check_system_33(frenet)
+
+
 def _whole_curve_residuals(frenet: hc.FrenetSeries) -> dict:
     """The maxima the checks take tile by tile, as whole-array expressions."""
     params = frenet.samples.manifold

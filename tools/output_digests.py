@@ -5,11 +5,10 @@ figure-helix ``generate`` (sin alpha0 = 1/sqrt(10), a = b = c = 1) with
 surfaces and velocities, and again without either, where ``.frenet.json``
 reuses the CSV's text of s and the points and formats T itself.  It runs
 the benchmark's two length-1000 ``geodesic`` commands (H3 and (m, l) =
-(0.25, 1.2)) with velocities, and ``verify --json`` on the helix CSV, on
-its ``s,x,y,z`` columns alone, the input whose velocities ``verify``
-differences, on those columns with a trailing empty line, and on a
-horizontal H3 curve with an inflection point, which ``verify`` finds not
-biharmonic (exit 1) at every n.  It also runs the commands whose outputs do not depend on n:
+(0.25, 1.2)) with velocities, and ``verify --json`` on the helix CSV, on its ``s,x,y,z`` columns alone, the input
+whose velocities ``verify`` differences, and on a horizontal H3 curve with
+an inflection point, which ``verify`` finds not biharmonic (exit 1) at
+every n.  It also runs the commands whose outputs do not depend on n:
 ``tensors --json`` on H3 at the origin, on (m, l) = (0.25, 1.2) at (1, 2, 3)
 and on (2, 1) at (1000, 0, 0), ``cone`` on one direction and on a sweep,
 and ``scan`` of both branches to a CSV.  It prints ``n  sha256  name`` for
@@ -55,8 +54,6 @@ def commands(n: int) -> list[tuple[str, list[str]]]:
         *geodesics,
         ("verify", ["verify", "helix.csv", "--json", "verify.json"]),
         ("verify_positions", ["verify", "positions.csv", "--json", "verify_positions.json"]),
-        ("verify_blank_line", ["verify", "positions_blank.csv", "--json",
-                               "verify_blank_line.json"]),
         ("verify_inflection", ["verify", "inflection.csv", "--json", "verify_inflection.json"]),
         *tensors,
         ("cone_direction", ["cone", "--direction", "0,0.6,0.8"]),
@@ -69,12 +66,6 @@ def write_positions(src: str, dst: str) -> None:
     """Copy the ``s,x,y,z`` columns of the sample CSV ``src`` to ``dst``."""
     with open(src, "rb") as fh, open(dst, "wb") as out:
         out.writelines(b",".join(line.rstrip(b"\r\n").split(b",")[:4]) + b"\r\n" for line in fh)
-
-
-def write_blank_line(src: str, dst: str) -> None:
-    """Copy the file ``src`` to ``dst`` with one empty line appended."""
-    with open(src, "rb") as fh, open(dst, "wb") as out:
-        out.write(fh.read() + b"\r\n")
 
 
 def write_inflection(path: str, n: int) -> None:
@@ -104,8 +95,6 @@ def digests(n: int) -> list[str]:
             for name, argv in commands(n):
                 if name == "verify_positions":
                     write_positions("helix.csv", "positions.csv")
-                if name == "verify_blank_line":
-                    write_blank_line("positions.csv", "positions_blank.csv")
                 if name == "verify_inflection":
                     write_inflection("inflection.csv", n)
                 with contextlib.redirect_stdout(io.StringIO()) as stdout, \
