@@ -239,10 +239,9 @@ def cmd_generate(args, file_cfg: dict) -> int:
     if args.surfaces:
         suffixes += [".cylinder.csv", ".helicoid.csv"]
     path = {suffix: f"{args.out}{suffix}" for suffix in suffixes}
-    with crv._shared_text():  # .frenet.json writes the text .csv has written
-        crv.write_samples_csv(path[".csv"], samples, include_velocity=args.with_velocity)
-        crv.write_frenet_json(path[".frenet.json"], report.frenet)
-        analysis.residuals_to_csv(path[".residuals.csv"], report)
+    crv.write_samples_csv(path[".csv"], samples, include_velocity=args.with_velocity)
+    crv.write_frenet_json(path[".frenet.json"], report.frenet)
+    analysis.residuals_to_csv(path[".residuals.csv"], report)
     _write_text(path[".report.json"], report.to_json())
     _write_text(path[".classification.json"], result.to_json())
     _write_text(path[".params.json"], factory.dump_curve_params(spec, args.samples))

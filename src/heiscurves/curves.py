@@ -26,15 +26,12 @@ measured torsion does not depend on the orientation choice for N.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
 import warnings
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, NoReturn, Optional
+from typing import Callable, NoReturn, Optional
 
 import numpy as np
 
@@ -423,251 +420,52 @@ def left_translate_curve(g, spec: CurveSpec) -> CurveSpec:
 # ---------------------------------------------------------------------------
 
 
-_ROWS_PER_WRITE = 8192  # rows of a per-sample file laid out and written at once
-
-# ``%.17g`` in numpy.  Each entry of magnitude 1e-280 to 1e280 becomes D * 10**(X - 16),
-# D a 17-digit integer rounded from a double-double product; ±0, subnormals, larger
-# and smaller magnitudes, nan, inf and rounding near-ties go through ``%`` itself.
-# An entry's text is laid out in a row of 48 bytes:
-#
-#   0 sign | 1-5 "0.000" | 6-22 the 17 digits | 23 "." | 24-40 the 17 digits again |
-#   41 "e" | 42 exponent sign | 43-45 three exponent digits | 46 "," | 47 unused
-#
-# The integer part comes from the first copy of the digits and the fraction from the
-# second, so no digit moves to make room for the point.  A keep mask per (layout,
-# sign, significant digits) zeroes the bytes the text does not use, and deleting the
-# zero bytes leaves the text.
-_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
-_FAST_MIN, _FAST_MAX = 1e-280, 1e280
-_X_MAX = 282  # |X| on the fast route: 280, one step of correction and a carry
-_POW_MIN, _POW_MAX = 16 - _X_MAX, 16 + _X_MAX  # the 10**k that scale to 17 digits
-_NEAR_TIE = 1e-9  # far above the product's error (about 1e-14 at the 1e17 scale)
-_ROW_BYTES = 48
-_ROW = np.dtype({
-    "names": ["int_lead", "int_rest", "frac_lead", "frac_rest", "exponent"],
-    "formats": ["u1", "V16", "u1", "V16", "u4"],
-    "offsets": [6, 7, 24, 25, 42],
-    "itemsize": _ROW_BYTES,
-})
-_ROW_TEMPLATE = b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"e+000,\0"
-# Layouts: fixed notation for X = -4 .. 16, then scientific with two and three
-# exponent digits.
-_FIXED_LAYOUTS = 21
-_LAYOUTS = _FIXED_LAYOUTS + 2
+_ROWS_PER_WRITE = 8192  # rows of a per-sample file turned into text and written at once
 
 
-class _TextTables(NamedTuple):
-    pow_hi: np.ndarray       # 10**k rounded, k = _POW_MIN .. _POW_MAX
-    pow_hi_halves: np.ndarray  # (2, k): its Dekker halves
-    pow_lo: np.ndarray       # 10**k - pow_hi, rounded
-    digits4: np.ndarray      # uint32: the four ASCII digits of 0 .. 9999
-    zeros4: np.ndarray       # trailing zeros of those four digits
-    exponent: np.ndarray     # uint32: exponent sign and three digits, for X + _X_MAX
-    keep: np.ndarray         # (keys, 6) uint64 byte masks of a row
+def _dumps(block: np.ndarray) -> bytes:
+    """The JSON text of the C-contiguous array ``block``: orjson's shortest
+    round-trip text of each number (``0.0``, ``1e-7``, ``-0.0``), null where
+    a number is not finite, ``true``/``false`` for booleans.  Every number of
+    the per-sample files is written here.  orjson is imported on first use,
+    so that importing the package does not load it."""
+    import orjson
+
+    return orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
 
 
-@functools.cache
-def _text_tables() -> _TextTables:
-    """The kernel's tables, built on first use from exact integer arithmetic."""
-    hi, lo = [], []
-    for k in range(_POW_MIN, _POW_MAX + 1):
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        rounded = num / den  # int / int rounds correctly
-        a, b = rounded.as_integer_ratio()
-        hi.append(rounded)
-        lo.append((num * b - a * den) / (den * b))
-    hi = np.array(hi)
-    c = _SPLIT * hi
-    hi_hi = c - (c - hi)
-
-    d = np.arange(10000)
-    digits = (48 + d[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
-    zeros = np.where(d == 0, 4, (d % 10 == 0) * 1 + (d % 100 == 0) + (d % 1000 == 0))
-    x = np.arange(-_X_MAX, _X_MAX + 1)
-    e = np.abs(x)
-    exponent = np.column_stack(
-        [np.where(x < 0, ord("-"), ord("+")), 48 + e // 100, 48 + e // 10 % 10, 48 + e % 10]
-    ).astype(np.uint8)
-
-    # key = (layout * 2 + negative) * 18 + significant digits (1 .. 17)
-    layout, negative, nd = (v[..., None] for v in np.indices((_LAYOUTS, 2, 18)))
-    byte = np.arange(_ROW_BYTES)
-    fixed = layout < _FIXED_LAYOUTS
-    X = layout - 4
-    lead = np.where(fixed, np.maximum(X + 1, 0), 1)  # digits before the point
-    prefix = np.where(fixed & (X < 0), 1 - X, 0)  # "0." and the zeros after it
-    keep = (
-        ((byte == 0) & (negative == 1))
-        | ((1 <= byte) & (byte < 1 + prefix))
-        | ((6 <= byte) & (byte < 6 + lead))
-        | ((byte == 23) & (0 < lead) & (lead < nd))
-        | ((24 + lead <= byte) & (byte < 24 + nd))
-        | (~fixed & (41 <= byte) & (byte < 46) & ((byte != 43) | (layout == _LAYOUTS - 1)))
-        | (byte == 46)
-    )
-    return _TextTables(
-        pow_hi=hi,
-        pow_hi_halves=np.stack([hi_hi, hi - hi_hi]),
-        pow_lo=np.array(lo),
-        digits4=digits.view(np.uint32).ravel(),
-        zeros4=zeros,
-        exponent=exponent.view(np.uint32).ravel(),
-        keep=(keep * np.uint8(255)).reshape(-1, _ROW_BYTES).view(np.uint64),
-    )
-
-
-def _scaled(tables: _TextTables, x: np.ndarray, k: np.ndarray):
-    """x * 10**k as p + r, p the rounded product and r the rest, with an error
-    below 1e-14 for a product near 1e17.  TwoProduct with Dekker's split
-    makes x * pow_hi exact; x * pow_lo adds the rest of 10**k."""
-    i = k - _POW_MIN
-    p = x * np.take(tables.pow_hi, i)
-    c = _SPLIT * x
-    x_hi = c - (c - x)
-    x_lo = x - x_hi
-    h_hi, h_lo = np.take(tables.pow_hi_halves[0], i), np.take(tables.pow_hi_halves[1], i)
-    r = ((x_hi * h_hi - p) + x_hi * h_lo + x_lo * h_hi) + x_lo * h_lo
-    r += x * np.take(tables.pow_lo, i)
-    return p, r
-
-
-def _percent_17g_rows(a: np.ndarray, out: np.ndarray) -> None:
-    """Lay out the ``%.17g`` text of each entry of ``a``, followed by a comma,
-    in one row of the (len(a), 48) uint8 array ``out``, whose rows may be
-    strided; the bytes the text does not use are zero."""
-    tables = _text_tables()
-    n = len(a)
-    ax = np.abs(a)
-    fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)
-    ax[~fast] = 1.0
-    # X = floor(log10 |a|), corrected where log10 rounds across a power of ten.  A
-    # product within its error of 1e16 or 1e17 may land on either side; both sides
-    # round to the same text.
-    X = np.floor(np.log10(ax)).astype(np.int64)
-    p, r = _scaled(tables, ax, 16 - X)
-    low = (p < 1e16) | ((p == 1e16) & (r < 0.0))
-    high = (p > 1e17) | ((p == 1e17) & (r >= 0.0))
-    fix = np.flatnonzero(low | high)
-    if len(fix):
-        X[fix] += high[fix].astype(np.int64) - low[fix]
-        p[fix], r[fix] = _scaled(tables, ax[fix], 16 - X[fix])
-    # D = round(p + r); p is an integer here, as every double >= 2**53 is
-    whole = np.floor(r)
-    r -= whole
-    D = p.astype(np.int64)
-    D += whole.astype(np.int64)
-    D += r > 0.5
-    fast &= (np.abs(r - 0.5) > _NEAR_TIE) & (D >= 10**16) & (D <= 10**17)
-    carry = D == 10**17
-    D[carry] = 10**16
-    X += carry
-
-    lead, rest = np.divmod(D, 10**16)
-    high8, low8 = np.divmod(rest, 10**8)
-    groups = np.empty((n, 4), dtype=np.int64)
-    np.divmod(high8, 10000, out=(groups[:, 0], groups[:, 1]))
-    np.divmod(low8, 10000, out=(groups[:, 2], groups[:, 3]))
-    nd = 17 - np.take(tables.zeros4, groups[:, 3])
-    for i in 2, 1, 0:  # after a group of four zeros, count on in the group before it
-        more = np.flatnonzero(nd == 17 - 4 * (3 - i))
-        if not len(more):
-            break
-        nd[more] -= np.take(tables.zeros4, groups[more, i])
-
-    layout = np.where(
-        (X < -4) | (X >= 17), _FIXED_LAYOUTS + (np.abs(X) >= 100), X + 4
-    )
-    key = (layout * 2 + np.signbit(a)) * 18 + nd
-    out[...] = _row_of(_ROW_TEMPLATE)
-    row = out.view(_ROW)[:, 0]
-    digits = np.take(tables.digits4, groups).view("V16").ravel()
-    row["int_lead"] = row["frac_lead"] = lead + 48
-    row["int_rest"] = row["frac_rest"] = digits
-    row["exponent"] = np.take(tables.exponent, X + _X_MAX)
-    words = out.view(np.uint64)
-    words &= np.take(tables.keep, key, axis=0)
-
-    slow = np.flatnonzero(~fast)
-    if len(slow):
-        text = np.array(["%.17g," % v for v in a[slow].tolist()], dtype=f"S{_ROW_BYTES}")
-        words[slow] = text.view(np.uint64).reshape(len(slow), -1)
-
-
-def _row_of(text: bytes) -> np.ndarray:
-    """``text`` as one 48-byte row, padded with zero bytes."""
-    return np.frombuffer(text.ljust(_ROW_BYTES, b"\0"), dtype=np.uint8)
-
-
-def _pack(rows: np.ndarray) -> bytes:
-    """The text laid out in ``rows``: their bytes without the zero bytes."""
-    return rows.tobytes().translate(None, b"\0")
-
-
-_SHARED_TEXT: ContextVar[list | None] = ContextVar("heiscurves_shared_text", default=None)
-
-
-@contextmanager
-def _shared_text():
-    """Inside the block ``write_samples_csv`` keeps the packed text of each
-    column, one bytes object per block of rows, under its ``CurveSamples``
-    and the column's header name, and ``_frenet_json_parts`` writes the text
-    kept for ``frenet.samples`` (found by identity) again instead of
-    formatting s, the points and T.  The samples must not change inside the
-    block."""
-    token = _SHARED_TEXT.set([])
-    try:
-        yield
-    finally:
-        _SHARED_TEXT.reset(token)
-
-
-def _text(a) -> str:
-    """The ``%.17g`` text of each entry of the 1-D array ``a`` (a lossless
-    round trip), comma-separated: the str form of the kernel that formats
-    every number of the per-sample files."""
-    a = np.asarray(a, dtype=float)
-    rows = np.empty((len(a), _ROW_BYTES), dtype=np.uint8)
-    _percent_17g_rows(a, rows)
-    return _pack(rows)[:-1].decode("ascii")
-
-
-def _write_table(path, header, columns, keep: dict | None = None) -> None:
+def _write_table(path, header, columns) -> None:
     """Write ``header`` and one row per sample of the 1-D ``columns``, each
-    field the kernel's ``%.17g`` text, each line ended by ``\\r\\n``; a
-    ``None`` column leaves its field empty.  The columns' rows are laid out
-    side by side and written ``_ROWS_PER_WRITE`` lines at a time.  With
-    ``keep``, the packed text of each column goes to the list under its
-    header name there, one bytes object per block."""
+    field the shortest round-trip text of its number (``nan``, ``inf`` or
+    ``-inf`` where it is not finite), each line ended by ``\\r\\n``; a
+    ``None`` column leaves its field empty.  ``_ROWS_PER_WRITE`` lines are
+    formatted and written at a time."""
     columns = [None if c is None else np.asarray(c, dtype=float) for c in columns]
-    kept = None if keep is None else [keep.setdefault(name, []) for name in header]
     n = len(next(c for c in columns if c is not None))
-    layout = np.empty((min(n, _ROWS_PER_WRITE), len(columns), _ROW_BYTES), dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode("ascii"))
         for start in range(0, n, _ROWS_PER_WRITE):
-            rows = layout[: n - start]
-            for j, column in enumerate(columns):
-                if column is None:
-                    rows[:, j] = _row_of(b",")
-                    continue
-                _percent_17g_rows(column[start : start + len(rows)], rows[:, j])
-                if kept is not None:
-                    kept[j].append(_pack(rows[:, j]))
-            last = rows[:, -1]
-            last[last == ord(",")] = ord("\r")  # a field from ``%`` ends before byte 46
-            last[:, -1] = ord("\n")
-            fh.write(_pack(rows))
+            stop = min(n, start + _ROWS_PER_WRITE)
+            block = np.column_stack([
+                np.full(stop - start, np.nan) if c is None else c[start:stop] for c in columns
+            ])
+            text = _dumps(block)[2:-2].replace(b"],[", b"\r\n") + b"\r\n"
+            nulls = ~np.isfinite(block)
+            if nulls.any():  # each null, in row-major order, becomes its field's text
+                fields = tuple(
+                    b"" if columns[j] is None else b"%r" % v
+                    for v, j in zip(block[nulls].tolist(), np.nonzero(nulls)[1].tolist())
+                )
+                text = text.replace(b"null", b"%b") % fields
+            fh.write(text)
 
 
 def write_samples_csv(path, samples: CurveSamples, include_velocity: bool = False) -> None:
-    """Write rows ``s,x,y,z`` (plus frame components ``vx,vy,vz`` on request);
-    inside ``_shared_text`` each column's text is kept for ``write_frenet_json``."""
+    """Write rows ``s,x,y,z`` (plus frame components ``vx,vy,vz`` on
+    request), each number as the shortest text that reads back to its bits."""
     width = 7 if include_velocity else 4
     columns = [samples.s, *samples.points.T, *samples.velocity_frame.T]
-    shared, keep = _SHARED_TEXT.get(), None
-    if shared is not None:
-        shared.append((samples, keep := {}))
-    _write_table(path, ["s", "x", "y", "z", "vx", "vy", "vz"][:width], columns[:width], keep)
+    _write_table(path, ["s", "x", "y", "z", "vx", "vy", "vz"][:width], columns[:width])
 
 
 def _loadtxt_float(text: str) -> float:
@@ -812,44 +610,21 @@ def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]
     return data[:, 0], data[:, 1:4], vel
 
 
-def _json_items(a: np.ndarray, rows: np.ndarray, kept: list[bytes] | None):
-    """The items of the JSON list of the 1-D series ``a``, each followed by a
-    comma, as one bytes object per block of ``_ROWS_PER_WRITE``: ``true`` or
-    ``false``, or the kernel's ``%.17g`` text of a number, with null where it
-    is not finite and ``-0.0`` for negative zero (its text ``-0`` would read
-    back as the integer 0).  A block that needs neither is its text in
-    ``kept``, where given: the packed blocks of ``a`` that a CSV wrote."""
-    for block, start in enumerate(range(0, len(a), _ROWS_PER_WRITE)):
-        v = a[start : start + _ROWS_PER_WRITE]
-        if a.dtype == bool:
-            yield _pack(np.where(v, b"true,", b"false,"))
-            continue
-        nulls = ~np.isfinite(v)
-        negative_zeros = (v == 0.0) & np.signbit(v)
-        if kept is not None and not (nulls.any() or negative_zeros.any()):
-            yield kept[block]
-            continue
-        out = rows[: len(v)]
-        _percent_17g_rows(v, out)
-        out[nulls] = _row_of(b"null,")
-        out[negative_zeros] = _row_of(b"-0.0,")
-        yield _pack(out)
-
-
-def _json_list_parts(a: np.ndarray, rows: np.ndarray, kept):
+def _json_list_parts(a: np.ndarray):
     """The JSON text of a per-sample series, in parts: a list of booleans or
-    numbers, or for an (n, 3) series its three component lists; ``kept`` is
-    the kept text of the list (``_json_items``), or of each component."""
+    numbers (``_dumps``'s text), or for an (n, 3) series its three component
+    lists, ``_ROWS_PER_WRITE`` items at a time."""
     if a.ndim == 2:
-        for opening, component, text in zip((b"[", b",", b","), a.T, kept or (None,) * 3):
+        for opening, component in zip((b"[", b",", b","), a.T):
             yield opening
-            yield from _json_list_parts(component, rows, text)
+            yield from _json_list_parts(component)
         yield b"]"
         return
     yield b"["
-    last = (len(a) - 1) // _ROWS_PER_WRITE
-    for block, items in enumerate(_json_items(a, rows, kept)):
-        yield items if block < last else memoryview(items)[:-1]
+    for start in range(0, len(a), _ROWS_PER_WRITE):
+        if start:
+            yield b","
+        yield memoryview(_dumps(np.ascontiguousarray(a[start : start + _ROWS_PER_WRITE])))[1:-1]
     yield b"]"
 
 
@@ -889,15 +664,11 @@ def _frenet_json_parts(frenet: FrenetSeries):
         },
         "stencil_order": STENCIL_ORDER,
     }
-    text = next((text for written, text in _SHARED_TEXT.get() or () if written is samples), {})
-    kept = {"s": text.get("s"), "point": [text.get(c) for c in ("x", "y", "z")],
-            "T": [text.get(c) for c in ("vx", "vy", "vz")]}
-    rows = np.empty((min(samples.n, _ROWS_PER_WRITE), _ROW_BYTES), dtype=np.uint8)
     # "columns" sorts before every other key, so it leads the object
     opening = b'{"columns":{'
     for name, series in columns.items():
         yield opening + f'"{name}":'.encode("ascii")
-        yield from _json_list_parts(series, rows, kept.get(name))
+        yield from _json_list_parts(series)
         opening = b","
     yield b"}," + json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:].encode("ascii")
 
@@ -906,8 +677,9 @@ def frenet_to_json(frenet: FrenetSeries) -> str:
     """Serialize a Frenet series to one line of columnar JSON.
 
     ``columns`` holds one list per scalar series and three component lists
-    per vector series (``point``, ``T``, ``N``, ``B``), written as the same
-    ``%.17g`` text as the CSVs, with null where N, B and tau are undefined.
+    per vector series (``point``, ``T``, ``N``, ``B``), each number the
+    shortest text that reads back to its bits, as in the CSVs, and null where
+    it is not finite: where N, B and tau are undefined.
     ``provenance`` records what produced the series.  ``write_frenet_json``
     writes the same text to a file without holding all of it.
     """
@@ -917,8 +689,6 @@ def frenet_to_json(frenet: FrenetSeries) -> str:
 def write_frenet_json(path, frenet: FrenetSeries) -> None:
     """Write ``frenet_to_json(frenet)`` to ``path`` part by part, so that
     the number text of one block of ``_ROWS_PER_WRITE`` samples of one
-    series is held at a time.  Inside ``_shared_text``, after
-    ``write_samples_csv`` of the same samples, the CSV's text of s, the
-    points and (with its velocity columns) T is written again."""
+    series is held at a time."""
     with open(path, "wb") as fh:
         fh.writelines(_frenet_json_parts(frenet))

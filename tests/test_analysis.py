@@ -1,5 +1,6 @@
 """Tension / bitension fields, characterization systems and classification."""
 
+import dataclasses
 import json
 import math
 
@@ -387,6 +388,10 @@ class TestReports:
         spec = hc.one_param_subgroup(np.array([0.0, 0.0, 1.0]), (0.0, 2.0))
         rep = hc.bitension_report(hc.sample_curve(spec, 64))
         assert rep.cT is None
+        # a residual that is not finite keeps its text beside the empty fields
+        residual = rep.residual.copy()
+        residual[1:4] = [np.nan, np.inf, -np.inf]
+        rep = dataclasses.replace(rep, residual=residual)
         path = tmp_path / "residuals.csv"
         hc.residuals_to_csv(path, rep)
         lines = path.read_bytes().split(b"\r\n")
@@ -394,7 +399,9 @@ class TestReports:
         rows = [line.decode().split(",") for line in lines[1:-1]]
         assert [row[1:4] for row in rows] == [["", "", ""]] * rep.frenet.samples.n
         assert [float(row[0]) for row in rows] == rep.frenet.samples.s.tolist()
-        assert [float(row[4]) for row in rows] == rep.residual.tolist()
+        assert [row[4] for row in rows[1:4]] == ["nan", "inf", "-inf"]
+        back = np.array([float(row[4]) for row in rows])
+        assert np.array_equal(back, residual, equal_nan=True)
 
     def test_geodesic_report_has_no_expansion(self):
         spec = hc.geodesic_ivp(H, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 20.0))

@@ -1,6 +1,5 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
-import contextlib
 import json
 import math
 import os
@@ -416,9 +415,9 @@ def test_every_command_runs_without_scipy(tmp_path, figure1_samples):
 
 
 def test_cli_import_loads_no_fractions_decimal_or_scipy():
-    """The text kernel's tables come from integer arithmetic on first use,
-    so importing the CLI pulls in neither exact-arithmetic module, nor scipy;
-    nor orjson, which the sample reader imports when it first runs."""
+    """Importing the CLI pulls in neither exact-arithmetic module, nor scipy;
+    nor orjson, which the sample reader and the writers import when they
+    first run."""
     src = str(Path(hc.__file__).resolve().parents[1])
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
@@ -521,136 +520,6 @@ class TestWritersPerGenerate:
         )
         assert code == 0
         assert counts == {"write_samples_csv": 1, "write_frenet_json": 1, "residuals_to_csv": 1}
-
-    @staticmethod
-    def _formatted(capsys, monkeypatch, tmp_path, n, *flags):
-        """Run ``generate`` with ``flags``; return the lengths the kernel
-        formats, the kept text it sees at each call, the arrays it formats
-        while .frenet.json is written, and the Frenet series written."""
-        formatted, memos, in_json, frenets, writing = [], [], [], [], []
-        kernel, json_writer = curves._percent_17g_rows, curves.write_frenet_json
-
-        def spied(a, out):
-            formatted.append(len(a))
-            memos.append(curves._SHARED_TEXT.get())
-            if writing:
-                in_json.append(a)
-            return kernel(a, out)
-
-        def spied_json(path, frenet):
-            frenets.append(frenet)
-            writing.append(path)
-            try:
-                json_writer(path, frenet)
-            finally:
-                writing.pop()
-
-        monkeypatch.setattr(curves, "_percent_17g_rows", spied)
-        monkeypatch.setattr(curves, "write_frenet_json", spied_json)
-        code, _, _ = run(
-            capsys,
-            "generate",
-            "--sin-alpha0", repr(1.0 / math.sqrt(10.0)),
-            "--samples", str(n),
-            "--s1", repr(2.0 * math.pi),
-            *flags,
-            "--out", str(tmp_path / "curve"),
-        )
-        assert code == 0
-        assert curves._SHARED_TEXT.get() is None
-        return formatted, memos, in_json, frenets[0]
-
-    def test_generate_formats_each_column_once(self, capsys, monkeypatch, tmp_path):
-        # the three files hold 7 + 15 + 5 float columns; .frenet.json takes
-        # the text of s, the points and the velocities from the CSV, so the
-        # kernel formats the other 20 columns.  residuals.csv formats s again
-        n = 501
-        formatted, memos, in_json, frenet = self._formatted(
-            capsys, monkeypatch, tmp_path, n, "--with-velocity"
-        )
-        assert sum(formatted) == 20 * n
-        assert memos[0] is not None and all(memo is memos[0] for memo in memos)
-        # the CSV's text is kept once, under the samples .frenet.json writes
-        [(samples, text)] = memos[0]
-        assert samples is frenet.samples
-        assert sorted(text) == sorted(["s", "x", "y", "z", "vx", "vy", "vz"])
-        assert all(len(blocks) == 1 for blocks in text.values())
-        # while .frenet.json is written, only k, tau, N and B go through the kernel
-        assert len(in_json) == 8
-        for a in in_json:
-            for shared in (frenet.samples.s, frenet.samples.points, frenet.samples.velocity_frame):
-                assert not np.may_share_memory(a, shared)
-
-    def test_generate_without_velocity_formats_T_for_the_json(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        # the CSV holds s and the points alone, so .frenet.json formats T
-        # itself: 4 + 11 + 5 columns
-        n = 501
-        formatted, memos, in_json, frenet = self._formatted(capsys, monkeypatch, tmp_path, n)
-        assert sum(formatted) == 20 * n
-        [(samples, text)] = memos[0]
-        assert samples is frenet.samples and sorted(text) == sorted(["s", "x", "y", "z"])
-        assert len(in_json) == 11
-        assert sum(np.may_share_memory(a, frenet.samples.velocity_frame) for a in in_json) == 3
-        for a in in_json:
-            for shared in (frenet.samples.s, frenet.samples.points):
-                assert not np.may_share_memory(a, shared)
-
-    def test_shared_text_changes_no_byte(self, capsys, monkeypatch, tmp_path):
-        # blocks of 64 rows, so that block ends are crossed at n = 501
-        monkeypatch.setattr(curves, "_ROWS_PER_WRITE", 64)
-        n = 501
-        argv = [
-            "generate",
-            "--sin-alpha0", repr(1.0 / math.sqrt(10.0)),
-            "--samples", str(n),
-            "--s1", repr(2.0 * math.pi),
-            "--with-velocity", "--surfaces",
-        ]
-        (tmp_path / "kept").mkdir()
-        (tmp_path / "alone").mkdir()
-        assert run(capsys, *argv, "--out", str(tmp_path / "kept" / "curve"))[0] == 0
-        with monkeypatch.context() as patch:
-            patch.setattr(curves, "_shared_text", contextlib.nullcontext)
-            assert run(capsys, *argv, "--out", str(tmp_path / "alone" / "curve"))[0] == 0
-        names = sorted(p.name for p in (tmp_path / "kept").iterdir())
-        assert len(names) == 8
-        assert names == sorted(p.name for p in (tmp_path / "alone").iterdir())
-        for name in names:
-            kept, alone = tmp_path / "kept" / name, tmp_path / "alone" / name
-            assert kept.read_bytes() == alone.read_bytes(), name
-
-        # .frenet.json before the CSV: nothing is kept yet, so every column
-        # of .frenet.json goes through the kernel, and the bytes are the same
-        hp = hc.HelixParams(alpha0=math.asin(1.0 / math.sqrt(10.0)))
-        samples = hc.sample_curve(hc.biharmonic_helix(hp, (0.0, 2.0 * math.pi)), n)
-        frenet = hc.bitension_report(samples).frenet
-        formatted = []
-        kernel = curves._percent_17g_rows
-
-        def spied(a, out):
-            formatted.append(len(a))
-            return kernel(a, out)
-
-        monkeypatch.setattr(curves, "_percent_17g_rows", spied)
-        first = tmp_path / "first"
-        with curves._shared_text():
-            hc.write_frenet_json(f"{first}.frenet.json", frenet)
-            assert sum(formatted) == 15 * n
-            hc.write_samples_csv(f"{first}.csv", samples, include_velocity=True)
-            [(kept_samples, text)] = curves._SHARED_TEXT.get()
-            assert kept_samples is samples
-            assert all(len(blocks) == -(-n // 64) for blocks in text.values())
-            # written after the CSV, .frenet.json formats k, tau, N and B alone
-            formatted.clear()
-            hc.write_frenet_json(f"{first}.again.frenet.json", frenet)
-            assert sum(formatted) == 8 * n
-        assert Path(f"{first}.again.frenet.json").read_bytes() == Path(
-            f"{first}.frenet.json").read_bytes()
-        for suffix in (".frenet.json", ".csv"):
-            expected = (tmp_path / "kept" / f"curve{suffix}").read_bytes()
-            assert Path(f"{first}{suffix}").read_bytes() == expected, suffix
 
 
 class TestGeodesicCommand:

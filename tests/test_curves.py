@@ -6,7 +6,6 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -492,11 +491,9 @@ class TestInterchange:
         hc.write_samples_csv(path, hc.CurveSamples(H, s, points, vel), include_velocity=True)
         assert path.read_bytes() == (
             b"s,x,y,z,vx,vy,vz\r\n"
-            b"-0,1,-2.5,1e+22,0.59999999999999998,0,0.80000000000000004\r\n"
-            b"1e-300,3.1415926535897931,-1.0000000000000001e-05,123456789,-0,1,"
-            b"0.66666666666666663\r\n"
-            b"0.30000000000000004,-0,1e-300,0.30000000000000004,0.10000000000000001,"
-            b"0.20000000000000001,0.33333333333333331\r\n"
+            b"-0.0,1.0,-2.5,1e22,0.6,0.0,0.8\r\n"
+            b"1e-300,3.141592653589793,-0.00001,123456789.0,-0.0,1.0,0.6666666666666666\r\n"
+            b"0.30000000000000004,-0.0,1e-300,0.30000000000000004,0.1,0.2,0.3333333333333333\r\n"
         )
 
     def test_csv_bad_header(self, tmp_path):
@@ -638,8 +635,8 @@ class TestInterchange:
         for key, series in (("s", fr.samples.s), ("k", fr.k), ("tau", fr.tau)):
             assert _bits(np.array(columns[key], float)) == _bits(series), key
         assert np.array_equal(np.array(columns["defined"]), fr.defined)
-        # integral values are written as the CSVs write them: s = 0 reads back as 0
-        assert columns["s"][0] == 0 and isinstance(columns["s"][0], int)
+        # every number is written as a float, as in the CSVs: s = 0 is 0.0
+        assert columns["s"][0] == 0 and isinstance(columns["s"][0], float)
 
     def test_frenet_json_special_values(self):
         import json
@@ -698,11 +695,36 @@ def _bits(a: np.ndarray) -> bytes:
     return a.tobytes()
 
 
-def _one_format_table(header, columns) -> bytes:
-    """The former CSV codec: the whole table in one ``%`` operation."""
-    data = np.column_stack([c for c in columns if c is not None])
-    row = ",".join("" if c is None else "%.17g" for c in columns) + "\r\n"
-    return (",".join(header) + "\r\n" + (row * len(data)) % tuple(data.ravel().tolist())).encode()
+def _assert_numbers_are_repr_decimals(texts, a) -> None:
+    """Each text of ``texts`` is the decimal ``repr`` writes for its entry
+    of the finite series ``a``, and reads back to that entry's bits, the sign
+    of zero included."""
+    values = a.tolist()
+    assert len(texts) == len(values)
+    assert [decimal.Decimal(t) for t in texts] == [decimal.Decimal(repr(v)) for v in values]
+    assert _bits([float(t) for t in texts]) == _bits(values)
+
+
+def _assert_table_round_trips(path, header, columns) -> None:
+    """The file ``_write_table(path, header, columns)`` wrote: the header,
+    then one row per sample, every line ended by ``\\r\\n``, with an empty
+    field for a ``None`` column, ``nan``, ``inf`` or ``-inf`` for a number
+    that is not finite, and for every other number ``repr``'s decimal with
+    its bits."""
+    lines = path.read_bytes().decode("ascii").split("\r\n")
+    assert lines.pop() == ""
+    assert lines.pop(0) == ",".join(header)
+    fields = list(zip(*(line.split(",") for line in lines)))
+    n = len(next(c for c in columns if c is not None))
+    assert len(lines) == n and all(len(line.split(",")) == len(header) for line in lines)
+    for texts, column in zip(fields or [()] * len(columns), columns):
+        if column is None:
+            assert set(texts) <= {""}
+            continue
+        a = np.asarray(column, dtype=float)
+        finite = np.isfinite(a)
+        assert [t for t, f in zip(texts, finite) if not f] == [repr(v) for v in a[~finite].tolist()]
+        _assert_numbers_are_repr_decimals([t for t, f in zip(texts, finite) if f], a[finite])
 
 
 def _outcome(path):
@@ -874,12 +896,24 @@ class TestReaderRoutes:
 
 
 class TestTextCodec:
+    """Every number of the per-sample files is the shortest text that reads
+    back to its float64 bits: the decimal Python's ``repr`` writes.  Numbers
+    that are not finite are ``nan``, ``inf`` and ``-inf`` in the CSVs, and
+    null in ``.frenet.json``."""
+
     SPECIAL = np.array([
         np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072009e-308, -1e-310,
         1e300, -1e300, 1.0, -3.0, 2.0**53, 123456789.0, 0.1, 1.0 / 3.0,
     ])
+    # powers of ten and of two, the doubles next to them, and the switches
+    # between fixed and scientific notation
+    EDGES = np.concatenate([
+        a for p in (10.0 ** np.arange(-300, 301), np.ldexp(1.0, np.arange(-1074, 1024)),
+                    np.array([1e-5, 1e-4, 1e15, 1e16, 1e17]))
+        for a in (p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), -p)
+    ])
 
-    def test_table_matches_one_format_operation(self, tmp_path):
+    def test_table_round_trips(self, tmp_path):
         rng = np.random.default_rng(7)
         a = self.SPECIAL
         b = rng.permutation(a)
@@ -890,21 +924,19 @@ class TestTextCodec:
             (("s", "gap", "a", "gap2", "c"), (a, None, b, None, c)),
             (("s", "a"), (np.arange(len(a)), a)),  # an integer column
             (("s", "a"), (np.zeros(0), np.zeros(0))),
+            (("e", "gap", "f"), (self.EDGES, None, self.EDGES[::-1])),
         ]
         for header, columns in cases:
             path = tmp_path / "t.csv"
             curves._write_table(path, header, columns)
-            assert path.read_bytes() == _one_format_table(header, columns), header
+            _assert_table_round_trips(path, header, columns)
 
     @pytest.mark.parametrize("rows_per_write", [4, None])  # None: the package's own block size
-    def test_table_split_in_blocks_matches_one_format_operation(
-        self, tmp_path, monkeypatch, rows_per_write
-    ):
-        # the columns' rows are laid out side by side one block at a time;
-        # rows on either side of every block end must come out as in one
-        # operation.  SPECIAL's fields come from ``%`` and end their comma
-        # before byte 46, so its column goes first and last on the line too,
-        # and an empty column goes in the middle
+    def test_table_split_in_blocks_round_trips(self, tmp_path, monkeypatch, rows_per_write):
+        # a table is written one block of rows at a time; rows on either side
+        # of every block end must come out whole, with the nulls of the block
+        # replaced in order.  SPECIAL's column goes first and last on the
+        # line, and an empty column goes in the middle
         if rows_per_write is not None:
             monkeypatch.setattr(curves, "_ROWS_PER_WRITE", rows_per_write)
         block = curves._ROWS_PER_WRITE
@@ -921,43 +953,46 @@ class TestTextCodec:
             ]
             for header, columns in tables:
                 curves._write_table(path, header, columns)
-                assert path.read_bytes() == _one_format_table(header, columns), (header, n)
-            # with ``keep`` each column's text is kept, one block at a time, as
-            # the CSV lays it out, and the bytes written do not change
-            for header, columns in tables:
-                keep = {}
-                curves._write_table(path, header, columns, keep)
-                assert path.read_bytes() == _one_format_table(header, columns), (header, n)
-                for name, column in zip(header, columns):
-                    blocks = keep[name]
-                    if column is None:
-                        assert blocks == []
-                        continue
-                    assert len(blocks) == -(-n // block)
-                    assert b"".join(blocks) == "".join("%.17g," % v for v in column).encode()
+                _assert_table_round_trips(path, header, columns)
+
+    def test_nonfinite_fields_keep_their_text(self, tmp_path):
+        # orjson writes null for nan, inf and -inf alike; each goes back to
+        # its own text, which the sample reader names, and a None column
+        # stays empty
+        path = tmp_path / "t.csv"
+        curves._write_table(path, ("a", "gap", "b"), (
+            np.array([np.nan, np.inf, -np.inf, 1.0]), None, np.array([-np.inf, 0.5, np.nan, -0.0])
+        ))
+        assert path.read_bytes() == (
+            b"a,gap,b\r\nnan,,-inf\r\ninf,,0.5\r\n-inf,,nan\r\n1.0,,-0.0\r\n"
+        )
 
     @staticmethod
-    def _json_oracle(a) -> str:
-        """The JSON list of a series, from ``%`` and ``json``."""
-        if a.dtype == bool:
-            return json.dumps(a.tolist(), separators=(",", ":"))
+    def _assert_series(texts, a) -> None:
+        """``texts``, a JSON list read with every float left as its text,
+        holds the series ``a``: booleans as they are, null where a number is
+        not finite, and otherwise ``repr``'s decimal with ``a``'s bits."""
         if a.ndim == 2:
-            return "[" + ",".join(map(TestTextCodec._json_oracle, a.T)) + "]"
-        items = [
-            "null" if not math.isfinite(v) else "-0.0" if v == 0.0 and math.copysign(1.0, v) < 0
-            else "%.17g" % v
-            for v in a.tolist()
-        ]
-        return "[" + ",".join(items) + "]"
+            assert len(texts) == 3
+            for component, series in zip(texts, a.T):
+                TestTextCodec._assert_series(component, series)
+            return
+        assert len(texts) == len(a)
+        if a.dtype == bool:
+            assert texts == a.tolist()
+            return
+        finite = np.isfinite(a)
+        assert [t is None for t in texts] == (~finite).tolist()
+        # each number is a float literal, so no series reads back as integers
+        assert all(isinstance(t, str) for t in texts if t is not None)
+        _assert_numbers_are_repr_decimals([t for t in texts if t is not None], a[finite])
 
     @pytest.mark.parametrize("rows_per_write", [4, None])
     def test_write_frenet_json_matches_frenet_to_json(
         self, tmp_path, monkeypatch, rows_per_write, figure1_hp
     ):
         # on either side of a block end: the figure helix, a geodesic (N, B and
-        # tau all null) and series with negative zeros, also where s, the
-        # points and (with the velocity columns) T are kept from the CSV, as
-        # ``generate`` writes them
+        # tau all null) and series with negative zeros
         if rows_per_write is not None:
             monkeypatch.setattr(curves, "_ROWS_PER_WRITE", rows_per_write)
         block = curves._ROWS_PER_WRITE
@@ -989,85 +1024,34 @@ class TestTextCodec:
                     "B": fr.B, "N": fr.N, "T": samples.velocity_frame, "defined": fr.defined,
                     "k": fr.k, "point": samples.points, "s": samples.s, "tau": fr.tau,
                 }
-                head = ",".join(f'"{key}":{self._json_oracle(a)}' for key, a in columns.items())
-                assert text.startswith('{"columns":{' + head + "},"), n
+                assert text.startswith('{"columns":{"B":[['), n
+                read = json.loads(text, parse_float=str)["columns"]
+                assert list(read) == list(columns), n
+                for key, a in columns.items():
+                    self._assert_series(read[key], a)
                 hc.write_frenet_json(path, fr)
                 assert path.read_bytes() == text.encode("ascii"), n
-                for include_velocity in (True, False):
-                    with curves._shared_text():
-                        hc.write_samples_csv(tmp_path / "curve.csv", samples, include_velocity)
-                        hc.write_frenet_json(path, fr)
-                    assert path.read_bytes() == text.encode("ascii"), (n, include_velocity)
-
-    def test_text_is_percent_17g(self):
-        a = self.SPECIAL
-        assert curves._text(a) == ",".join("%.17g" % v for v in a)
-        assert curves._text(a[::3]) == ",".join("%.17g" % v for v in a[::3])
-        assert curves._text(np.zeros(0)) == ""
-
-    @staticmethod
-    def _oracle(a):
-        return ",".join("%.17g" % v for v in a)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(
-        allow_nan=True, allow_infinity=True, allow_subnormal=True)))
-    def test_text_property_any_float64(self, a):
-        assert curves._text(a) == self._oracle(a)
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(hnp.arrays(np.uint64, st.integers(0, 40)))
-    def test_text_property_any_bit_pattern(self, bits):
+    @given(hnp.arrays(np.uint64, st.integers(2, 40)))
+    def test_any_bit_pattern_round_trips(self, tmp_path_factory, bits):
         a = bits.view(np.float64)
-        assert curves._text(a) == self._oracle(a)
-
-    def test_text_edges(self):
-        p10 = 10.0 ** np.arange(-300, 301)
-        p2 = np.ldexp(1.0, np.arange(-1074, 1024))
-        switch = np.array([1e-5, 1e-4, 1e16, 1e17])
-        # doubles below 10**k whose 17 digits round up to 10**k: a carry
-        carries = np.array([
-            v for k, v in zip(range(-300, 301), p10.tolist())
-            if Fraction(v) < Fraction(10) ** k and ("%.17g" % v)[0] == "1"
-        ])
-        assert len(carries) > 5
-        for a in (p10, p2, switch, carries, np.array([0.0, -0.0])):
-            for b in (a, np.nextafter(a, 0.0), np.nextafter(a, np.inf), -a):
-                assert curves._text(b) == self._oracle(b)
-
-    def test_text_of_views(self):
-        rng = np.random.default_rng(9)
-        pts = rng.standard_normal((1000, 3)) * 10.0 ** rng.integers(-20, 20, (1000, 3))
-        a = pts.ravel()
-        for view in (a[::-1], a[::3], pts[:, 1], pts.T[2][::-2]):
-            assert not view.flags.c_contiguous
-            assert curves._text(view) == self._oracle(view)
-        # the same start address with another shape or stride, and short arrays
-        for view in (pts[::2, 0], pts[:7, 0], *(np.full(4, float(k)) for k in range(20))):
-            assert curves._text(view) == self._oracle(view)
-
-    def test_text_across_block_ends(self):
-        rng = np.random.default_rng(10)
-        block = curves._ROWS_PER_WRITE
-        for n in (block - 1, block, block + 1):
-            a = np.resize(np.concatenate([self.SPECIAL, rng.standard_normal(50)]), n)
-            rng.shuffle(a)
-            assert curves._text(a) == self._oracle(a)
-
-    def test_rounding_ties_take_the_percent_route(self, monkeypatch):
-        # m / 2**k is m 5**k / 10**k: for odd m with m 5**k of 18 digits,
-        # %.17g rounds a tie (half to even), so these entries are left to %
-        rng = np.random.default_rng(11)
-        pairs = []
-        for k in range(2, 26):
-            lo, hi = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
-            pairs += [(m | 1, k) for m in rng.integers(lo, hi, 8).tolist()]
-        assert all(len(str(m * 5**k)) == 18 for m, k in pairs)
-        ties = np.array([m / 2**k for m, k in pairs])
-        expected = self._oracle(ties)
-        assert curves._text(ties) == expected
-        monkeypatch.setattr(curves, "_NEAR_TIE", -1.0)  # no entry counts as a tie
-        assert curves._text(ties) != expected
+        # the finite values through a sample CSV and its reader
+        finite = a[np.isfinite(a)]
+        finite = np.concatenate([finite, np.zeros(-len(finite) % 4 + 8 * (len(finite) < 8))])
+        path = tmp_path_factory.getbasetemp() / "property.csv"
+        curves._write_table(path, ("s", "x", "y", "z"), finite.reshape(-1, 4).T)
+        s, points, _ = hc.read_samples_csv(path)
+        assert _bits(np.column_stack([s, points])) == _bits(finite)
+        # every value through .frenet.json, null where it is not finite
+        vec = np.column_stack([a, a[::-1], a])
+        fr = hc.FrenetSeries(hc.CurveSamples(H, np.arange(len(a)) / 8.0, vec, vec), k=a, N=vec,
+                             B=vec, tau=a[::-1], defined=np.isfinite(a))
+        columns = json.loads(hc.frenet_to_json(fr))["columns"]
+        for key, series in (("k", a), ("tau", a[::-1]), ("point", vec.T), ("N", vec.T)):
+            back = np.array(columns[key], dtype=float)  # null reads as NaN
+            assert _bits(back) == _bits(np.where(np.isfinite(series), series, np.nan)), key
+        assert columns["defined"] == np.isfinite(a).tolist()
 
     def test_frenet_series_shares_the_sampled_arrays(self, figure1_samples):
         fr = hc.frenet_apparatus(figure1_samples)

@@ -7,8 +7,8 @@ per-sample writers.
 only what the verdict reads, and the checks take their maxima tile by tile,
 so past a few tiles only the imported samples and the five series span the
 curve; the kernels run on (n, 3) component arrays, so no stage may build
-per-sample tensor stacks.  The writers hold one block of rows of text
-besides the text of what two files read.  The peak is traced with
+per-sample tensor stacks.  The writers hold one block of rows of text at
+a time.  The peak is traced with
 ``tracemalloc`` (numpy reports its buffers to it) and compared with a bound
 per sample.
 """
@@ -139,10 +139,11 @@ def test_covariant_derivative_peak_memory(figure1_hp):
 
 
 # Traced peak of generate's writers per sample, above what the geometry holds
-# when classify_curve returns.  At this n one block of rows of every file and
-# the kept text of s, the points and the velocities take about 530 bytes; the
-# whole-file str text the writers held before took about 840.
-WRITER_BYTES_PER_SAMPLE = 650
+# when classify_curve returns.  At this n one block of rows of a file, its
+# stacked numbers and their text, takes about 260 bytes; keeping the CSV's
+# text for .frenet.json took about 540, and the whole-file str text the
+# writers held before that about 840.
+WRITER_BYTES_PER_SAMPLE = 310
 
 
 def test_generate_writers_peak_memory(tmp_path, monkeypatch, capsys):

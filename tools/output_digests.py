@@ -2,28 +2,34 @@
 
 In a temporary directory, at each ``--samples`` size, this runs the
 figure-helix ``generate`` (sin alpha0 = 1/sqrt(10), a = b = c = 1) with
-surfaces and velocities, and again without either, where ``.frenet.json``
-reuses the CSV's text of s and the points and formats T itself.  It runs
-the benchmark's two length-1000 ``geodesic`` commands (H3 and (m, l) =
-(0.25, 1.2)) with velocities, and ``verify --json`` on the helix CSV, on its ``s,x,y,z`` columns alone, the input
-whose velocities ``verify`` differences, and on a horizontal H3 curve with
-an inflection point, which ``verify`` finds not biharmonic (exit 1) at
-every n.  It also runs the commands whose outputs do not depend on n:
-``tensors --json`` on H3 at the origin, on (m, l) = (0.25, 1.2) at (1, 2, 3)
-and on (2, 1) at (1000, 0, 0), ``cone`` on one direction and on a sweep,
-and ``scan`` of both branches to a CSV.  It prints ``n  sha256  name`` for
-every file and for every command's stdout and stderr, and ``n  exit N  name``
-for every exit code, n being the sample count.  Diff two runs:
+surfaces and velocities, and again without either.  It runs the
+benchmark's two length-1000 ``geodesic`` commands (H3 and (m, l) =
+(0.25, 1.2)) with velocities, and ``verify --json`` on the helix CSV, on
+its ``s,x,y,z`` columns alone, the input whose velocities ``verify``
+differences, and on a horizontal H3 curve with an inflection point, which
+``verify`` finds not biharmonic (exit 1) at every n.  It also runs the
+commands whose outputs do not depend on n: ``tensors --json`` on H3 at the
+origin, on (m, l) = (0.25, 1.2) at (1, 2, 3) and on (2, 1) at (1000, 0, 0),
+``cone`` on one direction and on a sweep, and ``scan`` of both branches to
+a CSV.  It prints ``n  sha256  name`` for every file and for every command's
+stdout and stderr, and ``n  exit N  name`` for every exit code, n being the
+sample count.  Diff two runs:
 
     PYTHONPATH=/path/to/parent/src python tools/output_digests.py --samples 2001 50001 > parent.txt
     PYTHONPATH=src python tools/output_digests.py --samples 2001 50001 > change.txt
     diff parent.txt change.txt
+
+With ``--values`` the digest of each per-sample file (every ``.frenet.json``
+and every CSV but ``scan.csv``) is that of the float64 bits it holds, not of
+its bytes (``value_digest``), so that two runs whose files differ in number
+text alone print the same lines.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import tempfile
@@ -87,7 +93,40 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(n: int) -> list[str]:
+def is_per_sample(name: str) -> bool:
+    """Whether ``name`` is a per-sample file: a ``.frenet.json`` or a CSV of
+    numbers (``scan.csv`` names a branch in each row)."""
+    return name.endswith(".frenet.json") or (name.endswith(".csv") and name != "scan.csv")
+
+
+def _nan_for_null(value):
+    if value is None:
+        return math.nan
+    if isinstance(value, list):
+        return [_nan_for_null(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _nan_for_null(v) for key, v in value.items()}
+    return value
+
+
+def value_digest(path: str) -> str:
+    """SHA-256 of the values of a per-sample file, not of its text: for a
+    CSV, its header line and the float64 bits of its fields (an empty field
+    as NaN); for JSON, the payload with every number as a float64 and null
+    as NaN, written with ``repr``'s text of each float and sorted keys."""
+    with open(path, "rb") as fh:
+        if path.endswith(".json"):
+            payload = _nan_for_null(json.load(fh, parse_int=float))
+            return _sha256(json.dumps(payload, sort_keys=True).encode())
+        header = fh.readline().rstrip(b"\r\n")
+        rows = [[float(f) if f.strip() else math.nan for f in line.rstrip(b"\r\n").split(b",")]
+                for line in fh]
+    values = np.array(rows, dtype=float)
+    values[np.isnan(values)] = np.nan  # one NaN
+    return _sha256(header + b"\n" + values.tobytes())
+
+
+def digests(n: int, values: bool = False) -> list[str]:
     lines, cwd = [], os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # so that outputs and stdout name relative paths only
@@ -104,6 +143,9 @@ def digests(n: int) -> list[str]:
                     lines.append(f"{_sha256(text.getvalue().encode())}  {name}.{stream}")
                 lines.append(f"exit {code}  {name}")
             for path in sorted(os.listdir(tmp)):
+                if values and is_per_sample(path):
+                    lines.append(f"{value_digest(path)}  {path}")
+                    continue
                 with open(path, "rb") as fh:
                     lines.append(f"{_sha256(fh.read())}  {path}")
         finally:
@@ -114,8 +156,11 @@ def digests(n: int) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, nargs="+", default=[2001])
-    for n in parser.parse_args(argv).samples:
-        print("\n".join(f"{n}  {line}" for line in digests(n)))
+    parser.add_argument("--values", action="store_true",
+                        help="digest the values of the per-sample files, not their bytes")
+    args = parser.parse_args(argv)
+    for n in args.samples:
+        print("\n".join(f"{n}  {line}" for line in digests(n, args.values)))
     return 0
 
 
