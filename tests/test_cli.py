@@ -277,6 +277,19 @@ class TestGenerateVerify:
             assert Path(f"{out}{suffix}").read_bytes() == Path(f"{alone}{suffix}").read_bytes()
         assert Path(f"{out}.frenet.json").read_text() == hc.frenet_to_json(report.frenet)
 
+    def test_generate_without_velocity_writes_T_in_the_json(self, capsys, tmp_path):
+        # the CSV leaves the frame velocity out; .frenet.json still holds T
+        code, _, out = self._generate(capsys, tmp_path)
+        assert code == 0
+        hp = hc.HelixParams(alpha0=math.asin(1.0 / math.sqrt(10.0)), a=1.0, b=1.0, c=1.0)
+        samples = hc.sample_curve(hc.biharmonic_helix(hp, (0.0, 2.0 * math.pi)), 501)
+        assert Path(f"{out}.csv").read_bytes().startswith(b"s,x,y,z\r\n")
+        s, points, vel = hc.read_samples_csv(f"{out}.csv")
+        assert vel is None
+        assert s.tobytes() == samples.s.tobytes() and points.tobytes() == samples.points.tobytes()
+        columns = json.loads(Path(f"{out}.frenet.json").read_text())["columns"]
+        assert np.array(columns["T"], float).T.tobytes() == samples.velocity_frame.tobytes()
+
     def test_verify_malformed_file_input_error(self, capsys, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("s,x,y,z,vx,vy,vz\n0,0,0,0\n0.1,0.1,0,0\n")

@@ -924,7 +924,6 @@ class TestTextCodec:
             (("s", "gap", "a", "gap2", "c"), (a, None, b, None, c)),
             (("s", "a"), (np.arange(len(a)), a)),  # an integer column
             (("s", "a"), (np.zeros(0), np.zeros(0))),
-            (("e", "gap", "f"), (self.EDGES, None, self.EDGES[::-1])),
         ]
         for header, columns in cases:
             path = tmp_path / "t.csv"
@@ -1052,6 +1051,90 @@ class TestTextCodec:
             back = np.array(columns[key], dtype=float)  # null reads as NaN
             assert _bits(back) == _bits(np.where(np.isfinite(series), series, np.nan)), key
         assert columns["defined"] == np.isfinite(a).tolist()
+
+    @staticmethod
+    def _json_list(a):
+        """The series ``a`` as ``.frenet.json`` writes it, read back with
+        every float left as its text."""
+        return json.loads(b"".join(curves._json_list_parts(a)), parse_float=str)
+
+    def test_text_edges(self, tmp_path):
+        # in both files, as columns and as 1-D and (n, 3) series
+        path = tmp_path / "edges.csv"
+        header, columns = ("e", "gap", "f"), (self.EDGES, None, self.EDGES[::-1])
+        curves._write_table(path, header, columns)
+        _assert_table_round_trips(path, header, columns)
+        self._assert_series(self._json_list(self.EDGES), self.EDGES)
+        vectors = self.EDGES[: len(self.EDGES) // 3 * 3].reshape(-1, 3)
+        self._assert_series(self._json_list(vectors), vectors)
+
+    def test_text_of_views(self, tmp_path):
+        # columns and series with strides, taken from a larger array
+        rng = np.random.default_rng(9)
+        pts = rng.standard_normal((1000, 3)) * 10.0 ** rng.integers(-20, 20, (1000, 3))
+        a = pts.ravel()
+        views = (a[::-3], a[::3], pts[:, 1], pts.T[2][::-1])
+        assert not any(view.flags.c_contiguous for view in views)
+        path = tmp_path / "views.csv"
+        header = ("a", "b", "gap", "c", "d")
+        curves._write_table(path, header, (*views[:2], None, *views[2:]))
+        _assert_table_round_trips(path, header, (*views[:2], None, *views[2:]))
+        for view in (*views, pts[::-2], pts[:, ::-1], pts[::3, 1], pts[:7, 0]):
+            self._assert_series(self._json_list(view), view)
+        # a sample CSV of strided points and velocities reads back to their bits
+        samples = hc.CurveSamples(H, np.arange(500) / 8.0, pts[::2], pts[1::2, ::-1])
+        hc.write_samples_csv(path, samples, include_velocity=True)
+        s, points, vel = hc.read_samples_csv(path)
+        assert _bits(s) == _bits(samples.s)
+        assert _bits(points) == _bits(pts[::2]) and _bits(vel) == _bits(pts[1::2, ::-1])
+
+    def test_text_across_block_ends(self, tmp_path):
+        # rows on either side of a writer's block end, in a file many of the
+        # reader's blocks long, read back to their bits
+        rng = np.random.default_rng(10)
+        block = curves._ROWS_PER_WRITE
+        finite = self.SPECIAL[np.isfinite(self.SPECIAL)]
+        path = tmp_path / "blocks.csv"
+        for n in (block - 1, block, block + 1):
+            values = np.resize(np.concatenate([finite, rng.standard_normal(50)]), 6 * n)
+            rng.shuffle(values)
+            points, velocities = values.reshape(2, n, 3)
+            samples = hc.CurveSamples(H, np.arange(n) / 8.0, points, velocities)
+            for include_velocity in (False, True):
+                hc.write_samples_csv(path, samples, include_velocity)
+                s, back, vel = hc.read_samples_csv(path)
+                assert _bits(s) == _bits(samples.s), n
+                assert _bits(back) == _bits(points), n
+                if include_velocity:
+                    assert _bits(vel) == _bits(velocities), n
+                else:
+                    assert vel is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(
+        allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    def test_text_property_any_float64(self, tmp_path_factory, a):
+        path = tmp_path_factory.getbasetemp() / "any_float64.csv"
+        header, columns = ("a", "gap", "b"), (a, None, a[::-1])
+        curves._write_table(path, header, columns)
+        _assert_table_round_trips(path, header, columns)
+        self._assert_series(self._json_list(a), a)
+
+    def test_rounding_ties_read_back_to_their_bits(self, tmp_path):
+        # m / 2**k is m 5**k / 10**k: for odd m with m 5**k of 18 digits, 17
+        # significant digits fall on a tie, and the shortest text that reads
+        # back to the bits is still repr's
+        rng = np.random.default_rng(11)
+        pairs = []
+        for k in range(2, 26):
+            lo, hi = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+            pairs += [(m | 1, k) for m in rng.integers(lo, hi, 8).tolist()]
+        assert all(len(str(m * 5**k)) == 18 for m, k in pairs)
+        ties = np.array([m / 2**k for m, k in pairs])
+        path = tmp_path / "ties.csv"
+        curves._write_table(path, ("t", "u"), (ties, -ties))
+        _assert_table_round_trips(path, ("t", "u"), (ties, -ties))
+        self._assert_series(self._json_list(ties), ties)
 
     def test_frenet_series_shares_the_sampled_arrays(self, figure1_samples):
         fr = hc.frenet_apparatus(figure1_samples)
