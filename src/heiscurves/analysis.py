@@ -42,8 +42,8 @@ keep what their command reads, per sample:
 * ``bitension_report`` (``generate``) also evaluates the frame expansion
   and its agreement gap per tile, and keeps what ``generate``'s files
   write: |tau2|, cT, cN and cB (32 bytes; 8 when the frame fails somewhere
-  and the coefficients are None) and a ``FrenetSeries`` of k, tau, N, B and
-  ``defined`` (65 bytes).
+  on the interior and the coefficients are None) and a ``FrenetSeries`` of
+  k, tau, N, B and ``defined`` (65 bytes).
 * ``verdict_series`` (``verify``) keeps k, tau, N3, B3 and ``defined`` (33
   bytes) and a running interior max of |tau2|: what ``classify_curve``
   reads and ``verify`` prints.  It does not evaluate the frame expansion,
@@ -153,11 +153,11 @@ class BitensionReport:
 
     ``residual`` is |tau2| by the direct route and (cT, cN, cB) the frame
     expansion's coefficients; the (n, 3) fields themselves are not kept.
-    Residual statistics cover interior samples only (boundary samples are
-    computed with one-sided stencils).  ``expansion_agreement`` is the worst
-    interior distance between the direct route and the reassembled frame
-    expansion; it is None, and so are the coefficients, unless the frame
-    exists on the whole curve.
+    Every series is NaN outside the interior its passes leave, and the
+    residual statistics cover the interior.  ``expansion_agreement`` is the
+    worst interior distance between the direct route and the reassembled
+    frame expansion; it is None, and so are the coefficients, unless the
+    frame exists on the whole interior.
     """
 
     residual: np.ndarray       # |tau2| per sample
@@ -215,7 +215,7 @@ def bitension_report(
     k, tau, residual, cT, cN, cB = (np.empty(n) for _ in range(6))
     N, B = np.empty((n, 3)), np.empty((n, 3))
     defined = np.empty(n, dtype=bool)
-    framed = True  # the frame is defined on every tile so far
+    framed = True  # the frame is defined on the interior of every tile so far
     agreement = -np.inf
 
     for tile, rows, inner, frenet, t2 in _tile_chain(samples, config):
@@ -223,7 +223,7 @@ def bitension_report(
         for full, own in ((k, frenet.k), (tau, frenet.tau), (N, frenet.N), (B, frenet.B),
                           (defined, frenet.defined)):
             full[tile] = own[rows]
-        framed = framed and bool(frenet.defined.all())
+        framed = framed and bool(frenet.defined[inner].all())
         if framed:
             coefficients = tension2_frame(frenet)
             for full, own in zip((cT, cN, cB), coefficients):

@@ -20,6 +20,8 @@ flags win over the file.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import itertools
 import json
 import math
@@ -34,6 +36,10 @@ from . import manifold as mf
 from .errors import HeiscurvesError, InadmissibleAlpha, MalformedSampleFile, NonMonotone, NonUnitSpeed
 from .manifold import FrameVector, ManifoldParams
 from .numerics import NumericsConfig
+
+# At exit, freeze what is left so the interpreter skips its last cyclic
+# collection over every object the imports made; module teardown remains.
+atexit.register(gc.freeze)
 
 # ---------------------------------------------------------------------------
 # Config plumbing

@@ -101,8 +101,9 @@ class CurveSamples:
     only ``numerics`` knows the stencil's reach.
     ``velocity_depth`` counts derivative passes already spent producing the
     velocities: 0 for analytic / ODE-state velocities, 1 when they were
-    differenced from imported positions.  Interior masks widen accordingly,
-    so boundary-stencil contamination never enters pass/fail statistics.
+    differenced from imported positions.  Interior masks widen accordingly:
+    every derived series is NaN outside its interior, where the stencil
+    does not reach.
     ``ds`` is the curve's one step, s[1] - s[0] unless given: a tile of the
     curve keeps it, as its own first step may differ in the last bits.
     """
@@ -130,7 +131,8 @@ class CurveSamples:
         return derivative_on_grid(values, self.ds)
 
     def interior(self, depth: int = 1) -> slice:
-        """Samples clear of one-sided stencils after ``depth`` more passes."""
+        """The samples ``depth`` more passes leave finite; every series
+        derived in those passes is NaN outside them."""
         return interior_slice(self.n, depth + self.velocity_depth)
 
     def tiles(self, depth: int):
@@ -184,7 +186,7 @@ def _speed_deviation(samples: CurveSamples) -> tuple[float, int]:
 
 def _validate_unit_speed(samples: CurveSamples, config: NumericsConfig) -> None:
     """Unit speed on ``samples.interior(0)``: every row of given velocities,
-    and the rows clear of one-sided stencils where they were differenced."""
+    and the rows the stencil reaches where they were differenced."""
     dev, worst = _speed_deviation(samples)
     if not dev <= config.unit_speed_tol:
         raise NonUnitSpeed(
@@ -242,12 +244,12 @@ def import_samples(
     ``points`` (n, 3) and, optionally, frame velocities (n, 3).
 
     Without velocities, they are central differences of the positions,
-    converted to frame components in place.
-    Unit speed is enforced on the interior samples; boundary samples of
-    differentiated positions use one-sided stencils and are excluded from
-    the check.  Raises ValueError for other shapes or n < 2, NonMonotone for
-    arclengths that are not finite, strictly increasing and uniform, and
-    TooFewSamples for fewer than 9 positions to differentiate.
+    converted to frame components in place, and NaN on the first and last
+    two samples, which the stencil does not reach.
+    Unit speed is enforced on the interior samples, which exclude those.
+    Raises ValueError for other shapes or n < 2, NonMonotone for arclengths
+    that are not finite, strictly increasing and uniform, and TooFewSamples
+    for fewer than 9 positions to differentiate.
     """
     s = np.asarray(s, dtype=float)
     points = np.asarray(points, dtype=float)
@@ -284,9 +286,10 @@ def covariant_derivative_along(samples: CurveSamples, field: np.ndarray) -> np.n
 
     On the Heisenberg group this reduces to the familiar component formula
     (V1' + (T2 V3 + T3 V2)/2, V2' - (T1 V3 + T3 V1)/2, V3' + (T1 V2 - T2 V1)/2).
-    Boundary samples use one-sided stencils.  The correction is added into
-    the derivative one component at a time, with the bits of adding
-    ``connection_term``.
+    The result is NaN on two more samples at each end than V, where the
+    stencil of ``samples.derivative`` does not reach.  The correction is
+    added into the derivative one component at a time, with the bits of
+    adding ``connection_term``.
     """
     V = np.asarray(field, dtype=float)
     if V.shape != samples.points.shape:
@@ -315,7 +318,8 @@ class FrenetSeries:
     the geodesic curvature k falls to the floor the normal direction is
     numerically meaningless; there, and where the stencil of nabla_T N
     reaches such a sample, N, B and tau are NaN and ``defined`` is False
-    rather than reporting zeros.  ``t1`` = nabla_T T (= k N, defined
+    rather than reporting zeros; so is every series where the stencil does
+    not reach (``samples.interior``).  ``t1`` = nabla_T T (= k N, defined
     on geodesics too) is kept by ``frenet_apparatus`` for the tension
     passes; a series assembled from tiles (``analysis.bitension_report``)
     does not keep it.
@@ -528,21 +532,20 @@ def _json_list(block: bytes) -> bytes:
 def _read_json_rows(fh, width: int) -> np.ndarray | None:
     """The rows after the header of the binary file ``fh`` as an (n, width)
     array, parsed by orjson; None, for ``np.loadtxt`` to read the file, when
-    orjson cannot be imported or a block of lines is not plain rows of
-    ``width`` JSON numbers.  JSON numbers (no ``.5``, ``1.``, ``+1``, ``01``
-    or ``1e400``) are a subset of what ``np.loadtxt`` reads, and orjson
-    rounds each correctly, as ``float`` does.
+    a block of lines is not plain rows of ``width`` JSON numbers.  JSON
+    numbers (no ``.5``, ``1.``, ``+1``, ``01`` or ``1e400``) are a subset of
+    what ``np.loadtxt`` reads, and orjson rounds each correctly, as
+    ``float`` does.
 
     The lines are counted first, so the array is the one allocation that
     spans the file; each block of whole lines is checked and parsed alone.
     """
-    try:
-        import orjson
-    except ImportError:
-        return None
+    import orjson
+
     start, lines, tail = fh.tell(), 0, b"\n"
     while part := fh.read(_BLOCK_BYTES):
-        lines, tail = lines + part.count(b"\n"), part[-1:]
+        newlines = np.count_nonzero(np.frombuffer(part, np.uint8) == ord("\n"))
+        lines, tail = lines + newlines, part[-1:]
     data = np.empty((lines + (tail != b"\n"), width))  # the last line may lack its newline
     flat, at = data.reshape(-1), 0
     fh.seek(start)
@@ -580,10 +583,9 @@ def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]
     than two data rows, or a row that is unparseable, not as wide as the
     header or holds a ``nan`` or ``inf`` (naming its line).
 
-    Plain rows of JSON numbers are parsed by orjson when it can be imported
-    (``_read_json_rows``); every other file, and every file without orjson,
-    is read by ``np.loadtxt``.  Both give the same bits, since both round
-    each number's text correctly.
+    Plain rows of JSON numbers are parsed by orjson (``_read_json_rows``);
+    every other file is read by ``np.loadtxt``.  Both give the same bits,
+    since both round each number's text correctly.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -679,7 +681,8 @@ def frenet_to_json(frenet: FrenetSeries) -> str:
     ``columns`` holds one list per scalar series and three component lists
     per vector series (``point``, ``T``, ``N``, ``B``), each number the
     shortest text that reads back to its bits, as in the CSVs, and null where
-    it is not finite: where N, B and tau are undefined.
+    it is not finite: where N, B and tau are undefined, and where the
+    stencil does not reach.
     ``provenance`` records what produced the series.  ``write_frenet_json``
     writes the same text to a file without holding all of it.
     """

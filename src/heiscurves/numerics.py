@@ -13,7 +13,6 @@ __all__ = [
     "NumericsConfig",
     "DEFAULT_CONFIG",
     "STENCIL_ORDER",
-    "stencil_weights",
     "derivative_on_grid",
     "TILE",
     "tiles",
@@ -55,46 +54,26 @@ class NumericsConfig:
 DEFAULT_CONFIG = NumericsConfig()
 
 
-def stencil_weights(offsets, der: int = 1) -> np.ndarray:
-    """Finite-difference weights for integer node offsets.
-
-    Solves the Vandermonde moment conditions, so arbitrary (one-sided)
-    stencils come out with their maximal order.  The returned weights apply
-    to samples at ``x0 + offsets * h`` and must be divided by ``h**der``.
-    """
-    o = np.asarray(offsets, dtype=float)
-    n = len(o)
-    if der >= n:
-        raise ValueError("stencil too short for requested derivative")
-    V = np.vander(o, n, increasing=True).T  # V[r, j] = o_j**r
-    rhs = np.zeros(n)
-    rhs[der] = float(math.factorial(der))
-    return np.linalg.solve(V, rhs)
-
-
 STENCIL_ORDER = 4
 _HALF_WIDTH = 2  # samples the order-4 central stencil reaches on each side
 _WIDTH = 2 * _HALF_WIDTH + 1
-# One-sided order-4 weights for the first and last _HALF_WIDTH samples:
-# (i, weights on samples 0..4 for row i, weights on the last 5 for row n-1-i).
-_EDGE_ROWS = tuple(
-    (i, stencil_weights(np.arange(_WIDTH) - i), stencil_weights(np.arange(1 - _WIDTH, 1) + i))
-    for i in range(_HALF_WIDTH)
-)
 
 
 def derivative_on_grid(values: np.ndarray, ds: float) -> np.ndarray:
     """First derivative of uniformly sampled data along axis 0.
 
-    The 4th-order central stencil in the interior and one-sided 4th-order
-    stencils on the first and last two samples.  This is the package's one
-    arclength stencil; ``interior_slice`` trims the samples its edges reach.
+    The 4th-order central stencil wherever it reaches, and NaN on the first
+    and last two samples, where it does not: no number past the stencil's
+    reach.  This is the package's one arclength stencil; NaN spreads two
+    samples further per nested pass, and ``interior_slice`` gives the
+    samples it leaves.
     """
     y = np.asarray(values, dtype=float)
     n = y.shape[0]
     if n < _WIDTH:
         raise TooFewSamples(f"need at least {_WIDTH} samples for order-4 stencils, got {n}")
     out = np.empty_like(y)
+    out[:_HALF_WIDTH] = out[n - _HALF_WIDTH:] = np.nan
     # (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * ds), the same
     # operations in the same order, in place in ``out`` with one temporary
     # of at most TILE rows
@@ -106,9 +85,6 @@ def derivative_on_grid(values: np.ndarray, ds: float) -> np.ndarray:
         mid[rows] += np.multiply(y[3:-1][rows], 8.0)
     mid -= y[4:]
     mid /= 12.0 * ds
-    for i, w_lo, w_hi in _EDGE_ROWS:
-        out[i] = np.tensordot(w_lo, y[:_WIDTH], axes=(0, 0)) / ds
-        out[n - 1 - i] = np.tensordot(w_hi, y[n - _WIDTH:], axes=(0, 0)) / ds
     return out
 
 
@@ -121,11 +97,12 @@ def tiles(n: int, depth: int):
 
     Yields ``(tile, window, rows)``: the tile's samples, the samples the
     chain runs on (the tile widened by ``depth * 2`` on each side, clipped
-    at the curve's ends) and the tile's rows within the window.  The
+    at the curve's ends) and the tile's rows within the window.  The chain
+    writes NaN on the ``depth * 2`` samples at each end of its window, and
+    the halo keeps them off the tile's rows except at the curve's own ends,
+    so every row of a tile gets the bits of a whole-curve chain.  The
     ceil(n / TILE) tiles differ in size by at most one sample, so on a curve
-    longer than ``TILE`` each holds more than ``TILE / 2``: edge stencils
-    then run only at the real ends, and every row of a tile gets the bits of
-    a whole-curve chain.
+    longer than ``TILE`` each holds more than ``TILE / 2``.
     """
     halo = depth * _HALF_WIDTH
     count = -(-n // TILE)
@@ -136,8 +113,9 @@ def tiles(n: int, depth: int):
 
 
 def interior_slice(n: int, depth: int = 1) -> slice:
-    """Samples whose value is untouched by one-sided boundary stencils after
-    ``depth`` nested derivative passes."""
+    """The samples ``depth`` nested derivative passes leave finite: outside
+    it, every derived series is NaN, since the central stencil does not
+    reach there."""
     margin = depth * _HALF_WIDTH
     if n <= 2 * margin:
         raise TooFewSamples(

@@ -53,3 +53,11 @@ def random_domain_point(rng: np.random.Generator, m: float, scale: float = 3.0):
         z = rng.uniform(-scale, scale)
         return np.array([xy[0], xy[1], z])
     return rng.uniform(-scale, scale, 3)
+
+
+def assert_nan_outside(values, interior: slice):
+    """Every row of ``values`` before ``interior`` and after it is NaN:
+    no number past the stencil's reach."""
+    values = np.asarray(values, dtype=float)
+    assert np.isnan(values[:interior.start]).all()
+    assert np.isnan(values[interior.stop:]).all()

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 import heiscurves as hc
 from heiscurves import manifold as mf
 
-from conftest import FIGURE1_A, FIGURE1_ALPHA0, FIGURE1_COS, inflection_spec
+from conftest import FIGURE1_A, FIGURE1_ALPHA0, FIGURE1_COS, assert_nan_outside, inflection_spec
 
 H = hc.HEISENBERG
 
@@ -57,7 +57,9 @@ class TestTension1:
         spec = hc.one_param_subgroup(np.array([1.0, 0.0, 0.0]), (0.0, 5.0))
         samples = hc.sample_curve(spec, 201)
         t1 = hc.tension1(samples)
-        assert np.abs(t1).max() < 1e-13
+        interior = samples.interior(1)
+        assert np.abs(t1[interior]).max() < 1e-13
+        assert_nan_outside(t1, interior)
 
     def test_helix_norm_is_constant_curvature(self, figure1_samples):
         t1 = hc.tension1(figure1_samples)
@@ -271,7 +273,8 @@ class TestClassification:
         # undefined, so the verdict rests on k alone
         samples = hc.sample_curve(inflection_spec(), 2001)
         frenet = hc.bitension_report(samples).frenet
-        assert not frenet.defined[1000] and frenet.defined[:990].all()
+        assert not frenet.defined[1000] and frenet.defined[4:990].all()
+        assert not frenet.defined[:4].any() and not frenet.defined[-4:].any()
         result = hc.classify_curve(frenet)
         assert result.verdict == "not_biharmonic"
         assert set(result.checks) == {"tension1_zero", "system_k_constant"}

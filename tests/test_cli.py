@@ -16,7 +16,7 @@ import heiscurves as hc
 from heiscurves import analysis, cli, curves, factory, manifold, numerics
 from heiscurves.cli import main
 
-from conftest import FIGURE1_ALPHA0, inflection_spec
+from conftest import FIGURE1_ALPHA0, assert_nan_outside, inflection_spec
 
 
 def run(capsys, *argv):
@@ -445,6 +445,25 @@ def test_cli_import_loads_no_fractions_decimal_or_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_freezes_the_heap_before_the_interpreter_exits():
+    """Importing the CLI registers ``gc.freeze`` at exit, so the
+    interpreter skips its last cyclic collection.  atexit runs its handlers
+    in reverse order: the check registered before the import runs last."""
+    src = str(Path(hc.__file__).resolve().parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    script = (
+        "import atexit, gc; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+        "import heiscurves.cli"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "frozen True"
+
+
 class TestOneAnalysisPerCurve:
     """``generate`` and ``verify`` differentiate each series once: t1 and
     nabla_T N inside the single Frenet frame, then t2 and t3 for tau2."""
@@ -552,6 +571,52 @@ class TestGeodesicCommand:
         drift = float(drift_line.split("=")[1].split(",")[0])
         assert drift < 1e-8
         assert (tmp_path / "geo.csv").exists()
+
+
+# derivative passes behind each per-sample series: positions read back add one
+PASSES = {"T": 0, "k": 1, "tau": 2, "N": 2, "B": 2, "cT": 2, "cN": 3, "cB": 3, "residual": 3}
+
+
+@pytest.mark.parametrize("route", ["velocities", "positions"])
+def test_series_are_nan_exactly_past_the_stencils_reach(capsys, tmp_path, route):
+    """Every per-sample series of ``generate``'s ``.frenet.json`` and
+    ``.residuals.csv``, and ``tension1`` of the ``geodesic`` command's
+    curve, is null or ``nan`` exactly outside ``interior(depth)`` for its
+    depth and finite inside: on the figure helix from exact velocities, and
+    on the CSV of its positions read back."""
+    out = tmp_path / "helix"
+    assert run(capsys, "generate", "--alpha0", repr(FIGURE1_ALPHA0), "--samples", "1001",
+               "--out", str(out))[0] == 0
+    if route == "positions":
+        samples = hc.import_samples(hc.HEISENBERG, *hc.read_samples_csv(f"{out}.csv"))
+        report = hc.bitension_report(samples)
+        out = tmp_path / "positions"
+        hc.write_frenet_json(f"{out}.frenet.json", report.frenet)
+        hc.residuals_to_csv(f"{out}.residuals.csv", report)
+    frenet = json.loads(Path(f"{out}.frenet.json").read_text())
+    velocity_depth = frenet["provenance"]["velocity_depth"]
+    assert velocity_depth == (route == "positions")
+    columns = frenet["columns"]
+    series = {name: np.array(columns[name], float).T for name in ("T", "k", "tau", "N", "B")}
+    table = np.loadtxt(f"{out}.residuals.csv", delimiter=",", skiprows=1)
+    series.update(zip(("cT", "cN", "cB", "residual"), table[:, 1:].T))
+    for name, depth in PASSES.items():
+        interior = numerics.interior_slice(1001, depth + velocity_depth)
+        assert_nan_outside(series[name], interior)
+        assert np.isfinite(series[name][interior]).all(), name
+    assert columns["defined"] == np.isfinite(series["tau"]).tolist()
+    assert np.isfinite(table[:, 0]).all() and np.isfinite(columns["point"]).all()
+
+    geodesic = tmp_path / "geodesic"
+    assert run(capsys, "geodesic", "--point", "0.1,0.2,0", "--direction", "0.6,0,0.8",
+               "--samples", "801", "--with-velocity", "--out", str(geodesic))[0] == 0
+    s, points, velocities = hc.read_samples_csv(f"{geodesic}.csv")
+    if route == "positions":
+        velocities = None
+    samples = hc.import_samples(hc.HEISENBERG, s, points, velocities)
+    t1 = hc.tension1(samples)
+    assert_nan_outside(t1, samples.interior(1))
+    assert np.isfinite(t1[samples.interior(1)]).all()
 
 
 class TestConeCommand:

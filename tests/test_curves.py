@@ -5,7 +5,6 @@ import decimal
 import json
 import math
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +22,16 @@ from heiscurves.numerics import (
     derivative_on_grid,
     TILE,
     interior_slice,
-    stencil_weights,
 )
 
-from conftest import FIGURE1_A, FIGURE1_ALPHA0, FIGURE1_B3, FIGURE1_K, FIGURE1_TAU
+from conftest import (
+    FIGURE1_A,
+    FIGURE1_ALPHA0,
+    FIGURE1_B3,
+    FIGURE1_K,
+    FIGURE1_TAU,
+    assert_nan_outside,
+)
 
 H = hc.HEISENBERG
 
@@ -45,22 +50,6 @@ def vertical_line_spec(x0=0.5, y0=-1.0, s_range=(0.0, 5.0)):
 
 
 class TestStencils:
-    def test_central_weights(self):
-        assert_allclose(
-            stencil_weights([-2, -1, 0, 1, 2]),
-            [1 / 12, -8 / 12, 0, 8 / 12, -1 / 12],
-            atol=1e-14,
-        )
-        assert_allclose(stencil_weights([-1, 0, 1]), [-0.5, 0.0, 0.5], atol=1e-14)
-
-    def test_one_sided_order(self):
-        # exact for polynomials up to the stencil order
-        w = stencil_weights([0, 1, 2, 3, 4])
-        xs = np.arange(5.0)
-        for p in range(5):
-            deriv = w @ xs**p
-            assert deriv == pytest.approx(p * 0.0**max(p - 1, 0) if p != 1 else 1.0, abs=1e-10)
-
     def test_grid_derivative_convergence(self):
         # halving h cuts the error by >= 12x (order 4)
         f = lambda s: np.sin(1.3 * s) + 0.2 * np.cos(2.1 * s)
@@ -73,16 +62,13 @@ class TestStencils:
             errs.append(np.abs(approx - df(s))[interior].max())
         assert errs[0] / errs[1] >= 12.0
 
-    def test_edge_rows_are_the_one_sided_stencils(self):
-        # the cached edge rows give exactly what fresh Vandermonde solves give
-        rng = np.random.default_rng(3)
-        y = rng.standard_normal((40, 3))
-        ds = 0.037
-        out = derivative_on_grid(y, ds)
-        for i in range(2):
-            lo = np.tensordot(stencil_weights(np.arange(5) - i), y[:5], axes=(0, 0)) / ds
-            hi = np.tensordot(stencil_weights(np.arange(-4, 1) + i), y[-5:], axes=(0, 0)) / ds
-            assert np.array_equal(out[i], lo) and np.array_equal(out[-1 - i], hi)
+    @pytest.mark.parametrize("shape", [(5,), (40,), (40, 3)])
+    def test_first_and_last_two_rows_are_nan(self, shape):
+        # no number past the central stencil's reach
+        y = np.random.default_rng(3).standard_normal(shape)
+        out = derivative_on_grid(y, 0.037)
+        assert np.isnan(out[:2]).all() and np.isnan(out[-2:]).all()
+        assert np.isfinite(out[2:-2]).all()
 
     @pytest.mark.parametrize("shape", [(1001,), (1001, 3), (2 * TILE + 7, 3), (TILE + 5, 3)])
     def test_interior_stencil_is_the_one_expression_to_the_bit(self, shape):
@@ -241,7 +227,9 @@ class TestCovariantDerivative:
         samples = hc.sample_curve(vertical_line_spec(), 101)
         field = np.tile([0.0, 0.0, 1.0], (101, 1))
         out = hc.covariant_derivative_along(samples, field)
-        assert np.abs(out).max() < 1e-13
+        interior = samples.interior(1)
+        assert np.abs(out[interior]).max() < 1e-13
+        assert_nan_outside(out, interior)
 
     def test_velocity_along_geodesic(self):
         spec = hc.geodesic_ivp(H, [0.0, 0.0, 0.0], [0.6, 0.0, 0.8], (0.0, 10.0))
@@ -288,7 +276,11 @@ class TestCovariantDerivative:
             "ni,nj,nija->na", T, V, mf.connection_table(par, points)
         )
         out = hc.covariant_derivative_along(samples, V)
-        assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+        interior = samples.interior(1)
+        scale = np.abs(expected[interior]).max()
+        assert np.abs(out - expected)[interior].max() <= 1e-13 * scale
+        assert_nan_outside(out, interior)
+        assert_nan_outside(expected, interior)
 
     @pytest.mark.parametrize("m,l", [(0.0, 1.0), (0.25, 1.2)])
     def test_connection_added_in_place_bit_for_bit(self, m, l):
@@ -350,7 +342,8 @@ class TestFrenet:
         T[800:1200] = [0.0, 0.0, 1.0]
         samples = dataclasses.replace(figure1_samples, velocity_frame=T)
         fr = hc.frenet_apparatus(samples)
-        assert not fr.defined[900:1100].any() and fr.defined[:700].all()
+        assert not fr.defined[900:1100].any() and fr.defined[4:700].all()
+        assert not fr.defined[:4].any() and not fr.defined[-4:].any()
         expected = np.cross(samples.velocity_frame, fr.N)
         assert np.array_equal(fr.B.view(np.uint64), expected.view(np.uint64))
 
@@ -374,11 +367,13 @@ class TestFrenet:
         fr = hc.frenet_apparatus(samples)
         dN = hc.covariant_derivative_along(samples, fr.N)
         dB = hc.covariant_derivative_along(samples, fr.B)
-        interior = fr.samples.interior(2)
-        lhs_k = np.einsum("ni,ni->n", dN, samples.velocity_frame)[interior]
-        lhs_tau = np.einsum("ni,ni->n", dB, fr.N)[interior]
-        assert np.abs(lhs_k + fr.k[interior]).max() < 1e-5
-        assert np.abs(lhs_tau - fr.tau[interior]).max() < 1e-5
+        interior = fr.samples.interior(3)  # dN and dB are a third pass
+        lhs_k = np.einsum("ni,ni->n", dN, samples.velocity_frame)
+        lhs_tau = np.einsum("ni,ni->n", dB, fr.N)
+        assert np.abs(lhs_k + fr.k)[interior].max() < 1e-5
+        assert np.abs(lhs_tau - fr.tau)[interior].max() < 1e-5
+        assert_nan_outside(lhs_k, interior)
+        assert_nan_outside(lhs_tau, interior)
 
     def test_frame_component_identity(self):
         # N3' + B3/2 = -k T3 - tau B3 along non-geodesic curves
@@ -386,10 +381,11 @@ class TestFrenet:
         samples = hc.sample_curve(spec, 1001)
         fr = hc.frenet_apparatus(samples)
         dN3 = derivative_on_grid(fr.N3, fr.samples.ds)
-        interior = fr.samples.interior(2)
-        lhs = dN3[interior] + 0.5 * fr.B3[interior]
-        rhs = -fr.k[interior] * fr.T3[interior] - fr.tau[interior] * fr.B3[interior]
-        assert np.abs(lhs - rhs).max() < 1e-5
+        interior = fr.samples.interior(3)  # dN3 is a third pass
+        lhs = dN3 + 0.5 * fr.B3
+        rhs = -fr.k * fr.T3 - fr.tau * fr.B3
+        assert np.abs(lhs - rhs)[interior].max() < 1e-5
+        assert_nan_outside(lhs, interior)
 
 
 class TestFrameCross:
@@ -610,13 +606,17 @@ class TestInterchange:
         assert "\n" not in text
         columns = json.loads(text)["columns"]
         assert columns["tau"][10] is None and columns["N"][0][10] is None
-        # k = |nabla_T T| is always a number; N, B and tau are null exactly
-        # where the frame is undefined
+        # k = |nabla_T T| is a number exactly on the interior of its one
+        # pass; N, B and tau are null exactly where the frame is undefined
         assert len(columns["defined"]) == fr.samples.n
+        interior = fr.samples.interior(1)
         for i, defined in enumerate(fr.defined):
             assert columns["defined"][i] is bool(defined)
             k = columns["k"][i]
-            assert isinstance(k, (int, float)) and not isinstance(k, bool)
+            if interior.start <= i < interior.stop:
+                assert isinstance(k, (int, float)) and not isinstance(k, bool)
+            else:
+                assert k is None
             nulls = [columns["tau"][i] is None] + [
                 columns[key][c][i] is None for key in ("N", "B") for c in range(3)
             ]
@@ -635,6 +635,13 @@ class TestInterchange:
         for key, series in (("s", fr.samples.s), ("k", fr.k), ("tau", fr.tau)):
             assert _bits(np.array(columns[key], float)) == _bits(series), key
         assert np.array_equal(np.array(columns["defined"]), fr.defined)
+        # null exactly past the stencil's reach: k after one pass, the frame
+        # after two
+        for key, depth in (("k", 1), ("tau", 2), ("N", 2), ("B", 2)):
+            back = np.array(columns[key], float).T
+            interior = fr.samples.interior(depth)
+            assert_nan_outside(back, interior)
+            assert np.isfinite(back[interior]).all(), key
         # every number is written as a float, as in the CSVs: s = 0 is 0.0
         assert columns["s"][0] == 0 and isinstance(columns["s"][0], float)
 
@@ -688,11 +695,12 @@ class TestInterchange:
             "provenance"]["interior"] is None
 
 
-def _bits(a: np.ndarray) -> bytes:
-    """The float64 bytes of ``a`` with every NaN made canonical."""
-    a = np.array(a, dtype=float)
+def _bits(values) -> list[int]:
+    """The float64 bits of ``values``, flattened, with every NaN made
+    canonical: a null read back is the NaN it was written for."""
+    a = np.array(values, dtype=float).reshape(-1)
     a[np.isnan(a)] = np.nan
-    return a.tobytes()
+    return a.view(np.int64).tolist()
 
 
 def _assert_numbers_are_repr_decimals(texts, a) -> None:
@@ -754,10 +762,6 @@ def _json_rows(path, width=4):
         return curves._read_json_rows(fh, width)
 
 
-def _bits(values) -> list[int]:
-    return np.asarray(values, dtype=float).reshape(-1).view(np.int64).tolist()
-
-
 def _midpoint_texts(x: float) -> list[str]:
     """The exact decimal midpoint between ``x`` and the next double up, and
     the decimals just below and just above it."""
@@ -768,21 +772,22 @@ def _midpoint_texts(x: float) -> list[str]:
 
 class TestReaderRoutes:
     """orjson reads files of plain rows of JSON numbers; ``np.loadtxt`` reads
-    every other file, and every file when orjson cannot be imported.  Each
-    file gives the same bits, or the same error, on both routes."""
+    every other file.  Each file gives the same bits, or the same error, on
+    both routes: the reference route reads every file with ``np.loadtxt``,
+    as when ``_read_json_rows`` declines it."""
 
     ROWS = ["0,0,0,0", "1,0.5,-0.25,3", "2,1e-5,2.5E+3,-7", "3,4,5,6"]
 
     @staticmethod
     def _both_routes(monkeypatch, path):
-        """The outcome with orjson, the outcome with it hidden, and whether
-        the first read took orjson's route."""
+        """The outcome of the reader, the outcome of ``np.loadtxt`` alone,
+        and whether the first read took orjson's route."""
         routes, read = [], curves._read_json_rows
         monkeypatch.setattr(curves, "_read_json_rows",
                             lambda *a: routes.append(read(*a)) or routes[-1])
         fast = _outcome(path)
         with monkeypatch.context() as m:
-            m.setitem(sys.modules, "orjson", None)
+            m.setattr(curves, "_read_json_rows", lambda *a: None)
             slow = _outcome(path)
         return fast, slow, bool(routes) and routes[0] is not None
 
@@ -891,7 +896,7 @@ class TestReaderRoutes:
         expected = _bits([float(t) for t in texts])
         assert _bits(_json_rows(path)) == expected
         with pytest.MonkeyPatch.context() as m:
-            m.setitem(sys.modules, "orjson", None)
+            m.setattr(curves, "_read_json_rows", lambda *a: None)
             assert _outcome(path) == np.reshape(expected, (-1, 4)).tolist()
 
 

@@ -22,6 +22,7 @@ from conftest import (
     FIGURE1_COS,
     FIGURE1_K,
     FIGURE1_TAU,
+    assert_nan_outside,
 )
 
 H = hc.HEISENBERG
@@ -668,7 +669,9 @@ class TestSubgroups:
     def test_vertical_is_geodesic(self):
         samples = hc.sample_curve(hc.one_param_subgroup(np.array([0.0, 0.0, 1.0])), 1001)
         t1 = hc.tension1(samples)
-        assert np.abs(t1).max() < 1e-12
+        interior = samples.interior(1)
+        assert np.abs(t1[interior]).max() < 1e-12
+        assert_nan_outside(t1, interior)
 
     def test_horizontal_diagonal_is_geodesic(self):
         d = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)

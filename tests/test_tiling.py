@@ -17,6 +17,8 @@ import heiscurves as hc
 from heiscurves import manifold as mf
 from heiscurves.numerics import TILE
 
+from conftest import assert_nan_outside
+
 H = hc.HEISENBERG
 # one tile up to TILE samples, two at TILE + 1 (the shortest tiles), three
 # at 2 TILE + 7, where the middle tile has a halo on both sides
@@ -97,7 +99,7 @@ def test_tiles_match_the_whole_curve(samples):
     assert rep.max_residual == float(residual[interior].max())
     assert rep.mean_residual == float(residual[interior].mean())
 
-    if whole.defined.all():
+    if whole.defined[interior].all():
         cT, cN, cB = hc.tension2_frame(whole)
         assert (_bits(rep.cT), _bits(rep.cN), _bits(rep.cB)) == (_bits(cT), _bits(cN), _bits(cB))
         T = samples.velocity_frame
@@ -119,16 +121,21 @@ def _frame_where_tau_exists(frenet: hc.FrenetSeries) -> None:
 
 
 def test_frame_is_defined_exactly_where_tau_exists():
-    """k clears the floor at the last sample of this geodesic (2.5e-7), but
-    the stencil of nabla_T N there reaches samples where it does not: that
-    sample has no tau, so no frame, and ``.frenet.json`` writes null for
-    its tau where ``defined`` is false.  On the line-then-arc curve the
-    first arc samples are the same case; the tiled series matches the
-    whole curve's there."""
+    """On this geodesic k is below the floor on its interior and NaN on the
+    last two samples, which the stencil does not reach: no sample has a
+    frame, and ``.frenet.json`` writes null for tau exactly where
+    ``defined`` is false.  On the line-then-arc curve k clears the floor at
+    the first arc samples, but the stencil of nabla_T N there reaches the
+    line, where it does not: those samples have no tau, so no frame, and
+    the tiled series matches the whole curve's there."""
     spec = hc.geodesic_ivp(hc.ManifoldParams(0.25, 1.2), [0.1, 0.2, 0.0], [0.6, 0.0, 0.8],
                            (0.0, 20.0))
-    frenet = hc.frenet_apparatus(hc.sample_curve(spec, 1001))
-    assert frenet.k[1000] > hc.DEFAULT_CONFIG.k_floor
+    samples = hc.sample_curve(spec, 1001)
+    frenet = hc.frenet_apparatus(samples)
+    interior = samples.interior(1)
+    assert (frenet.k[interior] <= hc.DEFAULT_CONFIG.k_floor).all()
+    assert_nan_outside(frenet.k, interior)
+    assert not frenet.defined.any()
     _frame_where_tau_exists(frenet)
     columns = json.loads(hc.frenet_to_json(frenet))["columns"]
     assert [t is None for t in columns["tau"]] == [not d for d in columns["defined"]]
@@ -156,8 +163,10 @@ def test_undefined_frame_at_the_interior_edge():
     frenet = hc.frenet_apparatus(samples)
     floor = hc.DEFAULT_CONFIG.k_floor
     assert samples.interior(2).start == 4 and samples.interior(3).start == 6
-    assert (frenet.k[:5] <= floor).all() and (frenet.k[5:] > floor).all()
-    assert not frenet.defined[:7].any() and frenet.defined[7:].all()
+    assert (frenet.k[2:5] <= floor).all() and (frenet.k[5:-2] > floor).all()
+    assert_nan_outside(frenet.k, samples.interior(1))
+    assert not frenet.defined[:7].any() and frenet.defined[7:-4].all()
+    assert not frenet.defined[-4:].any()
 
     result = hc.classify_curve(frenet)
     assert result.verdict == "not_biharmonic"
@@ -199,7 +208,7 @@ def test_verdict_series_matches_the_whole_curve(samples):
     assert _bits(np.float64(series.max_residual)) == _bits(residual[samples.interior(3)].max())
     assert _classified(series) == _classified(whole)
 
-    if whole.defined.all():
+    if whole.defined[samples.interior(3)].all():
         checks = hc.classify_curve(series).checks
         for name, value in _whole_curve_residuals(whole).items():
             assert _bits(np.float64(checks[name].residual)) == _bits(np.float64(value)), name
