@@ -36,8 +36,9 @@ One chain (Frenet frame -> nabla_T N and tau -> tau2) runs over the tiles
 ``CurveSamples.tiles`` gives for its ``_BITENSION_DEPTH`` nested passes,
 each differenced with the curve's one ``ds``; so every sample gets the bits
 of the whole-curve chain, and the (n, 3) temporaries are tile-sized.  Every
-derivative, interior and tile here comes from the samples.  Two collectors
-keep what their command reads, per sample:
+derivative, interior and tile here comes from the samples, which checked
+their points when they were built: no pass or tile checks them again.  Two
+collectors keep what their command reads, per sample:
 
 * ``bitension_report`` (``generate``) also evaluates the frame expansion
   and its agreement gap per tile, and keeps what ``generate``'s files
@@ -106,17 +107,15 @@ def tension2_direct(samples: CurveSamples) -> np.ndarray:
 
     Uses nabla_T T directly in the curvature slot (equal to k N wherever the
     Frenet frame exists), so the result is defined on geodesics as well.
+    The samples checked their points when they were built.
     """
-    t1 = tension1(samples)
-    mf.conformal_factor(samples.manifold, samples.points)  # chart check
-    return _tension2(samples, t1)
+    return _tension2(samples, tension1(samples))
 
 
 def _tension2(samples: CurveSamples, t1: np.ndarray) -> np.ndarray:
     """tau2 from t1 = nabla_T T: two more covariant passes (nabla_T^2 T is
     dropped as soon as nabla_T^3 T exists) and the closed-form curvature
-    term, which does not depend on the point, so the callers check the
-    chart once per curve."""
+    term, which does not depend on the point."""
     T = samples.velocity_frame
     t3 = covariant_derivative_along(samples, covariant_derivative_along(samples, t1))
     t3 += mf.curvature_term(samples.manifold, T, t1, T)
@@ -185,15 +184,13 @@ class BitensionReport:
 
 
 def _tile_chain(samples: CurveSamples, config: NumericsConfig):
-    """Check the chart, then run the chain Frenet frame -> tau2 over
-    ``samples.tiles(_BITENSION_DEPTH)`` (``TooFewSamples`` when there is no
-    interior).
+    """Run the chain Frenet frame -> tau2 over ``samples.tiles(_BITENSION_DEPTH)``
+    (``TooFewSamples`` when there is no interior).
 
     Yields ``(tile, rows, inner, frenet, t2)``: the tile, its rows and
     interior rows in its window, and the window's Frenet series and tau2.
     Every row of ``rows`` has the bits of the whole-curve chain.
     """
-    mf.conformal_factor(samples.manifold, samples.points)  # chart check
     for tile, window, rows, inner in samples.tiles(_BITENSION_DEPTH):
         part = replace(samples, s=samples.s[window], points=samples.points[window],
                        velocity_frame=samples.velocity_frame[window])  # keeps the curve's ds

@@ -213,8 +213,12 @@ def _alpha0_from_args(args) -> float:
     if args.alpha0_deg is not None:
         return math.radians(float(args.alpha0_deg))
     if args.sin_alpha0 is not None:
-        return math.asin(float(args.sin_alpha0))
-    return math.acos(float(args.cos_alpha0))
+        flag, value, inverse = "--sin-alpha0", args.sin_alpha0, math.asin
+    else:
+        flag, value, inverse = "--cos-alpha0", args.cos_alpha0, math.acos
+    if not -1.0 <= value <= 1.0:
+        raise ValueError(f"{flag} must lie in [-1, 1], got {value!r}")
+    return inverse(value)
 
 
 def _write_surface_csv(path, patch, u_vals, v_vals) -> None:
@@ -260,10 +264,11 @@ def cmd_generate(args, file_cfg: dict) -> int:
         _write_surface_csv(path[".cylinder.csv"], factory.cylinder_patch(hp), u_vals, v_cyl)
         _write_surface_csv(path[".helicoid.csv"], factory.helicoid_patch(hp), u_vals, v_hel)
 
+    agreement = report.expansion_agreement  # None (null in .report.json) without a frame
     print(f"alpha0 = {alpha0:.12g}, branch = {hp.branch}, rate A = {spec.family['rate']:.12g}")
     print(
         f"max interior |tau2| = {report.max_residual:.3e}, "
-        f"expansion agreement = {report.expansion_agreement:.3e}"
+        f"expansion agreement = {'none' if agreement is None else f'{agreement:.3e}'}"
     )
     print(f"verdict: {result.verdict}")
     for written in path.values():

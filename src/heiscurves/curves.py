@@ -106,6 +106,8 @@ class CurveSamples:
     does not reach.
     ``ds`` is the curve's one step, s[1] - s[0] unless given: a tile of the
     curve keeps it, as its own first step may differ in the last bits.
+    The points are checked once, when the samples are built by any route
+    (ValueError unless finite, DomainError outside the chart), and never again.
     """
 
     manifold: ManifoldParams
@@ -116,6 +118,7 @@ class CurveSamples:
     ds: float | None = None
 
     def __post_init__(self):
+        mf.conformal_factor(self.manifold, self.points)
         if self.ds is None:
             self.ds = float(self.s[1] - self.s[0])
 
@@ -289,15 +292,15 @@ def covariant_derivative_along(samples: CurveSamples, field: np.ndarray) -> np.n
     The result is NaN on two more samples at each end than V, where the
     stencil of ``samples.derivative`` does not reach.  The correction is
     added into the derivative one component at a time, with the bits of
-    adding ``connection_term``.
+    adding ``connection_term``, at the points the samples checked when built.
     """
     V = np.asarray(field, dtype=float)
     if V.shape != samples.points.shape:
         raise ValueError("field must provide frame components at every sample")
     dV = samples.derivative(V)
-    q = mf.as_point(samples.points)
     T = np.asarray(samples.velocity_frame, dtype=float)
-    for a, component in enumerate(mf._connection_components(samples.manifold, q, T, V)):
+    terms = mf._connection_components(samples.manifold, samples.points, T, V)
+    for a, component in enumerate(terms):
         dV[:, a] += component
     return dV
 

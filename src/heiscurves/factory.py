@@ -120,12 +120,14 @@ class HelixParams:
                 f"alpha0 = {self.alpha0} violates the admissibility condition "
                 f"cos(alpha0)^2 >= 4/5 (got cos^2 = {c0 * c0:.6f})"
             )
+        solve_branch_A(self.alpha0, self.branch)
 
 
 def solve_branch_A(alpha0: float, branch: str = "plus") -> float:
     """Root of A^2 - cos(alpha0) A + 1 - cos(alpha0)^2 = 0 on the requested
     branch.  The residual of the returned root is below 1e-12 by
-    construction; InadmissibleAlpha is raised for a negative discriminant."""
+    construction; InadmissibleAlpha is raised for a negative discriminant and
+    for a root that gives no helix."""
     c0 = math.cos(alpha0)
     s0 = math.sin(alpha0)
     if s0 == 0.0:
@@ -141,9 +143,12 @@ def solve_branch_A(alpha0: float, branch: str = "plus") -> float:
     residual = A * A - c0 * A + 1.0 - c0 * c0
     if abs(residual) > 1e-12:
         raise InadmissibleAlpha(f"root verification failed: residual {residual:.3e}")
+    # cos(alpha0) rounds to +-1 within about 1.05e-8 of 0 and pi, and the roots
+    # to cos(alpha0) and 0: the one would force k = 0, the other is no rate
     if A == c0:
-        # would force k = 0; cannot happen for sin(alpha0) != 0 but guard anyway
         raise InadmissibleAlpha("rate equals cos(alpha0): the curve is a geodesic")
+    if A == 0.0:
+        raise InadmissibleAlpha("rate is zero: cos(alpha0) rounds to +-1")
     return A
 
 

@@ -423,10 +423,10 @@ class TestDepthGuards:
 
     def test_bitension_rejects_curve_outside_chart(self):
         # the curvature table is constant, but every sample must lie in the
-        # chart 1 + m (x^2 + y^2) > 0; here x crosses 1 for m = -1
+        # chart 1 + m (x^2 + y^2) > 0; here x crosses 1 for m = -1, and the
+        # samples refuse the points when they are built
         s = np.linspace(0.0, 2.0, 401)
         points = np.stack([0.5 + s / 2.0, np.zeros_like(s), np.zeros_like(s)], axis=-1)
         vel = np.tile([1.0, 0.0, 0.0], (len(s), 1))
-        samples = hc.import_samples(mf.ManifoldParams(-1.0, 1.0), s, points, vel)
         with pytest.raises(hc.DomainError):
-            hc.bitension_report(samples)
+            hc.import_samples(mf.ManifoldParams(-1.0, 1.0), s, points, vel)

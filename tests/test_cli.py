@@ -178,6 +178,24 @@ class TestGenerateVerify:
         assert code == 2
         assert "cos(alpha0)^2 >= 4/5" in err
 
+    def test_frame_undefined_on_the_interior_exit_zero(self, capsys, tmp_path):
+        # k is about alpha0^3, below k_floor: there is no frame, so no
+        # expansion agreement, and stdout says so as .report.json does
+        out = tmp_path / "t"
+        code, stdout, err = run(capsys, "generate", "--alpha0", "1e-3", "--samples", "2001",
+                                "--out", str(out))
+        assert code == 0 and err == ""
+        assert "expansion agreement = none\n" in stdout
+        assert "verdict: geodesic" in stdout.splitlines()
+        report = json.loads(out.with_suffix(".report.json").read_text())
+        assert report["expansion_agreement"] is None
+
+    @pytest.mark.parametrize("flag, value", [("--sin-alpha0", "2"), ("--cos-alpha0", "-1.5")])
+    def test_angle_function_outside_its_range_exit_two(self, capsys, tmp_path, flag, value):
+        code, stdout, err = run(capsys, "generate", flag, value, "--out", str(tmp_path / "x"))
+        assert code == 2 and stdout == ""
+        assert err == f"error: {flag} must lie in [-1, 1], got {float(value)!r}\n"
+
     def test_boundary_branches_identical(self, capsys, tmp_path):
         alpha = math.acos(2.0 / math.sqrt(5.0))
         outs = []

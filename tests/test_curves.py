@@ -304,14 +304,45 @@ class TestCovariantDerivative:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_point_rejected(self, figure1_samples, bad):
-        samples = _with_bad_point(figure1_samples, bad)
+        # the samples reject the point when they are built, so no pass sees it
         with pytest.raises(ValueError, match="finite"):
-            hc.covariant_derivative_along(samples, samples.velocity_frame)
+            _with_bad_point(figure1_samples, bad)
+
+
+_CHART_EDGE = mf.ManifoldParams(-1.0, 1.0)  # the chart is x^2 + y^2 < 1
+
+
+@pytest.mark.parametrize("route", ["CurveSamples", "replace", "import_samples"])
+@pytest.mark.parametrize("axis, value, error, message", [
+    (1, math.nan, ValueError, "point components must be finite"),
+    (2, math.inf, ValueError, "point components must be finite"),
+    (0, 1.5, hc.DomainError,
+     "point outside the chart: 1 + m (x^2+y^2) <= 0 for (m, l) = (-1.0, 1.0)"),
+], ids=["nan", "inf", "outside-chart"])
+def test_samples_check_their_points_when_built(route, axis, value, error, message):
+    # every way of making samples refuses the point, with the error a pass
+    # along the curve would raise
+    n = 41
+    s = np.linspace(0.0, 1.0, n)
+    points = np.zeros((n, 3))
+    points[:, 0] = s / 4.0
+    vel = np.tile([1.0, 0.0, 0.0], (n, 1))
+    samples = hc.CurveSamples(_CHART_EDGE, s, points, vel)
+    bad = points.copy()
+    bad[n // 2, axis] = value
+    build = {
+        "CurveSamples": lambda: hc.CurveSamples(_CHART_EDGE, s, bad, vel),
+        "replace": lambda: dataclasses.replace(samples, points=bad),
+        "import_samples": lambda: hc.import_samples(_CHART_EDGE, s, bad, vel),
+    }[route]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def _with_bad_point(samples, bad):
     """``samples`` with one coordinate of one interior point set to ``bad``,
-    built directly, past the checks of ``import_samples``."""
+    built by ``dataclasses.replace``, past the checks of ``import_samples``
+    but not those of ``CurveSamples``."""
     points = samples.points.copy()
     points[samples.n // 2, 1] = bad
     return dataclasses.replace(samples, points=points)
@@ -651,14 +682,16 @@ class TestInterchange:
         special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, 2.0, 0.1])
         n = len(special)
         vec = np.stack([special, special[::-1], np.arange(n) - 4.0], axis=-1)
+        points = np.where(np.abs(vec) < 1e150, vec, 0.5)  # samples hold finite points
         fr = hc.FrenetSeries(
-            hc.CurveSamples(H, np.arange(n) / 8.0, vec, vec), k=special, N=vec, B=vec,
+            hc.CurveSamples(H, np.arange(n) / 8.0, points, vec), k=special, N=vec, B=vec,
             tau=special, defined=np.isfinite(special),
         )
         columns = json.loads(hc.frenet_to_json(fr))["columns"]
         expected = [None, None, None, -0.0, 0, 5e-324, 1e300, 2, 0.1]
         assert columns["tau"] == expected and columns["k"] == expected
-        assert columns["N"][1] == expected[::-1]
+        assert columns["N"][1] == columns["B"][1] == columns["T"][1] == expected[::-1]
+        assert _bits(np.array(columns["point"], float)) == _bits(points.T)
         # negative zero keeps its sign; the other finite values are bit-equal
         back = np.array(columns["tau"], float)
         assert np.signbit(back[3]) and not np.signbit(back[4])
@@ -1049,10 +1082,12 @@ class TestTextCodec:
         assert _bits(np.column_stack([s, points])) == _bits(finite)
         # every value through .frenet.json, null where it is not finite
         vec = np.column_stack([a, a[::-1], a])
-        fr = hc.FrenetSeries(hc.CurveSamples(H, np.arange(len(a)) / 8.0, vec, vec), k=a, N=vec,
-                             B=vec, tau=a[::-1], defined=np.isfinite(a))
+        points = np.where(np.abs(vec) < 1e150, vec, 0.5)  # samples hold finite points
+        fr = hc.FrenetSeries(hc.CurveSamples(H, np.arange(len(a)) / 8.0, points, vec), k=a,
+                             N=vec, B=vec, tau=a[::-1], defined=np.isfinite(a))
         columns = json.loads(hc.frenet_to_json(fr))["columns"]
-        for key, series in (("k", a), ("tau", a[::-1]), ("point", vec.T), ("N", vec.T)):
+        for key, series in (("k", a), ("tau", a[::-1]), ("point", points.T), ("T", vec.T),
+                            ("N", vec.T), ("B", vec.T)):
             back = np.array(columns[key], dtype=float)  # null reads as NaN
             assert _bits(back) == _bits(np.where(np.isfinite(series), series, np.nan)), key
         assert columns["defined"] == np.isfinite(a).tolist()

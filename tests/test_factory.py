@@ -81,6 +81,19 @@ class TestBranchRoot:
         with pytest.raises(hc.InadmissibleAlpha):
             hc.HelixParams(alpha0=0.0)
 
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_angle_whose_cosine_rounds_to_one_rejected(self, branch):
+        # cos(alpha0) rounds to 1.0 below about 1.05e-8, and the roots to 1
+        # and 0: the plus root forces k = 0, the minus root is no rate
+        for alpha0 in (1e-9, 1e-8):
+            assert math.cos(alpha0) == 1.0
+            with pytest.raises(hc.InadmissibleAlpha):
+                hc.solve_branch_A(alpha0, branch)
+            with pytest.raises(hc.InadmissibleAlpha):
+                hc.HelixParams(alpha0=alpha0, branch=branch)
+        hc.HelixParams(alpha0=2e-8, branch=branch)  # cos(2e-8) < 1.0
+        assert hc.solve_branch_A(2e-8, branch) not in (0.0, math.cos(2e-8))
+
     def test_inadmissible_angle_rejected(self):
         with pytest.raises(hc.InadmissibleAlpha):
             hc.solve_branch_A(math.pi / 2.0)
