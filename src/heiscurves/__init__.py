@@ -27,7 +27,6 @@ from .curves import (
     CurveSpec,
     FrenetSeries,
     covariant_derivative_along,
-    frame_cross,
     frenet_apparatus,
     frenet_to_json,
     import_samples,
@@ -39,7 +38,6 @@ from .curves import (
     write_samples_csv,
 )
 from .errors import (
-    BasePointMismatch,
     DegeneratePlane,
     DomainError,
     DomainExit,
@@ -78,16 +76,9 @@ from .factory import (
 )
 from .manifold import (
     HEISENBERG,
-    FrameVector,
     ManifoldParams,
-    TangentVector,
-    connection_frame,
-    coord_to_frame,
-    curvature_op,
-    frame_to_coord,
     left_translate,
     left_translate_velocity,
-    lie_bracket_frame,
     metric_at,
     ricci_component,
     riemann_component,

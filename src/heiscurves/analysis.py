@@ -58,6 +58,10 @@ check but the two nonzero ones with one of two builders: ``_spread_check``
 and ``_worst_check`` (the largest interior residual against
 ``relation_tol``, which ``CurveSamples.interior_max`` finds tile by tile,
 so a verdict adds no per-sample temporary that spans the curve).
+
+Directions are plain frame-component arrays: ``cone_membership`` takes
+three components, with no base point, since the cone is the same at every
+point of the group.
 """
 
 from __future__ import annotations
@@ -70,9 +74,9 @@ import numpy as np
 from . import manifold as mf
 from .curves import CurveSamples, FrenetSeries, covariant_derivative_along, frenet_apparatus
 from .curves import _write_table
-from .errors import GeodesicFrameUndefined, NonUnitVector, UnsupportedManifold
-from .factory import admissible_cos
-from .manifold import FrameVector, ManifoldParams
+from .errors import GeodesicFrameUndefined, UnsupportedManifold
+from .factory import _require_unit, admissible_cos
+from .manifold import ManifoldParams
 from .numerics import DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
@@ -520,21 +524,20 @@ def classify_curve(
 # ---------------------------------------------------------------------------
 
 
-def cone_membership(params: ManifoldParams, X: FrameVector) -> str:
-    """Whether a unit direction admits a non-geodesic biharmonic curve.
+def cone_membership(params: ManifoldParams, X) -> str:
+    """Whether the unit direction X, three frame components, admits a
+    non-geodesic biharmonic curve.
 
-    Frame components are left-invariant, so translating X to the identity
-    leaves its components unchanged; with cos(alpha0) = <X, e3> the direction
-    lies in the solid cone iff 5 cos(alpha0)^2 - 4 >= 0 (``admissible_cos``)
-    and sin(alpha0) != 0; the boundary, a double root of the rate quadratic,
-    is included.
+    Frame components are left-invariant, so the answer is the same at every
+    base point; with cos(alpha0) = <X, e3> the direction lies in the solid
+    cone iff 5 cos(alpha0)^2 - 4 >= 0 (``admissible_cos``) and
+    sin(alpha0) != 0; the boundary, a double root of the rate quadratic, is
+    included.  NonUnitVector unless | |X| - 1 | <= 1e-9 (NaN fails), the
+    rule of ``factory._require_unit``.
     """
     if not params.is_heisenberg:
         raise UnsupportedManifold("the biharmonic cone is implemented for (0, 1) only")
-    nrm = X.norm()
-    if not abs(nrm - 1.0) <= 1e-9:  # NaN fails too
-        raise NonUnitVector(f"direction must be unit, |X| = {nrm:.12f}")
-    cos_a = float(X.components[2])
+    cos_a = float(_require_unit(X, "direction")[2])
     if admissible_cos(cos_a) and 1.0 - cos_a * cos_a > 1e-12:
         return "biharmonic_direction"
     return "geodesic_only"

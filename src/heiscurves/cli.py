@@ -34,7 +34,7 @@ from . import analysis, factory
 from . import curves as crv
 from . import manifold as mf
 from .errors import HeiscurvesError, InadmissibleAlpha, MalformedSampleFile, NonMonotone, NonUnitSpeed
-from .manifold import FrameVector, ManifoldParams
+from .manifold import ManifoldParams
 from .numerics import NumericsConfig
 
 # At exit, freeze what is left so the interpreter skips its last cyclic
@@ -163,9 +163,8 @@ def cmd_tensors(args, file_cfg: dict) -> int:
     lines.append("")
     lines.append("sectional curvatures of the frame planes")
     for (a, b) in ((1, 2), (1, 3), (2, 3)):
-        ea = FrameVector(point, np.eye(3)[a - 1])
-        eb = FrameVector(point, np.eye(3)[b - 1])
-        lines.append(f"  K(e{a}, e{b}) = {_fmt(mf.sectional(params, point, ea, eb))}")
+        K = mf.sectional(params, point, np.eye(3)[a - 1], np.eye(3)[b - 1])
+        lines.append(f"  K(e{a}, e{b}) = {_fmt(K)}")
 
     conn_dev, conn_tol, curv_dev, curv_tol = mf.cross_check(params, point)
     ok = conn_dev <= conn_tol and curv_dev <= curv_tol
@@ -341,8 +340,7 @@ def cmd_cone(args, file_cfg: dict) -> int:
     params = _resolve_manifold(args, file_cfg)
     if args.direction:
         v = _parse_triple(args.direction, "--direction")
-        X = FrameVector(np.zeros(3), v)
-        verdict = analysis.cone_membership(params, X)
+        verdict = analysis.cone_membership(params, v)
         cos_a = float(v[2])
         print(f"direction ({args.direction}): cos(alpha0) = {cos_a:.9g}")
         print(f"verdict: {verdict}")
@@ -393,9 +391,8 @@ def cmd_scan(args, file_cfg: dict) -> int:
                     hp = factory.HelixParams(alpha0=float(alpha0), branch=branch)
                 except InadmissibleAlpha:
                     continue
-                A = factory.solve_branch_A(hp.alpha0, branch)
                 k, tau, B3 = factory.helix_invariants(hp)
-                rows.append((hp.alpha0, branch, A, k, tau, B3, k * k + tau * tau + B3 * B3))
+                rows.append((hp.alpha0, branch, hp.rate, k, tau, B3, k * k + tau * tau + B3 * B3))
 
     header = "alpha0,branch,A,k,tau,B3,ksq_plus_tausq_plus_B3sq"
     lines = [header]

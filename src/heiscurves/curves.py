@@ -9,8 +9,10 @@ positions where the rows carry no velocities.  Both routes give
 ``CurveSamples``.
 
 Velocities are carried in components of the left-invariant orthonormal
-frame; these are unchanged under left translations, which makes Frenet data
-manifestly translation-invariant.
+frame, as plain (n, 3) arrays; these are unchanged under left translations,
+which makes Frenet data manifestly translation-invariant.  The frame is
+oriented (e1 x e2 = e3), so ``np.cross`` of two component arrays is their
+cross product.
 
 Torsion sign convention: the Frenet system used throughout is
 
@@ -38,14 +40,13 @@ import numpy as np
 from . import __version__
 from . import manifold as mf
 from .errors import (
-    BasePointMismatch,
     MalformedSampleFile,
     NonFiniteVelocity,
     NonMonotone,
     NonUnitSpeed,
     TooFewSamples,
 )
-from .manifold import FrameVector, ManifoldParams
+from .manifold import ManifoldParams
 from .numerics import (
     DEFAULT_CONFIG,
     STENCIL_ORDER,
@@ -62,7 +63,6 @@ __all__ = [
     "sample_curve",
     "covariant_derivative_along",
     "frenet_apparatus",
-    "frame_cross",
     "left_translate_curve",
     "left_translate_samples",
     "import_samples",
@@ -303,13 +303,6 @@ def covariant_derivative_along(samples: CurveSamples, field: np.ndarray) -> np.n
     for a, component in enumerate(terms):
         dV[:, a] += component
     return dV
-
-
-def frame_cross(X: FrameVector, Y: FrameVector) -> FrameVector:
-    """Cross product in the oriented orthonormal frame (e1 x e2 = e3)."""
-    if not np.allclose(X.base, Y.base, rtol=0.0, atol=1e-12):
-        raise BasePointMismatch("cross product needs a common base point")
-    return FrameVector(X.base, np.cross(X.components, Y.components))
 
 
 @dataclass

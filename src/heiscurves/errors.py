@@ -9,10 +9,6 @@ class DomainError(HeiscurvesError):
     """Point lies outside the chart of the metric (conformal factor <= 0)."""
 
 
-class BasePointMismatch(HeiscurvesError):
-    """Vectors given at different base points where a single point is required."""
-
-
 class DegeneratePlane(HeiscurvesError):
     """Sectional curvature requested for a (numerically) degenerate 2-plane."""
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -94,6 +94,7 @@ class HelixParams:
     alpha0  axis angle in (0, pi) with 5 cos(alpha0)^2 - 4 >= 0
     a, b, c, d  phase and translation constants
     branch  which root of the rate quadratic ("plus" or "minus")
+    rate    that root A (``solve_branch_A``), solved once when built
     """
 
     alpha0: float
@@ -102,6 +103,7 @@ class HelixParams:
     c: float = 0.0
     d: float = 0.0
     branch: str = "plus"
+    rate: float = field(init=False)
 
     def __post_init__(self):
         constants = {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
@@ -120,7 +122,7 @@ class HelixParams:
                 f"alpha0 = {self.alpha0} violates the admissibility condition "
                 f"cos(alpha0)^2 >= 4/5 (got cos^2 = {c0 * c0:.6f})"
             )
-        solve_branch_A(self.alpha0, self.branch)
+        object.__setattr__(self, "rate", solve_branch_A(self.alpha0, self.branch))
 
 
 def solve_branch_A(alpha0: float, branch: str = "plus") -> float:
@@ -239,8 +241,7 @@ def biharmonic_helix(
     hp: HelixParams, s_range: tuple[float, float] = (0.0, 10.0 * math.pi)
 ) -> CurveSpec:
     """The non-geodesic biharmonic helix with the given parameters."""
-    A = solve_branch_A(hp.alpha0, hp.branch)
-    spec = helix_family_curve(hp.alpha0, A, hp.a, hp.b, hp.c, hp.d, s_range)
+    spec = helix_family_curve(hp.alpha0, hp.rate, hp.a, hp.b, hp.c, hp.d, s_range)
     return replace(spec, family={**spec.family, "family": "biharmonic_helix", "branch": hp.branch})
 
 
@@ -252,7 +253,7 @@ def helix_invariants(hp: HelixParams) -> tuple[float, float, float]:
     orientation-invariant.  The returned triple satisfies
     k^2 + tau^2 + B3^2 = 1/4 identically.
     """
-    A = solve_branch_A(hp.alpha0, hp.branch)
+    A = hp.rate
     S, C = math.sin(hp.alpha0), math.cos(hp.alpha0)
     k_signed = S * (C - A)
     tau = -(C * A + 0.5 - C * C)
@@ -638,13 +639,11 @@ class SurfacePatch:
 
 
 def cylinder_patch(hp: HelixParams) -> SurfacePatch:
-    A = solve_branch_A(hp.alpha0, hp.branch)
-    return SurfacePatch("cylinder", hp.alpha0, A, hp.a, hp.b, hp.c, hp.d)
+    return SurfacePatch("cylinder", hp.alpha0, hp.rate, hp.a, hp.b, hp.c, hp.d)
 
 
 def helicoid_patch(hp: HelixParams) -> SurfacePatch:
-    A = solve_branch_A(hp.alpha0, hp.branch)
-    return SurfacePatch("helicoid", hp.alpha0, A, hp.a, hp.b, hp.c, hp.d)
+    return SurfacePatch("helicoid", hp.alpha0, hp.rate, hp.a, hp.b, hp.c, hp.d)
 
 
 def surface_eval(patch: SurfacePatch, u, v) -> np.ndarray:

@@ -44,6 +44,13 @@ for orthonormal X, Y; on H3, K(e1, e2) = -3/4 and K(e1, e3) = 1/4.
 
 Frame indices in the public API are 1-based (a, b, ... in {1, 2, 3}) to
 match the usual tensor-component notation R_1212, rho_33, ...
+
+Tangent vectors are plain float arrays with a trailing axis of size 3:
+coordinate components (d/dx, d/dy, d/dz) or frame components (e1, e2, e3),
+converted at given points by ``to_frame_components`` and
+``to_coord_components``.  No vector carries a base point: frame components
+do not change under left translation, and the curvature table is the same at
+every point.
 """
 
 from __future__ import annotations
@@ -53,18 +60,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BasePointMismatch,
-    DegeneratePlane,
-    DomainError,
-    UnsupportedManifold,
-)
+from .errors import DegeneratePlane, DomainError, UnsupportedManifold
 
 __all__ = [
     "ManifoldParams",
     "HEISENBERG",
-    "TangentVector",
-    "FrameVector",
     "as_point",
     "conformal_factor",
     "metric_at",
@@ -72,19 +72,14 @@ __all__ = [
     "coframe_at",
     "to_frame_components",
     "to_coord_components",
-    "frame_to_coord",
-    "coord_to_frame",
     "connection_table",
     "connection_term",
     "connection_table_numeric",
-    "connection_frame",
     "bracket_table",
-    "lie_bracket_frame",
     "curvature_table",
     "curvature_term",
     "curvature_table_numeric",
     "cross_check",
-    "curvature_op",
     "riemann_component",
     "ricci_component",
     "sectional",
@@ -141,48 +136,14 @@ def as_point(p) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector in the coordinate basis (d/dx, d/dy, d/dz)."""
-
-    base: np.ndarray
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", as_point(self.base))
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=float))
-
-
-@dataclass(frozen=True)
-class FrameVector:
-    """A tangent vector in the orthonormal frame basis (e1, e2, e3).
-
-    Frame components are invariant under left translations, which makes this
-    the natural representation for curve data.
-    """
-
-    base: np.ndarray
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", as_point(self.base))
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=float))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
-
-
-def _check_same_base(*vectors: FrameVector) -> np.ndarray:
-    base = vectors[0].base
-    for v in vectors[1:]:
-        if not np.allclose(v.base, base, rtol=0.0, atol=1e-12):
-            raise BasePointMismatch(f"base points differ: {base} vs {v.base}")
-    return base
-
-
 def conformal_factor(params: ManifoldParams, p) -> np.ndarray:
-    """F = 1 + m (x^2 + y^2); raises DomainError where F <= 0."""
+    """F = 1 + m (x^2 + y^2); raises DomainError where F <= 0.
+
+    On m = 0 the chart is all of R^3 and F = 1 exactly, without squaring x
+    and y, which could overflow to 0 * inf = NaN at finite points."""
     q = as_point(p)
+    if params.m == 0.0:
+        return np.ones(q.shape[:-1])
     fac = 1.0 + params.m * (q[..., 0] ** 2 + q[..., 1] ** 2)
     if np.any(fac <= 0.0):
         raise DomainError(
@@ -275,14 +236,6 @@ def to_coord_components(params: ManifoldParams, p, v_frame) -> np.ndarray:
     """Convert frame components of tangent vectors to coordinate components."""
     e = frame_at(params, p)
     return np.einsum("...a,...ak->...k", np.asarray(v_frame, dtype=float), e)
-
-
-def coord_to_frame(params: ManifoldParams, tv: TangentVector) -> FrameVector:
-    return FrameVector(tv.base, to_frame_components(params, tv.base, tv.components))
-
-
-def frame_to_coord(params: ManifoldParams, fv: FrameVector) -> TangentVector:
-    return TangentVector(fv.base, to_coord_components(params, fv.base, fv.components))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +485,7 @@ def cross_check(params: ManifoldParams, p) -> tuple[float, float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Operator-level API
+# Tensor components and sectional curvature
 # ---------------------------------------------------------------------------
 
 
@@ -540,34 +493,6 @@ def _check_index(*indices: int) -> None:
     for a in indices:
         if a not in (1, 2, 3):
             raise IndexError(f"frame index must be in {{1, 2, 3}}, got {a}")
-
-
-def connection_frame(params: ManifoldParams, p, a: int, b: int) -> FrameVector:
-    """nabla_{e_a} e_b at p, in frame components (1-based indices)."""
-    _check_index(a, b)
-    q = as_point(p)
-    G = connection_table(params, q)
-    return FrameVector(q, G[..., a - 1, b - 1, :])
-
-
-def lie_bracket_frame(params: ManifoldParams, p, a: int, b: int) -> FrameVector:
-    """[e_a, e_b] at p, in frame components (1-based indices)."""
-    _check_index(a, b)
-    q = as_point(p)
-    C = bracket_table(params, q)
-    return FrameVector(q, C[..., a - 1, b - 1, :])
-
-
-def curvature_op(
-    params: ManifoldParams, X: FrameVector, Y: FrameVector, Z: FrameVector
-) -> FrameVector:
-    """R(X, Y)Z for frame vectors at a common base point."""
-    base = _check_same_base(X, Y, Z)
-    table = curvature_table(params, base)
-    comps = np.einsum(
-        "a,b,c,abcd->d", X.components, Y.components, Z.components, table
-    )
-    return FrameVector(base, comps)
 
 
 def riemann_component(params: ManifoldParams, p, a: int, b: int, c: int, d: int) -> float:
@@ -585,18 +510,19 @@ def ricci_component(params: ManifoldParams, p, a: int, b: int) -> float:
     return float(np.trace(table[..., a - 1, :, b - 1, :]))
 
 
-def sectional(params: ManifoldParams, p, X: FrameVector, Y: FrameVector) -> float:
-    """Sectional curvature of the plane spanned by X and Y.
+def sectional(params: ManifoldParams, p, X, Y) -> float:
+    """Sectional curvature at p of the plane spanned by the frame vectors X
+    and Y (components in e1, e2, e3).
 
     K = R(X, Y, X, Y) / (|X|^2 |Y|^2 - <X, Y>^2); raises DegeneratePlane when
-    the denominator falls below 1e-12.
+    the denominator falls below 1e-12, and DomainError when p lies outside
+    the chart.
     """
-    base = _check_same_base(X, Y)
-    x, y = X.components, Y.components
+    x, y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     denom = float(x @ x) * float(y @ y) - float(x @ y) ** 2
     if denom < 1e-12:
         raise DegeneratePlane(f"plane spanned by X, Y is degenerate (denominator {denom:.3e})")
-    table = curvature_table(params, base)
+    table = curvature_table(params, p)
     num = float(np.einsum("a,b,c,d,abcd->", x, y, x, y, table))
     return num / denom
 

@@ -56,7 +56,7 @@ def test_criterion_01_tensor_tables():
     closed_dev = max(closed_dev, abs(R[1, 2, 1, 2] - 0.25))
     for (a, b), val in mf.h3_ricci_reference().items():
         closed_dev = max(closed_dev, abs(mf.ricci_component(H, p, a, b) - val))
-    assert abs(mf.connection_frame(H, p, 1, 2).components[2] - 0.5) <= 1e-12
+    assert abs(mf.connection_table(H, p)[0, 1, 2] - 0.5) <= 1e-12
 
     numeric_dev = float(np.abs(mf.connection_table_numeric(H, p) - expected_conn).max())
     numeric_dev = max(
@@ -121,8 +121,7 @@ def test_criterion_04_negative_controls():
     ok_b = abs(tau_mean + 0.5) <= 1e-4 and result.verdict == "not_biharmonic"
 
     # (c) Legendre direction
-    X = mf.FrameVector(np.zeros(3), [1.0, 0.0, 0.0])
-    ok_c = hc.cone_membership(H, X) == "geodesic_only"
+    ok_c = hc.cone_membership(H, np.array([1.0, 0.0, 0.0])) == "geodesic_only"
 
     ok = ok_a and ok_b and ok_c
     report(
@@ -232,8 +231,7 @@ def test_criterion_07_metric_family():
         rng = np.random.default_rng(int(m * 10) + int(l) + 50)
         for _ in range(100):
             p = rng.uniform(-2.0, 2.0, 3)
-            X = mf.FrameVector(p, rng.standard_normal(3))
-            Y = mf.FrameVector(p, rng.standard_normal(3))
+            X, Y = rng.standard_normal((2, 3))
             worst_k = max(worst_k, abs(mf.sectional(par, p, X, Y) - l * l / 4.0))
 
     samples = hc.sample_curve(

@@ -311,41 +311,50 @@ class TestClassification:
 
 class TestCone:
     def test_axis_direction(self):
-        X = mf.FrameVector(np.zeros(3), [0.0, 0.0, 1.0])
-        assert hc.cone_membership(H, X) == "geodesic_only"
+        assert hc.cone_membership(H, np.array([0.0, 0.0, 1.0])) == "geodesic_only"
 
     def test_interior_direction(self):
         s0 = math.sin(FIGURE1_ALPHA0)
-        X = mf.FrameVector(np.zeros(3), [s0, 0.0, FIGURE1_COS])
+        X = np.array([s0, 0.0, FIGURE1_COS])
         assert hc.cone_membership(H, X) == "biharmonic_direction"
 
     def test_legendre_direction(self):
-        X = mf.FrameVector(np.zeros(3), [1.0, 0.0, 0.0])
-        assert hc.cone_membership(H, X) == "geodesic_only"
+        assert hc.cone_membership(H, np.array([1.0, 0.0, 0.0])) == "geodesic_only"
 
     def test_boundary_included(self):
         c = 2.0 / math.sqrt(5.0)
-        X = mf.FrameVector(np.zeros(3), [math.sqrt(1 - c * c), 0.0, c])
+        X = np.array([math.sqrt(1 - c * c), 0.0, c])
         assert hc.cone_membership(H, X) == "biharmonic_direction"
 
     def test_membership_translation_invariant(self):
-        # frame components do not change under left translation
+        # frame components do not change under left translation: push the
+        # direction at the origin to g and read its frame components there
         comps = np.array([math.sin(FIGURE1_ALPHA0), 0.0, FIGURE1_COS])
-        away = mf.FrameVector(np.array([3.0, -1.0, 2.0]), comps)
+        g = np.array([3.0, -1.0, 2.0])
+        moved = mf.left_translate_velocity(H, g, mf.to_coord_components(H, np.zeros(3), comps))
+        away = mf.to_frame_components(H, g, moved)
         assert hc.cone_membership(H, away) == "biharmonic_direction"
 
     def test_errors(self):
         with pytest.raises(hc.NonUnitVector):
-            hc.cone_membership(H, mf.FrameVector(np.zeros(3), [1.0, 1.0, 1.0]))
+            hc.cone_membership(H, np.array([1.0, 1.0, 1.0]))
         with pytest.raises(hc.UnsupportedManifold):
-            hc.cone_membership(
-                hc.ManifoldParams(1.0, 2.0), mf.FrameVector(np.zeros(3), [0.0, 0.0, 1.0])
-            )
+            hc.cone_membership(hc.ManifoldParams(1.0, 2.0), np.array([0.0, 0.0, 1.0]))
 
     def test_nan_direction_rejected(self):
         # NaN passed ``abs(|X| - 1) > tol`` and was classified
         with pytest.raises(hc.NonUnitVector):
-            hc.cone_membership(H, mf.FrameVector(np.zeros(3), [0.0, np.nan, 0.0]))
+            hc.cone_membership(H, np.array([0.0, np.nan, 0.0]))
+
+    def test_plain_list_direction(self):
+        # a direction is three frame components, as an array or a list
+        assert hc.cone_membership(H, [0.0, 0.6, 0.8]) == "geodesic_only"
+        assert hc.cone_membership(H, [0.31622776601683794, 0.0, 0.9486832980505138]) == (
+            "biharmonic_direction"
+        )
+        for bad in ([1.0, 1.0, 1.0], [0.0, float("nan"), 1.0]):
+            with pytest.raises(hc.NonUnitVector):
+                hc.cone_membership(H, bad)
 
 
 class TestLegendrePairing:

@@ -151,6 +151,20 @@ class TestGenerateVerify:
         hel = (tmp_path / "curve.helicoid.csv").read_text().splitlines()
         assert hel[0] == "u,v,x,y,z"
 
+    def test_surfaces_solve_the_rate_once(self, capsys, tmp_path, monkeypatch):
+        # HelixParams keeps its branch root: the curve and both surfaces
+        # read it there instead of solving again
+        calls = []
+        solve = factory.solve_branch_A
+
+        def spy(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(factory, "solve_branch_A", spy)
+        code, _, _ = self._generate(capsys, tmp_path, "--surfaces")
+        assert code == 0 and len(calls) == 1
+
     def test_determinism(self, capsys, tmp_path):
         _, _, out_a = self._generate(capsys, tmp_path, "--surfaces", "--with-velocity")
         (tmp_path / "second").mkdir()

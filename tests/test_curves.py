@@ -419,22 +419,6 @@ class TestFrenet:
         assert_nan_outside(lhs, interior)
 
 
-class TestFrameCross:
-    def test_orientation(self):
-        p = np.zeros(3)
-        e1 = mf.FrameVector(p, [1.0, 0.0, 0.0])
-        e2 = mf.FrameVector(p, [0.0, 1.0, 0.0])
-        assert_allclose(hc.frame_cross(e1, e2).components, [0.0, 0.0, 1.0], atol=0.0)
-        assert_allclose(hc.frame_cross(e2, e1).components, [0.0, 0.0, -1.0], atol=0.0)
-        assert_allclose(hc.frame_cross(e1, e1).components, np.zeros(3), atol=0.0)
-
-    def test_base_point_mismatch(self):
-        X = mf.FrameVector(np.zeros(3), [1.0, 0.0, 0.0])
-        Y = mf.FrameVector(np.ones(3), [0.0, 1.0, 0.0])
-        with pytest.raises(hc.BasePointMismatch):
-            hc.frame_cross(X, Y)
-
-
 class TestLeftInvariance:
     def test_exact_transport_is_bitwise(self, figure1_hp):
         spec = hc.biharmonic_helix(figure1_hp, (0.0, 4.0 * math.pi))

@@ -1,6 +1,7 @@
 """Helix family, geodesic shooting, subgroups, the vanishing-B3 family and
 the cylinder / helicoid pair."""
 
+import dataclasses
 import json
 import math
 
@@ -63,6 +64,15 @@ class TestBranchRoot:
         c = FIGURE1_COS
         assert abs(A * A - c * A + 1.0 - c * c) < 1e-12
 
+    def test_params_keep_their_root(self):
+        # the root solved when HelixParams is built, recomputed by replace
+        hp = hc.HelixParams(alpha0=FIGURE1_ALPHA0)
+        assert hp.rate == hc.solve_branch_A(FIGURE1_ALPHA0, "plus")
+        minus = dataclasses.replace(hp, branch="minus")
+        assert minus.rate == hc.solve_branch_A(FIGURE1_ALPHA0, "minus")
+        with pytest.raises(TypeError):
+            hc.HelixParams(alpha0=FIGURE1_ALPHA0, rate=1.0)
+
     def test_minus_branch(self):
         A = hc.solve_branch_A(FIGURE1_ALPHA0, "minus")
         c = FIGURE1_COS
@@ -110,8 +120,7 @@ class TestBranchRoot:
         alpha0 = math.acos(sign * math.sqrt(0.8 + delta))
         cos_a = math.cos(alpha0)
         assert hc.admissible_cos(cos_a) is admissible
-        X = mf.FrameVector(np.zeros(3), np.array([math.sin(alpha0), 0.0, cos_a]))
-        cone = hc.cone_membership(hc.HEISENBERG, X)
+        cone = hc.cone_membership(hc.HEISENBERG, np.array([math.sin(alpha0), 0.0, cos_a]))
         assert cone == ("biharmonic_direction" if admissible else "geodesic_only")
         if admissible:
             hc.HelixParams(alpha0=alpha0)

@@ -17,12 +17,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from heiscurves import manifold as mf
-from heiscurves.errors import (
-    BasePointMismatch,
-    DegeneratePlane,
-    DomainError,
-    UnsupportedManifold,
-)
+from heiscurves.errors import DegeneratePlane, DomainError, UnsupportedManifold
 
 from conftest import random_domain_point
 
@@ -136,10 +131,16 @@ class TestFrame:
         for _ in range(50):
             par = _random_params(rng)
             p = random_domain_point(rng, par.m)
-            tv = mf.TangentVector(p, rng.standard_normal(3))
-            back = mf.frame_to_coord(par, mf.coord_to_frame(par, tv))
-            assert_allclose(back.components, tv.components,
-                            rtol=1e-14, atol=1e-14 * np.abs(tv.components).max())
+            v = rng.standard_normal(3)
+            back = mf.to_coord_components(par, p, mf.to_frame_components(par, p, v))
+            assert_allclose(back, v, rtol=1e-14, atol=1e-14 * np.abs(v).max())
+
+    def test_h3_frame_change_far_out(self):
+        # F = 1 on m = 0 without squaring x and y: 1e200 squared overflows,
+        # and 0 * inf = NaN would spoil a finite point
+        far = [1e200, 0.0, 0.0]
+        assert mf.to_frame_components(H, far, [1.0, 0.0, 0.0]).tolist() == [1.0, 0.0, 0.0]
+        assert mf.conformal_factor(H, np.full((4, 3), 1e200)).tolist() == [1.0] * 4
 
     def test_frame_norm_matches_metric_norm(self):
         rng = np.random.default_rng(12)
@@ -160,14 +161,15 @@ class TestConnection:
         )
 
     def test_operator_level_entries(self):
-        v = mf.connection_frame(H, ORIGIN, 1, 2)
-        assert_allclose(v.components, [0.0, 0.0, 0.5], atol=0.0)
-        v = mf.connection_frame(H, ORIGIN, 1, 1)
-        assert_allclose(v.components, np.zeros(3), atol=0.0)
+        # nabla_{e_a} e_b is the table's row [a - 1, b - 1]; the 1-based
+        # component functions reject indices outside {1, 2, 3}
+        G = mf.connection_table(H, ORIGIN)
+        assert_allclose(G[0, 1, :], [0.0, 0.0, 0.5], atol=0.0)
+        assert_allclose(G[0, 0, :], np.zeros(3), atol=0.0)
         with pytest.raises(IndexError):
-            mf.connection_frame(H, ORIGIN, 0, 2)
+            mf.ricci_component(H, ORIGIN, 0, 2)
         with pytest.raises(IndexError):
-            mf.connection_frame(H, ORIGIN, 1, 4)
+            mf.riemann_component(H, ORIGIN, 1, 4, 1, 2)
 
     def test_numeric_koszul_matches_closed_form(self):
         p = np.array([0.3, -1.2, 5.0])
@@ -336,13 +338,12 @@ class TestClosedFormKernels:
 
 class TestBrackets:
     def test_heisenberg_relations(self):
-        assert_allclose(mf.lie_bracket_frame(H, ORIGIN, 1, 2).components, [0, 0, 1.0], atol=0.0)
-        assert_allclose(mf.lie_bracket_frame(H, ORIGIN, 3, 1).components, np.zeros(3), atol=0.0)
-        assert_allclose(mf.lie_bracket_frame(H, ORIGIN, 2, 3).components, np.zeros(3), atol=0.0)
+        C = mf.bracket_table(H, ORIGIN)
+        assert_allclose(C[0, 1, :], [0, 0, 1.0], atol=0.0)
+        assert_allclose(C[2, 0, :], np.zeros(3), atol=0.0)
+        assert_allclose(C[1, 2, :], np.zeros(3), atol=0.0)
         # away from the origin too (left invariance)
-        assert_allclose(
-            mf.lie_bracket_frame(H, [1.0, -2.0, 0.5], 1, 2).components, [0, 0, 1.0], atol=0.0
-        )
+        assert_allclose(mf.bracket_table(H, [1.0, -2.0, 0.5])[0, 1, :], [0, 0, 1.0], atol=0.0)
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(9)
@@ -351,8 +352,8 @@ class TestBrackets:
             p = random_domain_point(rng, par.m)
             C = mf.bracket_table(par, p)
             assert np.abs(C + C.swapaxes(0, 1)).max() == 0.0
-            for a in (1, 2, 3):
-                assert_allclose(mf.lie_bracket_frame(par, p, a, a).components, np.zeros(3), atol=0.0)
+            for a in range(3):
+                assert_allclose(C[a, a, :], np.zeros(3), atol=0.0)
 
 
 class TestCurvature:
@@ -419,16 +420,12 @@ class TestCurvature:
     def test_operator_multilinear_and_antisymmetric(self):
         rng = np.random.default_rng(16)
         p = np.array([0.2, 0.4, -1.0])
-        X = mf.FrameVector(p, rng.standard_normal(3))
-        Y = mf.FrameVector(p, rng.standard_normal(3))
-        Z = mf.FrameVector(p, rng.standard_normal(3))
-        R1 = mf.curvature_op(H, X, Y, Z).components
-        scaled = mf.curvature_op(H, mf.FrameVector(p, 2.5 * X.components), Y, Z).components
+        X, Y, Z = rng.standard_normal((3, 3))
+        R1 = mf.curvature_term(H, X, Y, Z)
+        scaled = mf.curvature_term(H, 2.5 * X, Y, Z)
         assert_allclose(scaled, 2.5 * R1, rtol=1e-12)
-        zero = mf.curvature_op(H, X, X, Z).components
+        zero = mf.curvature_term(H, X, X, Z)
         assert_allclose(zero, np.zeros(3), atol=1e-14)
-        with pytest.raises(BasePointMismatch):
-            mf.curvature_op(H, X, Y, mf.FrameVector(p + 1.0, Z.components))
 
     def test_ricci_heisenberg(self):
         for (a, b), expected in mf.h3_ricci_reference().items():
@@ -538,9 +535,7 @@ class TestSymbolicOracle:
 
 class TestSectional:
     def test_frame_plane_values(self):
-        e1 = mf.FrameVector(ORIGIN, [1.0, 0.0, 0.0])
-        e2 = mf.FrameVector(ORIGIN, [0.0, 1.0, 0.0])
-        e3 = mf.FrameVector(ORIGIN, [0.0, 0.0, 1.0])
+        e1, e2, e3 = np.eye(3)
         assert mf.sectional(H, ORIGIN, e1, e2) == pytest.approx(-0.75, abs=1e-12)
         assert mf.sectional(H, ORIGIN, e1, e3) == pytest.approx(0.25, abs=1e-12)
         assert mf.sectional(H, ORIGIN, e2, e3) == pytest.approx(0.25, abs=1e-12)
@@ -551,14 +546,20 @@ class TestSectional:
         rng = np.random.default_rng(int(10 * m + l) + 100)
         for _ in range(100):
             p = random_domain_point(rng, m, scale=2.0)
-            X = mf.FrameVector(p, rng.standard_normal(3))
-            Y = mf.FrameVector(p, rng.standard_normal(3))
+            X, Y = rng.standard_normal((2, 3))
             assert mf.sectional(par, p, X, Y) == pytest.approx(l * l / 4.0, abs=1e-7)
 
     def test_degenerate_plane(self):
-        X = mf.FrameVector(ORIGIN, [1.0, 0.0, 0.0])
         with pytest.raises(DegeneratePlane):
-            mf.sectional(H, ORIGIN, X, mf.FrameVector(ORIGIN, [2.0, 0.0, 0.0]))
+            mf.sectional(H, ORIGIN, [1.0, 0.0, 0.0], [2.0, 0.0, 0.0])
+
+    def test_point_outside_the_chart(self):
+        # the frame vectors carry no point: the chart is checked at p itself
+        par = mf.ManifoldParams(-1.0, 1.0)
+        e1, e2, _ = np.eye(3)
+        assert mf.sectional(par, ORIGIN, e1, e2) == pytest.approx(-4.75, abs=1e-12)
+        with pytest.raises(DomainError):
+            mf.sectional(par, [2.0, 0.0, 0.0], e1, e2)
 
 
 class TestGroupOps:
