@@ -8,11 +8,8 @@ from .analysis import (
     BitensionReport,
     ClassificationResult,
     SystemCheck,
-    SystemReport,
     VerdictSeries,
     bitension_report,
-    check_helix_system,
-    check_system_33,
     classify_curve,
     cone_membership,
     legendre_pairing,

@@ -52,12 +52,13 @@ collectors keep what their command reads, per sample:
 
 Both hold the samples themselves, whose s, T and points (56 bytes) they
 read there, and keep neither nabla_T T nor tau2.  ``classify_curve`` takes
-either's series.  ``check_system_33`` and ``check_helix_system`` build each
-check but the two nonzero ones with one of two builders: ``_spread_check``
-(max - min of an interior series against ``constancy_tol`` (1 + |mean|))
-and ``_worst_check`` (the largest interior residual against
-``relation_tol``, which ``CurveSamples.interior_max`` finds tile by tile,
-so a verdict adds no per-sample temporary that spans the curve).
+either's series and builds every check of the verdict once, after one test
+that the frame is defined on the interior.  Each check but the two nonzero
+ones comes from one of two builders: ``_spread_check`` (max - min of an
+interior series against ``constancy_tol`` (1 + |mean|)) and
+``_worst_check`` (the largest interior residual against ``relation_tol``,
+which ``CurveSamples.interior_max`` finds tile by tile, so a verdict adds
+no per-sample temporary that spans the curve).
 
 Directions are plain frame-component arrays: ``cone_membership`` takes
 three components, with no base point, since the cone is the same at every
@@ -67,7 +68,7 @@ point of the group.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,9 +89,6 @@ __all__ = [
     "VerdictSeries",
     "verdict_series",
     "SystemCheck",
-    "SystemReport",
-    "check_system_33",
-    "check_helix_system",
     "ClassificationResult",
     "classify_curve",
     "cone_membership",
@@ -319,31 +317,6 @@ class SystemCheck:
         }
 
 
-@dataclass
-class SystemReport:
-    """Measured residuals of one characterization system."""
-
-    checks: dict[str, SystemCheck]
-    values: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks.values())
-
-    def __getitem__(self, name: str) -> SystemCheck:
-        return self.checks[name]
-
-
-def _interior_frenet(frenet: FrenetSeries | VerdictSeries):
-    interior = frenet.samples.interior(_BITENSION_DEPTH)
-    if not frenet.defined[interior].all():
-        raise GeodesicFrameUndefined(
-            "Frenet frame undefined on interior samples: k is at or below "
-            "k_floor there or on a sample the stencil of nabla_T N reaches"
-        )
-    return interior
-
-
 def _spread_check(
     name: str, series: np.ndarray, config: NumericsConfig
 ) -> tuple[SystemCheck, float]:
@@ -360,73 +333,6 @@ def _worst_check(name: str, samples: CurveSamples, residual,
     interior (``CurveSamples.interior_max``) against ``relation_tol``."""
     worst, _ = samples.interior_max(residual, _BITENSION_DEPTH)
     return SystemCheck(name, worst, config.relation_tol)
-
-
-def check_system_33(
-    frenet: FrenetSeries | VerdictSeries, config: NumericsConfig = DEFAULT_CONFIG
-) -> SystemReport:
-    """Residuals of the non-geodesic biharmonicity system
-
-        k = const != 0,
-        k^2 + tau^2 = l^2/4 - (l^2 - 4m) B3^2,
-        tau' = (l^2 - 4m) N3 B3,
-
-    evaluated with the manifold's own coefficients (for (0, 1) this is the
-    Heisenberg system with l^2/4 = 1/4 and unit coefficient), on a
-    ``FrenetSeries`` or a ``VerdictSeries``.
-    """
-    params = frenet.samples.manifold
-    lam = 0.25 * params.l * params.l
-    mu = params.flatness
-    interior = _interior_frenet(frenet)
-    k, tau, B3, N3 = frenet.k, frenet.tau, frenet.B3, frenet.N3
-
-    def relation(w):
-        return np.abs(k[w]**2 + tau[w]**2 - (lam - mu * B3[w]**2))
-
-    def torsion(w):
-        return np.abs(frenet.samples.derivative(tau[w]) - mu * N3[w] * B3[w])
-
-    k_constant, k_mean = _spread_check("k_constant", k[interior], config)
-    checks = (
-        k_constant,
-        # residual formulation: passes when k is NOT negligible
-        SystemCheck("k_nonzero", config.k_floor, abs(k_mean)),
-        _worst_check("algebraic_relation", frenet.samples, relation, config),
-        _worst_check("torsion_derivative", frenet.samples, torsion, config),
-    )
-    values = {
-        "k_mean": k_mean,
-        "tau_mean": float(tau[interior].mean()),
-        "B3_mean": float(B3[interior].mean()),
-        "curvature_level": lam,
-        "coefficient": mu,
-    }
-    return SystemReport({c.name: c for c in checks}, values)
-
-
-def check_helix_system(
-    frenet: FrenetSeries | VerdictSeries, config: NumericsConfig = DEFAULT_CONFIG
-) -> SystemReport:
-    """Residuals of the biharmonic-helix conditions
-
-        B3 = const != 0,  N3 = 0,
-
-    together with the helix-form conditions tau = const and N3 B3 = 0, on a
-    ``FrenetSeries`` or a ``VerdictSeries``.  The relation
-    k^2 + tau^2 = l^2/4 - (l^2 - 4m) B3^2 is ``check_system_33``'s."""
-    interior = _interior_frenet(frenet)
-    N3, B3 = frenet.N3, frenet.B3
-    B3_constant, B3_mean = _spread_check("B3_constant", B3[interior], config)
-    tau_constant, tau_mean = _spread_check("tau_constant", frenet.tau[interior], config)
-    checks = (
-        B3_constant,
-        SystemCheck("B3_nonzero", config.b3_zero_tol, abs(B3_mean)),
-        _worst_check("N3_zero", frenet.samples, lambda w: np.abs(N3[w]), config),
-        tau_constant,
-        _worst_check("N3B3_zero", frenet.samples, lambda w: np.abs(N3[w] * B3[w]), config),
-    )
-    return SystemReport({c.name: c for c in checks}, {"tau_mean": tau_mean, "B3_mean": B3_mean})
 
 
 # ---------------------------------------------------------------------------
@@ -470,22 +376,25 @@ def classify_curve(
     of its samples, ``BitensionReport.frenet`` or ``verdict_series``, of
     which it reads k, tau, N3, B3, ``defined`` and the samples.
 
+    The ``system_*`` checks test the module's biharmonicity system with the
+    manifold's own coefficients (on (0, 1): l^2/4 = 1/4, unit coefficient),
+    and the ``helix_*`` checks B3 = const != 0, N3 = 0, tau = const and
+    N3 B3 = 0.  Each is built once, on interior(3), after one test that the
+    frame is defined there.
+
     geodesic                 tension field vanishes (within residual_tol);
     nongeodesic_biharmonic   the full characterization system holds;
     helix_not_biharmonic     constant k and tau with B3 away from zero, but
                              the algebraic relation fails;
-    not_biharmonic           everything else.  Curves with B3 ~ 0 land here
-                             regardless of helix structure: a vanishing third
-                             binormal component forces tau^2 = 1/4 and rules
-                             biharmonicity out unconditionally; so do
-                             non-geodesic curves whose frame (tau) is
-                             undefined on an interior sample, which carry
-                             the k_constant check alone: the curvature
-                             falls to the floor on that sample or on one its
-                             nabla_T N stencil reaches, so the system cannot
-                             be evaluated there.
+    not_biharmonic           everything else: B3 ~ 0, which forces
+                             tau^2 = 1/4 and rules biharmonicity out, and a
+                             frame (tau) undefined on an interior sample,
+                             where k falls to the floor on that sample or on
+                             one its nabla_T N stencil reaches; such a curve
+                             carries the k_constant check alone.
     """
-    t1_max = float(frenet.k[frenet.samples.interior(1)].max())  # k = |nabla_T T|
+    samples = frenet.samples
+    t1_max = float(frenet.k[samples.interior(1)].max())  # k = |nabla_T T|
     values: dict[str, float] = {"tension1_max": t1_max}
     checks: dict[str, SystemCheck] = {
         "tension1_zero": SystemCheck("tension1_zero", t1_max, config.residual_tol)
@@ -494,25 +403,47 @@ def classify_curve(
     if t1_max <= max(config.k_floor, config.residual_tol):
         return ClassificationResult("geodesic", checks, values)
 
-    interior = frenet.samples.interior(_BITENSION_DEPTH)
+    interior = samples.interior(_BITENSION_DEPTH)
+    k, tau, N3, B3 = frenet.k, frenet.tau, frenet.N3, frenet.B3
+    k_constant, values["k_mean"] = _spread_check("k_constant", k[interior], config)
+    checks["system_k_constant"] = k_constant
     if not frenet.defined[interior].all():  # tau is undefined inside: no system to evaluate
-        checks["system_k_constant"], values["k_mean"] = _spread_check(
-            "k_constant", frenet.k[interior], config)
         return ClassificationResult("not_biharmonic", checks, values)
 
-    sys33 = check_system_33(frenet, config)
-    helix = check_helix_system(frenet, config)
-    checks.update({f"system_{k}": c for k, c in sys33.checks.items()})
-    checks.update({f"helix_{k}": c for k, c in helix.checks.items()})
-    values.update(sys33.values, N3_max=helix["N3_zero"].residual)
+    params = samples.manifold
+    lam, mu = 0.25 * params.l * params.l, params.flatness
 
-    if sys33.all_passed:
+    def relation(w):
+        return np.abs(k[w]**2 + tau[w]**2 - (lam - mu * B3[w]**2))
+
+    def torsion(w):
+        return np.abs(samples.derivative(tau[w]) - mu * N3[w] * B3[w])
+
+    tau_constant, tau_mean = _spread_check("tau_constant", tau[interior], config)
+    B3_constant, B3_mean = _spread_check("B3_constant", B3[interior], config)
+    B3_nonzero = SystemCheck("B3_nonzero", config.b3_zero_tol, abs(B3_mean))
+    system = (
+        k_constant,
+        # residual formulation: passes when k is NOT negligible
+        SystemCheck("k_nonzero", config.k_floor, abs(values["k_mean"])),
+        _worst_check("algebraic_relation", samples, relation, config),
+        _worst_check("torsion_derivative", samples, torsion, config),
+    )
+    helix = (
+        B3_constant,
+        B3_nonzero,
+        _worst_check("N3_zero", samples, lambda w: np.abs(N3[w]), config),
+        tau_constant,
+        _worst_check("N3B3_zero", samples, lambda w: np.abs(N3[w] * B3[w]), config),
+    )
+    checks.update({f"system_{c.name}": c for c in system})
+    checks.update({f"helix_{c.name}": c for c in helix})
+    values.update(tau_mean=tau_mean, B3_mean=B3_mean, curvature_level=lam, coefficient=mu,
+                  N3_max=checks["helix_N3_zero"].residual)
+
+    if all(c.passed for c in system):
         verdict = "nongeodesic_biharmonic"
-    elif (
-        sys33["k_constant"].passed
-        and helix["tau_constant"].passed
-        and helix["B3_nonzero"].passed
-    ):
+    elif k_constant.passed and tau_constant.passed and B3_nonzero.passed:
         verdict = "helix_not_biharmonic"
     else:
         verdict = "not_biharmonic"

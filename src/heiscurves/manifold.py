@@ -140,11 +140,14 @@ def conformal_factor(params: ManifoldParams, p) -> np.ndarray:
     """F = 1 + m (x^2 + y^2); raises DomainError where F <= 0.
 
     On m = 0 the chart is all of R^3 and F = 1 exactly, without squaring x
-    and y, which could overflow to 0 * inf = NaN at finite points."""
+    and y, which could overflow to 0 * inf = NaN at finite points.  On
+    m != 0 an overflow is quiet: F = inf far out on m > 0, and -inf on
+    m < 0, which leaves the chart."""
     q = as_point(p)
     if params.m == 0.0:
         return np.ones(q.shape[:-1])
-    fac = 1.0 + params.m * (q[..., 0] ** 2 + q[..., 1] ** 2)
+    with np.errstate(over="ignore"):
+        fac = 1.0 + params.m * (q[..., 0] ** 2 + q[..., 1] ** 2)
     if np.any(fac <= 0.0):
         raise DomainError(
             f"point outside the chart: 1 + m (x^2+y^2) <= 0 for (m, l) = "
@@ -254,9 +257,11 @@ def connection_table(params: ManifoldParams, p) -> np.ndarray:
         nabla_{e3} e1 = -(1/2) e2,   nabla_{e3} e2 =  (1/2) e1,
 
     all other entries zero.  For general (m, l) the horizontal rows acquire
-    the conformal terms 2mx, 2my and l/2 replaces 1/2.
+    the conformal terms 2mx, 2my and l/2 replaces 1/2.  DomainError outside
+    the chart.
     """
     q = as_point(p)
+    conformal_factor(params, q)
     m, l = params.m, params.l
     x, y = q[..., 0], q[..., 1]
     G = np.zeros(q.shape[:-1] + (3, 3, 3))
@@ -317,8 +322,10 @@ def _connection_components(params: ManifoldParams, q: np.ndarray, X: np.ndarray,
 
 
 def bracket_table(params: ManifoldParams, p) -> np.ndarray:
-    """Structure functions C[..., a, b, c] with [e_a, e_b] = C^c_ab e_c."""
+    """Structure functions C[..., a, b, c] with [e_a, e_b] = C^c_ab e_c;
+    DomainError outside the chart."""
     q = as_point(p)
+    conformal_factor(params, q)
     m, l = params.m, params.l
     x, y = q[..., 0], q[..., 1]
     C = np.zeros(q.shape[:-1] + (3, 3, 3))

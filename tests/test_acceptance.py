@@ -82,9 +82,9 @@ def test_criterion_02_biharmonic_helix_residuals():
         samples = hc.sample_curve(hc.biharmonic_helix(hp, (0.0, 10.0 * math.pi)), 2001)
         rep = hc.bitension_report(samples)
         worst_tau2 = max(worst_tau2, rep.max_residual)
-        sys33 = hc.check_system_33(hc.frenet_apparatus(samples))
+        checks = hc.classify_curve(hc.frenet_apparatus(samples)).checks
         for name in ("k_constant", "algebraic_relation", "torsion_derivative"):
-            worst_sys = max(worst_sys, sys33[name].residual)
+            worst_sys = max(worst_sys, checks[f"system_{name}"].residual)
     elapsed = time.perf_counter() - t0
     ok = worst_tau2 <= 1e-5 and worst_sys <= 1e-5 and elapsed < 30.0
     report(
@@ -239,15 +239,15 @@ def test_criterion_07_metric_family():
         2001,
     )
     fr = hc.frenet_apparatus(samples)
-    sys_general = hc.check_system_33(fr)
+    sys_general = hc.classify_curve(fr).checks
     interior = fr.samples.interior(3)
     k, tau, B3, N3 = fr.k[interior], fr.tau[interior], fr.B3[interior], fr.N3[interior]
     relation_h3 = float(np.abs(k**2 + tau**2 - (0.25 - B3**2)).max())
     taup = fr.samples.derivative(fr.tau)[interior]
     torsion_h3 = float(np.abs(taup - N3 * B3).max())
     coincide = max(
-        abs(sys_general["algebraic_relation"].residual - relation_h3),
-        abs(sys_general["torsion_derivative"].residual - torsion_h3),
+        abs(sys_general["system_algebraic_relation"].residual - relation_h3),
+        abs(sys_general["system_torsion_derivative"].residual - torsion_h3),
     )
     ok = worst_k <= 1e-7 and coincide <= 1e-10
     report(

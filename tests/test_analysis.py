@@ -175,10 +175,10 @@ class TestTension2:
 class TestSystems:
     def test_helix_passes_system(self, figure1_samples):
         fr = hc.frenet_apparatus(figure1_samples)
-        report = hc.check_system_33(fr)
-        assert report.all_passed
+        checks = hc.classify_curve(fr).checks
+        assert all(c.passed for name, c in checks.items() if name.startswith("system_"))
         for name in ("k_constant", "algebraic_relation", "torsion_derivative"):
-            assert report[name].residual < 1e-5
+            assert checks[f"system_{name}"].residual < 1e-5
 
     def test_subgroup_satisfies_circle_relation_but_not_system(self):
         d = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
@@ -188,9 +188,9 @@ class TestSystems:
         circle = np.abs(fr.k[interior] ** 2 + fr.tau[interior] ** 2 - 0.25)
         assert circle.max() < 1e-6
         assert np.abs(fr.B3[interior]).min() > 0.1
-        report = hc.check_system_33(fr)
-        assert not report["algebraic_relation"].passed
-        assert report["k_constant"].passed
+        checks = hc.classify_curve(fr).checks
+        assert not checks["system_algebraic_relation"].passed
+        assert checks["system_k_constant"].passed
 
     def test_circle_classification(self):
         samples = hc.sample_curve(unit_circle_spec(), 1201)
@@ -201,31 +201,35 @@ class TestSystems:
 
     def test_helix_system_checks(self, figure1_samples):
         fr = hc.frenet_apparatus(figure1_samples)
-        report = hc.check_helix_system(fr)
-        assert report.all_passed
-        assert report["N3_zero"].residual < 1e-7
-        assert report["B3_constant"].residual < 1e-7
+        checks = hc.classify_curve(fr).checks
+        assert all(c.passed for name, c in checks.items() if name.startswith("helix_"))
+        assert checks["helix_N3_zero"].residual < 1e-7
+        assert checks["helix_B3_constant"].residual < 1e-7
 
     def test_b3zero_fails_helix_system(self):
         spec = hc.b3zero_curve(lambda s: 0.5 + 0.3 * s, (0.0, 2.0))
         samples = hc.sample_curve(spec, 1001)
         fr = hc.frenet_apparatus(samples)
-        report = hc.check_helix_system(fr)
-        assert not report["B3_nonzero"].passed
-        assert abs(report.values["tau_mean"] + 0.5) < 1e-4
-        assert not hc.check_system_33(fr)["algebraic_relation"].passed
+        result = hc.classify_curve(fr)
+        assert not result.checks["helix_B3_nonzero"].passed
+        assert abs(result.values["tau_mean"] + 0.5) < 1e-4
+        assert not result.checks["system_algebraic_relation"].passed
 
-    def test_geodesic_raises(self):
+    def test_geodesic_has_no_frame_checks(self):
+        # the Frenet frame is undefined along the whole e3 subgroup, and the
+        # verdict builds no check that needs it
         spec = hc.one_param_subgroup(np.array([0.0, 0.0, 1.0]), (0.0, 2.0))
         fr = hc.frenet_apparatus(hc.sample_curve(spec, 64))
-        with pytest.raises(hc.GeodesicFrameUndefined):
-            hc.check_system_33(fr)
+        assert not fr.defined.any()
+        result = hc.classify_curve(fr)
+        assert result.verdict == "geodesic"
+        assert list(result.checks) == ["tension1_zero"]
 
     def test_general_system_reduces_to_heisenberg(self, figure1_samples):
         # the parametrized system evaluated at (0, 1) must coincide with the
         # hard-coded Heisenberg relations to float precision
         fr = hc.frenet_apparatus(figure1_samples)
-        report = hc.check_system_33(fr)
+        checks = hc.classify_curve(fr).checks
         interior = fr.samples.interior(3)
         k, tau, B3, N3 = (
             fr.k[interior], fr.tau[interior], fr.B3[interior], fr.N3[interior]
@@ -233,15 +237,33 @@ class TestSystems:
         relation_h3 = float(np.abs(k**2 + tau**2 - (0.25 - B3**2)).max())
         taup = fr.samples.derivative(fr.tau)[interior]
         torsion_h3 = float(np.abs(taup - N3 * B3).max())
-        assert abs(report["algebraic_relation"].residual - relation_h3) < 1e-10
-        assert abs(report["torsion_derivative"].residual - torsion_h3) < 1e-10
+        assert abs(checks["system_algebraic_relation"].residual - relation_h3) < 1e-10
+        assert abs(checks["system_torsion_derivative"].residual - torsion_h3) < 1e-10
 
     def test_degenerate_member_reports_zero_coefficient(self):
         samples = hc.sample_curve(cv_test_curve(1.0, 2.0), 1201)
         fr = hc.frenet_apparatus(samples)
-        report = hc.check_system_33(fr)
-        assert report.values["coefficient"] == 0.0
-        assert report.values["curvature_level"] == 1.0
+        values = hc.classify_curve(fr).values
+        assert values["coefficient"] == 0.0
+        assert values["curvature_level"] == 1.0
+
+    def test_torsion_drift_fails_the_torsion_check_alone(self, figure1_samples):
+        # tau drifts at rate 1e-3 while N3 B3 = 0, so tau' = mu N3 B3 fails;
+        # k is a nonzero constant and B3 keeps k^2 + tau^2 = 1/4 - B3^2, so
+        # the other system checks hold
+        n, s = figure1_samples.n, figure1_samples.s
+        k = np.full(n, 0.3)
+        tau = -0.3 + 1e-3 * s
+        series = hc.VerdictSeries(figure1_samples, k=k, tau=tau, N3=np.zeros(n),
+                                  B3=np.sqrt(0.25 - k**2 - tau**2),
+                                  defined=np.ones(n, dtype=bool), max_residual=0.0)
+        result = hc.classify_curve(series)
+        torsion = result.checks["system_torsion_derivative"]
+        assert torsion.residual == pytest.approx(1e-3, abs=1e-9)
+        assert not torsion.passed
+        for name in ("k_constant", "k_nonzero", "algebraic_relation"):
+            assert result.checks[f"system_{name}"].passed, name
+        assert result.verdict != "nongeodesic_biharmonic"
 
 
 class TestClassification:
@@ -282,10 +304,6 @@ class TestClassification:
         assert not check.passed and check.residual == pytest.approx(1.988, abs=1e-6)
         assert result.values["k_mean"] == pytest.approx(0.9945, abs=1e-4)
         json.loads(result.to_json(), parse_constant=pytest.fail)  # no NaN or Infinity
-        # the frame-dependent checks still refuse the curve
-        for check_frame in (hc.check_system_33, hc.check_helix_system):
-            with pytest.raises(hc.GeodesicFrameUndefined):
-                check_frame(frenet)
 
     def test_json_serialization(self, figure1_samples):
         result = hc.classify_curve(hc.frenet_apparatus(figure1_samples))

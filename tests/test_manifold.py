@@ -141,6 +141,13 @@ class TestFrame:
         far = [1e200, 0.0, 0.0]
         assert mf.to_frame_components(H, far, [1.0, 0.0, 0.0]).tolist() == [1.0, 0.0, 0.0]
         assert mf.conformal_factor(H, np.full((4, 3), 1e200)).tolist() == [1.0] * 4
+        # on m != 0 the squares overflow quietly: F = inf on m > 0, where the
+        # components underflow to 0, and m < 0 leaves the chart
+        par = mf.ManifoldParams(1.0, 1.0)
+        assert mf.conformal_factor(par, far) == math.inf
+        assert mf.to_frame_components(par, far, [1.0, 0.0, 0.0]).tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(DomainError):
+            mf.to_frame_components(mf.ManifoldParams(-1.0, 1.0), far, [1.0, 0.0, 0.0])
 
     def test_frame_norm_matches_metric_norm(self):
         rng = np.random.default_rng(12)
@@ -554,12 +561,18 @@ class TestSectional:
             mf.sectional(H, ORIGIN, [1.0, 0.0, 0.0], [2.0, 0.0, 0.0])
 
     def test_point_outside_the_chart(self):
-        # the frame vectors carry no point: the chart is checked at p itself
+        # the frame vectors carry no point: the chart is checked at p itself,
+        # and so it is by the tables that depend on p
         par = mf.ManifoldParams(-1.0, 1.0)
         e1, e2, _ = np.eye(3)
         assert mf.sectional(par, ORIGIN, e1, e2) == pytest.approx(-4.75, abs=1e-12)
+        outside = [2.0, 0.0, 0.0]  # F = -3
+        for table in (mf.connection_table, mf.bracket_table):
+            table(par, ORIGIN)
+            with pytest.raises(DomainError):
+                table(par, outside)
         with pytest.raises(DomainError):
-            mf.sectional(par, [2.0, 0.0, 0.0], e1, e2)
+            mf.sectional(par, outside, e1, e2)
 
 
 class TestGroupOps:

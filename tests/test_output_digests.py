@@ -11,15 +11,18 @@ from heiscurves import curves
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 FILES = ["h3_geodesic.csv", "helix.classification.json", "helix.csv", "helix.cylinder.csv",
          "helix.frenet.json", "helix.helicoid.csv", "helix.params.json", "helix.report.json",
-         "helix.residuals.csv", "inflection.csv", "ml_geodesic.csv", "plain.classification.json",
-         "plain.csv", "plain.frenet.json", "plain.params.json", "plain.report.json",
-         "plain.residuals.csv", "positions.csv", "scan.csv",
-         "tensors_far.json", "tensors_h3.json", "tensors_ml.json", "verify.json",
-         "verify_inflection.json", "verify_positions.json"]
-COMMANDS = ["generate", "generate_plain", "h3_geodesic", "ml_geodesic", "verify", "verify_positions",
-            "verify_inflection", "tensors_h3", "tensors_ml", "tensors_far", "cone_direction",
-            "cone_sweep", "scan"]
-EXITS = {"verify_inflection": 1}  # the inflection curve is not biharmonic
+         "helix.residuals.csv", "inflection.csv", "ml_geodesic.csv", "offroot.csv",
+         "plain.classification.json", "plain.csv", "plain.frenet.json", "plain.params.json",
+         "plain.report.json", "plain.residuals.csv", "positions.csv", "scan.csv",
+         "short_geodesic.csv", "tensors_far.json", "tensors_h3.json", "tensors_ml.json",
+         "verify.json", "verify_geodesic.json", "verify_inflection.json", "verify_offroot.json",
+         "verify_positions.json"]
+COMMANDS = ["generate", "generate_plain", "h3_geodesic", "ml_geodesic", "short_geodesic", "verify",
+            "verify_positions", "verify_inflection", "verify_geodesic", "verify_offroot",
+            "tensors_h3", "tensors_ml", "tensors_far", "cone_direction", "cone_sweep", "scan"]
+# the inflection curve and the off-root helix are not biharmonic
+EXITS = {"verify_inflection": 1, "verify_offroot": 1}
+TOOL_WRITTEN = ["inflection.csv", "offroot.csv"]  # inputs the tool writes itself
 PER_SAMPLE = [name for name in FILES
               if name.endswith((".csv", ".frenet.json")) and name != "scan.csv"]
 
@@ -82,12 +85,12 @@ def test_value_digests_see_values_not_text(monkeypatch, capsys):
     by_bytes = tool.digests(1001)
     assert differing(values, by_bytes) == PER_SAMPLE
     # the writers' numbers in other text: the bytes of every file they write
-    # change (inflection.csv is this tool's own), the values of none
+    # change (but for the inputs the tool writes itself), the values of none
     dumps = curves._dumps
     monkeypatch.setattr(curves, "_dumps", lambda block: dumps(block).replace(b".0,", b","))
     assert tool.digests(1001, values=True) == values
     assert differing(tool.digests(1001), by_bytes) == [
-        name for name in PER_SAMPLE if name != "inflection.csv"
+        name for name in PER_SAMPLE if name not in TOOL_WRITTEN
     ]
 
 def test_value_digest_of_one_file(tmp_path):

@@ -177,8 +177,6 @@ def test_undefined_frame_at_the_interior_edge():
     assert list(result.values) == ["tension1_max", "k_mean"]
     for series in (hc.verdict_series(samples), hc.bitension_report(samples).frenet):
         assert hc.classify_curve(series).to_json() == result.to_json()
-    with pytest.raises(hc.GeodesicFrameUndefined, match="nabla_T N"):
-        hc.check_system_33(frenet)
 
 
 def _whole_curve_residuals(frenet: hc.FrenetSeries) -> dict:

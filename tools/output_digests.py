@@ -4,10 +4,13 @@ In a temporary directory, at each ``--samples`` size, this runs the
 figure-helix ``generate`` (sin alpha0 = 1/sqrt(10), a = b = c = 1) with
 surfaces and velocities, and again without either.  It runs the
 benchmark's two length-1000 ``geodesic`` commands (H3 and (m, l) =
-(0.25, 1.2)) with velocities, and ``verify --json`` on the helix CSV, on
-its ``s,x,y,z`` columns alone, the input whose velocities ``verify``
-differences, and on a horizontal H3 curve with an inflection point, which
-``verify`` finds not biharmonic (exit 1) at every n.  It also runs the
+(0.25, 1.2)) with velocities, and a length-20 H3 ``geodesic`` with
+velocities.  It runs ``verify --json`` on the helix CSV, on its ``s,x,y,z``
+columns alone, the input whose velocities ``verify`` differences, on the
+length-20 geodesic (verdict ``geodesic``), on a horizontal H3 curve with an
+inflection point and on the figure helix's family at the off-root rate
+A + 0.05; ``verify`` finds the last two not biharmonic (exit 1) at every n,
+the off-root helix through ``helix_not_biharmonic``.  It also runs the
 commands whose outputs do not depend on n: ``tensors --json`` on H3 at the
 origin, on (m, l) = (0.25, 1.2) at (1, 2, 3) and on (2, 1) at (1000, 0, 0),
 ``cone`` on one direction and on a sweep, and ``scan`` of both branches to
@@ -37,6 +40,7 @@ import tempfile
 import numpy as np
 
 from heiscurves.cli import main as cli_main
+from heiscurves.factory import helix_family_curve, solve_branch_A
 from heiscurves.numerics import cumulative_simpson
 
 
@@ -48,6 +52,8 @@ def commands(n: int) -> list[tuple[str, list[str]]]:
                 "--length", "1000", "--samples", str(n), "--with-velocity", "--out", name])
         for name, m, l in (("h3_geodesic", "0", "1"), ("ml_geodesic", "0.25", "1.2"))
     ]
+    short_geodesic = ["geodesic", "--point=0.1,0.2,0", "--direction=0.6,0,0.8", "--length", "20",
+                      "--samples", str(n), "--with-velocity", "--out", "short_geodesic"]
     tensors = [
         (name, ["tensors", "--m", m, "--l", l, "--point", point, "--json", f"{name}.json"])
         for name, m, l, point in (("tensors_h3", "0", "1", "0,0,0"),
@@ -58,9 +64,12 @@ def commands(n: int) -> list[tuple[str, list[str]]]:
         ("generate", [*helix, "--surfaces", "--with-velocity", "--out", "helix"]),
         ("generate_plain", [*helix, "--out", "plain"]),
         *geodesics,
+        ("short_geodesic", short_geodesic),
         ("verify", ["verify", "helix.csv", "--json", "verify.json"]),
         ("verify_positions", ["verify", "positions.csv", "--json", "verify_positions.json"]),
         ("verify_inflection", ["verify", "inflection.csv", "--json", "verify_inflection.json"]),
+        ("verify_geodesic", ["verify", "short_geodesic.csv", "--json", "verify_geodesic.json"]),
+        ("verify_offroot", ["verify", "offroot.csv", "--json", "verify_offroot.json"]),
         *tensors,
         ("cone_direction", ["cone", "--direction", "0,0.6,0.8"]),
         ("cone_sweep", ["cone", "--sweep", "7"]),
@@ -86,6 +95,19 @@ def write_inflection(path: str, n: int) -> None:
     xy = cumulative_simpson(T, s[1] - s[0])
     z = cumulative_simpson(0.5 * (xy[:, 0] * T[:, 1] - xy[:, 1] * T[:, 0]), s[1] - s[0])
     rows = np.column_stack([s[::16], xy[::16], z[::16], T[::16], np.zeros(n)])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="s,x,y,z,vx,vy,vz", comments="")
+
+
+def write_offroot(path: str, n: int) -> None:
+    """Write ``n`` rows ``s,x,y,z,vx,vy,vz`` on s in [0, 10 pi] of the figure
+    helix's family (sin alpha0 = 1/sqrt(10), a = b = c = 1) at the off-root
+    rate A + 0.05: the exact positions and frame velocities of
+    ``helix_family_curve``, a helix that is not biharmonic."""
+    alpha0 = math.asin(1.0 / math.sqrt(10.0))
+    spec = helix_family_curve(alpha0, solve_branch_A(alpha0) + 0.05, a=1.0, b=1.0, c=1.0)
+    s = np.linspace(*spec.s_range, n)
+    points, velocity = spec.sampler(s)
+    rows = np.column_stack([s, points, velocity])
     np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="s,x,y,z,vx,vy,vz", comments="")
 
 
@@ -136,6 +158,8 @@ def digests(n: int, values: bool = False) -> list[str]:
                     write_positions("helix.csv", "positions.csv")
                 if name == "verify_inflection":
                     write_inflection("inflection.csv", n)
+                if name == "verify_offroot":
+                    write_offroot("offroot.csv", n)
                 with contextlib.redirect_stdout(io.StringIO()) as stdout, \
                         contextlib.redirect_stderr(io.StringIO()) as stderr:
                     code = cli_main(argv)
