@@ -37,8 +37,9 @@ One chain (Frenet frame -> nabla_T N and tau -> tau2) runs over the tiles
 each differenced with the curve's one ``ds``; so every sample gets the bits
 of the whole-curve chain, and the (n, 3) temporaries are tile-sized.  Every
 derivative, interior and tile here comes from the samples, which checked
-their points when they were built: no pass or tile checks them again.  Two
-collectors keep what their command reads, per sample:
+their points when they were built: no pass checks them again, but each
+tile is built too (``replace`` runs ``CurveSamples``' chart check on the
+tile's window).  Two collectors keep what their command reads, per sample:
 
 * ``bitension_report`` (``generate``) also evaluates the frame expansion
   and its agreement gap per tile, and keeps what ``generate``'s files
@@ -301,7 +302,9 @@ def _expansion_gap(frenet: FrenetSeries, coefficients, t2: np.ndarray, rows: sli
 
 @dataclass(frozen=True)
 class SystemCheck:
-    name: str
+    """A residual against its tolerance; its name is the key it is filed
+    under in ``ClassificationResult.checks``."""
+
     residual: float
     tolerance: float
 
@@ -317,22 +320,19 @@ class SystemCheck:
         }
 
 
-def _spread_check(
-    name: str, series: np.ndarray, config: NumericsConfig
-) -> tuple[SystemCheck, float]:
+def _spread_check(series: np.ndarray, config: NumericsConfig) -> tuple[SystemCheck, float]:
     """The spread check of an interior series, max - min against
     ``constancy_tol`` (1 + |mean|), and the series' mean."""
     mean = float(series.mean())
     spread = float(series.max() - series.min())
-    return SystemCheck(name, spread, config.constancy_tol * (1.0 + abs(mean))), mean
+    return SystemCheck(spread, config.constancy_tol * (1.0 + abs(mean))), mean
 
 
-def _worst_check(name: str, samples: CurveSamples, residual,
-                 config: NumericsConfig) -> SystemCheck:
+def _worst_check(samples: CurveSamples, residual, config: NumericsConfig) -> SystemCheck:
     """The worst-interior check: the largest ``residual(window)`` on the
     interior (``CurveSamples.interior_max``) against ``relation_tol``."""
     worst, _ = samples.interior_max(residual, _BITENSION_DEPTH)
-    return SystemCheck(name, worst, config.relation_tol)
+    return SystemCheck(worst, config.relation_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +397,7 @@ def classify_curve(
     t1_max = float(frenet.k[samples.interior(1)].max())  # k = |nabla_T T|
     values: dict[str, float] = {"tension1_max": t1_max}
     checks: dict[str, SystemCheck] = {
-        "tension1_zero": SystemCheck("tension1_zero", t1_max, config.residual_tol)
+        "tension1_zero": SystemCheck(t1_max, config.residual_tol)
     }
 
     if t1_max <= max(config.k_floor, config.residual_tol):
@@ -405,7 +405,7 @@ def classify_curve(
 
     interior = samples.interior(_BITENSION_DEPTH)
     k, tau, N3, B3 = frenet.k, frenet.tau, frenet.N3, frenet.B3
-    k_constant, values["k_mean"] = _spread_check("k_constant", k[interior], config)
+    k_constant, values["k_mean"] = _spread_check(k[interior], config)
     checks["system_k_constant"] = k_constant
     if not frenet.defined[interior].all():  # tau is undefined inside: no system to evaluate
         return ClassificationResult("not_biharmonic", checks, values)
@@ -419,29 +419,29 @@ def classify_curve(
     def torsion(w):
         return np.abs(samples.derivative(tau[w]) - mu * N3[w] * B3[w])
 
-    tau_constant, tau_mean = _spread_check("tau_constant", tau[interior], config)
-    B3_constant, B3_mean = _spread_check("B3_constant", B3[interior], config)
-    B3_nonzero = SystemCheck("B3_nonzero", config.b3_zero_tol, abs(B3_mean))
-    system = (
-        k_constant,
+    tau_constant, tau_mean = _spread_check(tau[interior], config)
+    B3_constant, B3_mean = _spread_check(B3[interior], config)
+    B3_nonzero = SystemCheck(config.b3_zero_tol, abs(B3_mean))
+    system = {
+        "k_constant": k_constant,
         # residual formulation: passes when k is NOT negligible
-        SystemCheck("k_nonzero", config.k_floor, abs(values["k_mean"])),
-        _worst_check("algebraic_relation", samples, relation, config),
-        _worst_check("torsion_derivative", samples, torsion, config),
-    )
-    helix = (
-        B3_constant,
-        B3_nonzero,
-        _worst_check("N3_zero", samples, lambda w: np.abs(N3[w]), config),
-        tau_constant,
-        _worst_check("N3B3_zero", samples, lambda w: np.abs(N3[w] * B3[w]), config),
-    )
-    checks.update({f"system_{c.name}": c for c in system})
-    checks.update({f"helix_{c.name}": c for c in helix})
+        "k_nonzero": SystemCheck(config.k_floor, abs(values["k_mean"])),
+        "algebraic_relation": _worst_check(samples, relation, config),
+        "torsion_derivative": _worst_check(samples, torsion, config),
+    }
+    helix = {
+        "B3_constant": B3_constant,
+        "B3_nonzero": B3_nonzero,
+        "N3_zero": _worst_check(samples, lambda w: np.abs(N3[w]), config),
+        "tau_constant": tau_constant,
+        "N3B3_zero": _worst_check(samples, lambda w: np.abs(N3[w] * B3[w]), config),
+    }
+    checks.update({f"system_{name}": c for name, c in system.items()})
+    checks.update({f"helix_{name}": c for name, c in helix.items()})
     values.update(tau_mean=tau_mean, B3_mean=B3_mean, curvature_level=lam, coefficient=mu,
                   N3_max=checks["helix_N3_zero"].residual)
 
-    if all(c.passed for c in system):
+    if all(c.passed for c in system.values()):
         verdict = "nongeodesic_biharmonic"
     elif k_constant.passed and tau_constant.passed and B3_nonzero.passed:
         verdict = "helix_not_biharmonic"

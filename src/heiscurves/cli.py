@@ -12,9 +12,9 @@ Subcommands:
     scan       closed-form invariants over a grid of axis angles
 
 Outputs are deterministic: identical inputs produce byte-identical files.
-Angles are radians unless a ``--*-deg`` option is used.  A JSON config file
-(``--config``) may predefine the manifold and numerics settings; explicit
-flags win over the file.
+Angles are radians unless a ``--*-deg`` option is used.  The manifold is
+set by ``--m`` and ``--l`` (default (0, 1), the Heisenberg group), and the
+numerics tolerances by repeatable ``--numerics KEY=VALUE``.
 """
 
 from __future__ import annotations
@@ -42,46 +42,20 @@ from .numerics import NumericsConfig
 atexit.register(gc.freeze)
 
 # ---------------------------------------------------------------------------
-# Config plumbing
+# Flag parsing
 # ---------------------------------------------------------------------------
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    return data
+def _number(raw: str, key: str) -> float:
+    """A ``--numerics`` value as a float."""
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"numerics {key} must be a number, got {raw!r}") from None
 
 
-def _section(file_cfg: dict, name: str) -> dict:
-    section = file_cfg.get(name, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"config {name!r} must be a JSON object, got {section!r}")
-    return section
-
-
-def _number(value, what: str) -> float:
-    """A config value as a float: a JSON number (not a boolean) or a numeric string."""
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except (ValueError, OverflowError):
-            pass
-    raise ValueError(f"{what} must be a number, got {value!r}")
-
-
-def _resolve_manifold(args, file_cfg: dict) -> ManifoldParams:
-    man = _section(file_cfg, "manifold")
-    m = args.m if args.m is not None else _number(man.get("m", 0.0), "manifold m")
-    l = args.l if args.l is not None else _number(man.get("l", 1.0), "manifold l")
-    return ManifoldParams(m, l)
-
-
-def _resolve_numerics(file_cfg: dict, args) -> NumericsConfig:
-    overrides = dict(_section(file_cfg, "numerics"))
+def _resolve_numerics(args) -> NumericsConfig:
+    overrides = {}
     for item in args.numerics or []:
         key, _, raw = item.partition("=")
         if not raw:
@@ -90,7 +64,7 @@ def _resolve_numerics(file_cfg: dict, args) -> NumericsConfig:
     unknown = set(overrides) - {f.name for f in dataclass_fields(NumericsConfig)}
     if unknown:
         raise ValueError(f"unknown numerics settings: {sorted(unknown)}")
-    return NumericsConfig(**{k: _number(v, f"numerics {k}") for k, v in overrides.items()})
+    return NumericsConfig(**{k: _number(v, k) for k, v in overrides.items()})
 
 
 def _parse_triple(text: str, what: str) -> np.ndarray:
@@ -121,9 +95,9 @@ def _reference_tag(val: float, ref: float | None) -> str:
     return f"   reference {ref:g}  " + ("MATCH" if abs(val - ref) <= 1e-12 else "MISMATCH")
 
 
-def cmd_tensors(args, file_cfg: dict) -> int:
-    params = _resolve_manifold(args, file_cfg)
-    _resolve_numerics(file_cfg, args)  # rejects bad settings; the tables read none
+def cmd_tensors(args) -> int:
+    params = ManifoldParams(args.m, args.l)
+    _resolve_numerics(args)  # rejects bad settings; the tables read none
     point = _parse_triple(args.point, "--point") if args.point else np.zeros(3)
 
     G = mf.connection_table(params, point)
@@ -231,8 +205,8 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def cmd_generate(args, file_cfg: dict) -> int:
-    config = _resolve_numerics(file_cfg, args)
+def cmd_generate(args) -> int:
+    config = _resolve_numerics(args)
     alpha0 = _alpha0_from_args(args)
     hp = factory.HelixParams(
         alpha0=alpha0, a=args.a, b=args.b, c=args.c, d=args.d, branch=args.branch
@@ -280,9 +254,9 @@ def cmd_generate(args, file_cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(args, file_cfg: dict) -> int:
-    params = _resolve_manifold(args, file_cfg)
-    config = _resolve_numerics(file_cfg, args)
+def cmd_verify(args) -> int:
+    params = ManifoldParams(args.m, args.l)
+    config = _resolve_numerics(args)
     samples = crv.import_samples(params, *crv.read_samples_csv(args.input), config=config)
     series = analysis.verdict_series(samples, config)
     result = analysis.classify_curve(series, config)
@@ -309,9 +283,9 @@ def cmd_verify(args, file_cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_geodesic(args, file_cfg: dict) -> int:
-    params = _resolve_manifold(args, file_cfg)
-    config = _resolve_numerics(file_cfg, args)
+def cmd_geodesic(args) -> int:
+    params = ManifoldParams(args.m, args.l)
+    config = _resolve_numerics(args)
     p0 = _parse_triple(args.point, "--point")
     v0 = _parse_triple(args.direction, "--direction")
     nrm = float(np.linalg.norm(v0))
@@ -336,8 +310,8 @@ def cmd_geodesic(args, file_cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_cone(args, file_cfg: dict) -> int:
-    params = _resolve_manifold(args, file_cfg)
+def cmd_cone(args) -> int:
+    params = ManifoldParams(args.m, args.l)
     if args.direction:
         v = _parse_triple(args.direction, "--direction")
         verdict = analysis.cone_membership(params, v)
@@ -363,8 +337,8 @@ def cmd_cone(args, file_cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_scan(args, file_cfg: dict) -> int:
-    params = _resolve_manifold(args, file_cfg)
+def cmd_scan(args) -> int:
+    params = ManifoldParams(args.m, args.l)
     if not params.is_heisenberg:
         raise HeiscurvesError(
             "closed-form helix invariants exist only for (m, l) = (0, 1)"
@@ -423,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tensor tables, Frenet data and biharmonic-curve verification "
         "on the Heisenberg group and its metric family.",
     )
-    parser.add_argument("--config", help="JSON config file (flags override it)")
     parser.add_argument(
         "--numerics",
         action="append",
@@ -433,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_manifold(p):
-        p.add_argument("--m", type=float, default=None, help="curvature parameter m")
-        p.add_argument("--l", type=float, default=None, help="twist parameter l")
+        p.add_argument("--m", type=float, default=0.0, help="curvature parameter m")
+        p.add_argument("--l", type=float, default=1.0, help="twist parameter l")
 
     p = sub.add_parser("tensors", help="connection/curvature/Ricci tables at a point")
     add_manifold(p)
@@ -503,8 +476,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        file_cfg = _load_config_file(args.config)
-        return args.func(args, file_cfg)
+        return args.func(args)
     except (NonUnitSpeed, NonMonotone, MalformedSampleFile) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -106,8 +106,9 @@ class CurveSamples:
     does not reach.
     ``ds`` is the curve's one step, s[1] - s[0] unless given: a tile of the
     curve keeps it, as its own first step may differ in the last bits.
-    The points are checked once, when the samples are built by any route
-    (ValueError unless finite, DomainError outside the chart), and never again.
+    The points are checked when the samples are built by any route
+    (ValueError unless finite, DomainError outside the chart); no derivative
+    pass checks them again, but a tile built with ``replace`` checks its own.
     """
 
     manifold: ManifoldParams
@@ -382,13 +383,11 @@ def frenet_apparatus(
 
 
 def left_translate_samples(g, samples: CurveSamples) -> CurveSamples:
-    """Translate sampled data; frame velocities are untouched by design."""
+    """Translate sampled data; frame velocities are untouched by design,
+    and every other field (``velocity_depth``, ``ds``) is carried."""
     pts = mf.left_translate(samples.manifold, g, samples.points)
-    return CurveSamples(
-        samples.manifold, np.array(samples.s, copy=True), pts,
-        np.array(samples.velocity_frame, copy=True),
-        velocity_depth=samples.velocity_depth, ds=samples.ds,
-    )
+    return replace(samples, s=samples.s.copy(), points=pts,
+                   velocity_frame=samples.velocity_frame.copy())
 
 
 def left_translate_curve(g, spec: CurveSpec) -> CurveSpec:

@@ -104,14 +104,6 @@ class TestTensors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "must be finite" in err
 
-    @pytest.mark.parametrize("manifold", [{"m": "nan"}, {"l": "-inf"}, {"m": "1e999"}])
-    def test_nonfinite_manifold_config_exit_two(self, capsys, tmp_path, manifold):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"manifold": manifold}))
-        code, out, err = run(capsys, "--config", str(cfg), "tensors")
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "must be finite" in err
-
 
 class TestGenerateVerify:
     def _generate(self, capsys, tmp_path, *extra):
@@ -764,74 +756,15 @@ def _figure_helix_csv(tmp_path, speed=1.0):
     return path
 
 
-class TestConfigFile:
-    def test_manifold_from_file_and_flag_override(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"manifold": {"m": 1.0, "l": 2.0}}))
-        code, out, _ = run(capsys, "--config", str(cfg), "tensors")
-        assert code == 0
-        assert "m = 1, l = 2" in out
-        code, out, _ = run(capsys, "--config", str(cfg), "tensors", "--m", "0", "--l", "1")
-        assert code == 0
-        assert "m = 0, l = 1" in out
-
-    def test_numerics_overrides_validated(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"numerics": {"not_a_knob": 1}}))
-        code, _, err = run(capsys, "--config", str(cfg), "tensors")
-        assert code == 2
-        assert "not_a_knob" in err
-
-    def test_numerics_override_applies(self, capsys, tmp_path):
+class TestNumericsFlag:
+    def test_flag_override(self, capsys, tmp_path):
         # the helix passes with the defaults; a constancy tolerance no
-        # measured k can meet flips the verdict, so the file reached verify
+        # measured k can meet flips the verdict, so the flag reached verify
         path = _figure_helix_csv(tmp_path)
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0 and "verdict: nongeodesic_biharmonic" in out
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"numerics": {"constancy_tol": 1e-30}}))
-        code, out, _ = run(capsys, "--config", str(cfg), "verify", str(path))
-        assert code == 1 and "verdict: not_biharmonic" in out
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            {"numerics": {"residual_tol": [1]}},
-            {"numerics": {"residual_tol": None}},
-            {"numerics": {"residual_tol": True}},
-            {"numerics": {"residual_tol": "tight"}},
-            {"numerics": [1]},
-            {"manifold": [1]},
-            {"manifold": {"m": None}},
-            {"manifold": {"l": False}},
-            {"manifold": {"l": 10**400}},
-            {"manifold": {"m": "nan"}},
-            {"manifold": {"l": "inf"}},
-        ],
-    )
-    def test_bad_value_exit_two(self, capsys, tmp_path, payload):
-        # exit 1 means "not biharmonic" to verify, so bad input must not reach it
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(payload))
-        code, out, err = run(capsys, "--config", str(cfg), "verify", str(_figure_helix_csv(tmp_path)))
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "must be" in err
-
-
-class TestNumericsFlag:
-    def test_flag_override(self, capsys, tmp_path):
-        path = _figure_helix_csv(tmp_path)
         code, out, _ = run(capsys, "--numerics", "constancy_tol=1e-30", "verify", str(path))
         assert code == 1 and "verdict: not_biharmonic" in out
-
-    def test_flag_wins_over_file(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"numerics": {"constancy_tol": 1e-30}}))
-        path = _figure_helix_csv(tmp_path)
-        code, out, _ = run(
-            capsys, "--config", str(cfg), "--numerics", "constancy_tol=1e-5", "verify", str(path)
-        )
-        assert code == 0 and "verdict: nongeodesic_biharmonic" in out
 
     def test_bad_flag_exit_two(self, capsys):
         # frame_tol and expansion_tol were never read; ode_fixed_step lost its
@@ -862,7 +795,7 @@ class TestNumericsFlag:
         [f"{name}={value}" for name in (
             "unit_speed_tol", "residual_tol", "k_floor", "constancy_tol", "relation_tol",
             "b3_zero_tol",
-        ) for value in ("nan", "-1e-3", "0", "inf")],
+        ) for value in ("nan", "-1e-3", "0", "inf", "tight")],
     )
     def test_bad_tolerance_exit_two(self, capsys, tmp_path, setting):
         code, out, err = run(capsys, "--numerics", setting, "verify", str(_figure_helix_csv(tmp_path)))

@@ -464,13 +464,20 @@ class TestLeftInvariance:
         assert_allclose(b.tau, a.tau, rtol=0, atol=1e-12)
 
     def test_translate_samples(self, figure1_samples):
-        moved = hc.left_translate_samples([3.0, -1.0, 2.0], figure1_samples)
-        assert_allclose(moved.velocity_frame, figure1_samples.velocity_frame, atol=0.0)
+        # a step that is not s[1] - s[0], as on a tile, and differenced
+        # velocities: both are carried, not recomputed
+        base = dataclasses.replace(figure1_samples, velocity_depth=1,
+                                   ds=np.nextafter(figure1_samples.ds, np.inf))
+        moved = hc.left_translate_samples([3.0, -1.0, 2.0], base)
+        assert_allclose(moved.velocity_frame, base.velocity_frame, atol=0.0)
         assert_allclose(
             moved.points,
-            mf.left_translate(H, [3.0, -1.0, 2.0], figure1_samples.points),
+            mf.left_translate(H, [3.0, -1.0, 2.0], base.points),
             atol=0.0,
         )
+        assert moved.ds == base.ds and moved.velocity_depth == 1
+        assert not np.shares_memory(moved.s, base.s)
+        assert not np.shares_memory(moved.velocity_frame, base.velocity_frame)
 
 
 class TestInterchange:
