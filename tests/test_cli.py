@@ -105,6 +105,31 @@ class TestTensors:
         assert err.startswith("error:") and "must be finite" in err
 
 
+class TestManifoldFlags:
+    def test_defaults_and_override(self, capsys):
+        # without flags the manifold is the Heisenberg group, m = 0 and l = 1
+        code, out, _ = run(capsys, "tensors")
+        assert code == 0 and "m = 0, l = 1" in out
+        code, out, _ = run(capsys, "tensors", "--m", "1", "--l", "2")
+        assert code == 0 and "m = 1, l = 2" in out
+
+    @pytest.mark.parametrize("setting", ["--m=nan", "--l=-inf", "--m=1e999"])
+    @pytest.mark.parametrize("command", ["verify", "geodesic", "cone", "scan"])
+    def test_nonfinite_manifold_exit_two(self, capsys, tmp_path, command, setting):
+        # each command builds the manifold from its own flags; exit 1 means
+        # "not biharmonic" to verify, so bad input must not reach a verdict
+        argv = {
+            "verify": [str(_figure_helix_csv(tmp_path))],
+            "geodesic": ["--point", "0,0,0", "--direction", "1,0,0", "--out", str(tmp_path / "g")],
+            "cone": ["--sweep", "5"],
+            "scan": ["--count", "5"],
+        }[command]
+        code, out, err = run(capsys, command, setting, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "must be finite" in err
+        assert list(tmp_path.glob("g*")) == []
+
+
 class TestGenerateVerify:
     def _generate(self, capsys, tmp_path, *extra):
         out = tmp_path / "curve"
