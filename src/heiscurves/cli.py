@@ -12,9 +12,11 @@ Subcommands:
     scan       closed-form invariants over a grid of axis angles
 
 Outputs are deterministic: identical inputs produce byte-identical files.
-Angles are radians unless a ``--*-deg`` option is used.  The manifold is
-set by ``--m`` and ``--l`` (default (0, 1), the Heisenberg group), and the
-numerics tolerances by repeatable ``--numerics KEY=VALUE``.
+Angles are radians.  ``tensors``, ``verify`` and ``geodesic`` take the
+manifold as ``--m`` and ``--l`` (default (0, 1), the Heisenberg group);
+``generate``, ``cone`` and ``scan`` work on the Heisenberg group alone.
+``main`` checks the numerics tolerances, set by repeatable
+``--numerics KEY=VALUE``, before any command runs.
 """
 
 from __future__ import annotations
@@ -54,9 +56,9 @@ def _number(raw: str, key: str) -> float:
         raise ValueError(f"numerics {key} must be a number, got {raw!r}") from None
 
 
-def _resolve_numerics(args) -> NumericsConfig:
+def _resolve_numerics(items) -> NumericsConfig:
     overrides = {}
-    for item in args.numerics or []:
+    for item in items or []:
         key, _, raw = item.partition("=")
         if not raw:
             raise ValueError(f"--numerics expects KEY=VALUE, got {item!r}")
@@ -97,7 +99,6 @@ def _reference_tag(val: float, ref: float | None) -> str:
 
 def cmd_tensors(args) -> int:
     params = ManifoldParams(args.m, args.l)
-    _resolve_numerics(args)  # rejects bad settings; the tables read none
     point = _parse_triple(args.point, "--point") if args.point else np.zeros(3)
 
     G = mf.connection_table(params, point)
@@ -170,30 +171,6 @@ def cmd_tensors(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _alpha0_from_args(args) -> float:
-    given = [
-        name
-        for name in ("alpha0", "alpha0_deg", "sin_alpha0", "cos_alpha0")
-        if getattr(args, name) is not None
-    ]
-    if len(given) != 1:
-        raise ValueError(
-            "specify the axis angle exactly once: --alpha0, --alpha0-deg, "
-            "--sin-alpha0 or --cos-alpha0"
-        )
-    if args.alpha0 is not None:
-        return float(args.alpha0)
-    if args.alpha0_deg is not None:
-        return math.radians(float(args.alpha0_deg))
-    if args.sin_alpha0 is not None:
-        flag, value, inverse = "--sin-alpha0", args.sin_alpha0, math.asin
-    else:
-        flag, value, inverse = "--cos-alpha0", args.cos_alpha0, math.acos
-    if not -1.0 <= value <= 1.0:
-        raise ValueError(f"{flag} must lie in [-1, 1], got {value!r}")
-    return inverse(value)
-
-
 def _write_surface_csv(path, patch, u_vals, v_vals) -> None:
     u, v = np.meshgrid(u_vals, v_vals, indexing="ij")
     x, y, z = factory.surface_eval(patch, u, v).reshape(-1, 3).T
@@ -206,8 +183,12 @@ def _write_text(path, text: str) -> None:
 
 
 def cmd_generate(args) -> int:
-    config = _resolve_numerics(args)
-    alpha0 = _alpha0_from_args(args)
+    config = args.numerics
+    alpha0 = args.alpha0
+    if alpha0 is None:
+        if not -1.0 <= args.sin_alpha0 <= 1.0:
+            raise ValueError(f"--sin-alpha0 must lie in [-1, 1], got {args.sin_alpha0!r}")
+        alpha0 = math.asin(args.sin_alpha0)
     hp = factory.HelixParams(
         alpha0=alpha0, a=args.a, b=args.b, c=args.c, d=args.d, branch=args.branch
     )
@@ -256,7 +237,7 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     params = ManifoldParams(args.m, args.l)
-    config = _resolve_numerics(args)
+    config = args.numerics
     samples = crv.import_samples(params, *crv.read_samples_csv(args.input), config=config)
     series = analysis.verdict_series(samples, config)
     result = analysis.classify_curve(series, config)
@@ -285,7 +266,6 @@ def cmd_verify(args) -> int:
 
 def cmd_geodesic(args) -> int:
     params = ManifoldParams(args.m, args.l)
-    config = _resolve_numerics(args)
     p0 = _parse_triple(args.point, "--point")
     v0 = _parse_triple(args.direction, "--direction")
     nrm = float(np.linalg.norm(v0))
@@ -293,7 +273,7 @@ def cmd_geodesic(args) -> int:
         raise ValueError("--direction must be nonzero")
     v0 = v0 / nrm
     spec = factory.geodesic_ivp(params, p0, v0, (0.0, args.length))
-    samples = crv.sample_curve(spec, args.samples, config)
+    samples = crv.sample_curve(spec, args.samples, args.numerics)
     t1 = analysis.tension1(samples)
     t1_max = samples.interior_max(lambda w: np.linalg.norm(t1[w], axis=1), 1)[0]
     drift = crv._speed_deviation(samples)[0]
@@ -311,10 +291,9 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_cone(args) -> int:
-    params = ManifoldParams(args.m, args.l)
     if args.direction:
         v = _parse_triple(args.direction, "--direction")
-        verdict = analysis.cone_membership(params, v)
+        verdict = analysis.cone_membership(mf.HEISENBERG, v)
         cos_a = float(v[2])
         print(f"direction ({args.direction}): cos(alpha0) = {cos_a:.9g}")
         print(f"verdict: {verdict}")
@@ -338,11 +317,6 @@ def cmd_cone(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    params = ManifoldParams(args.m, args.l)
-    if not params.is_heisenberg:
-        raise HeiscurvesError(
-            "closed-form helix invariants exist only for (m, l) = (0, 1)"
-        )
     lo = factory.ADMISSIBLE_BOUNDARY
     hi = math.pi - factory.ADMISSIBLE_BOUNDARY
     eps = 1e-6
@@ -416,10 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tensors)
 
     p = sub.add_parser("generate", help="sample a biharmonic helix and its reports")
-    p.add_argument("--alpha0", type=float, default=None, help="axis angle in radians")
-    p.add_argument("--alpha0-deg", type=float, default=None, help="axis angle in degrees")
-    p.add_argument("--sin-alpha0", type=float, default=None, help="sine of the axis angle")
-    p.add_argument("--cos-alpha0", type=float, default=None, help="cosine of the axis angle")
+    angle = p.add_mutually_exclusive_group(required=True)
+    angle.add_argument("--alpha0", type=float, help="axis angle in radians")
+    angle.add_argument("--sin-alpha0", type=float, help="sine of the axis angle")
     p.add_argument("--branch", choices=["plus", "minus"], default="plus")
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=0.0)
@@ -453,14 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_geodesic)
 
     p = sub.add_parser("cone", help="query or sweep the cone of biharmonic directions")
-    add_manifold(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--direction", help="unit frame direction 'a,b,c'")
     group.add_argument("--sweep", type=int, help="sweep alpha0 over (0, pi) at N points")
     p.set_defaults(func=cmd_cone)
 
     p = sub.add_parser("scan", help="closed-form helix invariants over an angle grid")
-    add_manifold(p)
     p.add_argument("--count", type=int, default=50, help="grid points (per component)")
     p.add_argument("--branch", choices=["plus", "minus", "both"], default="plus")
     p.add_argument("--component", choices=["pos", "neg", "both"], default="both")
@@ -476,6 +447,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked for every command; generate, verify and geodesic read it
+        args.numerics = _resolve_numerics(args.numerics)
         return args.func(args)
     except (NonUnitSpeed, NonMonotone, MalformedSampleFile) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import heiscurves as hc
+from heiscurves import factory
 from heiscurves import manifold as mf
 
 from conftest import FIGURE1_A, FIGURE1_ALPHA0, FIGURE1_COS, assert_nan_outside, inflection_spec
@@ -325,6 +326,57 @@ class TestClassification:
             assert rep.residual.tobytes() == direct.tobytes()
             whole = hc.frenet_apparatus(samples)
             assert hc.classify_curve(rep.frenet).to_json() == hc.classify_curve(whole).to_json()
+
+
+class TestConstantAngleWitnesses:
+    """Positive and perturbed-negative witnesses on m = 0, l != 1, checked
+    against the exact Frenet data of a constant-angle curve.
+
+    With T = (S cos b, S sin b, C), S = sin(alpha0), C = cos(alpha0) and
+    b' = w on m = 0, nabla_T T = S kappa (-sin b, cos b, 0) with
+    kappa = w - l C.  So k = S |kappa|, tau = -l/2 - kappa C, N3 = 0 and
+    |B3| = S, and the system's algebraic relation holds exactly when
+    w^2 - l C w + l^2 S^2 = 0, that is w = l A with A the paper's root."""
+
+    S = 1.0 / math.sqrt(10.0)
+    C = math.cos(math.asin(S))
+    A = factory.solve_branch_A(math.asin(S))
+
+    def frenet(self, l, w, n):
+        p0, phi = (0.1, 0.2, 0.3), 0.4
+        sampler = factory._constant_angle_sampler(l, p0, self.S, phi, self.C, w, 0.0)
+        spec = hc.CurveSpec(hc.ManifoldParams(0.0, l), (0.0, 10.0 * math.pi), sampler)
+        return hc.frenet_apparatus(hc.sample_curve(spec, n))
+
+    def oracle_errors(self, fr, w, l):
+        """Worst interior(2) errors of k, tau, N3 and |B3| against the exact values."""
+        kappa = w - l * self.C
+        inner = fr.samples.interior(2)
+        exact = (self.S * abs(kappa), -0.5 * l - kappa * self.C, 0.0, self.S)
+        measured = (fr.k, fr.tau, fr.N3, np.abs(fr.B3))
+        return [float(np.abs(series[inner] - value).max()) for series, value in zip(measured, exact)]
+
+    @pytest.mark.parametrize("n, bound", [(1001, 1e-6), (4001, 1e-8)])
+    @pytest.mark.parametrize("offset, verdict", [(0.0, "nongeodesic_biharmonic"),
+                                                 (0.05, "helix_not_biharmonic")])
+    @pytest.mark.parametrize("l", [2.0, 0.5])
+    def test_verdict_and_exact_frenet_data(self, l, offset, verdict, n, bound):
+        w = l * self.A + offset
+        fr = self.frenet(l, w, n)
+        assert hc.classify_curve(fr).verdict == verdict
+        k_err, tau_err, N3_err, B3_err = self.oracle_errors(fr, w, l)
+        assert k_err < bound and tau_err < bound
+        assert N3_err < 1e-12 and B3_err < 1e-12
+
+    @pytest.mark.parametrize("offset", [0.0, 0.05])
+    def test_truncation_error_falls_with_n(self, offset):
+        # on l = 2 the order-4 stencil's truncation dominates: 4 times the
+        # samples cut the k and tau errors about 250-fold
+        w = 2.0 * self.A + offset
+        coarse, fine = (self.oracle_errors(self.frenet(2.0, w, n), w, 2.0)[:2]
+                        for n in (1001, 4001))
+        for c, f in zip(coarse, fine):
+            assert f * 100.0 <= c
 
 
 class TestCone:

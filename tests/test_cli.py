@@ -25,6 +25,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_parser_error(capsys, *argv):
+    """stdout and stderr of a command line that argparse rejects (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
 class TestTensors:
     def test_heisenberg_reference_match(self, capsys):
         code, out, _ = run(capsys, "tensors", "--m", "0", "--l", "1")
@@ -114,15 +123,13 @@ class TestManifoldFlags:
         assert code == 0 and "m = 1, l = 2" in out
 
     @pytest.mark.parametrize("setting", ["--m=nan", "--l=-inf", "--m=1e999"])
-    @pytest.mark.parametrize("command", ["verify", "geodesic", "cone", "scan"])
+    @pytest.mark.parametrize("command", ["verify", "geodesic"])
     def test_nonfinite_manifold_exit_two(self, capsys, tmp_path, command, setting):
         # each command builds the manifold from its own flags; exit 1 means
         # "not biharmonic" to verify, so bad input must not reach a verdict
         argv = {
             "verify": [str(_figure_helix_csv(tmp_path))],
             "geodesic": ["--point", "0,0,0", "--direction", "1,0,0", "--out", str(tmp_path / "g")],
-            "cone": ["--sweep", "5"],
-            "scan": ["--count", "5"],
         }[command]
         code, out, err = run(capsys, command, setting, *argv)
         assert code == 2 and out == ""
@@ -204,7 +211,7 @@ class TestGenerateVerify:
 
     def test_inadmissible_angle_exit_two(self, capsys, tmp_path):
         code, _, err = run(
-            capsys, "generate", "--alpha0-deg", "90", "--out", str(tmp_path / "x")
+            capsys, "generate", "--alpha0", repr(math.pi / 2), "--out", str(tmp_path / "x")
         )
         assert code == 2
         assert "cos(alpha0)^2 >= 4/5" in err
@@ -221,11 +228,23 @@ class TestGenerateVerify:
         report = json.loads(out.with_suffix(".report.json").read_text())
         assert report["expansion_agreement"] is None
 
-    @pytest.mark.parametrize("flag, value", [("--sin-alpha0", "2"), ("--cos-alpha0", "-1.5")])
+    @pytest.mark.parametrize("flag, value", [("--sin-alpha0", "2")])
     def test_angle_function_outside_its_range_exit_two(self, capsys, tmp_path, flag, value):
         code, stdout, err = run(capsys, "generate", flag, value, "--out", str(tmp_path / "x"))
         assert code == 2 and stdout == ""
         assert err == f"error: {flag} must lie in [-1, 1], got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("angle, message", [
+        ([], "one of the arguments --alpha0 --sin-alpha0 is required"),
+        (["--alpha0", "0.3", "--sin-alpha0", "0.3"],
+         "argument --sin-alpha0: not allowed with argument --alpha0"),
+        (["--alpha0", "0.3", "--alpha0-deg", "18"], "unrecognized arguments: --alpha0-deg 18"),
+        (["--alpha0", "0.3", "--cos-alpha0", "0.9"], "unrecognized arguments: --cos-alpha0 0.9"),
+    ], ids=["none", "both", "degrees", "cosine"])
+    def test_axis_angle_given_once_by_one_of_two_flags(self, capsys, tmp_path, angle, message):
+        out, err = run_parser_error(capsys, "generate", *angle, "--out", str(tmp_path / "x"))
+        assert out == "" and message in err
+        assert not list(tmp_path.iterdir())
 
     def test_boundary_branches_identical(self, capsys, tmp_path):
         alpha = math.acos(2.0 / math.sqrt(5.0))
@@ -699,6 +718,12 @@ class TestConeCommand:
         assert code == 0 and flags == [0, 1] * 5
         assert seen == [math.cos(a) for a in np.linspace(0.0, math.pi, 12)[1:-1]]
 
+    def test_rejects_other_manifolds(self, capsys):
+        # the cone is H3's alone: cone takes no --m/--l, so it cannot print
+        # H3's angles as the answer for another manifold
+        out, err = run_parser_error(capsys, "cone", "--m", "1", "--sweep", "3")
+        assert out == "" and "unrecognized arguments: --m 1" in err
+
     def test_nonunit_direction_exit_two(self, capsys):
         code, _, err = run(capsys, "cone", "--direction", "1,1,1")
         assert code == 2
@@ -765,9 +790,9 @@ class TestScanCommand:
         assert "no admissible" in err
 
     def test_rejects_other_manifolds(self, capsys):
-        code, _, err = run(capsys, "scan", "--m", "1", "--l", "2")
-        assert code == 2
-        assert "(m, l) = (0, 1)" in err
+        # the closed forms hold on (m, l) = (0, 1) alone: scan takes no --m/--l
+        out, err = run_parser_error(capsys, "scan", "--m", "1", "--l", "2")
+        assert out == "" and "unrecognized arguments: --m 1 --l 2" in err
 
 
 def _figure_helix_csv(tmp_path, speed=1.0):
@@ -804,6 +829,28 @@ class TestNumericsFlag:
             code, _, err = run(capsys, "--numerics", f"{key}=1", "tensors")
             assert code == 2
             assert key in err
+
+    @pytest.mark.parametrize("setting, message", [
+        ("bogus=1", "error: unknown numerics settings: ['bogus']"),
+        ("residual_tol=nan", "error: residual_tol must be finite and positive, got nan"),
+    ], ids=["unknown", "nan"])
+    @pytest.mark.parametrize("command", ["tensors", "generate", "verify", "geodesic", "cone",
+                                         "scan"])
+    def test_every_command_checks_the_flag(self, capsys, tmp_path, command, setting, message):
+        # main checks the settings before any command runs, also on the
+        # commands that read none
+        argv = {
+            "tensors": [],
+            "generate": ["--sin-alpha0", "0.3", "--out", str(tmp_path / "x")],
+            "verify": [str(_figure_helix_csv(tmp_path))],
+            "geodesic": ["--point", "0,0,0", "--direction", "1,0,0", "--out", str(tmp_path / "x")],
+            "cone": ["--sweep", "3"],
+            "scan": ["--count", "2", "--out", str(tmp_path / "x")],
+        }[command]
+        code, out, err = run(capsys, "--numerics", setting, command, *argv)
+        assert code == 2 and out == ""
+        assert err == message + "\n"
+        assert list(tmp_path.glob("x*")) == []
 
     def test_nan_unit_speed_tol_rejected(self, capsys, tmp_path):
         # with a NaN tolerance no deviation compares greater, so a frame speed

@@ -9,7 +9,9 @@ from pathlib import Path
 from heiscurves import curves
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
-FILES = ["h3_geodesic.csv", "helix.classification.json", "helix.csv", "helix.cylinder.csv",
+ALPHA0_FILES = ["alpha0.classification.json", "alpha0.csv", "alpha0.frenet.json",
+                "alpha0.params.json", "alpha0.report.json", "alpha0.residuals.csv"]
+FILES = [*ALPHA0_FILES, "h3_geodesic.csv", "helix.classification.json", "helix.csv", "helix.cylinder.csv",
          "helix.frenet.json", "helix.helicoid.csv", "helix.params.json", "helix.report.json",
          "helix.residuals.csv", "inflection.csv", "ml_geodesic.csv", "offroot.csv",
          "plain.classification.json", "plain.csv", "plain.frenet.json", "plain.params.json",
@@ -17,7 +19,7 @@ FILES = ["h3_geodesic.csv", "helix.classification.json", "helix.csv", "helix.cyl
          "short_geodesic.csv", "tensors_far.json", "tensors_h3.json", "tensors_ml.json",
          "verify.json", "verify_geodesic.json", "verify_inflection.json", "verify_offroot.json",
          "verify_positions.json"]
-COMMANDS = ["generate", "generate_plain", "h3_geodesic", "ml_geodesic", "short_geodesic", "verify",
+COMMANDS = ["generate", "generate_plain", "generate_alpha0", "h3_geodesic", "ml_geodesic", "short_geodesic", "verify",
             "verify_positions", "verify_inflection", "verify_geodesic", "verify_offroot",
             "tensors_h3", "tensors_ml", "tensors_far", "cone_direction", "cone_sweep", "scan"]
 # the inflection curve and the off-root helix are not biharmonic
@@ -55,6 +57,10 @@ def test_output_digests_name_every_output(capsys):
         ]
         # the same inputs give the same digests
         assert tool.digests(size) == lines
+        # both spellings of the axis angle write the same bytes
+        digest = dict(reversed(line.split("  ", 1)) for line in lines)
+        for name in ALPHA0_FILES:
+            assert digest[name] == digest[name.replace("alpha0", "plain", 1)], name
 
 
 def test_output_digests_hash_stderr(monkeypatch, capsys):

@@ -2,8 +2,10 @@
 
 In a temporary directory, at each ``--samples`` size, this runs the
 figure-helix ``generate`` (sin alpha0 = 1/sqrt(10), a = b = c = 1) with
-surfaces and velocities, and again without either.  It runs the
-benchmark's two length-1000 ``geodesic`` commands (H3 and (m, l) =
+surfaces and velocities, and again without either, once with
+``--sin-alpha0`` and once with the other spelling of the angle,
+``--alpha0`` = asin(1/sqrt(10)) (the two write the same bytes).  It runs
+the benchmark's two length-1000 ``geodesic`` commands (H3 and (m, l) =
 (0.25, 1.2)) with velocities, and a length-20 H3 ``geodesic`` with
 velocities.  It runs ``verify --json`` on the helix CSV, on its ``s,x,y,z``
 columns alone, the input whose velocities ``verify`` differences, on the
@@ -45,8 +47,9 @@ from heiscurves.numerics import cumulative_simpson
 
 
 def commands(n: int) -> list[tuple[str, list[str]]]:
-    helix = ["generate", f"--sin-alpha0={1.0 / math.sqrt(10.0)!r}", "--a=1", "--b=1", "--c=1",
-             "--samples", str(n)]
+    shape = ["--a=1", "--b=1", "--c=1", "--samples", str(n)]
+    helix = ["generate", f"--sin-alpha0={1.0 / math.sqrt(10.0)!r}", *shape]
+    helix_alpha0 = ["generate", f"--alpha0={math.asin(1.0 / math.sqrt(10.0))!r}", *shape]
     geodesics = [
         (name, ["geodesic", "--m", m, "--l", l, "--point=0.1,0.2,0", "--direction=0.6,0,0.8",
                 "--length", "1000", "--samples", str(n), "--with-velocity", "--out", name])
@@ -63,6 +66,7 @@ def commands(n: int) -> list[tuple[str, list[str]]]:
     return [
         ("generate", [*helix, "--surfaces", "--with-velocity", "--out", "helix"]),
         ("generate_plain", [*helix, "--out", "plain"]),
+        ("generate_alpha0", [*helix_alpha0, "--out", "alpha0"]),
         *geodesics,
         ("short_geodesic", short_geodesic),
         ("verify", ["verify", "helix.csv", "--json", "verify.json"]),
