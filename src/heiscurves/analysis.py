@@ -37,9 +37,9 @@ One chain (Frenet frame -> nabla_T N and tau -> tau2) runs over the tiles
 each differenced with the curve's one ``ds``; so every sample gets the bits
 of the whole-curve chain, and the (n, 3) temporaries are tile-sized.  Every
 derivative, interior and tile here comes from the samples, which checked
-their points when they were built: no pass checks them again, but each
-tile is built too (``replace`` runs ``CurveSamples``' chart check on the
-tile's window).  Two collectors keep what their command reads, per sample:
+their points when they were built: no pass checks them again, nor a
+tile, which is a window of the checked samples.  Two collectors keep what
+their command reads, per sample:
 
 * ``bitension_report`` (``generate``) also evaluates the frame expansion
   and its agreement gap per tile, and keeps what ``generate``'s files
@@ -69,7 +69,8 @@ point of the group.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,8 +196,9 @@ def _tile_chain(samples: CurveSamples, config: NumericsConfig):
     Every row of ``rows`` has the bits of the whole-curve chain.
     """
     for tile, window, rows, inner in samples.tiles(_BITENSION_DEPTH):
-        part = replace(samples, s=samples.s[window], points=samples.points[window],
-                       velocity_frame=samples.velocity_frame[window])  # keeps the curve's ds
+        part = copy(samples)  # a window of checked points, with the curve's ds: not checked again
+        part.s, part.points, part.velocity_frame = (
+            samples.s[window], samples.points[window], samples.velocity_frame[window])
         frenet = frenet_apparatus(part, config)
         yield tile, rows, inner, frenet, _tension2(part, frenet.t1)
 

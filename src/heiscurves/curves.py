@@ -108,7 +108,7 @@ class CurveSamples:
     curve keeps it, as its own first step may differ in the last bits.
     The points are checked when the samples are built by any route
     (ValueError unless finite, DomainError outside the chart); no derivative
-    pass checks them again, but a tile built with ``replace`` checks its own.
+    pass checks them again, nor a tile, which is a window of checked points.
     """
 
     manifold: ManifoldParams
@@ -597,12 +597,12 @@ def read_samples_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]
                     data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
             except ValueError as exc:
                 _raise_bad_line(path, cols, str(exc))
+        # orjson's rows are as wide as the header and finite; fewer than
+        # two rows are reported below, on both routes
+        if len(data) >= 2 and (data.shape[1] != len(cols) or not np.isfinite(data).all()):
+            _raise_bad_line(path, cols, f"rows of {data.shape[1]} fields or not finite")
     if data.shape[0] < 2:
         raise MalformedSampleFile("need at least two data rows")
-    if data.shape[1] != len(cols):
-        _raise_bad_line(path, cols, f"rows have {data.shape[1]} fields")
-    if not np.isfinite(data).all():
-        _raise_bad_line(path, cols, "non-finite values")
     vel = data[:, 4:] if len(cols) == 7 else None
     return data[:, 0], data[:, 1:4], vel
 

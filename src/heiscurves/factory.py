@@ -94,7 +94,8 @@ class HelixParams:
     alpha0  axis angle in (0, pi) with 5 cos(alpha0)^2 - 4 >= 0
     a, b, c, d  phase and translation constants
     branch  which root of the rate quadratic ("plus" or "minus")
-    rate    that root A (``solve_branch_A``), solved once when built
+    rate    that root A, solved once when built by ``solve_branch_A``,
+            which raises InadmissibleAlpha for an angle outside the cone
     """
 
     alpha0: float
@@ -115,12 +116,6 @@ class HelixParams:
         if not 0.0 < self.alpha0 < math.pi:
             raise InadmissibleAlpha(
                 f"alpha0 = {self.alpha0} outside (0, pi): sin(alpha0) must not vanish"
-            )
-        c0 = math.cos(self.alpha0)
-        if not admissible_cos(c0):
-            raise InadmissibleAlpha(
-                f"alpha0 = {self.alpha0} violates the admissibility condition "
-                f"cos(alpha0)^2 >= 4/5 (got cos^2 = {c0 * c0:.6f})"
             )
         object.__setattr__(self, "rate", solve_branch_A(self.alpha0, self.branch))
 
