@@ -28,6 +28,11 @@ A non-geodesic unit-speed curve is biharmonic if and only if
     k^2 + tau^2 = l^2/4 - (l^2 - 4m) B3^2,
     tau' = (l^2 - 4m) N3 B3.
 
+``classify_curve`` tests the last in integral form, tau(s) - tau(s_a) =
+(l^2 - 4m) int_{s_a}^{s} N3 B3 ds from the interior's first sample s_a: it
+differentiates tau no further, so every verdict check reads series two
+passes deep, whose roundoff does not outgrow the tolerances as n grows.
+
 Each derived series is computed once per curve: ``frenet_apparatus`` keeps
 nabla_T T on its series, and the tension passes extend it to tau2, so a
 verdict costs four covariant-derivative passes.
@@ -58,8 +63,9 @@ that the frame is defined on the interior.  Each check but the two nonzero
 ones comes from one of two builders: ``_spread_check`` (max - min of an
 interior series against ``constancy_tol`` (1 + |mean|)) and
 ``_worst_check`` (the largest interior residual against ``relation_tol``,
-which ``CurveSamples.interior_max`` finds tile by tile, so a verdict adds
-no per-sample temporary that spans the curve).
+and its sample, which ``CurveSamples.interior_max`` finds tile by tile, so
+a verdict adds no per-sample temporary that spans the curve; the torsion
+check's running integral is carried from one tile to the next).
 
 Directions are plain frame-component arrays: ``cone_membership`` takes
 three components, with no base point, since the cone is the same at every
@@ -80,7 +86,7 @@ from .curves import _write_table
 from .errors import GeodesicFrameUndefined, UnsupportedManifold
 from .factory import _require_unit, admissible_cos
 from .manifold import ManifoldParams
-from .numerics import DEFAULT_CONFIG, NumericsConfig
+from .numerics import DEFAULT_CONFIG, NumericsConfig, cumulative_simpson
 
 __all__ = [
     "tension1",
@@ -305,10 +311,14 @@ def _expansion_gap(frenet: FrenetSeries, coefficients, t2: np.ndarray, rows: sli
 @dataclass(frozen=True)
 class SystemCheck:
     """A residual against its tolerance; its name is the key it is filed
-    under in ``ClassificationResult.checks``."""
+    under in ``ClassificationResult.checks``.  A worst-interior check also
+    gives the sample where its residual is worst, and that sample's s; the
+    other checks leave both None."""
 
     residual: float
     tolerance: float
+    sample: int | None = None
+    s: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -319,6 +329,8 @@ class SystemCheck:
             "residual": self.residual,
             "tolerance": self.tolerance,
             "passed": self.passed,
+            "sample": self.sample,
+            "s": self.s,
         }
 
 
@@ -331,10 +343,11 @@ def _spread_check(series: np.ndarray, config: NumericsConfig) -> tuple[SystemChe
 
 
 def _worst_check(samples: CurveSamples, residual, config: NumericsConfig) -> SystemCheck:
-    """The worst-interior check: the largest ``residual(window)`` on the
-    interior (``CurveSamples.interior_max``) against ``relation_tol``."""
-    worst, _ = samples.interior_max(residual, _BITENSION_DEPTH)
-    return SystemCheck(worst, config.relation_tol)
+    """The worst-interior check: the largest ``residual(rows)`` on the
+    interior (``CurveSamples.interior_max``) against ``relation_tol``, and
+    its sample."""
+    worst, at = samples.interior_max(residual, _BITENSION_DEPTH)
+    return SystemCheck(worst, config.relation_tol, at, float(samples.s[at]))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +395,12 @@ def classify_curve(
     manifold's own coefficients (on (0, 1): l^2/4 = 1/4, unit coefficient),
     and the ``helix_*`` checks B3 = const != 0, N3 = 0, tau = const and
     N3 B3 = 0.  Each is built once, on interior(3), after one test that the
-    frame is defined there.
+    frame is defined there.  ``system_torsion_derivative`` tests
+    tau' = mu N3 B3, mu = l^2 - 4m, as the worst
+    |tau(s) - tau(s_a) - mu int_{s_a}^{s} N3 B3 ds| on interior(3), s_a its
+    first sample, with ``cumulative_simpson`` (so TooFewSamples unless the
+    interior holds three samples).  The four worst-interior checks give
+    their worst sample and its s.
 
     geodesic                 tension field vanishes (within residual_tol);
     nongeodesic_biharmonic   the full characterization system holds;
@@ -418,8 +436,17 @@ def classify_curve(
     def relation(w):
         return np.abs(k[w]**2 + tau[w]**2 - (lam - mu * B3[w]**2))
 
-    def torsion(w):
-        return np.abs(samples.derivative(tau[w]) - mu * N3[w] * B3[w])
+    a, b = interior.start, interior.stop  # s_a is s[a]
+    carried = a, np.zeros(1)  # the first sample and the values of the last running integral
+
+    def torsion(rows):  # called on the interior's pieces in order, carrying the integral
+        nonlocal carried
+        lo = max(a, rows.start - 1 - (rows.start - 1 - a) % 2)  # an even count past s_a
+        hi = min(rows.stop + 1, b)  # one sample past the piece, read as on the whole interior
+        first, integral = carried
+        integral = cumulative_simpson(N3[lo:hi] * B3[lo:hi], samples.ds, integral[lo - first])
+        carried = lo, integral
+        return np.abs(tau[rows] - tau[a] - mu * integral[rows.start - lo:rows.stop - lo])
 
     tau_constant, tau_mean = _spread_check(tau[interior], config)
     B3_constant, B3_mean = _spread_check(B3[interior], config)

@@ -247,7 +247,8 @@ def cmd_verify(args) -> int:
     print(f"max interior |tau2| = {series.max_residual:.6e}")
     for name, chk in sorted(result.checks.items()):
         status = "holds" if chk.passed else "fails"
-        print(f"  {name:28s} residual {chk.residual:12.6e}  tol {chk.tolerance:9.3e}  {status}")
+        at = "" if chk.s is None else f"  at s = {chk.s:.9g}"
+        print(f"  {name:28s} residual {chk.residual:12.6e}  tol {chk.tolerance:9.3e}  {status}{at}")
     for key in ("k_mean", "tau_mean", "B3_mean"):
         if key in result.values:
             print(f"  {key} = {result.values[key]:.9g}")

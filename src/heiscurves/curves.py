@@ -151,16 +151,19 @@ class CurveSamples:
             yield tile, window, rows, inner
 
     def interior_max(self, residual, depth: int) -> tuple[float, int]:
-        """The largest per-sample ``residual(window)`` on ``interior(depth)``
-        and its sample, one window of ``tiles(depth)`` at a time: the first
-        NaN if there is one, else the first largest value.  No temporary
-        spans the curve, and the value has the bits of the whole maximum."""
+        """The largest per-sample ``residual(rows)`` on ``interior(depth)``
+        and its sample: the first NaN if there is one, else the first
+        largest value.  ``rows`` are the interior rows of each tile of
+        ``tiles(depth)``, in order, so a residual may carry a running sum
+        from one call to the next.  No temporary spans the curve, and the
+        value has the bits of the whole maximum."""
         worst = at = None
         for _, window, _, inner in self.tiles(depth):
-            r = residual(window)[inner]
+            rows = slice(window.start + inner.start, window.start + inner.stop)
+            r = residual(rows)
             i = int(np.argmax(r))  # the first NaN, if there is one
             if at is None or not r[i] <= worst:
-                worst, at = float(r[i]), window.start + inner.start + i
+                worst, at = float(r[i]), rows.start + i
             if math.isnan(worst):
                 break
         return worst, at

@@ -124,21 +124,26 @@ def interior_slice(n: int, depth: int = 1) -> slice:
     return slice(margin, n - margin)
 
 
-def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+def cumulative_simpson(y: np.ndarray, dx: float, start: float = 0.0) -> np.ndarray:
     """Cumulative integral of uniformly sampled data along axis 0, starting
-    at 0, 4th-order accurate; at least 3 samples.
+    at ``start``, 4th-order accurate; at least 3 samples.
 
     The integral over one interval is dx/3 (5 f0/4 + 2 f1 - f2/4), where f0
     and f1 are its end samples and f2 the next sample past f1: read forward
     on the even intervals, backward on the odd ones and on the last.  The
     same rule and operations as ``scipy.integrate.cumulative_simpson(y,
-    dx=dx, initial=0.0, axis=0)``, and the same bits.
+    dx=dx, initial=0.0, axis=0)``, and the same bits, at ``start`` = 0.
+    The running sum adds each interval to ``start`` in turn: a sum carried
+    into a piece of a series that starts an even number of samples in has
+    the bits of the whole series' sum on every sample but the piece's last,
+    whose interval reads backward.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[0] < 3:
         raise TooFewSamples(f"need at least 3 samples to integrate, got {y.shape[0]}")
     d = dx / 3
     parts = np.zeros_like(y)  # parts[i]: the integral over [i - 1, i]
+    parts[0] = start
     parts[1:-1:2] = d * (5 * y[:-2:2] / 4 + 2 * y[1:-1:2] - y[2::2] / 4)
     parts[2::2] = d * (5 * y[2::2] / 4 + 2 * y[1:-1:2] - y[:-2:2] / 4)
     parts[-1] = d * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)

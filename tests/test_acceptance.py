@@ -12,6 +12,7 @@ import pytest
 
 import heiscurves as hc
 from heiscurves import manifold as mf
+from heiscurves.numerics import cumulative_simpson
 
 from conftest import FIGURE1_A, FIGURE1_ALPHA0
 
@@ -243,8 +244,8 @@ def test_criterion_07_metric_family():
     interior = fr.samples.interior(3)
     k, tau, B3, N3 = fr.k[interior], fr.tau[interior], fr.B3[interior], fr.N3[interior]
     relation_h3 = float(np.abs(k**2 + tau**2 - (0.25 - B3**2)).max())
-    taup = fr.samples.derivative(fr.tau)[interior]
-    torsion_h3 = float(np.abs(taup - N3 * B3).max())
+    integral = cumulative_simpson(N3 * B3, fr.samples.ds)  # from s_a, the interior's first s
+    torsion_h3 = float(np.abs(tau - tau[0] - integral).max())
     coincide = max(
         abs(sys_general["system_algebraic_relation"].residual - relation_h3),
         abs(sys_general["system_torsion_derivative"].residual - torsion_h3),

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 import heiscurves as hc
 from heiscurves import factory
 from heiscurves import manifold as mf
+from heiscurves.numerics import TILE, cumulative_simpson
 
 from conftest import FIGURE1_A, FIGURE1_ALPHA0, FIGURE1_COS, assert_nan_outside, inflection_spec
 
@@ -173,6 +174,17 @@ class TestTension2:
         assert rep.expansion_agreement < 1e-4
 
 
+def torsion_drift_series(samples) -> hc.VerdictSeries:
+    """Series whose tau drifts at rate 1e-3 while N3 = 0, with k = 0.3 and
+    B3 = sqrt(1/4 - k^2 - tau^2): they fail the torsion relation alone."""
+    n, s = samples.n, samples.s
+    k = np.full(n, 0.3)
+    tau = -0.3 + 1e-3 * s
+    return hc.VerdictSeries(samples, k=k, tau=tau, N3=np.zeros(n),
+                            B3=np.sqrt(0.25 - k**2 - tau**2),
+                            defined=np.ones(n, dtype=bool), max_residual=0.0)
+
+
 class TestSystems:
     def test_helix_passes_system(self, figure1_samples):
         fr = hc.frenet_apparatus(figure1_samples)
@@ -236,8 +248,8 @@ class TestSystems:
             fr.k[interior], fr.tau[interior], fr.B3[interior], fr.N3[interior]
         )
         relation_h3 = float(np.abs(k**2 + tau**2 - (0.25 - B3**2)).max())
-        taup = fr.samples.derivative(fr.tau)[interior]
-        torsion_h3 = float(np.abs(taup - N3 * B3).max())
+        integral = cumulative_simpson(N3 * B3, fr.samples.ds)  # from s_a, the interior's first s
+        torsion_h3 = float(np.abs(tau - tau[0] - integral).max())
         assert abs(checks["system_algebraic_relation"].residual - relation_h3) < 1e-10
         assert abs(checks["system_torsion_derivative"].residual - torsion_h3) < 1e-10
 
@@ -249,18 +261,15 @@ class TestSystems:
         assert values["curvature_level"] == 1.0
 
     def test_torsion_drift_fails_the_torsion_check_alone(self, figure1_samples):
-        # tau drifts at rate 1e-3 while N3 B3 = 0, so tau' = mu N3 B3 fails;
-        # k is a nonzero constant and B3 keeps k^2 + tau^2 = 1/4 - B3^2, so
-        # the other system checks hold
-        n, s = figure1_samples.n, figure1_samples.s
-        k = np.full(n, 0.3)
-        tau = -0.3 + 1e-3 * s
-        series = hc.VerdictSeries(figure1_samples, k=k, tau=tau, N3=np.zeros(n),
-                                  B3=np.sqrt(0.25 - k**2 - tau**2),
-                                  defined=np.ones(n, dtype=bool), max_residual=0.0)
-        result = hc.classify_curve(series)
+        # tau drifts at rate 1e-3 while N3 B3 = 0, so tau' = mu N3 B3 fails:
+        # in integral form tau - tau(s_a) reads 1e-3 (s - s_a), worst at the
+        # interior's end; k is a nonzero constant and B3 keeps
+        # k^2 + tau^2 = 1/4 - B3^2, so the other system checks hold
+        result = hc.classify_curve(torsion_drift_series(figure1_samples))
         torsion = result.checks["system_torsion_derivative"]
-        assert torsion.residual == pytest.approx(1e-3, abs=1e-9)
+        s, interior = figure1_samples.s, figure1_samples.interior(3)
+        drift = 1e-3 * (s[interior.stop - 1] - s[interior.start])
+        assert torsion.residual == pytest.approx(drift, abs=1e-9)
         assert not torsion.passed
         for name in ("k_constant", "k_nonzero", "algebraic_relation"):
             assert result.checks[f"system_{name}"].passed, name
@@ -326,6 +335,107 @@ class TestClassification:
             assert rep.residual.tobytes() == direct.tobytes()
             whole = hc.frenet_apparatus(samples)
             assert hc.classify_curve(rep.frenet).to_json() == hc.classify_curve(whole).to_json()
+
+
+def _figure_family_series(delta, n, route, tmp_path=None) -> hc.VerdictSeries:
+    """``verify``'s series of the figure helix's family, a = b = c = 1, at
+    rate A + delta: from sampled velocities, or from its ``s,x,y,z`` rows."""
+    spec = hc.helix_family_curve(FIGURE1_ALPHA0, FIGURE1_A + delta, 1.0, 1.0, 1.0)
+    samples = hc.sample_curve(spec, n)
+    if route == "positions":
+        path = tmp_path / "positions.csv"
+        hc.write_samples_csv(path, samples)
+        samples = hc.import_samples(H, *hc.read_samples_csv(path))
+    return hc.verdict_series(samples)
+
+
+class TestIntegralTorsion:
+    """The torsion relation is tested as tau - tau(s_a) = mu int N3 B3 ds,
+    with no derivative of tau, so its roundoff does not grow with n."""
+
+    @pytest.mark.parametrize("n", [1001, 16001, 50001])
+    def test_figure_helix_is_biharmonic_at_every_n(self, n):
+        result = hc.classify_curve(_figure_family_series(0.0, n, "velocities"))
+        assert result.verdict == "nongeodesic_biharmonic"
+        assert result.checks["system_torsion_derivative"].residual < 1e-7
+
+    @pytest.mark.parametrize("n", [1001, 16001, 50001])
+    def test_off_root_control_is_rejected(self, n):
+        result = hc.classify_curve(_figure_family_series(0.05, n, "velocities"))
+        assert result.verdict == "helix_not_biharmonic"
+        assert not result.checks["system_algebraic_relation"].passed
+
+    def test_running_integral_matches_the_whole_interior(self):
+        """Carried across tiles, the integral has the bits of one
+        ``cumulative_simpson`` over the whole interior, at every sample."""
+        n = 3 * TILE + 5
+        rng = np.random.default_rng(7)
+        params = hc.ManifoldParams(0.25, 1.2)
+        samples = hc.CurveSamples(params, np.linspace(0.0, 1.0, n), np.zeros((n, 3)),
+                                  np.tile([1.0, 0.0, 0.0], (n, 1)))
+        tau, N3, B3 = rng.standard_normal(n), rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n)
+        series = hc.VerdictSeries(samples, k=np.full(n, 0.3), tau=tau, N3=N3, B3=B3,
+                                  defined=np.ones(n, dtype=bool), max_residual=0.0)
+        interior = samples.interior(3)
+        integral = cumulative_simpson(N3[interior] * B3[interior], samples.ds)
+        for last in (interior.start + TILE, interior.stop - 1):  # in the second tile; the last
+            raised = tau.copy()  # the residual's worst sample is ``last``
+            raised[last] += 10.0 * np.abs(tau).max()
+            series.tau = raised
+            check = hc.classify_curve(series).checks["system_torsion_derivative"]
+            whole = np.abs(raised[interior] - raised[interior.start] - params.flatness * integral)
+            assert check.sample == last == interior.start + int(np.argmax(whole))
+            assert check.residual == float(whole.max())
+
+
+class TestWorstSample:
+    """Each worst-interior check names its worst sample and its s."""
+
+    WORST = ("system_algebraic_relation", "system_torsion_derivative", "helix_N3_zero",
+             "helix_N3B3_zero")
+
+    def test_torsion_drift_is_worst_at_the_interior_end(self, figure1_samples):
+        result = hc.classify_curve(torsion_drift_series(figure1_samples))
+        torsion = result.checks["system_torsion_derivative"]
+        last = figure1_samples.interior(3).stop - 1
+        assert torsion.sample == last
+        assert torsion.s == figure1_samples.s[last]
+
+    def test_off_root_relation_is_its_series_at_the_sample(self):
+        series = _figure_family_series(0.05, 2001, "velocities")
+        result = hc.classify_curve(series)
+        relation = result.checks["system_algebraic_relation"]
+        i = relation.sample
+        assert series.samples.interior(3).start <= i < series.samples.interior(3).stop
+        assert relation.s == series.samples.s[i]
+        k, tau, B3 = (a[i:i + 1] for a in (series.k, series.tau, series.B3))
+        assert relation.residual == float(np.abs(k**2 + tau**2 - (0.25 - B3**2))[0])
+        for name, check in result.checks.items():
+            assert (check.sample is None) == (check.s is None) == (name not in self.WORST), name
+            assert {"sample", "s"} <= set(check.as_dict())
+
+
+class TestResolvingPower:
+    """The figure helix's family at rate A + delta: delta = 0 is accepted
+    and delta = +-1e-3 rejected through the algebraic relation, which reads
+    about 0.707 |delta|, on both routes."""
+
+    CASES = ([("velocities", n) for n in (1001, 4001, 50001)]
+             + [("positions", n) for n in (1001, 4001)])
+
+    @pytest.mark.parametrize("route, n", CASES)
+    def test_exact_rate_is_accepted(self, route, n, tmp_path):
+        result = hc.classify_curve(_figure_family_series(0.0, n, route, tmp_path))
+        assert result.verdict == "nongeodesic_biharmonic"
+
+    @pytest.mark.parametrize("delta", [1e-3, -1e-3])
+    @pytest.mark.parametrize("route, n", CASES)
+    def test_rate_off_by_a_thousandth_is_rejected(self, route, n, delta, tmp_path):
+        result = hc.classify_curve(_figure_family_series(delta, n, route, tmp_path))
+        assert result.verdict == "helix_not_biharmonic"
+        relation = result.checks["system_algebraic_relation"].residual
+        expected = 0.707 * abs(delta)
+        assert expected / 2 <= relation <= 2 * expected
 
 
 class TestConstantAngleWitnesses:

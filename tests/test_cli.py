@@ -588,6 +588,60 @@ class TestOneAnalysisPerCurve:
         assert calls == {"covariant_derivative_along": 4 * tiles, "frenet_apparatus": tiles}
 
 
+@pytest.mark.parametrize("with_velocity, checks", [(True, 1), (False, 2)])
+def test_verify_checks_the_points_once(capsys, tmp_path, monkeypatch, with_velocity, checks):
+    """On a curve of three tiles, ``verify`` checks the points in the chart
+    when it builds the samples, and on positions once more when it converts
+    their differences to frame components; the tiles, windows of the checked
+    samples, check nothing again."""
+    calls = []
+    original = manifold.conformal_factor
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return original(*args, **kwargs)
+
+    n = 2 * numerics.TILE + 7
+    spec = hc.biharmonic_helix(hc.HelixParams(alpha0=FIGURE1_ALPHA0), (0.0, 10 * math.pi))
+    path = tmp_path / "h.csv"
+    hc.write_samples_csv(path, hc.sample_curve(spec, n), include_velocity=with_velocity)
+    monkeypatch.setattr(manifold, "conformal_factor", counted)
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code in (0, 1), out
+    assert calls == [n] * checks
+
+
+class TestVerifyWorstSample:
+    """``verify`` gives the worst sample's s on the four worst-interior
+    checks, and ``--json`` gives its sample and s on every check (null on
+    the others); the lines the benchmark reads keep their form."""
+
+    WORST = ("helix_N3B3_zero", "helix_N3_zero", "system_algebraic_relation",
+             "system_torsion_derivative")
+
+    def test_lines_and_json(self, capsys, tmp_path):
+        spec = hc.helix_family_curve(FIGURE1_ALPHA0, hc.solve_branch_A(FIGURE1_ALPHA0) + 0.05)
+        samples = hc.sample_curve(spec, 2001)
+        path = tmp_path / "offroot.csv"
+        hc.write_samples_csv(path, samples, include_velocity=True)
+        code, out, _ = run(capsys, "verify", str(path), "--json", str(tmp_path / "v.json"))
+        assert code == 1
+        payload = json.loads((tmp_path / "v.json").read_text())
+        lines = {line.split()[0]: line for line in out.splitlines() if line.startswith("  ")}
+        for name, check in payload["checks"].items():
+            if name in self.WORST:
+                assert samples.interior(3).start <= check["sample"] < samples.interior(3).stop
+                assert check["s"] == samples.s[check["sample"]]
+                assert lines[name].endswith(f"  at s = {check['s']:.9g}")
+            else:
+                assert check["sample"] is None and check["s"] is None
+                assert "at s =" not in lines[name]
+        assert re.search(r"^verdict: helix_not_biharmonic$", out, re.MULTILINE)
+        assert re.search(r"^max interior \|tau2\| = \S+$", out, re.MULTILINE)
+        assert re.search(r"^  k_mean = \S+$", out, re.MULTILINE)
+        assert re.search(r"^  tau_mean = \S+$", out, re.MULTILINE)
+
+
 class TestWritersPerGenerate:
     """``generate`` writes each per-sample file through its public writer,
     once, so the writers' call counts and bytes describe the files."""
