@@ -436,13 +436,17 @@ def classify_curve(
     def relation(w):
         return np.abs(k[w]**2 + tau[w]**2 - (lam - mu * B3[w]**2))
 
-    a, b = interior.start, interior.stop  # s_a is s[a]
-    carried = a, np.zeros(1)  # the first sample and the values of the last running integral
+    # tau(s) - tau(s_a) = mu int_{s_a}^{s} N3 B3 ds with s_a = s[a], the
+    # integral carried from one piece of the interior to the next
+    a, b = interior.start, interior.stop
+    carried = a, np.zeros(1)  # the last piece's first sample and running integral
 
-    def torsion(rows):  # called on the interior's pieces in order, carrying the integral
+    def torsion(rows):
         nonlocal carried
-        lo = max(a, rows.start - 1 - (rows.start - 1 - a) % 2)  # an even count past s_a
-        hi = min(rows.stop + 1, b)  # one sample past the piece, read as on the whole interior
+        # restart Simpson's rule an even number of samples past s_a, and read
+        # one sample past the piece: each interval's rule is the whole interior's
+        lo = max(a, rows.start - 1 - (rows.start - 1 - a) % 2)
+        hi = min(rows.stop + 1, b)
         first, integral = carried
         integral = cumulative_simpson(N3[lo:hi] * B3[lo:hi], samples.ds, integral[lo - first])
         carried = lo, integral

@@ -143,7 +143,7 @@ def cumulative_simpson(y: np.ndarray, dx: float, start: float = 0.0) -> np.ndarr
         raise TooFewSamples(f"need at least 3 samples to integrate, got {y.shape[0]}")
     d = dx / 3
     parts = np.zeros_like(y)  # parts[i]: the integral over [i - 1, i]
-    parts[0] = start
+    parts[0] = start  # the running sum's first value
     parts[1:-1:2] = d * (5 * y[:-2:2] / 4 + 2 * y[1:-1:2] - y[2::2] / 4)
     parts[2::2] = d * (5 * y[2::2] / 4 + 2 * y[1:-1:2] - y[:-2:2] / 4)
     parts[-1] = d * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)

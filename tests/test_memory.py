@@ -86,8 +86,8 @@ def test_verify_pipeline_peak_memory_tiled(tmp_path, figure1_hp):
     assert peak <= TILED_BYTES_PER_SAMPLE * N_TILED, f"{peak / N_TILED / 8:.1f} float64 per sample"
 
 
-# read_samples_csv at N_TILED: the (n, 4) array and isfinite's mask, 4.5
-# float64 per sample.  np.loadtxt's reader peaked at 4.79; parsing blocks with
+# read_samples_csv at N_TILED: the (n, 4) array and a block in parsing, 4.2
+# float64 per sample (4.5 when the orjson route took isfinite's mask too).  np.loadtxt's reader peaked at 4.79; parsing blocks with
 # orjson into per-block arrays and concatenating them took 8.0.
 READ_BYTES_PER_SAMPLE = 4.8 * 8
 
